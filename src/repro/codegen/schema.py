@@ -2,12 +2,16 @@
 
 The paper's prototype uses build-time code generation: it inspects
 ``Implements[T]`` embeddings, computes the set of component interfaces, and
-generates marshaling code (Section 4.2).  The Python analogue is runtime
-introspection: this module derives a :class:`Schema` — a small, immutable
-description of a wire type — from the type hints on component methods and
-dataclasses.  The serializers in :mod:`repro.serde` compile these schemas
-into encoder/decoder callables, and :mod:`repro.codegen.versioning` hashes
-them into the deployment version used by the transport handshake.
+generates marshaling code (Section 4.2).  Here the same two steps happen at
+run time.  This module does the inspecting: it derives a :class:`Schema` —
+a small, immutable description of a wire type — from the type hints on
+component methods and dataclasses.  :mod:`repro.serde.compact` does the
+generating: on first use of a schema it emits Python source for an encoder
+and a decoder, compiles it, and caches the functions under the schema (so
+schemas hash in constant time: see :meth:`Schema.__hash__`).  The two
+baseline codecs interpret schemas through closures instead, and
+:mod:`repro.codegen.versioning` hashes them into the deployment version
+used by the transport handshake.
 
 Supported types::
 
@@ -75,6 +79,21 @@ class Schema:
     args: tuple["Schema", ...] = ()
     fields: tuple[Field, ...] = ()
     cls: Optional[type] = None
+
+    def __post_init__(self) -> None:
+        # Not a dataclass field, so ==, repr() and canonical() never see it.
+        object.__setattr__(self, "_hash", hash((self.kind, self.args, self.fields, self.cls)))
+
+    def __hash__(self) -> int:
+        """Computed once at construction: codecs look their compiled
+        functions up by schema on every call, and hashing a struct's whole
+        tree each time cost more than encoding a small message."""
+        return self._hash  # type: ignore[attr-defined]
+
+    def __reduce__(self) -> tuple:
+        # Rebuild rather than copy __dict__: hashes of enum members and
+        # classes differ from process to process, so a cached one must not travel.
+        return (Schema, (self.kind, self.args, self.fields, self.cls))
 
     def canonical(self) -> str:
         """A canonical string for fingerprinting (versioning).

@@ -11,9 +11,10 @@ Three codecs live in this package:
 * :mod:`repro.serde.jsoncodec` — JSON with field names, the other status-quo
   format the paper cites as inefficient.
 
-All three share the varint and buffer machinery defined here so that the
-benchmarked differences come from the format design, not implementation
-quality.
+The two baselines (and the transport's own message headers) share the
+varint and buffer machinery defined here.  The compact codec does not: it
+generates source with these primitives inlined, so since that change a
+compact-vs-tagged timing compares implementations as well as formats.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Reader:
     :class:`DecodeError` rather than ``IndexError`` so callers can treat all
     malformed input uniformly.
 
-    Zero-copy contract: the hot decode path wraps each incoming frame in a
+    Zero-copy contract: a decoder wraps each incoming frame in a
     single :class:`memoryview` and hands out *borrowed* windows via
     :meth:`view` and :meth:`rest` — no byte is copied until a decoder
     materializes it.  Borrowed views are valid only while the backing
@@ -81,9 +82,6 @@ class Reader:
 
     def eof(self) -> bool:
         return self.pos >= len(self.buf)
-
-    def remaining(self) -> int:
-        return len(self.buf) - self.pos
 
 
 def write_uvarint(out: bytearray, value: int) -> None:
@@ -160,22 +158,7 @@ class Codec(Protocol):
     def decode(self, schema: Schema, data: "bytes | bytearray | memoryview") -> Any:
         """Deserialize a buffer produced by :meth:`encode` with ``schema``.
 
-        Accepts any bytes-like object; decoding from a ``memoryview`` is
-        zero-copy until leaf values are materialized.
+        Accepts any bytes-like object; the baselines decode from a
+        ``memoryview`` without copying until leaf values are materialized.
         """
         ...
-
-
-def encode_payload(codec: Codec, schema: Schema, value: Any) -> "bytes | bytearray":
-    """Encode with ``encode_into`` when the codec supports it.
-
-    Returns a buffer suitable for handing straight to the transport;
-    falls back to :meth:`Codec.encode` for third-party codecs that only
-    implement the minimal interface.
-    """
-    into = getattr(codec, "encode_into", None)
-    if into is None:
-        return codec.encode(schema, value)
-    out = bytearray()
-    into(schema, value, out)
-    return out

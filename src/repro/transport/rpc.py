@@ -41,7 +41,7 @@ from repro.core.options import (
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
-from repro.serde.base import Codec, encode_payload
+from repro.serde.base import Codec
 from repro.transport.client import ConnectionPool
 
 log = logging.getLogger("repro.transport")
@@ -158,12 +158,8 @@ class Dispatcher:
                     remote_parent=trace,
                     side="server",
                 ):
-                    return await self._local.invoke(
-                        reg, spec, tuple(arg_values), caller="<remote>"
-                    )
-            return await self._local.invoke(
-                reg, spec, tuple(arg_values), caller="<remote>"
-            )
+                    return await self._local.invoke(reg, spec, arg_values, caller="<remote>")
+            return await self._local.invoke(reg, spec, arg_values, caller="<remote>")
 
         if deadline_ms <= 0:
             result = await run()
@@ -182,7 +178,9 @@ class Dispatcher:
                     ) from None
         # The returned buffer is enqueued on the wire as-is (no bytes()
         # materialization); the connection owns it from here.
-        return encode_payload(self._codec, spec.result_schema, result)
+        reply = bytearray()
+        self._codec.encode_into(spec.result_schema, result, reply)
+        return reply
 
 
 class RemoteInvoker:
@@ -250,7 +248,8 @@ class RemoteInvoker:
         options: Optional[CallOptions] = None,
     ) -> Any:
         opts = options or CallOptions()
-        payload = encode_payload(self._codec, method.arg_schema, args)
+        payload = bytearray()
+        self._codec.encode_into(method.arg_schema, args, payload)
         start = time.perf_counter()
         error = False
         reply = b""

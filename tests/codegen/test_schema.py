@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -196,3 +198,33 @@ class TestCanonical:
 
     def test_any_schema(self):
         assert schema_of(Any).kind is Kind.ANY
+
+
+class TestHash:
+    """Codecs key compiled functions by schema, so hashing must be cheap
+    (cached at construction) and still by value."""
+
+    def _rebuilt(self) -> Schema:
+        clear_cache()  # a second derivation, not the cached tree
+        return Schema(Kind.TUPLE, args=(schema_of(Shape), schema_of(int)))
+
+    def test_equal_schemas_built_separately_hash_equal(self):
+        a, b = self._rebuilt(), self._rebuilt()
+        assert a is not b and a.args[0] is not b.args[0]
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_different_schemas_stay_different(self):
+        assert schema_of(list[int]) != schema_of(set[int])
+        assert schema_of(Point) != schema_of(Shape)
+
+    def test_cached_hash_is_invisible(self):
+        s = schema_of(Point)
+        assert "_hash" not in repr(s) and "hash" not in s.canonical()
+        assert [f.name for f in dataclasses.fields(s)] == ["kind", "args", "fields", "cls"]
+
+    def test_pickle_rebuilds_the_hash_in_the_receiving_process(self):
+        s = schema_of(Shape)
+        assert b"_hash" not in pickle.dumps(s)
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s)

@@ -49,3 +49,13 @@ def test_version_is_short_hex():
     v = deployment_version([SPEC_A])
     assert len(v) == 16
     int(v, 16)  # parses as hex
+
+
+def test_boutique_version_is_pinned():
+    """The compact codec's wire is part of this digest's promise: codec work
+    must leave it alone.  Changing a boutique interface or message type
+    changes it legitimately — update the pin in that change."""
+    from repro.boutique import ALL_COMPONENTS
+    from repro.core.registry import global_registry
+
+    assert global_registry().freeze(components=ALL_COMPONENTS).version == "d9f52a46931142d2"
