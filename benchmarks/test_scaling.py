@@ -1,6 +1,6 @@
 """E14c — multi-core data-plane scaling gate (workers + streaming).
 
-Three questions, answered over real loopback sockets:
+Two questions, answered over real loopback sockets:
 
 1. **Scaling curve** — aggregate echo throughput at 1 / 2 / 4 worker
    loops, many client connections.  The headline target (>=3x at 4
@@ -22,9 +22,8 @@ Three questions, answered over real loopback sockets:
    GIL-bound core the p99 is one unavoidable 10MB-assembly pause, so the
    fallback gates the steady-state p50 ratio instead.
 
-3. **c=1 regression** — the adaptive direct write-through must make the
-   coalesced path at least match the legacy path for a lone
-   request/response stream (the one shape PR 3 lost to the flusher hop).
+The lone-caller (c=1) direct write-through is gated by its counters in
+``benchmarks/test_dataplane.py``.
 
 Results land in ``BENCH_6.json`` at the repo root.  ``REPRO_BENCH_QUICK=1``
 shrinks counts and relaxes gates for CI smoke runs (direction, not
@@ -53,7 +52,6 @@ SCALE_MESSAGES = 4000 if QUICK else 24000
 PAYLOAD = b"x" * 128
 STREAM_PAYLOAD_MB = 10
 SMALLS_DURING_STREAM = 400 if QUICK else 1500
-C1_MESSAGES = 400 if QUICK else 3000
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_6.json")
 
 
@@ -81,7 +79,6 @@ P99_GATE = 1.5 if PARALLEL_CAPABLE else 3.0
 # the serving side can actually run in parallel.
 INTERFERENCE_GATE = 3.0 if QUICK else 2.0  # p99 ratio, parallel-capable
 INTERFERENCE_P50_GATE = 10.0  # p50 ratio, single-core fallback
-C1_GATE = 0.9 if QUICK else 1.0
 
 
 async def _echo(cid, mid, args, trace=(0, 0), deadline_ms=0):
@@ -191,31 +188,6 @@ async def _run_interference() -> dict:
     }
 
 
-# -- 3. c=1 coalesced vs legacy ----------------------------------------------
-
-
-async def _run_c1(coalesce: bool, n_msgs: int) -> dict:
-    server = RPCServer(_echo, codec="compact", version="bench", coalesce=coalesce)
-    address = await server.start()
-    pool = ConnectionPool(codec="compact", version="bench", coalesce=coalesce)
-    conn = await pool.get(address)
-    for _ in range(50):
-        await conn.call(1, 1, PAYLOAD, timeout=30)
-    start = time.perf_counter()
-    for _ in range(n_msgs):
-        await conn.call(1, 1, PAYLOAD, timeout=30)
-    elapsed = time.perf_counter() - start
-    stats = {
-        "mode": "coalesced" if coalesce else "legacy",
-        "msgs_per_s": n_msgs / elapsed,
-        "direct_writes": conn.direct_writes,
-        "flushes": conn.flushes,
-    }
-    await pool.close()
-    await server.stop()
-    return stats
-
-
 def _timed(coro_factory) -> dict:
     gc.collect()
     return asyncio.run(coro_factory())
@@ -242,15 +214,6 @@ def test_multicore_scaling_gate():
     interference_runs = [_timed(_run_interference) for _ in range(REPEATS)]
     interference = min(interference_runs, key=lambda r: r["p50_ratio"])
 
-    # 3. c=1 direct write-through vs legacy.
-    legacy_runs, coalesced_runs = [], []
-    for _ in range(REPEATS):
-        legacy_runs.append(_timed(lambda: _run_c1(False, C1_MESSAGES)))
-        coalesced_runs.append(_timed(lambda: _run_c1(True, C1_MESSAGES)))
-    c1_legacy = _best(legacy_runs)
-    c1_coalesced = _best(coalesced_runs)
-    c1_ratio = c1_coalesced["msgs_per_s"] / c1_legacy["msgs_per_s"]
-
     results = {
         "benchmark": "multicore-scaling",
         "quick": QUICK,
@@ -262,7 +225,6 @@ def test_multicore_scaling_gate():
         },
         "scaling": curve,
         "interference": interference,
-        "c1": [c1_legacy, c1_coalesced],
         "gate": {
             "target_scale_at_4w": 3.0,
             "applied_scale_at_4w": SCALE_GATE,
@@ -277,8 +239,6 @@ def test_multicore_scaling_gate():
             ),
             "measured_interference_p50": interference["p50_ratio"],
             "measured_interference_p99": interference["p99_ratio"],
-            "c1_gate": C1_GATE,
-            "measured_c1_ratio": c1_ratio,
         },
     }
     with open(RESULTS_PATH, "w", encoding="utf-8") as f:
@@ -298,12 +258,6 @@ def test_multicore_scaling_gate():
             "p50_ratio", "p99_ratio",
         ],
     )
-    print_table(
-        "E14c — c=1 lone-stream regression (direct write-through)",
-        [c1_legacy, c1_coalesced],
-        ["mode", "msgs_per_s", "direct_writes", "flushes"],
-    )
-
     assert scale_at_4 >= SCALE_GATE, (
         f"4-worker aggregate is {scale_at_4:.2f}x the 1-worker throughput, "
         f"below the {SCALE_GATE}x gate for this environment "
@@ -324,7 +278,3 @@ def test_multicore_scaling_gate():
             f"{STREAM_PAYLOAD_MB}MB stream "
             f"(single-core fallback gate {INTERFERENCE_P50_GATE}x)"
         )
-    assert c1_ratio >= C1_GATE, (
-        f"c=1 coalesced throughput is {c1_ratio:.2f}x legacy "
-        f"(gate {C1_GATE}x) — the direct write-through regressed"
-    )

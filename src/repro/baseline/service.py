@@ -26,7 +26,13 @@ from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import Component
 from repro.core.config import AppConfig
-from repro.core.errors import ComponentNotFound, DeadlineExceeded, RPCError, Unavailable
+from repro.core.errors import (
+    ComponentNotFound,
+    DeadlineExceeded,
+    ErrorCode,
+    RPCError,
+    Unavailable,
+)
 from repro.core.options import (
     CallOptions,
     budget_to_wire_ms,
@@ -254,11 +260,14 @@ class MicroserviceHost:
     async def _handle(self, component: str, method: str, body: bytes) -> bytes:
         if component != self.reg.name:
             raise RPCError(
-                f"this service hosts {self.reg.name}, not {component}", retryable=False
+                f"this service hosts {self.reg.name}, not {component}",
+                code=ErrorCode.INTERNAL,
             )
         spec = self.reg.spec.by_name.get(method)
         if spec is None:
-            raise RPCError(f"{component} has no method {method!r}", retryable=False)
+            raise RPCError(
+                f"{component} has no method {method!r}", code=ErrorCode.INTERNAL
+            )
         args = self._codec.decode(spec.arg_schema, body)
         if self.tracer is not None:
             # Join the caller's trace via the x-repro-trace header — the

@@ -104,14 +104,10 @@ class RPCError(WeaverError):
         self,
         message: str,
         *,
-        code: Optional[Union[ErrorCode, int]] = None,
-        retryable: Optional[bool] = None,
+        code: Union[ErrorCode, int],
         executed: bool = True,
     ) -> None:
         super().__init__(message)
-        if code is None:
-            # Legacy constructor shape: RPCError(msg, retryable=True/False).
-            code = ErrorCode.UNAVAILABLE if retryable else ErrorCode.INTERNAL
         self.code = ErrorCode(code)
         self.executed = executed
 

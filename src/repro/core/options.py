@@ -3,9 +3,9 @@
 The paper argues the runtime, not the developer, should own distributed
 concerns (§3, §5.3) — but callers still need a small, declarative way to
 *parameterize* the runtime's policy per call site.  :class:`CallOptions` is
-that surface.  It replaces the scattered constructor knobs (``RPCClient``'s
-``timeout_s``, per-deployment ``max_retries``) with one value type that
-flows ``stub → invoker → rpc → wire``::
+that surface: one value type, overriding the deployment defaults
+(``timeout_s``, ``max_retries``), that flows ``stub → invoker → rpc →
+wire``::
 
     payment = ctx.get(Payment).with_options(deadline_s=0.5, retries=0)
     catalog = ctx.get(ProductCatalog).with_options(hedge=0.05)

@@ -65,11 +65,8 @@ class ReplicaLauncher(Protocol):
 
         Returns the proclet's drain response — ``{"drained_s": ...,
         "handover": [shard manifests]}`` — or None when the proclet is
-        already gone.  The manager tolerates launchers that predate this
-        method (``drain_replica`` absent or None) by hard-stopping, but
-        new deployers should implement it: graceful drain is how shrink,
-        re-placement, and remediation retire replicas without dropping
-        in-flight work.
+        already gone.  Graceful drain is how shrink, re-placement, and
+        remediation retire replicas without dropping in-flight work.
         """
         ...
 
@@ -622,23 +619,20 @@ class Manager:
 
         Routing must already exclude the replica (callers steer new
         traffic elsewhere while it finishes what it has).
-        ``drain_replica`` is part of the :class:`ReplicaLauncher` protocol;
-        the manager still tolerates legacy launchers without it (attribute
-        absent or None) and hard-stops, as it does when drain is disabled
-        (``drain_deadline_s = 0``).  ``components`` labels the drain-event
-        counters the telemetry pipeline turns into per-component series.
+        ``drain_deadline_s = 0`` disables drain: the replica is
+        hard-stopped.  ``components`` labels the drain-event counters the
+        telemetry pipeline turns into per-component series.
         """
         for comp in components:
             self._own_metrics.counter("replica_drains").inc(component=comp)
         if components:
             self._merged_metrics = None
         deadline_s = self.resolved.app.drain_deadline_s
-        drain = getattr(self.launcher, "drain_replica", None)
-        if drain is not None and deadline_s > 0:
+        if deadline_s > 0:
             started = self.clock()
             response: Optional[dict[str, Any]] = None
             try:
-                response = await drain(proclet_id, deadline_s)
+                response = await self.launcher.drain_replica(proclet_id, deadline_s)
             except Exception:
                 log.exception("drain of %s failed; hard-stopping", proclet_id)
             # Recorded manager-side: the proclet's own histogram dies with

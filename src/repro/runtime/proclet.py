@@ -304,11 +304,6 @@ class RoutingResolver:
             self._breakers.record(reg.name, address, ok=False)
         self._table.invalidate(reg.name)
 
-    def report_failure(self, reg: Registration, address: str) -> None:
-        # Forget everything we know; next call re-resolves through the
-        # runtime, which will have (or will soon have) a fresher view.
-        self._table.invalidate(reg.name)
-
 
 class Proclet:
     """One process's worth of the application plus its managing daemon."""

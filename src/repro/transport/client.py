@@ -28,13 +28,9 @@ import asyncio
 import logging
 
 from repro.core.errors import Unavailable, VersionMismatch
-from repro.transport.connection import (
-    STREAM_CHUNK_BYTES,
-    STREAM_THRESHOLD,
-    Connection,
-    client_handshake,
-)
+from repro.transport.connection import Connection, client_handshake
 from repro.transport.server import parse_address
+from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
 log = logging.getLogger("repro.transport")
 
@@ -47,7 +43,6 @@ class ConnectionPool:
         version: str,
         connect_timeout: float = 5.0,
         compress: bool = False,
-        coalesce: bool = True,
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
     ) -> None:
@@ -55,7 +50,6 @@ class ConnectionPool:
         self._version = version
         self._connect_timeout = connect_timeout
         self._compress = compress
-        self._coalesce = coalesce
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
         self._connections: dict[tuple[int, str], Connection] = {}
@@ -129,7 +123,6 @@ class ConnectionPool:
             writer,
             name=f"client->{address}",
             compress=self._compress,
-            coalesce=self._coalesce,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
         )

@@ -6,10 +6,14 @@ versions (and codec) match, otherwise it closes.  This is where the atomic
 rollout guarantee reaches the data plane — a proclet from version A can
 never exchange a single application byte with a proclet from version B
 (§4.4), which in turn is what makes the tag-free compact format safe (§6).
+It is also why there is exactly one way to send: both ends of every
+connection run this file at the same version, so no older peer exists to
+stay compatible with.
 
 After the handshake, requests are pipelined: many may be in flight, matched
-to responses by request id.  The read loop runs as a background task; a
-broken connection fails all in-flight calls with a retryable error.
+to responses by request id.  The file reads top to bottom along the two
+directions a frame travels: ``call`` → enqueue → flusher on the way out,
+read loop → dispatch → resolve/serve on the way in.
 
 Writes are *coalesced adaptively*: senders append wire-ready chunks to an
 outbox (a synchronous append — no lock, no await) and a single flusher
@@ -17,11 +21,9 @@ task gathers everything pending into one ``writelines`` + one ``drain``.
 When the connection is idle a lone frame flushes immediately; under load,
 frames that arrive while a previous ``drain`` is in flight ride out
 together in the next batch — batching scales with pressure instead of a
-timer.  A batch is bounded by ``max_batch_bytes``; an optional bounded
-hold (``coalesce_hold_s``) can trade a hair of latency for wider batches.
-Senders that get more than ``SEND_HIGH_WATER`` bytes ahead of the socket
-wait for the flusher (backpressure), so a slow peer cannot balloon the
-outbox.
+timer.  A batch is bounded by ``MAX_BATCH_BYTES``.  Senders that get more
+than ``SEND_HIGH_WATER`` bytes ahead of the socket wait for the flusher
+(backpressure), so a slow peer cannot balloon the outbox.
 
 A connection with *no batching opportunity* — a lone caller ping-ponging
 request/response — bypasses the outbox entirely: when recent flush rounds
@@ -32,17 +34,14 @@ back to the flusher — concurrency *is* the batching opportunity — so the
 direct path costs nothing under load and wins back the lone-stream latency
 the flusher hop used to tax (the c=1 regression in BENCH_3.json).
 
-Payloads above ``stream_threshold`` travel as a *streaming RPC*: an OPEN
-frame followed by credit-gated chunks of ``stream_chunk`` bytes, so a huge
-argument or result never monopolizes a flush batch (small RPCs interleave
-between chunks) and may exceed ``MAX_FRAME``.  The receiver grants credits
-as it consumes; either side can cancel mid-stream; a deadline that expires
-between chunks fails the call without the rest of the payload ever being
-sent.
+Payloads above ``stream_threshold`` travel as a *streaming RPC*; that
+protocol lives in :mod:`repro.transport.streaming`, as an object this
+connection owns and hands stream frames to.
 
-``coalesce=False`` selects the pre-coalescing data plane — one
-``write_frame`` + ``drain`` per message under a write lock — kept as a
-measurable baseline for the dataplane benchmark gate.
+A connection owns three kinds of task — the read loop, the flusher, and
+server tasks (suspended handlers and slow control-frame sends) — plus one
+timeout timer, and dies one way: :meth:`Connection._teardown`, reached from
+``close()``, the read loop's exit and a flusher I/O error alike.
 """
 
 from __future__ import annotations
@@ -67,12 +66,17 @@ from repro.core.errors import (
 )
 from repro.transport import message as msg
 from repro.transport.framing import (
-    HEADER,
     FrameParser,
     frame_chunks,
     new_frame,
     read_frame,
     write_frame,
+)
+from repro.transport.streaming import (
+    STREAM_CHUNK_BYTES,
+    STREAM_THRESHOLD,
+    STREAM_WINDOW,
+    Streams,
 )
 
 log = logging.getLogger("repro.transport")
@@ -94,71 +98,8 @@ SEND_HIGH_WATER = 1 << 20
 #: worth of frames a coalescing peer flushed together.
 READ_CHUNK = 256 * 1024
 
-#: Payloads at or above this size travel as a streaming RPC (0 disables).
-STREAM_THRESHOLD = 1 << 20
-
-#: Payload bytes per STREAM_CHUNK frame.  64 KiB is the sweet spot on
-#: loopback: larger chunks gain no throughput but each queued chunk is
-#: head-of-line latency for small RPCs sharing the connection (once a
-#: chunk reaches the kernel socket buffer, TCP's FIFO order is final —
-#: the userspace priority lane can no longer help).
-STREAM_CHUNK_BYTES = 64 * 1024
-
-#: Credit window per stream: bytes the sender may have un-acknowledged.
-#: Both peers must agree on this value — the transmitter seeds its pump
-#: with *its own* window while the receiver re-grants after consuming
-#: *its* window/2, so a transmitter window below the receiver's grant
-#: threshold would park the pump forever.  The window is therefore a
-#: protocol constant, not a per-connection tunable.
-STREAM_WINDOW = 256 * 1024
-
-#: Hard cap on one streamed payload (a corrupt total_len cannot OOM us).
-MAX_STREAM = 1 << 32
-
 #: Consecutive lone-frame flush rounds before direct write-through re-engages.
 DIRECT_REENGAGE = 8
-
-
-class _OutStream:
-    """Sender side of one chunked payload (request upload or response
-    download).  The pump task owns ``pos``; credit arrives from the peer's
-    CREDIT frames and wakes the pump through ``event``."""
-
-    __slots__ = ("req_id", "flags", "data", "credit", "event", "cancelled")
-
-    def __init__(self, req_id: int, flags: int, data, credit: int) -> None:
-        self.req_id = req_id
-        self.flags = flags  # 0 = request direction, STREAM_RESP_DIR = response
-        self.data = data
-        self.credit = credit
-        self.event = asyncio.Event()
-        self.cancelled = False
-
-
-class _InStream:
-    """Receiver side of one chunked payload: accumulates chunks (copied out
-    of the read buffer — a stream outlives its frames) and grants credit
-    back as it consumes."""
-
-    __slots__ = (
-        "req_id", "dirflag", "parts", "received", "total", "to_grant",
-        "component_id", "method_index", "trace_id", "parent_span_id",
-        "deadline_ms", "deadline",
-    )
-
-    def __init__(self, req_id: int, dirflag: int, total: int) -> None:
-        self.req_id = req_id
-        self.dirflag = dirflag
-        self.parts: list[bytes] = []
-        self.received = 0
-        self.total = total
-        self.to_grant = 0
-        self.component_id = 0
-        self.method_index = 0
-        self.trace_id = 0
-        self.parent_span_id = 0
-        self.deadline_ms = 0
-        self.deadline = 0.0  # loop-clock absolute deadline; 0 = none
 
 
 class Connection:
@@ -172,9 +113,6 @@ class Connection:
         handler: Optional[Handler] = None,
         name: str = "conn",
         compress: bool = False,
-        coalesce: bool = True,
-        coalesce_hold_s: float = 0.0,
-        max_batch_bytes: int = MAX_BATCH_BYTES,
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
         stream_window: int = STREAM_WINDOW,
@@ -184,15 +122,11 @@ class Connection:
         self._handler = handler
         self._name = name
         self._compress = compress
-        self._coalesce = coalesce
-        self._hold_s = coalesce_hold_s
-        self._max_batch = max_batch_bytes
         self._req_ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self._closed = False
         self._loop_task: Optional[asyncio.Task] = None
         self._flush_task: Optional[asyncio.Task] = None
-        self._write_lock = asyncio.Lock()  # legacy (coalesce=False) path only
         self._server_tasks: set[asyncio.Task] = set()
         # Two-lane outbox: stream chunks ride the bulk lane, which the
         # flusher drains only after the normal lane — a small RPC frame
@@ -212,15 +146,9 @@ class Connection:
         self._timeouts: list = []
         self._timeout_timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # Streaming: four registries because the two peers' req_id spaces
-        # are independent — an id alone cannot say which stream is meant.
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
-        self._stream_window = stream_window
-        self._up_streams: dict[int, _OutStream] = {}    # our request uploads
-        self._in_streams: dict[int, _InStream] = {}     # peer request uploads
-        self._down_streams: dict[int, _OutStream] = {}  # our response downloads
-        self._resp_streams: dict[int, _InStream] = {}   # peer response downloads
+        self._streams = Streams(self, stream_chunk, stream_window)
         # Direct write-through: on until concurrency is observed, re-armed
         # by the flusher after a streak of lone-frame rounds.
         self._direct = True
@@ -236,14 +164,13 @@ class Connection:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the background read loop (after a successful handshake)."""
+        """Begin the read loop and the flusher (after a successful handshake)."""
         # Record the home loop: all of this connection's state is owned by
         # the loop that started it, and a multi-worker pool must schedule
         # close() here rather than touch it from a foreign thread.
         self._loop = asyncio.get_running_loop()
         self._loop_task = asyncio.ensure_future(self._read_loop())
-        if self._coalesce:
-            self._flush_task = asyncio.ensure_future(self._flush_loop())
+        self._flush_task = asyncio.ensure_future(self._flush_loop())
 
     @property
     def closed(self) -> bool:
@@ -255,65 +182,125 @@ class Connection:
         return self._loop
 
     async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-        if self._timeout_timer is not None:
-            self._timeout_timer.cancel()
-            self._timeout_timer = None
-        self._timeouts.clear()
-        for task in list(self._server_tasks):
-            task.cancel()
-        self._fail_pending(Unavailable("connection closed"))
-        self._can_send.set()  # wake any sender stuck in backpressure
+        self._teardown(Unavailable("connection closed"))
         try:
-            self._writer.close()
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
 
-    def _fail_pending(self, exc: Exception) -> None:
+    def _teardown(self, exc: Exception) -> None:
+        """The one way a connection dies; every step is idempotent.
+
+        Stops everything the connection owns (read loop, flusher, server
+        tasks, timeout timer), fails what was waiting on it (pending
+        calls, streams, back-pressured senders) and closes the socket.
+        """
+        self._closed = True
+        me = asyncio.current_task()
+        for task in (self._loop_task, self._flush_task, *self._server_tasks):
+            if task is not None and task is not me:
+                task.cancel()
+        if self._timeout_timer is not None:
+            self._timeout_timer.cancel()
+            self._timeout_timer = None
+        self._timeouts.clear()
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(exc)
         self._pending.clear()
-        # Abort streams too: wake any pump parked on credit so it observes
-        # the teardown instead of waiting forever.
-        for out in list(self._up_streams.values()) + list(self._down_streams.values()):
-            out.cancelled = True
-            out.event.set()
-        self._up_streams.clear()
-        self._down_streams.clear()
-        self._in_streams.clear()
-        self._resp_streams.clear()
+        self._streams.abort()
+        self._can_send.set()  # wake any sender stuck in backpressure
+        try:
+            self._writer.close()
+        except (ConnectionError, OSError):
+            pass
 
-    # -- write path ----------------------------------------------------------
+    # -- outbound: call -> enqueue -> flusher ---------------------------------
+
+    async def call(
+        self,
+        component_id: int,
+        method_index: int,
+        args: bytes,
+        *,
+        timeout: Optional[float] = None,
+        trace: tuple[int, int] = (0, 0),
+        deadline_ms: int = 0,
+    ) -> bytes:
+        """Issue one request and await its response bytes.
+
+        ``args`` may be any bytes-like object; ownership transfers to the
+        connection (do not mutate after the call).  ``deadline_ms`` is the
+        remaining end-to-end budget shipped to the server (0 = unlimited);
+        ``timeout`` is the local wait bound.
+        """
+        if self._closed:
+            raise Unavailable("connection closed", executed=False)
+        req_id = next(self._req_ids)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._pending[req_id] = future
+        streamed = self._stream_threshold and len(args) >= self._stream_threshold
+        try:
+            if streamed:
+                # Armed *before* the upload, so a deadline that expires
+                # mid-stream (or between chunks) stops the pump.
+                if timeout is not None:
+                    self._arm_timeout(req_id, component_id, method_index, timeout)
+                await self._streams.upload(
+                    req_id, future, component_id, method_index, args, trace, deadline_ms
+                )
+            else:
+                head = new_frame()
+                msg.encode_request_prefix(
+                    head,
+                    req_id,
+                    component_id,
+                    method_index,
+                    trace[0],
+                    trace[1],
+                    deadline_ms,
+                )
+                if not self._try_send(head, args):
+                    await self._send(head, args)
+        except (ConnectionError, OSError, TransportError) as exc:
+            self._pending.pop(req_id, None)
+            await self.close()
+            raise Unavailable(f"send failed: {exc}", executed=False) from exc
+        if timeout is not None and not streamed:
+            self._arm_timeout(req_id, component_id, method_index, timeout)
+        return await future
+
+    async def ping(self, timeout: float = 5.0) -> bool:
+        """Health probe: true if the peer answers a PING in time."""
+        nonce = next(self._req_ids)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._pending[-nonce] = future  # negative keys: ping namespace
+        try:
+            head = new_frame()
+            msg.encode_into(head, msg.Ping(nonce))
+            await self._send(head)
+            await asyncio.wait_for(future, timeout)
+            return True
+        except (asyncio.TimeoutError, RPCError, TransportError, ConnectionError, OSError):
+            return False
+        finally:
+            self._pending.pop(-nonce, None)
 
     def _try_send(self, head: bytearray, payload: bytes = b"", bulk: bool = False) -> bool:
-        """Synchronous enqueue fast path; False means take ``_send``.
+        """Synchronous send fast path; False means take ``_send``.
 
         Avoids a coroutine per frame on the hot path — enqueueing is pure
         bookkeeping unless the outbox is over the high-water mark (or the
-        connection is closed, or coalescing is off), in which case the
-        caller falls back to the awaitable slow path.
+        connection is closed), in which case the caller falls back to the
+        awaitable slow path.
 
         When the connection is *lone* — no other call in flight, nothing
         queued anywhere — the frame skips the outbox and goes straight to
         the transport (no flusher hop, no drain round-trip).  The first
         send that observes company flips ``_direct`` off so the flusher
         can batch; a streak of lone-frame flushes flips it back on.
-
-        ``bulk`` routes the frame to the low-priority lane.  Backpressure
-        differs by lane: bulk yields when *total* queued bytes cross the
-        high-water mark, while normal frames only yield when the normal
-        lane alone is saturated — queued stream chunks must not be able to
-        park a small RPC behind the flusher.
         """
-        if not self._coalesce or self._closed:
+        if self._closed:
             return False
         if self._direct and not self._outbox and not self._outbox_bulk:
             if (
@@ -328,9 +315,36 @@ class Connection:
                 self.direct_writes += 1
                 return True
             self._direct = False  # company observed: batching will pay now
-        pressure = self._outbox_bytes if bulk else self._outbox_bytes - self._bulk_bytes
-        if pressure >= SEND_HIGH_WATER:
+        if self._pressure(bulk) >= SEND_HIGH_WATER:
             return False
+        self._enqueue(head, payload, bulk)
+        return True
+
+    async def _send(
+        self, head: bytearray, payload: bytes = b"", bulk: bool = False
+    ) -> None:
+        """Ship one frame (``head`` from ``new_frame()`` plus a body
+        chunk): wait until the outbox is below high water, then enqueue."""
+        while not self._closed and self._pressure(bulk) >= SEND_HIGH_WATER:
+            self._can_send.clear()
+            await self._can_send.wait()
+        if self._closed:
+            raise TransportError("connection closed")
+        self._enqueue(head, payload, bulk)
+
+    def _pressure(self, bulk: bool) -> int:
+        """Queued bytes a new frame on this lane must wait behind.
+
+        Backpressure differs by lane: bulk yields when *total* queued
+        bytes cross the high-water mark, while normal frames only yield
+        when the normal lane alone is saturated — queued stream chunks
+        must not be able to park a small RPC behind the flusher.
+        """
+        return self._outbox_bytes if bulk else self._outbox_bytes - self._bulk_bytes
+
+    def _enqueue(self, head: bytearray, payload: bytes, bulk: bool) -> None:
+        """Append one frame to its lane (order is enqueue order) and wake
+        the flusher.  ``bulk`` is the low-priority lane."""
         lane = self._outbox_bulk if bulk else self._outbox
         for chunk in frame_chunks(head, payload, compress=self._compress):
             lane.append(chunk)
@@ -340,40 +354,34 @@ class Connection:
         self.frames_sent += 1
         self._frames_enqueued += 1
         self._wakeup.set()
-        return True
 
-    async def _send(
-        self, head: bytearray, payload: bytes = b"", bulk: bool = False
-    ) -> None:
-        """Ship one frame: ``head`` from ``new_frame()`` plus a body chunk.
+    def _post(self, m: msg.Message) -> None:
+        """Best-effort synchronous control-frame send (credits, cancels,
+        PONG, door-step rejections).
 
-        Coalescing path: append to the outbox (synchronous, order is
-        enqueue order) and wake the flusher; waits first if the outbox is
-        over the high-water mark.  Legacy path: write + drain per frame
-        under the write lock, as the data plane did before coalescing.
+        Falls back to a fire-and-forget task when the outbox is
+        saturated; failures are swallowed — control frames are advisory
+        and the read loop owns teardown.
         """
-        if self._coalesce:
-            while not self._closed and (
-                self._outbox_bytes if bulk else self._outbox_bytes - self._bulk_bytes
-            ) >= SEND_HIGH_WATER:
-                self._can_send.clear()
-                await self._can_send.wait()
-            if self._closed:
-                raise TransportError("connection closed")
-            lane = self._outbox_bulk if bulk else self._outbox
-            for chunk in frame_chunks(head, payload, compress=self._compress):
-                lane.append(chunk)
-                self._outbox_bytes += len(chunk)
-                if bulk:
-                    self._bulk_bytes += len(chunk)
-            self.frames_sent += 1
-            self._frames_enqueued += 1
-            self._wakeup.set()
-        else:
-            body = b"".join((memoryview(head)[HEADER:], payload))
-            async with self._write_lock:
-                await write_frame(self._writer, body, compress=self._compress)
-            self.frames_sent += 1
+        if self._closed:
+            return
+        head = new_frame()
+        msg.encode_into(head, m)
+        try:
+            if not self._try_send(head):
+                self._track(asyncio.ensure_future(self._post_slow(head)))
+        except (ConnectionError, OSError, TransportError):
+            pass
+
+    async def _post_slow(self, head: bytearray) -> None:
+        try:
+            await self._send(head)
+        except (ConnectionError, OSError, TransportError):
+            pass
+
+    def _track(self, task: asyncio.Task) -> None:
+        self._server_tasks.add(task)
+        task.add_done_callback(self._server_tasks.discard)
 
     async def _flush_loop(self) -> None:
         """The one task that touches the socket's write side.
@@ -388,15 +396,12 @@ class Connection:
                 if not self._outbox and not self._outbox_bulk:
                     self._wakeup.clear()
                     await self._wakeup.wait()
-                if self._hold_s > 0.0:
-                    # Bounded hold: gather a wider batch at a latency cost.
-                    await asyncio.sleep(self._hold_s)
                 batch = []
                 size = 0
                 outbox = self._outbox
                 bulk_lane = self._outbox_bulk
                 # Normal lane first; stream chunks only top up the batch.
-                while outbox and size < self._max_batch:
+                while outbox and size < MAX_BATCH_BYTES:
                     chunk = outbox.popleft()
                     batch.append(chunk)
                     size += len(chunk)
@@ -407,7 +412,7 @@ class Connection:
                 bulk_size = 0
                 while (
                     bulk_lane
-                    and size < self._max_batch
+                    and size < MAX_BATCH_BYTES
                     and bulk_size <= self._stream_chunk
                 ):
                     chunk = bulk_lane.popleft()
@@ -436,69 +441,12 @@ class Connection:
                     else:
                         self._lone_flushes = 0
                 await self._writer.drain()
-        except asyncio.CancelledError:
-            raise
         except (ConnectionError, OSError) as exc:
             if not self._closed:
                 log.debug("%s: flush loop ended: %s", self._name, exc)
-            self._closed = True
-            self._fail_pending(Unavailable("connection lost"))
-            self._can_send.set()
-            try:
-                self._writer.close()
-            except (ConnectionError, OSError):
-                pass
+            self._teardown(Unavailable("connection lost"))
 
-    # -- client side ----------------------------------------------------------
-
-    async def call(
-        self,
-        component_id: int,
-        method_index: int,
-        args: bytes,
-        *,
-        timeout: Optional[float] = None,
-        trace: tuple[int, int] = (0, 0),
-        deadline_ms: int = 0,
-    ) -> bytes:
-        """Issue one request and await its response bytes.
-
-        ``args`` may be any bytes-like object; ownership transfers to the
-        connection (do not mutate after the call).  ``deadline_ms`` is the
-        remaining end-to-end budget shipped to the server (0 = unlimited);
-        ``timeout`` is the local wait bound.
-        """
-        if self._closed:
-            raise Unavailable("connection closed", executed=False)
-        req_id = next(self._req_ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[req_id] = future
-        if self._stream_threshold and len(args) >= self._stream_threshold:
-            return await self._stream_request(
-                req_id, future, component_id, method_index, args,
-                timeout=timeout, trace=trace, deadline_ms=deadline_ms,
-            )
-        head = new_frame()
-        msg.encode_request_prefix(
-            head,
-            req_id,
-            component_id,
-            method_index,
-            trace[0],
-            trace[1],
-            deadline_ms,
-        )
-        try:
-            if not self._try_send(head, args):
-                await self._send(head, args)
-        except (ConnectionError, OSError, TransportError) as exc:
-            self._pending.pop(req_id, None)
-            await self.close()
-            raise Unavailable(f"send failed: {exc}", executed=False) from exc
-        if timeout is None:
-            return await future
-        self._arm_timeout(req_id, component_id, method_index, timeout)
-        return await future
+    # -- call timeouts ---------------------------------------------------------
 
     def _arm_timeout(
         self, req_id: int, component_id: int, method_index: int, timeout: float
@@ -521,107 +469,6 @@ class Connection:
         if len(self._timeouts) > 64 and len(self._timeouts) > 4 * len(self._pending):
             self._compact_timeouts()
 
-    # -- streaming -------------------------------------------------------------
-
-    async def _stream_request(
-        self,
-        req_id: int,
-        future: asyncio.Future,
-        component_id: int,
-        method_index: int,
-        args,
-        *,
-        timeout: Optional[float],
-        trace: tuple[int, int],
-        deadline_ms: int,
-    ) -> bytes:
-        """Upload ``args`` as OPEN + credit-gated chunks, then await the
-        response.  The timeout is armed *before* the upload so a deadline
-        that expires mid-stream (or between chunks) stops the pump."""
-        if timeout is not None:
-            self._arm_timeout(req_id, component_id, method_index, timeout)
-        out = _OutStream(req_id, 0, args, self._stream_window)
-        self._up_streams[req_id] = out
-        head = new_frame()
-        msg.encode_into(
-            head,
-            msg.StreamOpen(
-                req_id, component_id, method_index,
-                trace[0], trace[1], deadline_ms, len(args),
-            ),
-        )
-        try:
-            if not self._try_send(head):
-                await self._send(head)
-            await self._pump_stream(out, future)
-        except (ConnectionError, OSError, TransportError) as exc:
-            self._pending.pop(req_id, None)
-            await self.close()
-            raise Unavailable(f"send failed: {exc}", executed=False) from exc
-        finally:
-            self._up_streams.pop(req_id, None)
-        return await future
-
-    async def _pump_stream(
-        self, out: _OutStream, future: Optional[asyncio.Future]
-    ) -> None:
-        """Transmit an outgoing stream's payload, chunk by chunk, as credit
-        allows.  Stops early if the call already failed (``future`` done —
-        timeout sweep wakes ``out.event``) or the peer cancelled."""
-        data = memoryview(out.data)
-        size = len(data)
-        pos = 0
-        while True:
-            if out.cancelled:
-                return  # peer said stop (or connection tore down)
-            if future is not None and future.done():
-                # The call failed locally (timeout / teardown) mid-upload:
-                # tell the receiver to discard its partial accumulation.
-                self._post(msg.StreamCancel(out.req_id, 0))
-                return
-            if out.credit <= 0:
-                out.event.clear()
-                await out.event.wait()
-                continue
-            n = min(self._stream_chunk, size - pos, out.credit)
-            end = pos + n
-            flags = out.flags | (msg.STREAM_END if end >= size else 0)
-            head = new_frame()
-            msg.encode_stream_chunk_prefix(head, out.req_id, flags)
-            # Chunks ride the bulk lane: small frames flush ahead of them.
-            chunk = data[pos:end]
-            out.credit -= n
-            pos = end
-            if not self._try_send(head, chunk, bulk=True):
-                await self._send(head, chunk, bulk=True)
-            if end >= size:
-                return
-
-    def _post(self, m) -> None:
-        """Best-effort synchronous control-frame send (credits, cancels).
-
-        Falls back to a fire-and-forget task when the outbox is saturated
-        or coalescing is off; failures are swallowed — control frames are
-        advisory and the read loop owns teardown.
-        """
-        if self._closed:
-            return
-        head = new_frame()
-        msg.encode_into(head, m)
-        try:
-            if not self._try_send(head):
-                task = asyncio.ensure_future(self._post_slow(head))
-                self._server_tasks.add(task)
-                task.add_done_callback(self._server_tasks.discard)
-        except (ConnectionError, OSError, TransportError):
-            pass
-
-    async def _post_slow(self, head: bytearray) -> None:
-        try:
-            await self._send(head)
-        except (ConnectionError, OSError, TransportError):
-            pass
-
     def _sweep_timeouts(self) -> None:
         """Fail every pending call whose deadline has passed; rearm."""
         self._timeout_timer = None
@@ -639,19 +486,7 @@ class Connection:
                     f"timed out after {timeout}s"
                 )
             )
-            # Streaming calls need more than a failed future: wake an
-            # upload pump parked on credit (it will observe the done future
-            # and cancel toward the receiver), and tell the peer to stop
-            # transmitting a response stream we will never consume.
-            up = self._up_streams.get(req_id)
-            if up is not None:
-                up.event.set()
-            if self._resp_streams.pop(req_id, None) is not None:
-                self._post(
-                    msg.StreamCancel(
-                        req_id, msg.STREAM_RESP_DIR | msg.STREAM_TO_SENDER
-                    )
-                )
+            self._streams.call_timed_out(req_id)
         if heap:
             self._timeout_timer = self._loop.call_at(heap[0][0], self._sweep_timeouts)
 
@@ -661,23 +496,7 @@ class Connection:
         self._timeouts = [e for e in self._timeouts if e[1] in pending]
         heapify(self._timeouts)
 
-    async def ping(self, timeout: float = 5.0) -> bool:
-        """Health probe: true if the peer answers a PING in time."""
-        nonce = next(self._req_ids)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending[-nonce] = future  # negative keys: ping namespace
-        try:
-            head = new_frame()
-            msg.encode_into(head, msg.Ping(nonce))
-            await self._send(head)
-            await asyncio.wait_for(future, timeout)
-            return True
-        except (asyncio.TimeoutError, RPCError, TransportError, ConnectionError, OSError):
-            return False
-        finally:
-            self._pending.pop(-nonce, None)
-
-    # -- read loop -------------------------------------------------------------
+    # -- inbound: read loop -> dispatch -> resolve / serve ----------------------
 
     async def _read_loop(self) -> None:
         try:
@@ -698,29 +517,18 @@ class Connection:
                     self._direct = False
                     self._lone_flushes = 0
                 for frame in frames:
-                    await self._dispatch(msg.decode(frame))
+                    self._dispatch(msg.decode(frame))
         except (TransportError, ConnectionError, OSError) as exc:
             if not self._closed:
                 log.debug("%s: read loop ended: %s", self._name, exc)
-        except asyncio.CancelledError:
-            pass
         finally:
-            self._closed = True
-            self._fail_pending(Unavailable("connection lost"))
-            self._can_send.set()
-            try:
-                self._writer.close()
-            except (ConnectionError, OSError):
-                pass
+            self._teardown(Unavailable("connection lost"))
 
-    async def _dispatch(self, m: object) -> None:
+    def _dispatch(self, m: object) -> None:
         if isinstance(m, msg.Response):
             self._resolve(m.req_id, m.result, None)
-        elif isinstance(m, msg.StreamChunk):
-            if m.flags & msg.STREAM_RESP_DIR:
-                self._on_resp_chunk(m)
-            else:
-                self._on_req_chunk(m)
+        elif isinstance(m, msg.Request):
+            self._spawn_server_task(m)
         elif isinstance(m, msg.AppError):
             self._resolve(
                 m.req_id, None, RemoteApplicationError(m.exc_type, m.message)
@@ -731,23 +539,11 @@ class Connection:
                 None,
                 error_from_code(m.code, m.message, executed=m.executed),
             )
-        elif isinstance(m, msg.Request):
-            self._spawn_server_task(m)
-        elif isinstance(m, msg.StreamOpen):
-            self._on_stream_open(m)
-        elif isinstance(m, msg.StreamResp):
-            self._on_stream_resp(m)
-        elif isinstance(m, msg.StreamCredit):
-            self._on_stream_credit(m)
-        elif isinstance(m, msg.StreamCancel):
-            self._on_stream_cancel(m)
         elif isinstance(m, msg.Ping):
-            head = new_frame()
-            msg.encode_into(head, msg.Pong(m.nonce))
-            await self._send(head)
+            self._post(msg.Pong(m.nonce))
         elif isinstance(m, msg.Pong):
             self._resolve(-m.nonce, b"", None)
-        else:
+        elif not self._streams.on_frame(m):
             log.warning("%s: unexpected message %r", self._name, m)
 
     def _resolve(self, req_id: int, result: Optional[bytes], exc: Optional[Exception]) -> None:
@@ -759,188 +555,16 @@ class Connection:
         else:
             future.set_result(result)
 
-    # -- streaming receive -------------------------------------------------------
-
-    def _on_stream_open(self, m: msg.StreamOpen) -> None:
+    def _spawn_server_task(self, request: msg.Request) -> None:
         if self._handler is None:
             self._post(
                 msg.RpcError(
-                    m.req_id,
+                    request.req_id,
                     int(ErrorCode.INTERNAL),
                     "peer does not serve requests",
                     False,
                 )
             )
-            self._post(msg.StreamCancel(m.req_id, msg.STREAM_TO_SENDER))
-            return
-        if m.total_len > MAX_STREAM:
-            self._post(
-                msg.RpcError(
-                    m.req_id,
-                    int(ErrorCode.RESOURCE_EXHAUSTED),
-                    f"stream of {m.total_len} bytes exceeds cap {MAX_STREAM}",
-                    False,
-                )
-            )
-            self._post(msg.StreamCancel(m.req_id, msg.STREAM_TO_SENDER))
-            return
-        st = _InStream(m.req_id, 0, m.total_len)
-        st.component_id = m.component_id
-        st.method_index = m.method_index
-        st.trace_id = m.trace_id
-        st.parent_span_id = m.parent_span_id
-        st.deadline_ms = m.deadline_ms
-        if m.deadline_ms:
-            st.deadline = asyncio.get_running_loop().time() + m.deadline_ms / 1000.0
-        self._in_streams[m.req_id] = st
-
-    def _on_req_chunk(self, m: msg.StreamChunk) -> None:
-        st = self._in_streams.get(m.req_id)
-        if st is None:
-            return  # stream already cancelled/errored; ignore the straggler
-        if st.deadline and asyncio.get_running_loop().time() >= st.deadline:
-            # The caller's budget ran out between chunks: fail the call
-            # without receiving (or serving) the rest of the payload.
-            del self._in_streams[m.req_id]
-            self._post(
-                msg.RpcError(
-                    m.req_id,
-                    int(ErrorCode.DEADLINE_EXCEEDED),
-                    "deadline expired mid-upload",
-                    False,
-                )
-            )
-            self._post(msg.StreamCancel(m.req_id, msg.STREAM_TO_SENDER))
-            return
-        # Copy out of the read buffer: the stream outlives this frame.
-        st.parts.append(bytes(m.data))
-        st.received += len(m.data)
-        if st.received > MAX_STREAM:
-            del self._in_streams[m.req_id]
-            self._post(
-                msg.RpcError(
-                    m.req_id,
-                    int(ErrorCode.RESOURCE_EXHAUSTED),
-                    f"stream exceeded cap {MAX_STREAM}",
-                    False,
-                )
-            )
-            self._post(msg.StreamCancel(m.req_id, msg.STREAM_TO_SENDER))
-            return
-        if m.flags & msg.STREAM_END:
-            del self._in_streams[m.req_id]
-            remaining = 0
-            if st.deadline:
-                remaining = max(
-                    1,
-                    int((st.deadline - asyncio.get_running_loop().time()) * 1000),
-                )
-            self._spawn_server_task(
-                msg.Request(
-                    st.req_id,
-                    st.component_id,
-                    st.method_index,
-                    b"".join(st.parts),
-                    st.trace_id,
-                    st.parent_span_id,
-                    remaining,
-                )
-            )
-        else:
-            self._grant_credit(st, len(m.data))
-
-    def _on_stream_resp(self, m: msg.StreamResp) -> None:
-        if m.req_id not in self._pending:
-            # Timed out before the response started: stop the transmitter.
-            self._post(
-                msg.StreamCancel(
-                    m.req_id, msg.STREAM_RESP_DIR | msg.STREAM_TO_SENDER
-                )
-            )
-            return
-        self._resp_streams[m.req_id] = _InStream(
-            m.req_id, msg.STREAM_RESP_DIR, m.total_len
-        )
-
-    def _on_resp_chunk(self, m: msg.StreamChunk) -> None:
-        st = self._resp_streams.get(m.req_id)
-        if st is None:
-            return
-        if m.req_id not in self._pending:
-            # Timed out mid-download: discard and stop the transmitter.
-            del self._resp_streams[m.req_id]
-            self._post(
-                msg.StreamCancel(
-                    m.req_id, msg.STREAM_RESP_DIR | msg.STREAM_TO_SENDER
-                )
-            )
-            return
-        st.parts.append(bytes(m.data))
-        st.received += len(m.data)
-        if m.flags & msg.STREAM_END:
-            del self._resp_streams[m.req_id]
-            self._resolve(m.req_id, b"".join(st.parts), None)
-        else:
-            self._grant_credit(st, len(m.data))
-
-    def _grant_credit(self, st: _InStream, consumed: int) -> None:
-        """Receiver-paced flow control: top the sender up once half the
-        window has been consumed (batched — not a CREDIT per chunk)."""
-        st.to_grant += consumed
-        if st.to_grant >= self._stream_window // 2:
-            self._post(msg.StreamCredit(st.req_id, st.dirflag, st.to_grant))
-            st.to_grant = 0
-
-    def _on_stream_credit(self, m: msg.StreamCredit) -> None:
-        registry = (
-            self._down_streams
-            if m.flags & msg.STREAM_RESP_DIR
-            else self._up_streams
-        )
-        out = registry.get(m.req_id)
-        if out is not None:
-            out.credit += m.bytes_
-            out.event.set()
-
-    def _on_stream_cancel(self, m: msg.StreamCancel) -> None:
-        resp_dir = bool(m.flags & msg.STREAM_RESP_DIR)
-        if m.flags & msg.STREAM_TO_SENDER:
-            # We are the transmitter: stop the pump, release its credit wait.
-            registry = self._down_streams if resp_dir else self._up_streams
-            out = registry.get(m.req_id)
-            if out is not None:
-                out.cancelled = True
-                out.event.set()
-        else:
-            # We are the receiver: discard the partial accumulation.
-            if resp_dir:
-                if self._resp_streams.pop(m.req_id, None) is not None:
-                    self._resolve(
-                        m.req_id,
-                        None,
-                        error_from_code(
-                            int(ErrorCode.UNAVAILABLE),
-                            "peer cancelled response stream",
-                            executed=True,
-                        ),
-                    )
-            else:
-                self._in_streams.pop(m.req_id, None)
-
-    # -- server side -------------------------------------------------------------
-
-    def _spawn_server_task(self, request: msg.Request) -> None:
-        if self._handler is None:
-            task = asyncio.ensure_future(
-                self._send_error(
-                    request.req_id,
-                    code=ErrorCode.INTERNAL,
-                    text="peer does not serve requests",
-                    executed=False,
-                )
-            )
-            self._server_tasks.add(task)
-            task.add_done_callback(self._server_tasks.discard)
             return
         # Eager dispatch: step the serve coroutine once, in its own
         # contextvars Context (handlers set ambient deadline/span vars, and
@@ -957,13 +581,14 @@ class Connection:
         except BaseException:
             log.exception("%s: server handler failed in eager step", self._name)
             return
-        task = asyncio.get_running_loop().create_task(
-            _finish_eager(coro, pending), context=ctx
+        self._track(
+            asyncio.get_running_loop().create_task(
+                _finish_eager(coro, pending), context=ctx
+            )
         )
-        self._server_tasks.add(task)
-        task.add_done_callback(self._server_tasks.discard)
 
     async def _serve_one(self, request: msg.Request) -> None:
+        head = new_frame()
         payload: bytes = b""
         try:
             result = await self._handler(
@@ -975,22 +600,17 @@ class Connection:
             )
             if self._stream_threshold and len(result) >= self._stream_threshold:
                 try:
-                    await self._stream_response(request.req_id, result)
+                    await self._streams.respond(request.req_id, result)
                 except (ConnectionError, OSError, TransportError):
                     pass  # peer is gone; read loop will tear down
                 return
-            head = new_frame()
             msg.encode_response_prefix(head, request.req_id)
             payload = result
         except RPCError as exc:
-            head = new_frame()
             msg.encode_into(
                 head, msg.RpcError(request.req_id, int(exc.code), str(exc), exc.executed)
             )
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # application exception: ship type + message
-            head = new_frame()
             msg.encode_into(
                 head, msg.AppError(request.req_id, type(exc).__name__, str(exc))
             )
@@ -999,30 +619,6 @@ class Connection:
                 await self._send(head, payload)
         except (ConnectionError, OSError, TransportError):
             pass  # peer is gone; read loop will tear down
-
-    async def _stream_response(self, req_id: int, result) -> None:
-        """Ship a large result as STREAM_RESP + credit-gated chunks, so it
-        never monopolizes a flush batch and may exceed ``MAX_FRAME``."""
-        out = _OutStream(req_id, msg.STREAM_RESP_DIR, result, self._stream_window)
-        self._down_streams[req_id] = out
-        head = new_frame()
-        msg.encode_into(head, msg.StreamResp(req_id, len(result)))
-        try:
-            if not self._try_send(head):
-                await self._send(head)
-            await self._pump_stream(out, None)
-        finally:
-            self._down_streams.pop(req_id, None)
-
-    async def _send_error(
-        self, req_id: int, *, code: ErrorCode, text: str, executed: bool = True
-    ) -> None:
-        try:
-            head = new_frame()
-            msg.encode_into(head, msg.RpcError(req_id, int(code), text, executed))
-            await self._send(head)
-        except (ConnectionError, OSError, TransportError):
-            pass
 
 
 def _unblock(pending) -> None:

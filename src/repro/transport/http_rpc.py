@@ -30,6 +30,7 @@ from typing import Awaitable, Callable, Optional
 
 from repro.core.errors import (
     DeadlineExceeded,
+    ErrorCode,
     RemoteApplicationError,
     ResourceExhausted,
     RPCError,
@@ -259,7 +260,7 @@ class HttpRpcClient:
             raise Unavailable(text, executed=executed)
         if rpc_status == "app-error":
             raise RemoteApplicationError(headers.get("x-exc-type", "Exception"), text)
-        raise RPCError(f"HTTP {status}: {text}", retryable=False)
+        raise RPCError(f"HTTP {status}: {text}", code=ErrorCode.INTERNAL)
 
     async def _checkout(self, address: str) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         stack = self._idle.get(address)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-import warnings
 from typing import Any, Optional, Protocol
 
 from repro.codegen.compiler import MethodSpec
@@ -82,14 +81,7 @@ class ReplicaResolver(Protocol):
         is the :class:`~repro.core.errors.ErrorCode` on failure;
         ``draining`` marks rejections from a gracefully draining replica
         (fail over, but don't penalize the replica as broken).
-
-        Resolvers predating breakers may implement only
-        :meth:`report_failure`; :class:`RemoteInvoker` falls back to it.
         """
-        ...
-
-    def report_failure(self, reg: Registration, address: str) -> None:
-        """Legacy failure-only form of :meth:`report_outcome`."""
         ...
 
 
@@ -129,7 +121,7 @@ class Dispatcher:
         try:
             reg = self._build.by_id(component_id)
         except ComponentNotFound as exc:
-            raise RPCError(str(exc), retryable=False, executed=False) from exc
+            raise RPCError(str(exc), code=ErrorCode.INTERNAL, executed=False) from exc
         if not self.hosts(reg.name):
             # The manager moved this component elsewhere; tell the caller
             # to re-resolve rather than failing the request permanently.
@@ -139,7 +131,7 @@ class Dispatcher:
         if method_index >= len(reg.spec.methods):
             raise RPCError(
                 f"{reg.name} has no method index {method_index}",
-                retryable=False,
+                code=ErrorCode.INTERNAL,
                 executed=False,
             )
         spec = reg.spec.methods[method_index]
@@ -452,18 +444,14 @@ class RemoteInvoker:
         exc: Optional[RPCError] = None,
     ) -> None:
         """Feed one attempt outcome to the resolver (breakers live there)."""
-        report = getattr(self._resolver, "report_outcome", None)
-        if report is not None:
-            report(
-                reg,
-                address,
-                ok=exc is None,
-                code=None if exc is None else exc.code,
-                draining=getattr(exc, "draining", False),
-                wrong_owner=getattr(exc, "wrong_owner", False),
-            )
-        elif exc is not None:
-            self._resolver.report_failure(reg, address)
+        self._resolver.report_outcome(
+            reg,
+            address,
+            ok=exc is None,
+            code=None if exc is None else exc.code,
+            draining=getattr(exc, "draining", False),
+            wrong_owner=getattr(exc, "wrong_owner", False),
+        )
 
     async def _hedged_attempt(
         self,
@@ -512,21 +500,3 @@ class RemoteInvoker:
                 if not task.done():
                     task.cancel()
 
-
-class RPCClient(RemoteInvoker):
-    """Deprecated alias for :class:`RemoteInvoker`.
-
-    Per-call knobs moved to ``stub.with_options(...)``
-    (:class:`~repro.core.options.CallOptions`); construct a
-    :class:`RemoteInvoker` with deployment defaults instead.
-    """
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        warnings.warn(
-            "RPCClient is deprecated; use RemoteInvoker for deployment "
-            "defaults and stub.with_options(deadline_s=..., retries=...) "
-            "for per-call overrides",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

@@ -27,13 +27,8 @@ from repro.core.errors import (
     TransportError,
     VersionMismatch,
 )
-from repro.transport.connection import (
-    STREAM_CHUNK_BYTES,
-    STREAM_THRESHOLD,
-    Connection,
-    Handler,
-    server_handshake,
-)
+from repro.transport.connection import Connection, Handler, server_handshake
+from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 from repro.transport.worker import (
     Acceptor,
     WorkerLoop,
@@ -150,7 +145,6 @@ class RPCServer:
         version: str,
         address: str = "tcp://127.0.0.1:0",
         compress: bool = False,
-        coalesce: bool = True,
         workers: int = 1,
         uvloop_mode: str = "auto",
         stream_threshold: int = STREAM_THRESHOLD,
@@ -161,7 +155,6 @@ class RPCServer:
         self._codec = codec
         self._version = version
         self._compress = compress
-        self._coalesce = coalesce
         self._workers = max(1, int(workers))
         self._uvloop = uvloop_mode
         self._stream_threshold = stream_threshold
@@ -276,31 +269,14 @@ class RPCServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Accept path on a worker loop: handshake + adopt, all local."""
-        try:
-            await server_handshake(
-                reader, writer, codec=self._codec, version=self._version
-            )
-        except VersionMismatch as exc:
-            log.warning("rejected cross-version connection: %s", exc)
-            return
-        except (TransportError, ConnectionError, OSError) as exc:
-            log.debug("handshake failed: %s", exc)
-            writer.close()
-            return
-        worker.accepted += 1
-        conn = Connection(
+        if await self._handshake_and_adopt(
             reader,
             writer,
             handler=self._counted_handler(worker),
             name=f"server/w{worker.index}",
-            compress=self._compress,
-            coalesce=self._coalesce,
-            stream_threshold=self._stream_threshold,
-            stream_chunk=self._stream_chunk,
-        )
-        worker.conns = {c for c in worker.conns if not c.closed}
-        worker.conns.add(conn)
-        conn.start()
+            conns=worker.conns,
+        ):
+            worker.accepted += 1
 
     def _counted_handler(self, worker: WorkerLoop) -> Handler:
         inner = self._handler
@@ -311,34 +287,52 @@ class RPCServer:
 
         return counted
 
-    # -- single-loop accept --------------------------------------------------
-
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Accept path in single-loop mode."""
+        await self._handshake_and_adopt(
+            reader, writer, handler=self._handler, name="server",
+            conns=self._connections,
+        )
+
+    async def _handshake_and_adopt(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        *,
+        handler: Handler,
+        name: str,
+        conns: set[Connection],
+    ) -> bool:
+        """Enforce the version handshake, then start a connection and
+        register it in ``conns`` (forgetting the ones that have since
+        died, so a long-lived server does not remember every peer it ever
+        had).  False if the peer was turned away."""
         try:
             await server_handshake(
                 reader, writer, codec=self._codec, version=self._version
             )
         except VersionMismatch as exc:
             log.warning("rejected cross-version connection: %s", exc)
-            return
+            return False
         except (TransportError, ConnectionError, OSError) as exc:
             log.debug("handshake failed: %s", exc)
             writer.close()
-            return
+            return False
         conn = Connection(
             reader,
             writer,
-            handler=self._handler,
-            name="server",
+            handler=handler,
+            name=name,
             compress=self._compress,
-            coalesce=self._coalesce,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
         )
-        self._connections.add(conn)
+        conns.difference_update([c for c in conns if c.closed])
+        conns.add(conn)
         conn.start()
+        return True
 
     async def drain(self) -> None:
         """Stop accepting new connections; existing ones stay open.

@@ -132,12 +132,6 @@ class RecordingLauncher:
         pass
 
 
-class HardStopLauncher(RecordingLauncher):
-    """A deployer predating drain: only the required launcher surface."""
-
-    drain_replica = None  # type: ignore[assignment]
-
-
 class TestManagerRetire:
     def _manager(self, demo_build, launcher, **config_kwargs):
         config = AppConfig(**config_kwargs)
@@ -152,11 +146,5 @@ class TestManagerRetire:
     async def test_retire_hard_stops_when_drain_disabled(self, demo_build):
         launcher = RecordingLauncher()
         manager = self._manager(demo_build, launcher, drain_deadline_s=0.0)
-        await manager._retire_replica("p1")
-        assert launcher.events == [("stop", "p1")]
-
-    async def test_retire_tolerates_legacy_launcher(self, demo_build):
-        launcher = HardStopLauncher()
-        manager = self._manager(demo_build, launcher, drain_deadline_s=2.0)
         await manager._retire_replica("p1")
         assert launcher.events == [("stop", "p1")]

@@ -40,6 +40,9 @@ class FakeLauncher:
     async def stop_replica(self, proclet_id: str) -> None:
         self.stopped.append(proclet_id)
 
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        return None
+
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         self.hosting_updates = getattr(self, "hosting_updates", [])
         self.hosting_updates.append((proclet_id, components))

@@ -46,6 +46,9 @@ class FakeLauncher:
     async def stop_replica(self, proclet_id: str) -> None:
         self.stopped.append(proclet_id)
 
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        return None
+
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         pass
 

@@ -8,12 +8,14 @@ import pytest
 
 from repro.core.errors import (
     DeadlineExceeded,
+    ErrorCode,
     RemoteApplicationError,
     RPCError,
     Unavailable,
     VersionMismatch,
 )
 from repro.transport.client import ConnectionPool
+from repro.transport.connection import SEND_HIGH_WATER
 from repro.transport.server import RPCServer
 
 
@@ -23,7 +25,7 @@ async def echo_handler(
     if method_index == 99:
         raise ValueError("application blew up")
     if method_index == 98:
-        raise RPCError("rpc-level failure", retryable=False)
+        raise RPCError("rpc-level failure", code=ErrorCode.INTERNAL)
     if method_index == 97:
         await asyncio.sleep(0.5)
         return b"slow"
@@ -105,6 +107,28 @@ async def test_ping_health_probe():
     async with Harness() as h:
         conn = await h.pool.get(h.address)
         assert await conn.ping(timeout=2) is True
+        # A PING that arrives while the outbox is saturated still gets its
+        # PONG: the answer parks in the slow path, not in the read loop.
+        (server_conn,) = h.server._connections
+        server_conn._direct = False
+        server_conn._outbox_bytes = SEND_HIGH_WATER  # simulate a full outbox
+        probe = asyncio.ensure_future(conn.ping(timeout=5))
+        await asyncio.sleep(0.05)
+        assert not probe.done()
+        server_conn._outbox_bytes = 0
+        server_conn._can_send.set()
+        assert await probe is True
+
+
+async def test_request_to_handlerless_peer_is_rejected():
+    async with Harness() as h:
+        await h.pool.get(h.address)  # pool connections serve nothing
+        await asyncio.sleep(0.05)
+        (server_conn,) = h.server._connections
+        with pytest.raises(RPCError, match="does not serve") as info:
+            await server_conn.call(1, 1, b"x", timeout=2)
+        assert info.value.code is ErrorCode.INTERNAL
+        assert info.value.executed is False
 
 
 async def test_version_mismatch_rejected():
@@ -166,3 +190,62 @@ async def test_connection_count_tracked():
         await h.pool.get(h.address)
         await asyncio.sleep(0.05)
         assert h.server.connection_count == 1
+
+
+def pending_flushers() -> list[asyncio.Task]:
+    return [
+        task
+        for task in asyncio.all_tasks()
+        if not task.done()
+        and getattr(task.get_coro(), "__qualname__", "") == "Connection._flush_loop"
+    ]
+
+
+async def assert_fully_torn_down(conn) -> None:
+    for _ in range(5):  # cancellations land within a few loop turns
+        await asyncio.sleep(0)
+    assert conn.closed
+    assert pending_flushers() == []
+    assert conn._loop_task.done()
+    assert conn._timeout_timer is None
+
+
+async def test_peer_hangup_leaves_no_task_or_timer():
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+        task = asyncio.ensure_future(conn.call(0, 97, b"", timeout=30))
+        await asyncio.sleep(0.05)
+        assert conn._timeout_timer is not None
+        await h.server.stop()
+        with pytest.raises(Unavailable):
+            await task
+        await asyncio.sleep(0.1)
+        await assert_fully_torn_down(conn)
+        await conn.close()  # closing a dead connection, twice, is harmless
+        await conn.close()
+        await assert_fully_torn_down(conn)
+
+
+async def test_flusher_io_error_leaves_no_task_or_timer():
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+
+        async def broken_drain():
+            raise ConnectionResetError("boom")
+
+        conn._writer.drain = broken_drain
+        conn._direct = False  # send through the flusher, not write-through
+        with pytest.raises(Unavailable):
+            await conn.call(0, 97, b"", timeout=30)
+        await assert_fully_torn_down(conn)
+
+
+async def test_server_forgets_dead_connections():
+    async with Harness() as h:
+        for i in range(50):
+            conn = await h.pool.get(h.address)
+            assert await conn.call(0, 1, b"x", timeout=2) == b"\x00\x01x"
+            await conn.close()
+        await asyncio.sleep(0.1)
+        assert h.server.connection_count == 0
+        assert len(h.server._connections) <= 2

@@ -139,19 +139,15 @@ async def echo(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
 
 
 class Rig:
-    def __init__(self, coalesce: bool = True, **server_kw):
-        self.coalesce = coalesce
+    def __init__(self, **server_kw):
         self.server_kw = server_kw
 
     async def __aenter__(self):
         self.server = RPCServer(
-            echo, codec="compact", version="v1",
-            coalesce=self.coalesce, **self.server_kw,
+            echo, codec="compact", version="v1", **self.server_kw
         )
         self.address = await self.server.start()
-        self.pool = ConnectionPool(
-            codec="compact", version="v1", coalesce=self.coalesce
-        )
+        self.pool = ConnectionPool(codec="compact", version="v1")
         return self
 
     async def __aexit__(self, *exc):
@@ -178,15 +174,6 @@ class TestCoalescing:
             # If every frame had flushed alone there would be 400 rounds;
             # coalescing must have merged at least some.
             assert conn.flushes < conn.frames_sent
-
-    async def test_legacy_mode_still_works(self):
-        async with Rig(coalesce=False) as rig:
-            conn = await rig.pool.get(rig.address)
-            results = await asyncio.gather(
-                *[conn.call(1, 1, b"y%d" % i, timeout=5) for i in range(100)]
-            )
-            assert results == [b"y%d" % i for i in range(100)]
-            assert conn.flushes == 0  # the flusher never ran
 
     async def test_backpressure_bounds_the_outbox(self):
         async with Rig() as rig:

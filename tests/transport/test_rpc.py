@@ -25,8 +25,9 @@ class StaticResolver:
     async def resolve(self, reg, method, args, route_key=None):
         return self.address
 
-    def report_failure(self, reg, address):
-        self.failures.append((reg.name, address))
+    def report_outcome(self, reg, address, *, ok, **detail):
+        if not ok:
+            self.failures.append((reg.name, address))
 
 
 class ServedApp:
@@ -179,20 +180,3 @@ async def test_deadline_across_retries(demo_build):
         with pytest.raises((DeadlineExceeded, Unavailable)):
             await stub.add(1, 1)
 
-
-async def test_rpcclient_is_deprecated_but_works(demo_build):
-    """The old constructor-knob client still functions — with a warning."""
-    import warnings
-
-    from repro.transport.rpc import RPCClient
-
-    async with ServedApp(demo_build) as served:
-        with pytest.warns(DeprecationWarning, match="with_options"):
-            client = RPCClient(
-                codec=COMPACT,
-                pool=served.pool,
-                resolver=served.resolver,
-                timeout_s=5.0,
-            )
-        stub = make_stub(demo_build.by_iface(Adder), client, ROOT)
-        assert await stub.add(20, 22) == 42

@@ -70,7 +70,7 @@ class TestStreamingRoundtrip:
             result = await conn.call(1, 1, payload, timeout=10)
             assert result == payload
             # Registries must be empty again: streams are not leaked.
-            assert not conn._up_streams and not conn._resp_streams
+            assert not conn._streams.up_streams and not conn._streams.resp_streams
 
     async def test_payload_larger_than_max_frame(self, monkeypatch):
         # A stream may carry more than one frame could: shrink MAX_FRAME
@@ -113,7 +113,7 @@ class TestStreamingRoundtrip:
         async with StreamRig() as rig:
             conn = await rig.pool.get(rig.address)
             assert await conn.call(1, 1, b"tiny", timeout=5) == b"tiny"
-            assert not conn._up_streams  # below threshold: no stream
+            assert not conn._streams.up_streams  # below threshold: no stream
 
 
 class TestInterleaving:
@@ -188,16 +188,16 @@ class TestCancellation:
         # and leave no stream state behind on either side.
         server, client, server_conn = await raw_pair(handler=echo)
         try:
-            server_conn._grant_credit = lambda st, consumed: None
+            server_conn._streams._grant_credit = lambda st, consumed: None
             payload = pattern(4 * WINDOW)  # needs credit beyond the window
             with pytest.raises(DeadlineExceeded):
                 await client.call(1, 1, payload, timeout=0.3)
-            assert not client._up_streams  # pump exited, stream reaped
+            assert not client._streams.up_streams  # pump exited, stream reaped
             for _ in range(100):
-                if not server_conn._in_streams:
+                if not server_conn._streams.in_streams:
                     break
                 await asyncio.sleep(0.01)
-            assert not server_conn._in_streams  # partial upload discarded
+            assert not server_conn._streams.in_streams  # partial upload discarded
         finally:
             await client.close()
             await server_conn.close()
@@ -209,23 +209,23 @@ class TestCancellation:
         # immediately — cancellation releases credits, not just data flow.
         server, client, server_conn = await raw_pair(handler=echo)
         try:
-            server_conn._grant_credit = lambda st, consumed: None
+            server_conn._streams._grant_credit = lambda st, consumed: None
             payload = pattern(4 * WINDOW)
             task = asyncio.ensure_future(client.call(1, 1, payload, timeout=30))
             for _ in range(200):  # wait until the pump is credit-parked
-                out = next(iter(client._up_streams.values()), None)
+                out = next(iter(client._streams.up_streams.values()), None)
                 if out is not None and out.credit <= 0:
                     break
                 await asyncio.sleep(0.01)
             else:
                 pytest.fail("upload pump never parked on credit")
-            req_id = next(iter(client._up_streams))
+            req_id = next(iter(client._streams.up_streams))
             server_conn._post(msg.StreamCancel(req_id, msg.STREAM_TO_SENDER))
             for _ in range(200):
-                if not client._up_streams:
+                if not client._streams.up_streams:
                     break
                 await asyncio.sleep(0.01)
-            assert not client._up_streams  # pump released without credit
+            assert not client._streams.up_streams  # pump released without credit
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
@@ -251,7 +251,7 @@ class TestDeadlines:
             client._post(msg.StreamChunk(7, msg.STREAM_END, pattern(CHUNK)))
             with pytest.raises(DeadlineExceeded):
                 await asyncio.wait_for(future, 5)
-            assert not server_conn._in_streams  # reaped, not executed
+            assert not server_conn._streams.in_streams  # reaped, not executed
         finally:
             await client.close()
             await server_conn.close()
