@@ -108,23 +108,33 @@ def remaining_budget_s() -> Optional[float]:
     return deadline - time.monotonic()
 
 
-@contextlib.contextmanager
-def deadline_scope(deadline: Optional[float]) -> Iterator[None]:
-    """Run a block under an absolute deadline; deadlines only ever shrink.
+def shrink_deadline(deadline: float) -> Optional[contextvars.Token]:
+    """Make ``deadline`` ambient unless a tighter one already is.
 
-    A server sets this around each handler invocation so every outgoing
-    call the handler makes inherits the remaining budget.  A scope can
-    never *extend* an enclosing deadline.
+    A server does this around each handler invocation so every outgoing
+    call the handler makes inherits the remaining budget; deadlines only
+    ever shrink.  Returns the token :func:`restore_deadline` undoes it
+    with, or ``None`` if nothing changed.
     """
     current = _deadline_var.get()
-    if deadline is None or (current is not None and current <= deadline):
-        yield
-        return
-    token = _deadline_var.set(deadline)
+    if current is not None and current <= deadline:
+        return None
+    return _deadline_var.set(deadline)
+
+
+def restore_deadline(token: Optional[contextvars.Token]) -> None:
+    if token is not None:
+        _deadline_var.reset(token)
+
+
+@contextlib.contextmanager
+def deadline_scope(deadline: Optional[float]) -> Iterator[None]:
+    """Run a block under an absolute deadline (see :func:`shrink_deadline`)."""
+    token = None if deadline is None else shrink_deadline(deadline)
     try:
         yield
     finally:
-        _deadline_var.reset(token)
+        restore_deadline(token)
 
 
 def effective_budget_s(explicit: Optional[float], default: float) -> float:

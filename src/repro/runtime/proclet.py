@@ -34,7 +34,7 @@ from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import ComponentContext, instantiate, shutdown_instance
 from repro.core.config import AppConfig
-from repro.core.errors import ComponentNotFound, DeadlineExceeded, Unavailable
+from repro.core.errors import ComponentNotFound, DeadlineExceeded, ErrorCode, Unavailable
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker, make_stub
 from repro.observability.logs import LogBuffer
@@ -289,8 +289,6 @@ class RoutingResolver:
           tripped breakers survive the refresh and keep picks away
           from it.
         """
-        from repro.core.errors import ErrorCode
-
         if ok or code is ErrorCode.APPLICATION:
             if self._breakers is not None:
                 self._breakers.record(reg.name, address, ok=True)
@@ -555,54 +553,18 @@ class Proclet:
             raise Unavailable(
                 f"{self.proclet_id} is draining", executed=False, draining=True
             )
-        # Pin the caller's deadline to our clock *before* admission
-        # queueing, so time spent waiting for a slot burns the budget.
-        arrival_deadline = (
-            time.monotonic() + deadline_ms / 1000.0 if deadline_ms > 0 else None
-        )
         lid = id(asyncio.get_running_loop())
         self._inflight_by_loop[lid] = self._inflight_by_loop.get(lid, 0) + 1
         try:
-            return await self._admitted_rpc(
-                component_id, method_index, args, trace, deadline_ms, arrival_deadline
-            )
-        finally:
-            self._inflight_by_loop[lid] -= 1
-
-    @property
-    def inflight_rpcs(self) -> int:
-        return sum(self._inflight_by_loop.values())
-
-    def _admission_for_loop(self) -> AdmissionController:
-        """This loop's share of the admission budget (created on first use;
-        dict.setdefault keeps the two-threads-first-request race safe)."""
-        lid = id(asyncio.get_running_loop())
-        ctrl = self._admissions.get(lid)
-        if ctrl is None:
-            ctrl = self._admissions.setdefault(
-                lid, AdmissionController(self._admit_inflight, self._admit_queue)
-            )
-        return ctrl
-
-    async def _admitted_rpc(
-        self,
-        component_id: int,
-        method_index: int,
-        args: bytes,
-        trace: tuple[int, int],
-        deadline_ms: int,
-        arrival_deadline: Optional[float],
-    ) -> bytes:
-        async with self._admission_for_loop():
-            if arrival_deadline is not None:
-                remaining_s = arrival_deadline - time.monotonic()
-                if remaining_s <= 0:
-                    raise DeadlineExceeded(
-                        f"request expired before execution "
-                        f"({deadline_ms}ms budget spent in transit/queue)",
-                        executed=False,
-                    )
-                deadline_ms = max(1, int(remaining_s * 1000))
+            admission = self._admissions.get(lid)
+            if admission is None:
+                # This loop's share of the budget, on its first request
+                # (setdefault keeps the two-threads-first-request race safe).
+                admission = self._admissions.setdefault(
+                    lid, AdmissionController(self._admit_inflight, self._admit_queue)
+                )
+            if not admission.try_enter():
+                deadline_ms = await self._queue_for_slot(admission, deadline_ms)
             start = time.perf_counter()
             failed = False
             try:
@@ -613,23 +575,22 @@ class Proclet:
                 failed = True
                 raise
             finally:
+                admission.leave()
                 elapsed = time.perf_counter() - start
                 self._busy_s += elapsed
                 cells = self._method_cells.get((component_id, method_index))
                 if cells is None:
                     try:
-                        name = self.build.by_id(component_id).name
-                        method = self.build.by_id(component_id).spec.methods[
-                            method_index
-                        ].name
+                        reg = self.build.by_id(component_id)
+                        name, method = reg.name, reg.spec.methods[method_index].name
                     except (ComponentNotFound, IndexError):
                         name, method = "?", "?"
-                    cells = (
-                        self._method_latency.bind(component=name, method=method),
-                        self._method_calls.bind(component=name, method=method),
-                        self._method_errors.bind(component=name, method=method),
+                    cells = self._method_cells[(component_id, method_index)] = tuple(
+                        metric.bind(component=name, method=method)
+                        for metric in (
+                            self._method_latency, self._method_calls, self._method_errors
+                        )
                     )
-                    self._method_cells[(component_id, method_index)] = cells
                 latency, calls, errors = cells
                 # trace[0] is the caller's trace id: a histogram exemplar
                 # pivots a latency bucket straight to that trace.
@@ -637,6 +598,45 @@ class Proclet:
                 calls.inc()
                 if failed:
                     errors.inc()
+        finally:
+            self._inflight_by_loop[lid] -= 1
+
+    @property
+    def inflight_rpcs(self) -> int:
+        return sum(self._inflight_by_loop.values())
+
+    async def _queue_for_slot(
+        self, admission: AdmissionController, deadline_ms: int
+    ) -> int:
+        """Wait for an execution slot; returns the budget left once admitted.
+
+        The caller's deadline is pinned to our clock first, so time spent
+        queued burns the budget.  One that runs out here is answered
+        ``executed=False`` — user code never ran — whether the slot comes
+        too late or the connection's budget sweep cancels the wait.
+        """
+        if deadline_ms <= 0:
+            await admission.wait_turn()
+            return 0
+        deadline = time.monotonic() + deadline_ms / 1000.0
+        try:
+            await admission.wait_turn()
+        except asyncio.CancelledError:
+            # The sweep pinned this budget a moment before we did, so it
+            # fires with a sliver of ours left: under one wire tick (1 ms)
+            # counts as spent.  Anything earlier is teardown's cancel.
+            if deadline - time.monotonic() >= 0.001:
+                raise
+        else:
+            remaining_s = deadline - time.monotonic()
+            if remaining_s > 0:
+                return max(1, int(remaining_s * 1000))
+            admission.leave()
+        raise DeadlineExceeded(
+            f"request expired before execution "
+            f"({deadline_ms}ms budget spent in transit/queue)",
+            executed=False,
+        )
 
     # -- stub resolution (the resolver LocalInvoker/contexts call) -------------
 

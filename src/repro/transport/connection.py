@@ -38,17 +38,26 @@ Payloads above ``stream_threshold`` travel as a *streaming RPC*; that
 protocol lives in :mod:`repro.transport.streaming`, as an object this
 connection owns and hands stream frames to.
 
+A served request is exactly one :class:`asyncio.Task` (``_serve_one``):
+the read loop looks only at a frame's type byte and hands a ``REQUEST``
+over undecoded, so decode, handler and reply run back to back in a Task
+the handler sees as ``asyncio.current_task()``.  The connection that
+created the Task also enforces the request's wire budget, as one more
+entry on the timeout heap (one timer) that bounds this side's outgoing
+calls: when it comes due the sweep cancels the Task and ``_serve_one``
+answers ``DEADLINE_EXCEEDED``.  Nothing else is allocated per request.
+
 A connection owns three kinds of task — the read loop, the flusher, and
-server tasks (suspended handlers and slow control-frame sends) — plus one
-timeout timer, and dies one way: :meth:`Connection._teardown`, reached from
-``close()``, the read loop's exit and a flusher I/O error alike.
+server tasks (one per request being served, plus slow control-frame
+sends) — plus one timeout timer, and dies one way:
+:meth:`Connection._teardown`, reached from ``close()``, the read loop's
+exit and a flusher I/O error alike.
 """
 
 from __future__ import annotations
 
 import asyncio
 import collections
-import contextvars
 import itertools
 import logging
 from heapq import heapify, heappop, heappush
@@ -140,9 +149,11 @@ class Connection:
         self._wakeup = asyncio.Event()
         self._can_send = asyncio.Event()
         self._can_send.set()
-        # Call timeouts: a heap of (deadline, req_id, ...) tuples behind ONE
-        # armed TimerHandle, instead of a loop timer per call.  Entries for
-        # completed calls are dropped lazily at sweep/compact time.
+        # Timeouts: a heap of (when, key, ...) tuples behind ONE armed
+        # TimerHandle, instead of a loop timer per call.  key > 0 is the
+        # req_id of an outgoing call; key <= 0 is minus the req_id of a
+        # request served under a budget, and the entry ends with its task.
+        # Entries for finished work are dropped lazily at sweep/compact time.
         self._timeouts: list = []
         self._timeout_timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -245,7 +256,7 @@ class Connection:
                 # Armed *before* the upload, so a deadline that expires
                 # mid-stream (or between chunks) stops the pump.
                 if timeout is not None:
-                    self._arm_timeout(req_id, component_id, method_index, timeout)
+                    self._arm_timeout(timeout, req_id, component_id, method_index)
                 await self._streams.upload(
                     req_id, future, component_id, method_index, args, trace, deadline_ms
                 )
@@ -267,7 +278,7 @@ class Connection:
             await self.close()
             raise Unavailable(f"send failed: {exc}", executed=False) from exc
         if timeout is not None and not streamed:
-            self._arm_timeout(req_id, component_id, method_index, timeout)
+            self._arm_timeout(timeout, req_id, component_id, method_index)
         return await future
 
     async def ping(self, timeout: float = 5.0) -> bool:
@@ -286,7 +297,13 @@ class Connection:
         finally:
             self._pending.pop(-nonce, None)
 
-    def _try_send(self, head: bytearray, payload: bytes = b"", bulk: bool = False) -> bool:
+    def _try_send(
+        self,
+        head: bytearray,
+        payload: bytes = b"",
+        bulk: bool = False,
+        own_tasks: int = 0,
+    ) -> bool:
         """Synchronous send fast path; False means take ``_send``.
 
         Avoids a coroutine per frame on the hot path — enqueueing is pure
@@ -294,18 +311,19 @@ class Connection:
         connection is closed), in which case the caller falls back to the
         awaitable slow path.
 
-        When the connection is *lone* — no other call in flight, nothing
-        queued anywhere — the frame skips the outbox and goes straight to
-        the transport (no flusher hop, no drain round-trip).  The first
-        send that observes company flips ``_direct`` off so the flusher
-        can batch; a streak of lone-frame flushes flips it back on.
+        When the connection is *lone* — no other call in flight, no server
+        task other than the sender (``own_tasks=1``: the caller is one),
+        nothing queued anywhere — the frame skips the outbox and goes
+        straight to the transport (no flusher hop, no drain round-trip).
+        The first send that observes company flips ``_direct`` off so the
+        flusher can batch; a streak of lone-frame flushes flips it back on.
         """
         if self._closed:
             return False
         if self._direct and not self._outbox and not self._outbox_bulk:
             if (
                 len(self._pending) <= 1
-                and not self._server_tasks
+                and len(self._server_tasks) == own_tasks
                 and self._writer.transport.get_write_buffer_size() == 0
             ):
                 self._writer.writelines(
@@ -446,54 +464,63 @@ class Connection:
                 log.debug("%s: flush loop ended: %s", self._name, exc)
             self._teardown(Unavailable("connection lost"))
 
-    # -- call timeouts ---------------------------------------------------------
+    # -- timeouts: outgoing calls and served requests' budgets --------------------
 
-    def _arm_timeout(
-        self, req_id: int, component_id: int, method_index: int, timeout: float
-    ) -> None:
+    def _arm_timeout(self, timeout: float, key: int, *what) -> float:
+        """Put ``(when, key, timeout, *what)`` on the heap; returns ``when``."""
         # One shared timer per connection beats wait_for (a wrapper task
         # per call) and call_later (a TimerHandle per call): registering a
         # timeout is a tuple push onto a heap, and the single armed timer
         # sweeps everything due when it fires.
         loop = self._loop
-        if loop is None:
-            loop = self._loop = asyncio.get_running_loop()
         when = loop.time() + timeout
-        heappush(self._timeouts, (when, req_id, component_id, method_index, timeout))
+        heappush(self._timeouts, (when, key, timeout, *what))
         timer = self._timeout_timer
         if timer is None:
             self._timeout_timer = loop.call_at(when, self._sweep_timeouts)
         elif when < timer.when():
             timer.cancel()
             self._timeout_timer = loop.call_at(when, self._sweep_timeouts)
-        if len(self._timeouts) > 64 and len(self._timeouts) > 4 * len(self._pending):
+        if len(self._timeouts) > 64 and len(self._timeouts) > 4 * (
+            len(self._pending) + len(self._server_tasks)
+        ):
             self._compact_timeouts()
+        return when
 
     def _sweep_timeouts(self) -> None:
-        """Fail every pending call whose deadline has passed; rearm."""
+        """Fail every pending call, and cancel every served request, whose
+        time is up; rearm."""
         self._timeout_timer = None
         heap = self._timeouts
         now = self._loop.time()
         while heap and heap[0][0] <= now:
-            _, req_id, component_id, method_index, timeout = heappop(heap)
-            future = self._pending.get(req_id)
+            entry = heappop(heap)
+            key = entry[1]
+            if key <= 0:
+                entry[3].cancel()  # no-op on a finished task; see _serve_one
+                continue
+            future = self._pending.get(key)
             if future is None or future.done():
                 continue  # completed long ago; entry was lazily retained
-            del self._pending[req_id]
+            del self._pending[key]
+            _, _, timeout, component_id, method_index = entry
             future.set_exception(
                 DeadlineExceeded(
                     f"call to component {component_id} method {method_index} "
                     f"timed out after {timeout}s"
                 )
             )
-            self._streams.call_timed_out(req_id)
+            self._streams.call_timed_out(key)
         if heap:
             self._timeout_timer = self._loop.call_at(heap[0][0], self._sweep_timeouts)
 
     def _compact_timeouts(self) -> None:
-        """Drop heap entries for calls that already completed."""
+        """Drop heap entries for calls and served requests already finished."""
         pending = self._pending
-        self._timeouts = [e for e in self._timeouts if e[1] in pending]
+        self._timeouts = [
+            e for e in self._timeouts
+            if (e[1] in pending if e[1] > 0 else not e[3].done())
+        ]
         heapify(self._timeouts)
 
     # -- inbound: read loop -> dispatch -> resolve / serve ----------------------
@@ -517,7 +544,12 @@ class Connection:
                     self._direct = False
                     self._lone_flushes = 0
                 for frame in frames:
-                    self._dispatch(msg.decode(frame))
+                    if frame and frame[0] == msg.REQUEST:
+                        # Undecoded: the serving task decodes right before
+                        # it runs the handler.
+                        self._spawn_server_task(frame)
+                    else:
+                        self._dispatch(msg.decode(frame))
         except (TransportError, ConnectionError, OSError) as exc:
             if not self._closed:
                 log.debug("%s: read loop ended: %s", self._name, exc)
@@ -527,8 +559,6 @@ class Connection:
     def _dispatch(self, m: object) -> None:
         if isinstance(m, msg.Response):
             self._resolve(m.req_id, m.result, None)
-        elif isinstance(m, msg.Request):
-            self._spawn_server_task(m)
         elif isinstance(m, msg.AppError):
             self._resolve(
                 m.req_id, None, RemoteApplicationError(m.exc_type, m.message)
@@ -555,39 +585,35 @@ class Connection:
         else:
             future.set_result(result)
 
-    def _spawn_server_task(self, request: msg.Request) -> None:
+    def _spawn_server_task(self, request: "bytes | msg.Request") -> None:
+        """One Task per request: an undecoded REQUEST frame from the read
+        loop, or a :class:`~msg.Request` that streaming reassembled."""
+        self._track(self._loop.create_task(self._serve_one(request)))
+
+    async def _serve_one(self, request: "bytes | msg.Request") -> None:
+        if type(request) is not msg.Request:
+            try:
+                request = msg.decode(request)
+            except TransportError as exc:
+                log.debug("%s: malformed request: %s", self._name, exc)
+                self._teardown(Unavailable("connection lost"))
+                return
+        req_id = request.req_id
         if self._handler is None:
             self._post(
                 msg.RpcError(
-                    request.req_id,
-                    int(ErrorCode.INTERNAL),
-                    "peer does not serve requests",
-                    False,
+                    req_id, int(ErrorCode.INTERNAL), "peer does not serve requests", False
                 )
             )
             return
-        # Eager dispatch: step the serve coroutine once, in its own
-        # contextvars Context (handlers set ambient deadline/span vars, and
-        # their reset tokens must stay context-local).  A handler that
-        # finishes without suspending — common for cheap methods — never
-        # pays for a Task; one that suspends is handed, mid-await, to a
-        # trampoline task created in the same Context.
-        coro = self._serve_one(request)
-        ctx = contextvars.copy_context()
-        try:
-            pending = ctx.run(coro.send, None)
-        except StopIteration:
-            return
-        except BaseException:
-            log.exception("%s: server handler failed in eager step", self._name)
-            return
-        self._track(
-            asyncio.get_running_loop().create_task(
-                _finish_eager(coro, pending), context=ctx
+        deadline_ms = request.deadline_ms
+        cut_at = 0.0
+        if deadline_ms > 0:
+            # The caller's budget, enforced here because this connection
+            # owns the task: the sweep cancels it when the budget is spent.
+            cut_at = self._arm_timeout(
+                deadline_ms / 1000.0, -req_id, asyncio.current_task()
             )
-        )
-
-    async def _serve_one(self, request: msg.Request) -> None:
         head = new_frame()
         payload: bytes = b""
         try:
@@ -596,76 +622,36 @@ class Connection:
                 request.method_index,
                 request.args,
                 (request.trace_id, request.parent_span_id),
-                request.deadline_ms,
+                deadline_ms,
             )
             if self._stream_threshold and len(result) >= self._stream_threshold:
                 try:
-                    await self._streams.respond(request.req_id, result)
+                    await self._streams.respond(req_id, result)
                 except (ConnectionError, OSError, TransportError):
                     pass  # peer is gone; read loop will tear down
                 return
-            msg.encode_response_prefix(head, request.req_id)
+            msg.encode_response_prefix(head, req_id)
             payload = result
-        except RPCError as exc:
+        except (RPCError, asyncio.CancelledError) as exc:
+            if isinstance(exc, asyncio.CancelledError):
+                # Only the sweep's cancel becomes a reply; teardown's (or a
+                # stranger's, before the budget is spent) stays a cancellation.
+                if self._closed or not cut_at or self._loop.time() < cut_at:
+                    raise
+                exc = DeadlineExceeded(
+                    f"component {request.component_id} method {request.method_index} "
+                    f"exceeded its caller's {deadline_ms}ms budget"
+                )
             msg.encode_into(
-                head, msg.RpcError(request.req_id, int(exc.code), str(exc), exc.executed)
+                head, msg.RpcError(req_id, int(exc.code), str(exc), exc.executed)
             )
         except Exception as exc:  # application exception: ship type + message
-            msg.encode_into(
-                head, msg.AppError(request.req_id, type(exc).__name__, str(exc))
-            )
+            msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, str(exc)))
         try:
-            if not self._try_send(head, payload):
+            if not self._try_send(head, payload, own_tasks=1):
                 await self._send(head, payload)
         except (ConnectionError, OSError, TransportError):
             pass  # peer is gone; read loop will tear down
-
-
-def _unblock(pending) -> None:
-    """Clear a yielded future's blocking marker, as ``Task.__step`` would.
-
-    ``Future.__await__`` sets ``_asyncio_future_blocking`` when it yields
-    and relies on the consumer to clear it; a still-set flag makes the
-    future's next ``__await__`` believe it is a botched resume and raise
-    "await wasn't used with future".
-    """
-    if pending is not None and getattr(pending, "_asyncio_future_blocking", None):
-        pending._asyncio_future_blocking = False
-
-
-async def _finish_eager(coro, pending) -> None:
-    """Drive a coroutine whose first step already ran eagerly.
-
-    A minimal Task trampoline: wait for whatever the coroutine yielded
-    (the future it is parked on), then resume it — the future's result or
-    exception is delivered when the coroutine itself calls ``result()`` on
-    resume, exactly as under a real Task.  Cancelling this task cancels
-    the awaited future (normal Task semantics); cancellation aimed at the
-    trampoline while the future stands is thrown into the coroutine so
-    its cleanup runs.
-    """
-    while True:
-        _unblock(pending)
-        try:
-            if pending is None:
-                await asyncio.sleep(0)  # bare yield: give the loop one turn
-            else:
-                await pending
-        except asyncio.CancelledError:
-            if pending is not None and pending.cancelled():
-                pass  # delivered via pending.result() inside the coroutine
-            else:
-                try:
-                    pending = coro.throw(asyncio.CancelledError())
-                    continue  # the coroutine absorbed it and awaits anew
-                except StopIteration:
-                    return
-        except BaseException:
-            pass  # delivered via pending.result() inside the coroutine
-        try:
-            pending = coro.send(None)
-        except StopIteration:
-            return
 
 
 async def client_handshake(

@@ -4,7 +4,10 @@ Two halves:
 
 * :class:`Dispatcher` — server side.  Looks up the component by numeric id,
   the method by index, decodes the argument tuple with the deployment
-  codec, invokes the local replica, and encodes the result.
+  codec, invokes the local replica, and encodes the result.  It makes the
+  caller's remaining budget *ambient* for the handler's own outgoing
+  calls; it does not enforce it — the connection that created the
+  request's task cuts it off (:mod:`repro.transport.connection`).
 * :class:`RemoteInvoker` — client side, plugged into stubs
   (:mod:`repro.core.stub`).  Encodes arguments, asks a
   :class:`ReplicaResolver` which peer should execute the call (this is
@@ -34,12 +37,14 @@ from repro.core.errors import (
 from repro.core.options import (
     CallOptions,
     budget_to_wire_ms,
-    deadline_scope,
     decorrelated_jitter,
     effective_budget_s,
+    restore_deadline,
+    shrink_deadline,
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
+from repro.observability.tracing import current_context
 from repro.serde.base import Codec
 from repro.transport.client import ConnectionPool
 
@@ -136,8 +141,17 @@ class Dispatcher:
             )
         spec = reg.spec.methods[method_index]
         arg_values = self._codec.decode(spec.arg_schema, args)
-
-        async def run() -> Any:
+        # Re-derive an absolute deadline from our own clock and make it
+        # ambient, so every outgoing call this handler performs inherits
+        # the *remaining* budget (the paper's runtime-owned resilience).
+        # Cutting the handler off when the budget is spent is not done
+        # here: the connection that created this request's task does it.
+        ambient = (
+            shrink_deadline(time.monotonic() + deadline_ms / 1000.0)
+            if deadline_ms > 0
+            else None
+        )
+        try:
             if self._tracer is not None and trace[0]:
                 span_name = self._span_names.get((component_id, method_index))
                 if span_name is None:
@@ -150,24 +164,15 @@ class Dispatcher:
                     remote_parent=trace,
                     side="server",
                 ):
-                    return await self._local.invoke(reg, spec, arg_values, caller="<remote>")
-            return await self._local.invoke(reg, spec, arg_values, caller="<remote>")
-
-        if deadline_ms <= 0:
-            result = await run()
-        else:
-            # Re-derive an absolute deadline from our own clock and make it
-            # ambient, so every outgoing call this handler performs inherits
-            # the *remaining* budget (the paper's runtime-owned resilience).
-            budget_s = deadline_ms / 1000.0
-            with deadline_scope(time.monotonic() + budget_s):
-                try:
-                    result = await asyncio.wait_for(run(), budget_s)
-                except asyncio.TimeoutError:
-                    raise DeadlineExceeded(
-                        f"{reg.name}.{spec.name} exceeded its caller's "
-                        f"{deadline_ms}ms budget"
-                    ) from None
+                    result = await self._local.invoke(
+                        reg, spec, arg_values, caller="<remote>"
+                    )
+            else:
+                result = await self._local.invoke(
+                    reg, spec, arg_values, caller="<remote>"
+                )
+        finally:
+            restore_deadline(ambient)
         # The returned buffer is enqueued on the wire as-is (no bytes()
         # materialization); the connection owns it from here.
         reply = bytearray()
@@ -378,8 +383,6 @@ class RemoteInvoker:
             # exactly like real replica failures.
             if self.fault_plan is not None:
                 await self.fault_plan.before_call(reg, method)
-            from repro.observability.tracing import current_context
-
             conn = await self._pool.get(address)
             reply = await conn.call(
                 reg.component_id,
@@ -423,8 +426,6 @@ class RemoteInvoker:
         """Materialize one per-attempt span (failures and failover retries only)."""
         if self._tracer is None:
             return
-        from repro.observability.tracing import current_context
-
         attrs: dict[str, Any] = {"address": address, "attempt": attempt}
         if exc is not None:
             attrs["code"] = exc.code.name.lower()

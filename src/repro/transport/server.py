@@ -50,10 +50,10 @@ class AdmissionController:
     admitted, instead of letting every request slowly time out under
     overload.  ``max_inflight=0`` disables the limiter.
 
-    Used as an async context manager around each request::
-
-        async with admission:
-            ... execute ...
+    ``async with admission: ...`` around each request is the whole
+    contract.  The serving path spells it out — ``try_enter()``, then
+    ``await wait_turn()`` only if that said False, ``leave()`` when done —
+    so a disabled limiter or a free slot costs no coroutine.
     """
 
     def __init__(self, max_inflight: int = 0, max_queue: int = 64) -> None:
@@ -71,18 +71,24 @@ class AdmissionController:
     def queue_depth(self) -> int:
         return len(self._waiters)
 
-    async def __aenter__(self) -> "AdmissionController":
-        if not self.enabled:
-            return self
+    def try_enter(self) -> bool:
+        """Take a slot without waiting; False means queue (``wait_turn``).
+        Sheds, by raising, when the queue is full too."""
+        if self.max_inflight <= 0:
+            return True
         if self.inflight < self.max_inflight:
             self.inflight += 1
-            return self
+            return True
         if len(self._waiters) >= self.max_queue:
             self.shed_count += 1
             raise ResourceExhausted(
                 f"server at capacity ({self.inflight} inflight, "
                 f"{len(self._waiters)} queued); retry another replica"
             )
+        return False
+
+    async def wait_turn(self) -> None:
+        """Queue, FIFO, for the slot ``try_enter`` could not give."""
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._waiters.append(future)
         try:
@@ -93,21 +99,27 @@ class AdmissionController:
             if future in self._waiters:
                 self._waiters.remove(future)
             elif future.done() and not future.cancelled():
-                self._release()  # slot was handed over after cancellation
+                self.leave()  # slot was handed over after cancellation
             raise
-        return self
 
-    async def __aexit__(self, *exc: object) -> None:
-        if self.enabled:
-            self._release()
-
-    def _release(self) -> None:
+    def leave(self) -> None:
+        """Give the slot back: to the longest waiter, if there is one."""
+        if self.max_inflight <= 0:
+            return
         while self._waiters:
             future = self._waiters.popleft()
             if not future.done():
                 future.set_result(None)  # slot transfers; inflight unchanged
                 return
         self.inflight -= 1
+
+    async def __aenter__(self) -> "AdmissionController":
+        if not self.try_enter():
+            await self.wait_turn()
+        return self
+
+    async def __aexit__(self, *exc: object) -> None:
+        self.leave()
 
 
 def parse_address(address: str) -> tuple[str, str, Optional[int]]:

@@ -15,9 +15,11 @@ import pytest
 from repro.codegen.compiler import idempotent
 from repro.core.component import Component
 from repro.core.config import AppConfig
-from repro.core.errors import ResourceExhausted
+from repro.core.errors import DeadlineExceeded, ResourceExhausted
 from repro.core.registry import Registry
 from repro.runtime.deployers.multi import deploy_multiprocess
+from repro.serde import COMPACT
+from repro.transport.client import ConnectionPool
 from repro.transport.server import AdmissionController
 
 
@@ -170,4 +172,49 @@ async def test_shed_requests_are_retryable_elsewhere():
         )
         assert results == ["done"] * 3
     finally:
+        await app.shutdown()
+
+
+async def test_budget_spent_in_the_queue_is_answered_unexecuted():
+    """A request whose wire budget runs out while it waits for a slot is
+    answered DEADLINE_EXCEEDED at the budget, ``executed=False`` (user code
+    never ran, so even a non-idempotent method may be retried), and gives
+    its queue position back."""
+    config = AppConfig(name="shed", max_inflight=1, max_queue_depth=8)
+    app = await deploy_multiprocess(config, registry=busy_registry(), mode="inproc")
+    pool = ConnectionPool(codec=config.codec, version=app.build.version)
+    try:
+        (envelope,) = app.envelopes.values()
+        proclet = envelope.proclet
+        reg = app.build.by_iface(Busy)
+        spec = reg.spec.method("grind")
+        conn = await pool.get(proclet.address)
+
+        def grind(seconds: float, deadline_ms: int):
+            # Raw calls: the local wait bound is far away, so what comes
+            # back is the server's own answer.
+            payload = COMPACT.encode(spec.arg_schema, (seconds,))
+            return conn.call(
+                reg.component_id, spec.index, payload, timeout=5, deadline_ms=deadline_ms
+            )
+
+        occupant = asyncio.ensure_future(grind(0.4, 5_000))
+        await asyncio.sleep(0.05)  # the slot is held
+        (admission,) = proclet._admissions.values()
+        start = asyncio.get_running_loop().time()
+        queued = asyncio.ensure_future(grind(0.0, 50))
+        await asyncio.sleep(0.02)
+        assert admission.queue_depth == 1
+        with pytest.raises(DeadlineExceeded, match="before execution") as info:
+            await queued
+        # Answered at the budget, not when the slot frees up at 0.4 s.
+        assert asyncio.get_running_loop().time() - start < 0.25
+        assert info.value.executed is False
+        assert admission.queue_depth == 0
+        assert admission.inflight == 1  # still the occupant's
+        assert COMPACT.decode(spec.result_schema, await occupant) == "done"
+        assert admission.inflight == 0
+        assert proclet.inflight_rpcs == 0
+    finally:
+        await pool.close()
         await app.shutdown()

@@ -33,11 +33,12 @@ async def echo_handler(
 
 
 class Harness:
-    def __init__(self, version="v1"):
+    def __init__(self, version="v1", handler=echo_handler):
         self.version = version
+        self.handler = handler
 
     async def __aenter__(self):
-        self.server = RPCServer(echo_handler, codec="compact", version=self.version)
+        self.server = RPCServer(self.handler, codec="compact", version=self.version)
         self.address = await self.server.start()
         self.pool = ConnectionPool(codec="compact", version=self.version)
         return self
@@ -45,6 +46,11 @@ class Harness:
     async def __aexit__(self, *exc):
         await self.pool.close()
         await self.server.stop()
+
+    @property
+    def server_conn(self):
+        (conn,) = self.server._connections
+        return conn
 
 
 async def test_basic_call():
@@ -207,27 +213,52 @@ async def assert_fully_torn_down(conn) -> None:
     assert conn.closed
     assert pending_flushers() == []
     assert conn._loop_task.done()
+    assert conn._server_tasks == set()
     assert conn._timeout_timer is None
+    assert conn._timeouts == []
+
+
+def serving_a_budgeted_request(server_conn) -> int:
+    """The server end while a request with a wire budget is in flight: one
+    serving task, its budget on the heap behind the armed timer.  Returns
+    the frames sent so far (a teardown cancel must not add a reply)."""
+    assert len(server_conn._server_tasks) == 1
+    assert len(server_conn._timeouts) == 1
+    assert server_conn._timeout_timer is not None
+    return server_conn.frames_sent
 
 
 async def test_peer_hangup_leaves_no_task_or_timer():
     async with Harness() as h:
         conn = await h.pool.get(h.address)
-        task = asyncio.ensure_future(conn.call(0, 97, b"", timeout=30))
+        task = asyncio.ensure_future(
+            conn.call(0, 97, b"", timeout=30, deadline_ms=30_000)
+        )
         await asyncio.sleep(0.05)
         assert conn._timeout_timer is not None
+        server_conn = h.server_conn
+        sent = serving_a_budgeted_request(server_conn)
         await h.server.stop()
-        with pytest.raises(Unavailable):
+        with pytest.raises(Unavailable):  # not DEADLINE_EXCEEDED
             await task
         await asyncio.sleep(0.1)
         await assert_fully_torn_down(conn)
+        await assert_fully_torn_down(server_conn)
+        assert server_conn.frames_sent == sent
         await conn.close()  # closing a dead connection, twice, is harmless
         await conn.close()
         await assert_fully_torn_down(conn)
 
 
 async def test_flusher_io_error_leaves_no_task_or_timer():
-    async with Harness() as h:
+    started = []
+
+    async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+        started.append(deadline_ms)
+        await asyncio.sleep(0.5)
+        return b"slow"
+
+    async with Harness(handler=handler) as h:
         conn = await h.pool.get(h.address)
 
         async def broken_drain():
@@ -236,8 +267,14 @@ async def test_flusher_io_error_leaves_no_task_or_timer():
         conn._writer.drain = broken_drain
         conn._direct = False  # send through the flusher, not write-through
         with pytest.raises(Unavailable):
-            await conn.call(0, 97, b"", timeout=30)
+            await conn.call(0, 97, b"", timeout=30, deadline_ms=30_000)
         await assert_fully_torn_down(conn)
+        # The frame was written before the drain that failed: the server
+        # end was serving it, under its budget, when the hang-up arrived.
+        await asyncio.sleep(0.05)
+        assert started == [30_000]
+        await assert_fully_torn_down(h.server_conn)
+        assert h.server_conn.frames_sent == 0  # no reply to a teardown cancel
 
 
 async def test_server_forgets_dead_connections():
@@ -249,3 +286,76 @@ async def test_server_forgets_dead_connections():
         await asyncio.sleep(0.1)
         assert h.server.connection_count == 0
         assert len(h.server._connections) <= 2
+
+
+# --------------------------------------------------------------------------
+# A served request is one Task; its budget is one entry on the connection's
+# timeout heap.
+# --------------------------------------------------------------------------
+
+
+async def test_handler_timeout_does_not_capture_read_loop():
+    """A handler's first synchronous segment runs in the request's own task:
+    ``asyncio.timeout()`` there must cancel the handler, not the read loop."""
+    seen = []
+
+    async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+        seen.append(asyncio.current_task())
+        if hasattr(asyncio, "timeout"):  # 3.11+
+            try:
+                async with asyncio.timeout(0.05):
+                    await asyncio.sleep(0.5)
+            except TimeoutError:
+                pass
+        return b"done"
+
+    async with Harness(handler=handler) as h:
+        conn = await h.pool.get(h.address)
+        assert await conn.call(0, 1, b"", timeout=2) == b"done"
+        assert await conn.call(0, 1, b"", timeout=2) == b"done"
+        read_loop = h.server_conn._loop_task
+        assert not read_loop.done()
+        assert len(seen) == 2 and read_loop not in seen and seen[0] is not seen[1]
+
+
+async def test_suspended_handler_is_cut_at_its_wire_budget():
+    events = []
+
+    async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+        if method_index == 1:
+            try:
+                await asyncio.sleep(5)
+            except asyncio.CancelledError:
+                events.append("cancelled")
+                raise
+            finally:
+                events.append("finally")
+        return b"ok"
+
+    async with Harness(handler=handler) as h:
+        conn = await h.pool.get(h.address)
+        start = asyncio.get_running_loop().time()
+        with pytest.raises(DeadlineExceeded, match="50ms budget") as info:
+            # The local wait bound is far away: the cut is the server's.
+            await conn.call(0, 1, b"", timeout=5, deadline_ms=50)
+        assert 0.04 < asyncio.get_running_loop().time() - start < 0.5
+        assert info.value.executed is True
+        assert events == ["cancelled", "finally"]
+        assert await conn.call(0, 2, b"", timeout=2) == b"ok"  # keeps serving
+        assert h.server_conn._server_tasks == set()
+
+
+async def test_budget_heap_stays_bounded():
+    """Entries of finished requests are retained lazily, then compacted:
+    20,000 requests with 30 s budgets must not leave 20,000 entries."""
+    callers, each = 32, 625
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+
+        async def caller():
+            for _ in range(each):
+                await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+
+        await asyncio.gather(*[caller() for _ in range(callers)])
+        assert len(h.server_conn._timeouts) <= 8 * callers
+        assert len(conn._timeouts) <= 8 * callers

@@ -23,7 +23,9 @@ from repro.core.registry import Registry
 from repro.core.stub import LocalInvoker
 from repro.runtime.deployers.multi import deploy_multiprocess
 from repro.serde import COMPACT
+from repro.transport.client import ConnectionPool
 from repro.transport.rpc import Dispatcher
+from repro.transport.server import RPCServer
 
 
 # --------------------------------------------------------------------------
@@ -134,17 +136,105 @@ async def test_default_timeout_travels_as_budget():
         await app.shutdown()
 
 
+def leaf_dispatcher():
+    build = chain_registry().freeze()
+    dispatcher = Dispatcher(build, COMPACT, LocalInvoker(version=build.version))
+    reg = build.by_iface(Leaf)
+    return dispatcher, reg
+
+
 async def test_expired_budget_rejected_at_the_door():
     """A request whose budget is gone fails server-side, pre-execution."""
-    build = chain_registry().freeze()
-    local = LocalInvoker(version=build.version)
-    dispatcher = Dispatcher(build, COMPACT, local)
-    reg = build.by_iface(Leaf)
+    dispatcher, reg = leaf_dispatcher()
     spec = reg.spec.method("work")
     payload = COMPACT.encode(spec.arg_schema, (0.5,))
-    with pytest.raises(DeadlineExceeded):
-        # 10ms budget, 500ms of work: the dispatcher must cut it off.
-        await dispatcher.handle(reg.component_id, spec.index, payload, deadline_ms=10)
+    # The connection that serves the request owns its budget, so the door
+    # is a real server's: 10ms budget, 500ms of work, cut off server-side
+    # (the local wait bound is far away).
+    server = RPCServer(dispatcher.handle, codec="compact", version="v1")
+    pool = ConnectionPool(codec="compact", version="v1")
+    try:
+        conn = await pool.get(await server.start())
+        start = time.perf_counter()
+        with pytest.raises(DeadlineExceeded):
+            await conn.call(
+                reg.component_id, spec.index, payload, timeout=5, deadline_ms=10
+            )
+        assert time.perf_counter() - start < 0.3
+    finally:
+        await pool.close()
+        await server.stop()
+
+
+async def test_dispatcher_makes_the_budget_ambient_and_restores_it():
+    """Dispatcher.handle itself only publishes the budget to the handler."""
+    dispatcher, reg = leaf_dispatcher()
+    spec = reg.spec.method("budget")
+    payload = COMPACT.encode(spec.arg_schema, ())
+    assert remaining_budget_s() is None
+    reply = await dispatcher.handle(
+        reg.component_id, spec.index, payload, deadline_ms=500
+    )
+    assert 0 < COMPACT.decode(spec.result_schema, reply) <= 0.5
+    assert remaining_budget_s() is None  # the caller's context is unchanged
+
+
+class LoopCounts:
+    """Counts the event-loop objects made while active, by wrapping the
+    running loop's factory methods."""
+
+    NAMES = ("create_task", "create_future", "call_at")
+
+    def __enter__(self):
+        self.loop = asyncio.get_running_loop()
+        self.counts = dict.fromkeys(self.NAMES, 0)
+        for name in self.NAMES:
+            setattr(self.loop, name, self._counting(name, getattr(self.loop, name)))
+        return self.counts
+
+    def _counting(self, name, original):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    def __exit__(self, *exc):
+        for name in self.NAMES:
+            delattr(self.loop, name)  # back to the class's method
+
+
+async def test_one_task_and_no_timer_per_served_request():
+    """The guard against a per-request ``wait_for``: N non-suspending
+    requests, each carrying a 30 s budget, cost N tasks and O(1) timers."""
+    n = 1000
+    dispatcher, reg = leaf_dispatcher()
+    spec = reg.spec.method("budget")
+    payload = COMPACT.encode(spec.arg_schema, ())
+    server = RPCServer(dispatcher.handle, codec="compact", version="v1")
+    pool = ConnectionPool(codec="compact", version="v1")
+    try:
+        conn = await pool.get(await server.start())
+
+        async def call() -> float:
+            reply = await conn.call(
+                reg.component_id, spec.index, payload, timeout=30, deadline_ms=30_000
+            )
+            return COMPACT.decode(spec.result_schema, reply)
+
+        assert 0 < await call() <= 30.0  # warm: instance built, timers armed
+        with LoopCounts() as counts:
+            for _ in range(n):
+                await call()
+        assert counts["create_task"] == n  # the serving task, nothing else
+        # At most one timer per connection end (call_later lands here too).
+        assert counts["call_at"] <= 4
+        # The call's own future, and one read-wait on each end per round
+        # trip; a waiter future for the budget would make it 4 per request.
+        assert counts["create_future"] <= 3 * n + 16
+    finally:
+        await pool.close()
+        await server.stop()
 
 
 async def test_deadline_exceeded_is_not_retried():
