@@ -13,7 +13,7 @@ frozen registry and validates that groups are disjoint and complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Optional, Union
 
 from repro.core.component import component_name
@@ -130,16 +130,6 @@ class AppConfig:
     state_fsync: bool = False
     #: WAL appends per shard between snapshots (bounds replay cost).
     state_snapshot_every: int = 256
-    #: Data-plane worker event loops per proclet (multi-core serving).
-    #: 1 = serve on the proclet's main loop (the classic single-loop
-    #: plane); N > 1 = N shared-nothing worker loops behind one listening
-    #: endpoint (SO_REUSEPORT where available, dup-and-distribute
-    #: otherwise), each owning its connections end-to-end.
-    workers: int = 1
-    #: Event-loop accelerator policy: "auto" uses uvloop when installed
-    #: (silent stdlib fallback), "on" warns when missing, "off" never
-    #: tries.  Applies to worker loops and to subprocess proclet mains.
-    uvloop: str = "auto"
     #: Payloads at or above this many bytes travel as a streaming RPC
     #: (chunked, credit-gated) instead of one frame; 0 disables streaming.
     stream_threshold_bytes: int = 1 << 20
@@ -215,10 +205,6 @@ class AppConfig:
             raise ConfigError("state_shards must be >= 1")
         if self.state_snapshot_every < 1:
             raise ConfigError("state_snapshot_every must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.uvloop not in ("auto", "on", "off"):
-            raise ConfigError(f"uvloop must be auto/on/off, got {self.uvloop!r}")
         if self.stream_threshold_bytes < 0:
             raise ConfigError("stream_threshold_bytes must be >= 0 (0 disables)")
         if self.stream_chunk_bytes < 4096:
@@ -306,50 +292,11 @@ class AppConfig:
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "AppConfig":
         """Build from a parsed config file (e.g. TOML)."""
-        known = {
-            "name",
-            "codec",
-            "transport",
-            "colocate",
-            "replicas",
-            "autoscale",
-            "rollout",
-            "call_timeout_s",
-            "max_retries",
-            "max_inflight",
-            "max_queue_depth",
-            "compress_wire",
-            "breakers_enabled",
-            "breaker_failures",
-            "breaker_open_for_s",
-            "drain_deadline_s",
-            "state_dir",
-            "state_shards",
-            "state_fsync",
-            "state_snapshot_every",
-            "workers",
-            "uvloop",
-            "stream_threshold_bytes",
-            "stream_chunk_bytes",
-            "telemetry",
-            "trace_rate",
-            "trace_sample_rate",
-            "trace_max_traces",
-            "slo_error_budget",
-            "slo_latency_ms",
-            "slo_latency_budget",
-            "telemetry_tick_s",
-            "remediation",
-            "remediation_cooldown_s",
-            "remediation_max_actions_per_min",
-            "remediation_blast_fraction",
-            "remediation_journal_size",
-            "settings",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict[str, Any] = {k: v for k, v in raw.items() if k in known}
+        kwargs: dict[str, Any] = dict(raw)
         if "colocate" in kwargs:
             kwargs["colocate"] = tuple(tuple(g) for g in kwargs["colocate"])
         if "autoscale" in kwargs and isinstance(kwargs["autoscale"], dict):

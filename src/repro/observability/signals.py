@@ -13,7 +13,7 @@ Two detector families, both cheap enough to run every telemetry tick:
 
 The :class:`SignalBoard` owns both, publishes machine-readable state
 (``to_wire``), and keeps a bounded transition log.  This is the input
-surface ROADMAP item 2's remediation controller consumes.
+surface the closed-loop remediation controller consumes.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ The metrics pipe ships *cumulative* snapshots; trends live in the deltas.
 Every tick (1s by default) the :class:`TelemetryPipeline` diffs the merged
 deployment-wide registry against the previous tick and appends one point
 per derived series — request rate, error rate, latency quantiles from
-histogram bucket deltas, breaker trips, worker gauges — into bounded
-ring buffers with a windowed query API.
+histogram bucket deltas, breaker trips — into bounded ring buffers with
+a windowed query API.
 
 This is the substrate the signal layer (EWMA anomaly detection, SLO burn
-rates) and the live dashboard read from, and the input ROADMAP item 2's
-remediation controller will consume.
+rates) and the live dashboard read from, and the input the closed-loop
+remediation controller consumes.
 """
 
 from __future__ import annotations
@@ -223,10 +223,6 @@ class TelemetryPipeline:
             elif name == "replica_drains":
                 _bump(drains, _component_of(labels),
                       self._delta(("c", name, labels), cell.value))
-            elif name.startswith("worker_"):
-                labelmap = dict(labels)
-                scope = f"{labelmap.get('proclet', '?')}/w{labelmap.get('worker', '?')}"
-                self.store.record(name, scope, now, cell.value)
             else:
                 for family, prefix in self.LATENCY_FAMILIES:
                     if name == family and isinstance(cell, HistogramValue):

@@ -26,7 +26,7 @@ import logging
 import os
 import shutil
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Any, Optional, TypeVar
 
 from repro.core.app import Application
@@ -333,36 +333,17 @@ class MultiProcessApp(Application):
             log.exception("telemetry loop failed")
 
 
+#: Placement and scaling are the driver's concern (hosting sets are pushed
+#: over the control plane), so these are deliberately not shipped to
+#: proclets; every other field is.
+_DRIVER_ONLY = frozenset({"colocate", "replicas", "autoscale", "rollout"})
+
+
 def _config_to_dict(config: AppConfig) -> dict[str, Any]:
-    # Placement is the driver's concern (hosting sets are pushed over the
-    # control plane), so colocate groups are deliberately not shipped.
     return {
-        "name": config.name,
-        "codec": config.codec,
-        "transport": config.transport,
-        "call_timeout_s": config.call_timeout_s,
-        "max_retries": config.max_retries,
-        "max_inflight": config.max_inflight,
-        "max_queue_depth": config.max_queue_depth,
-        "breakers_enabled": config.breakers_enabled,
-        "breaker_failures": config.breaker_failures,
-        "breaker_open_for_s": config.breaker_open_for_s,
-        "drain_deadline_s": config.drain_deadline_s,
-        "state_dir": config.state_dir,
-        "state_shards": config.state_shards,
-        "state_fsync": config.state_fsync,
-        "state_snapshot_every": config.state_snapshot_every,
-        "workers": config.workers,
-        "uvloop": config.uvloop,
-        "stream_threshold_bytes": config.stream_threshold_bytes,
-        "stream_chunk_bytes": config.stream_chunk_bytes,
-        "telemetry": config.telemetry,
-        "trace_sample_rate": config.trace_sample_rate,
-        "trace_max_traces": config.trace_max_traces,
-        "slo_error_budget": config.slo_error_budget,
-        "slo_latency_ms": config.slo_latency_ms,
-        "slo_latency_budget": config.slo_latency_budget,
-        "settings": config.settings,
+        f.name: getattr(config, f.name)
+        for f in fields(AppConfig)
+        if f.name not in _DRIVER_ONLY
     }
 
 

@@ -155,7 +155,7 @@ class Manager:
                 latency_budget=getattr(app, "slo_latency_budget", 0.05),
             ),
         )
-        # The closed-loop remediation controller (ROADMAP item 2): consumes
+        # The closed-loop remediation controller: consumes
         # the signal board + health/breaker evidence on the telemetry tick,
         # acts through this manager, bounded by guardrails.
         from repro.runtime.remediation import RemediationController
@@ -382,7 +382,7 @@ class Manager:
                 await self._shrink_group(group, decision.desired)
 
     async def remediation_tick(self) -> list[dict[str, Any]]:
-        """One controller pass: evidence -> guarded actions (ROADMAP item 2).
+        """One controller pass: evidence -> guarded actions.
 
         The deployer calls this right after :meth:`telemetry_tick` so the
         controller sees this second's fresh series and signal verdicts.

@@ -32,7 +32,7 @@ from typing import Any, Optional, Protocol
 
 from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph, ROOT
-from repro.core.component import ComponentContext, instantiate, shutdown_instance
+from repro.core.component import ComponentContext, shutdown_instance
 from repro.core.config import AppConfig
 from repro.core.errors import ComponentNotFound, DeadlineExceeded, ErrorCode, Unavailable
 from repro.core.registry import FrozenRegistry, Registration
@@ -132,72 +132,6 @@ class PipeRuntimeAPI:
         await self.export_traces(proclet_id, spans_to_wire(spans))
 
 
-class _LoopPinnedRuntimeAPI:
-    """Routes RuntimeAPI calls from worker loops back to the home loop.
-
-    Control-plane machinery — the pipe endpoint's reader task, the
-    manager's coroutines — lives on the loop the proclet started on.  With
-    a multi-worker data plane, a component handler that needs
-    ``StartComponent``/``RoutingInfo`` mid-request is running on a worker
-    loop and must not await loop-bound objects directly; this wrapper
-    trampolines the call to the home loop and bridges the result back.
-    Calls already on the home loop (heartbeats, startup) pass straight
-    through.
-    """
-
-    def __init__(self, inner: RuntimeAPI) -> None:
-        self._inner = inner
-        self._home: Optional[asyncio.AbstractEventLoop] = None
-
-    def pin(self) -> None:
-        """Capture the current loop as home (called from Proclet.start)."""
-        self._home = asyncio.get_running_loop()
-
-    async def _call(self, method: str, *args: Any) -> Any:
-        fn = getattr(self._inner, method)
-        home = self._home
-        if home is None or home is asyncio.get_running_loop():
-            return await fn(*args)
-        return await asyncio.wrap_future(
-            asyncio.run_coroutine_threadsafe(fn(*args), home)
-        )
-
-    async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
-        return await self._call("register_replica", proclet_id, address, group_id)
-
-    async def components_to_host(self, proclet_id: str) -> list[str]:
-        return await self._call("components_to_host", proclet_id)
-
-    async def start_component(self, component: str) -> None:
-        return await self._call("start_component", component)
-
-    async def routing_info(self, component: str) -> dict[str, Any]:
-        return await self._call("routing_info", component)
-
-    async def heartbeat(self, proclet_id: str, load: float) -> None:
-        return await self._call("heartbeat", proclet_id, load)
-
-    async def export_metrics(self, proclet_id: str, snapshot: dict[str, Any]) -> None:
-        return await self._call("export_metrics", proclet_id, snapshot)
-
-    async def export_logs(self, proclet_id: str, records: list[dict[str, Any]]) -> None:
-        return await self._call("export_logs", proclet_id, records)
-
-    async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None:
-        return await self._call("export_call_graph", proclet_id, edges)
-
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None:
-        return await self._call("export_traces", proclet_id, spans)
-
-    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
-        inner = self._inner
-        if hasattr(inner, "export_spans"):
-            return await self._call("export_spans", proclet_id, spans)
-        from repro.observability.tracing import spans_to_wire
-
-        return await self._call("export_traces", proclet_id, spans_to_wire(spans))
-
-
 class RoutingResolver:
     """Resolves (component, routing key) -> replica address for RPC calls.
 
@@ -209,12 +143,8 @@ class RoutingResolver:
         self._runtime = runtime
         self._table = table
         self._breakers = table.breakers
-        # Keyed by (event loop, component): asyncio.Lock is loop-bound, and
-        # with a multi-worker data plane resolution happens on whichever
-        # worker loop is serving the calling request.  A per-loop lock
-        # still coalesces the stampede that matters (the refresh round
-        # trips), it just coalesces it per loop.
-        self._locks: dict[tuple[int, str], asyncio.Lock] = {}
+        # One per component: concurrent misses share one refresh round trip.
+        self._locks: dict[str, asyncio.Lock] = {}
 
     async def resolve(
         self,
@@ -240,8 +170,7 @@ class RoutingResolver:
         return address
 
     async def _refresh(self, component: str) -> None:
-        key = (id(asyncio.get_running_loop()), component)
-        lock = self._locks.setdefault(key, asyncio.Lock())
+        lock = self._locks.setdefault(component, asyncio.Lock())
         async with lock:
             if self._table.replicas(component):
                 return
@@ -325,7 +254,7 @@ class Proclet:
         self.config = config
         self.group_id = group_id
         self.replica_index = replica_index
-        self._runtime = _LoopPinnedRuntimeAPI(runtime)
+        self._runtime = runtime
         self._codec = codec_by_name(config.codec)
         self._heartbeat_interval_s = heartbeat_interval_s
 
@@ -378,16 +307,9 @@ class Proclet:
         self._dispatcher = Dispatcher(
             build, self._codec, self._local, hosted=set(), tracer=self.tracer
         )
-        # Admission is per worker loop: AdmissionController's futures and
-        # deque are loop-bound, so each loop gets its own door with an even
-        # split of the global budget.  (With workers=1 this degenerates to
-        # exactly the old single controller.)
-        workers = max(1, config.workers)
-        self._admit_inflight = (
-            -(-config.max_inflight // workers) if config.max_inflight > 0 else 0
+        self._admission = AdmissionController(
+            config.max_inflight, config.max_queue_depth
         )
-        self._admit_queue = max(1, -(-config.max_queue_depth // workers))
-        self._admissions: dict[int, AdmissionController] = {}
         self._busy_s = 0.0
         self._last_heartbeat_busy = 0.0
         self._last_heartbeat_time: Optional[float] = None
@@ -400,8 +322,6 @@ class Proclet:
             version=build.version,
             address=listen_address,
             compress=config.compress_wire,
-            workers=config.workers,
-            uvloop_mode=config.uvloop,
             stream_threshold=config.stream_threshold_bytes,
             stream_chunk=config.stream_chunk_bytes,
         )
@@ -438,15 +358,8 @@ class Proclet:
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._stopped = False
         self.draining = False
-        # In-flight requests tracked per worker loop: each loop's thread
-        # only ever touches its own entry, so no lock is needed; drain()
-        # polls the sum instead of waiting on a (loop-bound) Event.
-        self._inflight_by_loop: dict[int, int] = {}
+        self.inflight_rpcs = 0
         self._drain_hist = self.metrics.histogram("replica_drain_s")
-        self._worker_conn_gauge = self.metrics.gauge("worker_connections")
-        self._worker_rate_gauge = self.metrics.gauge("worker_msgs_per_s")
-        self._worker_queue_gauge = self.metrics.gauge("worker_queue_depth")
-        self._worker_lag_gauge = self.metrics.gauge("worker_loop_lag_ms")
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -456,7 +369,6 @@ class Proclet:
 
     async def start(self) -> None:
         """Serve, register, and learn what to host (§4.3's startup dance)."""
-        self._runtime.pin()  # control plane lives on this loop from now on
         await self._server.start()
         self.state.set_self_address(self._server.address)
         await self._runtime.register_replica(
@@ -482,8 +394,6 @@ class Proclet:
         if not self.draining:
             self.draining = True
             await self._server.drain()
-        # Poll the per-loop counters (requests may be finishing on worker
-        # loops other than this one — an Event would be loop-bound).
         deadline = start + max(0.0, deadline_s)
         while self.inflight_rpcs > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
@@ -553,16 +463,9 @@ class Proclet:
             raise Unavailable(
                 f"{self.proclet_id} is draining", executed=False, draining=True
             )
-        lid = id(asyncio.get_running_loop())
-        self._inflight_by_loop[lid] = self._inflight_by_loop.get(lid, 0) + 1
+        self.inflight_rpcs += 1
         try:
-            admission = self._admissions.get(lid)
-            if admission is None:
-                # This loop's share of the budget, on its first request
-                # (setdefault keeps the two-threads-first-request race safe).
-                admission = self._admissions.setdefault(
-                    lid, AdmissionController(self._admit_inflight, self._admit_queue)
-                )
+            admission = self._admission
             if not admission.try_enter():
                 deadline_ms = await self._queue_for_slot(admission, deadline_ms)
             start = time.perf_counter()
@@ -599,11 +502,7 @@ class Proclet:
                 if failed:
                     errors.inc()
         finally:
-            self._inflight_by_loop[lid] -= 1
-
-    @property
-    def inflight_rpcs(self) -> int:
-        return sum(self._inflight_by_loop.values())
+            self.inflight_rpcs -= 1
 
     async def _queue_for_slot(
         self, admission: AdmissionController, deadline_ms: int
@@ -700,14 +599,6 @@ class Proclet:
             load = (self._busy_s - self._last_heartbeat_busy) / interval
         self._last_heartbeat_time = now
         self._last_heartbeat_busy = self._busy_s
-        for stats in self._server.worker_stats():
-            # The proclet label keeps replicas distinct after the manager
-            # merges snapshots (gauges are last-writer-wins per label set).
-            kw = {"proclet": self.proclet_id, "worker": str(stats["worker"])}
-            self._worker_conn_gauge.set(float(stats["connections"]), **kw)
-            self._worker_rate_gauge.set(float(stats["msgs_per_s"]), **kw)
-            self._worker_queue_gauge.set(float(stats["queue_depth"]), **kw)
-            self._worker_lag_gauge.set(float(stats["loop_lag_ms"]), **kw)
         # Truncation accounting: buffers drop rather than grow without
         # bound, and every drop is visible deployment-wide.  Gauges with a
         # proclet label merge last-writer-wins per replica, so the values

@@ -108,35 +108,10 @@ async def amain(socket_path: str, spec_path: str) -> int:
     return 0
 
 
-def _install_uvloop(mode: str) -> None:
-    """Make the proclet's *main* loop uvloop too (worker loops pick their
-    policy per-loop via transport.worker.make_loop).  Must run before
-    asyncio.run; a missing accelerator never blocks startup."""
-    if mode == "off":
-        return
-    try:
-        import uvloop
-    except ImportError:
-        if mode == "on":
-            print(
-                "procmain: uvloop requested (uvloop='on') but not installed; "
-                "using the stdlib event loop",
-                file=sys.stderr,
-            )
-        return
-    uvloop.install()
-
-
 def main() -> None:
     if len(sys.argv) != 3:
         print("usage: python -m repro.runtime.procmain <socket> <spec.json>", file=sys.stderr)
         raise SystemExit(64)
-    try:
-        with open(sys.argv[2]) as f:
-            uvloop_mode = json.load(f).get("config", {}).get("uvloop", "auto")
-    except (OSError, ValueError):
-        uvloop_mode = "auto"
-    _install_uvloop(uvloop_mode)
     raise SystemExit(asyncio.run(amain(sys.argv[1], sys.argv[2])))
 
 

@@ -1,4 +1,4 @@
-"""Closed-loop remediation: signals in, guarded actions out (ROADMAP item 2).
+"""Closed-loop remediation: signals in, guarded actions out.
 
 The paper's bet (§4–§5) is that a runtime owning placement, routing and
 telemetry can *operate itself*.  PR 9 built the sensing half — per-second

@@ -9,10 +9,9 @@ it happens to occupy — the C3 ("hard to manage") fix made visible.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from repro.observability.metrics import HistogramValue
-from repro.observability.tracing import Span
 from repro.runtime.manager import Manager
 
 
@@ -27,7 +26,6 @@ def render_status(manager: Manager, *, max_traces: int = 3) -> str:
         render_signals(manager),
         render_timeseries(manager),
         render_replicas(manager),
-        render_workers(manager),
         render_state(manager),
         render_breakers(manager),
         render_remediation(manager),
@@ -108,37 +106,6 @@ def render_replicas(manager: Manager) -> str:
                 f"    {info.proclet_id:<26s} {info.address:<28s} "
                 f"{state_name:<8s} load={info.load:.2f}"
             )
-    return "\n".join(lines)
-
-
-def render_workers(manager: Manager) -> str:
-    """Multi-core data plane view: per-worker-loop load on each replica.
-
-    Populated only when a proclet runs with ``workers > 1`` (single-loop
-    replicas export no worker gauges).  Surfaces the imbalance signals
-    that matter: connection spread, per-loop message rate, the fallback
-    acceptor's handoff queue, and event-loop lag (the saturation signal —
-    a hot loop runs its callbacks late long before it drops anything).
-    """
-    rows: dict[tuple[str, str], dict[str, float]] = {}
-    for (name, labels), cell in manager.metrics.cells().items():
-        if not name.startswith("worker_"):
-            continue
-        labelmap = dict(labels)
-        key = (labelmap.get("proclet", "?"), labelmap.get("worker", "?"))
-        rows.setdefault(key, {})[name] = cell.value
-    if not rows:
-        return ""
-    lines = ["data-plane workers (per event loop):"]
-    for (proclet, worker) in sorted(rows):
-        stats = rows[(proclet, worker)]
-        lines.append(
-            f"  {proclet:<26s} w{worker:<3s} "
-            f"conns={stats.get('worker_connections', 0):.0f} "
-            f"rate={stats.get('worker_msgs_per_s', 0):.1f}/s "
-            f"handoff_q={stats.get('worker_queue_depth', 0):.0f} "
-            f"loop_lag={stats.get('worker_loop_lag_ms', 0):.2f}ms"
-        )
     return "\n".join(lines)
 
 

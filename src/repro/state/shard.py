@@ -23,7 +23,6 @@ everywhere, minus crash recovery.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -94,11 +93,6 @@ class Shard:
         self._snap_seq = 0
         self._appends_since_snapshot = 0
         self.replayed_records = 0
-        # With a multi-worker data plane, RPCs for the same component can
-        # execute on different worker loops; the version counter and the
-        # WAL append must stay a single atomic step per mutation.
-        # Reentrant because _log() can roll into snapshot().
-        self._write_lock = threading.RLock()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -183,20 +177,18 @@ class Shard:
         return max(floor, self._tombs.get(key, 0)) + 1
 
     def put(self, key: str, value: Any) -> None:
-        with self._write_lock:
-            version = self._next_version(key)
-            self._log(wal.WalRecord(key=key, version=version, value=value))
-            self._data[key] = (version, value)
-            self._tombs.pop(key, None)
+        version = self._next_version(key)
+        self._log(wal.WalRecord(key=key, version=version, value=value))
+        self._data[key] = (version, value)
+        self._tombs.pop(key, None)
 
     def delete(self, key: str) -> bool:
-        with self._write_lock:
-            existed = key in self._data
-            version = self._next_version(key)
-            self._log(wal.WalRecord(key=key, version=version, deleted=True))
-            self._data.pop(key, None)
-            self._tombs[key] = version
-            return existed
+        existed = key in self._data
+        version = self._next_version(key)
+        self._log(wal.WalRecord(key=key, version=version, deleted=True))
+        self._data.pop(key, None)
+        self._tombs[key] = version
+        return existed
 
     def _log(self, record: wal.WalRecord) -> None:
         if self._wal is None:
@@ -215,23 +207,22 @@ class Shard:
         appending to its own open segment in the same directory (two owners
         of disjoint key subsets of one shard), and its tail must survive.
         """
-        with self._write_lock:
-            if self.directory is None or self._wal is None:
-                return None
-            self._snap_seq += 1
-            name = snap.write_snapshot(
-                self.directory, self.writer, self._snap_seq, self._data, self._tombs
-            )
-            # Rotate: our previous segment is fully covered by the image.
-            self._wal.close()
-            try:
-                os.unlink(self._wal.path)
-            except OSError:
-                pass
-            snap.prune_writer_files(self.directory, self.writer, keep=name)
-            self._open_segment()
-            self._appends_since_snapshot = 0
-            return name
+        if self.directory is None or self._wal is None:
+            return None
+        self._snap_seq += 1
+        name = snap.write_snapshot(
+            self.directory, self.writer, self._snap_seq, self._data, self._tombs
+        )
+        # Rotate: our previous segment is fully covered by the image.
+        self._wal.close()
+        try:
+            os.unlink(self._wal.path)
+        except OSError:
+            pass
+        snap.prune_writer_files(self.directory, self.writer, keep=name)
+        self._open_segment()
+        self._appends_since_snapshot = 0
+        return name
 
     def last_version(self) -> int:
         versions = [v for v, _ in self._data.values()]

@@ -6,16 +6,6 @@ carries arbitrary concurrency).  Dead connections are dropped and
 re-established on next use; connecting concurrently to the same address is
 coalesced behind a per-address lock.
 
-The pool is **loop-aware**: with a multi-worker data plane, outbound calls
-originate on whichever worker loop is serving the inbound request, and a
-:class:`~repro.transport.connection.Connection`'s entire state (futures,
-outbox, stream registries) is owned by the loop that started it.  Entries
-are therefore keyed by ``(event loop, address)`` — each worker loop dials
-and owns its own connection to a peer, which is exactly the shared-nothing
-contract: nothing per-connection ever crosses threads.  ``drop`` and
-``close`` may be called from any loop; they schedule the close on each
-connection's home loop.
-
 Both maps are *pruned*: a connection found closed is removed on sight, and
 its dial lock goes with it once nobody holds it — a long-lived proclet
 that has talked to thousands of ephemeral peers does not keep one lock and
@@ -52,41 +42,35 @@ class ConnectionPool:
         self._compress = compress
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
-        self._connections: dict[tuple[int, str], Connection] = {}
-        self._locks: dict[tuple[int, str], asyncio.Lock] = {}
-
-    @staticmethod
-    def _key(address: str) -> tuple[int, str]:
-        return (id(asyncio.get_running_loop()), address)
+        self._connections: dict[str, Connection] = {}
+        self._locks: dict[str, asyncio.Lock] = {}
 
     async def get(self, address: str) -> Connection:
-        """Return a live connection to ``address`` owned by the calling
-        loop, dialing if needed."""
-        key = self._key(address)
-        conn = self._connections.get(key)
+        """Return a live connection to ``address``, dialing if needed."""
+        conn = self._connections.get(address)
         if conn is not None and not conn.closed:
             return conn
-        lock = self._locks.setdefault(key, asyncio.Lock())
+        lock = self._locks.setdefault(address, asyncio.Lock())
         try:
             async with lock:
-                conn = self._connections.get(key)
+                conn = self._connections.get(address)
                 if conn is not None:
                     if not conn.closed:
                         return conn
-                    del self._connections[key]  # prune the dead entry
+                    del self._connections[address]  # prune the dead entry
                 conn = await self._dial(address)
-                existing = self._connections.get(key)
+                existing = self._connections.get(address)
                 if existing is not None and not existing.closed:
                     # Rare race after a lock was pruned mid-dial: another
                     # caller connected first.  Keep theirs, fold ours.
                     asyncio.ensure_future(conn.close())
                     return existing
-                self._connections[key] = conn
+                self._connections[address] = conn
                 return conn
         finally:
             # A failed dial must not leave a lock behind for an address we
             # never reached (the long-lived-proclet leak).
-            self._prune_lock(key)
+            self._prune_lock(address)
 
     async def _dial(self, address: str) -> Connection:
         scheme, host, port = parse_address(address)
@@ -130,28 +114,14 @@ class ConnectionPool:
         return conn
 
     def drop(self, address: str) -> None:
-        """Forget every loop's connection to ``address`` (e.g. after its
-        replica was reported dead).  Safe to call from any loop: foreign
-        connections are closed on their home loop."""
-        for key in [k for k in list(self._connections) if k[1] == address]:
-            conn = self._connections.pop(key, None)
-            if conn is not None and not conn.closed:
-                self._close_on_home_loop(conn)
-            self._prune_lock(key)
-
-    @staticmethod
-    def _close_on_home_loop(conn: Connection) -> None:
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        home = conn.home_loop
-        if home is None or home is running:
+        """Forget the connection to ``address`` (e.g. after its replica was
+        reported dead)."""
+        conn = self._connections.pop(address, None)
+        if conn is not None and not conn.closed:
             asyncio.ensure_future(conn.close())
-        elif not home.is_closed():
-            asyncio.run_coroutine_threadsafe(conn.close(), home)
+        self._prune_lock(address)
 
-    def _prune_lock(self, key: tuple[int, str]) -> None:
+    def _prune_lock(self, address: str) -> None:
         """Drop the per-address dial lock once it has no holder.
 
         An unlocked asyncio.Lock has no waiters (acquire succeeds
@@ -159,26 +129,13 @@ class ConnectionPool:
         race — a coroutine that fetched the lock object but has not yet
         acquired it — is absorbed by the keep-theirs check in :meth:`get`.
         """
-        lock = self._locks.get(key)
-        if lock is not None and not lock.locked() and key not in self._connections:
-            del self._locks[key]
+        lock = self._locks.get(address)
+        if lock is not None and not lock.locked() and address not in self._connections:
+            del self._locks[address]
 
     async def close(self) -> None:
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
         for conn in list(self._connections.values()):
-            home = conn.home_loop
-            if home is None or home is running:
-                await conn.close()
-            elif not home.is_closed():
-                try:
-                    await asyncio.wrap_future(
-                        asyncio.run_coroutine_threadsafe(conn.close(), home)
-                    )
-                except Exception:  # home loop died mid-close; nothing to save
-                    pass
+            await conn.close()
         self._connections.clear()
         self._locks.clear()
 

@@ -176,9 +176,6 @@ class Connection:
 
     def start(self) -> None:
         """Begin the read loop and the flusher (after a successful handshake)."""
-        # Record the home loop: all of this connection's state is owned by
-        # the loop that started it, and a multi-worker pool must schedule
-        # close() here rather than touch it from a foreign thread.
         self._loop = asyncio.get_running_loop()
         self._loop_task = asyncio.ensure_future(self._read_loop())
         self._flush_task = asyncio.ensure_future(self._flush_loop())
@@ -186,11 +183,6 @@ class Connection:
     @property
     def closed(self) -> bool:
         return self._closed
-
-    @property
-    def home_loop(self) -> Optional[asyncio.AbstractEventLoop]:
-        """The event loop this connection's state lives on (set by start())."""
-        return self._loop
 
     async def close(self) -> None:
         self._teardown(Unavailable("connection closed"))

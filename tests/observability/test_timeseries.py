@@ -143,14 +143,6 @@ class TestTelemetryPipeline:
         # fast ones are baseline, not signal.
         assert store.latest("p50_ms", "Cart") > 100.0
 
-    def test_worker_gauges_recorded_per_worker_scope(self):
-        store = TimeSeriesStore()
-        pipeline = TelemetryPipeline(store)
-        reg = MetricsRegistry()
-        reg.gauge("worker_loop_lag_s").set(0.002, proclet="app-g0-r1", worker="0")
-        pipeline.tick(reg, 100.0)
-        assert store.latest("worker_loop_lag_s", "app-g0-r1/w0") == 0.002
-
     def test_breaker_trips_counted(self):
         store = TimeSeriesStore()
         pipeline = TelemetryPipeline(store)

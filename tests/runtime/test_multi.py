@@ -1,14 +1,15 @@
-"""The multiprocess deployer (in-process envelope mode)."""
+"""The multiprocess deployer (mostly in-process envelope mode)."""
 
 from __future__ import annotations
 
 import asyncio
+import json
+from dataclasses import fields, replace
 
 import pytest
 
-from repro.core.config import AppConfig
-from repro.core.errors import RemoteApplicationError
-from repro.runtime.deployers.multi import deploy_multiprocess
+from repro.core.config import AppConfig, AutoscaleConfig, RolloutConfig
+from repro.runtime.deployers.multi import _config_to_dict, deploy_multiprocess
 
 from tests.conftest import Adder, Flaky, Greeter, KVStore
 
@@ -145,3 +146,102 @@ class TestFailureRecovery:
         versions = {env.proclet.build.version for env in app.envelopes.values()}
         assert versions == {app.version}
         await app.shutdown()
+
+
+def test_subprocess_config_keeps_every_proclet_field():
+    """Subprocess proclets rebuild their AppConfig from the shipped dict:
+    everything but the driver-only placement fields must survive it."""
+    config = AppConfig(
+        name="shipped",
+        codec="tagged",
+        transport="unix",
+        colocate=(("a.B", "a.C"),),
+        replicas={"a.B": 2},
+        autoscale=AutoscaleConfig(min_replicas=2),
+        rollout=RolloutConfig(steps=3),
+        call_timeout_s=7.0,
+        max_retries=5,
+        max_inflight=9,
+        max_queue_depth=11,
+        compress_wire=True,
+        breakers_enabled=False,
+        breaker_failures=4,
+        breaker_open_for_s=2.5,
+        drain_deadline_s=1.5,
+        state_dir="/nonexistent/state",
+        state_shards=4,
+        state_fsync=True,
+        state_snapshot_every=32,
+        stream_threshold_bytes=4096,
+        stream_chunk_bytes=8192,
+        telemetry="off",
+        trace_rate=None,
+        trace_sample_rate=0.5,
+        trace_max_traces=10,
+        slo_error_budget=0.02,
+        slo_latency_ms=100.0,
+        slo_latency_budget=0.1,
+        telemetry_tick_s=0.5,
+        remediation="observe",
+        remediation_cooldown_s=3.0,
+        remediation_max_actions_per_min=2,
+        remediation_blast_fraction=0.5,
+        remediation_journal_size=8,
+        settings={"k": "v"},
+    )
+    default = AppConfig()
+    for f in fields(AppConfig):  # a new field must be exercised here too
+        assert getattr(config, f.name) != getattr(default, f.name), f.name
+    shipped = json.loads(json.dumps(_config_to_dict(config)))  # the spec file
+    assert AppConfig.from_dict(shipped) == replace(
+        config,
+        colocate=(),
+        replicas={},
+        autoscale=AutoscaleConfig(),
+        rollout=RolloutConfig(),
+    )
+
+
+@pytest.mark.parametrize("mode", ["inproc", "subprocess"])
+class TestDataPlaneThroughDeployment:
+    """Streaming, concurrent state writes and drain, at the default
+    single-loop config, through a whole deployment in both modes."""
+
+    async def test_config_driven_streaming(self, demo_registry, mode):
+        config = AppConfig(name="t", stream_threshold_bytes=64 * 1024)
+        app = await deployed(demo_registry, config=config, mode=mode)
+        try:
+            kv = app.get(KVStore)
+            big = "x" * (512 * 1024)  # 8x the threshold: travels as a stream
+            await kv.put("big", big)
+            assert await kv.get("big") == big
+        finally:
+            await app.shutdown()
+
+    async def test_concurrent_puts_read_back_intact(self, demo_registry, mode):
+        app = await deployed(demo_registry, mode=mode)
+        try:
+            kv = app.get(KVStore)
+            await asyncio.gather(*[kv.put(f"k{i}", f"v{i}") for i in range(40)])
+            got = await asyncio.gather(*[kv.get(f"k{i}") for i in range(40)])
+            assert got == [f"v{i}" for i in range(40)]
+        finally:
+            await app.shutdown()
+
+    async def test_drain_leaves_nothing_in_flight(self, demo_registry, mode):
+        app = await deployed(demo_registry, mode=mode)
+        try:
+            assert await app.get(Adder).add(1, 2) == 3
+            name = app.build.by_iface(Adder).name
+            (proclet_id,) = next(
+                g.proclets
+                for g in app.manager.group_states().values()
+                if name in g.components
+            )
+            reply = await app.drain_replica(proclet_id, 2.0)
+            # drain() returns early only once inflight_rpcs reaches 0.
+            assert reply["drained_s"] < 2.0
+            if mode == "inproc":
+                assert app.envelopes[proclet_id].proclet.inflight_rpcs == 0
+        finally:
+            await app.shutdown()

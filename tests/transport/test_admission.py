@@ -200,7 +200,7 @@ async def test_budget_spent_in_the_queue_is_answered_unexecuted():
 
         occupant = asyncio.ensure_future(grind(0.4, 5_000))
         await asyncio.sleep(0.05)  # the slot is held
-        (admission,) = proclet._admissions.values()
+        admission = proclet._admission
         start = asyncio.get_running_loop().time()
         queued = asyncio.ensure_future(grind(0.0, 50))
         await asyncio.sleep(0.02)
