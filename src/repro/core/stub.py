@@ -1,18 +1,20 @@
 """Component stubs: the call-site illusion of a plain method call (§3.2).
 
 ``app.get(Hello)`` returns a *stub* — an object with the interface's
-methods.  Invoking a stub method delegates to an :class:`Invoker`, which is
-where the local/remote decision lives:
+methods.  A stub method checks its arguments (a ``TypeError`` raises at
+the call, not at ``await``) and returns the coroutine of an
+:class:`Invoker`, which is where the local/remote decision lives:
 
 * :class:`LocalInvoker` calls a co-located instance directly.  No
   serialization is touched — the paper is explicit that co-located calls
   remain plain procedure calls.
-* The remote invoker (in :mod:`repro.runtime.proclet`) marshals arguments
-  with the deployment codec, picks a replica (possibly by routing key), and
+* :class:`repro.transport.rpc.RemoteInvoker` marshals arguments with the
+  deployment codec, picks a replica (possibly by routing key), and
   performs the RPC.
 
-Both record observations into the deployment's :class:`~repro.core.call_graph.CallGraph`
-so the runtime can make placement and scaling decisions (§5.1).
+The caller's invoker records each call in the deployment's
+:class:`~repro.core.call_graph.CallGraph` (the serving side of an RPC adds
+nothing) so the runtime can make placement and scaling decisions (§5.1).
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ def _build_stub_class(reg: Registration) -> type:
 def _make_stub_method(spec: MethodSpec):
     arg_names = spec.arg_names
 
-    async def stub_method(self: Stub, *args: Any, **kwargs: Any) -> Any:
+    # Not a coroutine function: returning the invoker's coroutine adds no
+    # frame per call.
+    def stub_method(self: Stub, *args: Any, **kwargs: Any) -> Any:
         if kwargs:
             # Normalize keyword arguments into positional order; the wire
             # format carries positions, not names.
@@ -132,12 +136,8 @@ def _make_stub_method(spec: MethodSpec):
                 f"{spec.name}() takes {len(arg_names)} arguments "
                 f"({', '.join(arg_names)}), got {len(args)}"
             )
-        return await self._repro_invoker.invoke(
-            self._repro_registration,
-            spec,
-            args,
-            self._repro_caller,
-            options=self._repro_options,
+        return self._repro_invoker.invoke(
+            self._repro_registration, spec, args, self._repro_caller, options=self._repro_options
         )
 
     stub_method.__name__ = spec.name
@@ -292,7 +292,8 @@ class LocalInvoker:
             error = True
             raise
         finally:
-            if self.call_graph is not None:
+            # The remote caller already recorded this edge, with its bytes.
+            if self.call_graph is not None and caller != "<remote>":
                 self.call_graph.record(
                     caller,
                     reg.name,

@@ -144,7 +144,7 @@ class Tracer:
             elif parent.trace_id == 0:
                 # Inside an unsampled trace: stay unsampled, and skip even
                 # the per-use noop (the ambient sentinel is already set).
-                return _NESTED_NOOP
+                return NOOP_SPAN
             else:
                 trace_id = parent.trace_id
                 parent_id = parent.span_id
@@ -287,8 +287,9 @@ class _NoopActiveSpan:
         _current_span.reset(self._token)
 
 
-class _NestedNoopSpan:
-    """Shared no-op for spans nested inside an unsampled trace."""
+class _NoopSpan:
+    """Shared no-op for spans nested inside an unsampled trace, and for
+    callers that have no tracer: binds nothing, records nothing."""
 
     __slots__ = ()
     span = _UNSAMPLED
@@ -300,7 +301,7 @@ class _NestedNoopSpan:
         return None
 
 
-_NESTED_NOOP = _NestedNoopSpan()
+NOOP_SPAN = _NoopSpan()
 
 
 def assemble_tree(spans: list[Span]) -> list[tuple[int, Span]]:

@@ -135,8 +135,9 @@ class PipeRuntimeAPI:
 class RoutingResolver:
     """Resolves (component, routing key) -> replica address for RPC calls.
 
-    Cache-aside over the proclet's :class:`RoutingTable`; misses trigger
-    ``StartComponent`` + ``RoutingInfo`` round trips to the runtime.
+    Cache-aside over the proclet's :class:`RoutingTable`: :meth:`pick`
+    reads it, :meth:`resolve` first fills a miss with ``StartComponent`` +
+    ``RoutingInfo`` round trips to the runtime.
     """
 
     def __init__(self, runtime: RuntimeAPI, table: RoutingTable) -> None:
@@ -146,13 +147,9 @@ class RoutingResolver:
         # One per component: concurrent misses share one refresh round trip.
         self._locks: dict[str, asyncio.Lock] = {}
 
-    async def resolve(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        route_key: Optional[Any] = None,
-    ) -> str:
+    def pick(
+        self, reg: Registration, method: MethodSpec, args: tuple, route_key: Optional[Any] = None
+    ) -> Optional[str]:
         key = route_key
         if (
             key is None
@@ -160,11 +157,13 @@ class RoutingResolver:
             and len(args) > method.routing_index
         ):
             key = args[method.routing_index]
-        address = self._table.pick(reg.name, key)
-        if address is not None:
-            return address
-        await self._refresh(reg.name)
-        address = self._table.pick(reg.name, key)
+        return self._table.pick(reg.name, key)
+
+    async def resolve(
+        self, reg: Registration, method: MethodSpec, args: tuple, route_key: Optional[Any] = None
+    ) -> str:
+        await self._refresh(reg.name)  # returns at once if replicas are cached
+        address = self.pick(reg, method, args, route_key)
         if address is None:
             raise Unavailable(f"no replicas known for {reg.name}", executed=False)
         return address

@@ -173,7 +173,8 @@ class RoutingTable:
     """A proclet's cached view of assignments and replica sets.
 
     When constructed with a :class:`~repro.transport.breaker.BreakerSet`,
-    every pick consults it: replicas whose breaker is OPEN are skipped
+    picks consult it (while all of a component's breakers are CLOSED, one
+    count lookup): replicas whose breaker is OPEN are skipped
     *before* an attempt is made — failover happens inside the same
     attempt, without spending the caller's retry budget.  Routed keys
     fall back along the consistent-hash ring (same fallback replica on
@@ -216,27 +217,34 @@ class RoutingTable:
 
     def pick(self, component: str, routing_key: Optional[Any]) -> Optional[str]:
         """Choose a replica, or None if nothing is cached."""
+        breakers = self._breakers
+        if breakers is not None and breakers.all_closed(component):
+            # Every replica admits, and admitting a CLOSED breaker is a no-op.
+            breakers = None
         if routing_key is not None:
             assignment = self._assignments.get(component)
             if assignment is not None and assignment.points:
-                if self._breakers is None:
+                if breakers is None:
                     return assignment.replica_for(routing_key)
                 return self._pick_routed(component, assignment, routing_key)
         replicas = self._replicas.get(component)
         if not replicas:
             return None
         allowed: Sequence[str] = replicas
-        if self._breakers is not None:
-            allowed = self._breakers.filter(component, replicas)
+        if breakers is not None:
+            allowed = breakers.filter(component, replicas)
             if not allowed:
-                return self._breakers.least_recently_tripped(component, replicas)
-        balancer = self._balancers.get(component)
-        if balancer is None:
-            balancer = LoadBalancer()
-            self._balancers[component] = balancer
-        choice = balancer.pick(allowed)
-        if self._breakers is not None:
-            self._breakers.admit(component, choice)
+                return breakers.least_recently_tripped(component, replicas)
+        if len(allowed) == 1:
+            choice = allowed[0]  # nothing to balance
+        else:
+            balancer = self._balancers.get(component)
+            if balancer is None:
+                balancer = LoadBalancer()
+                self._balancers[component] = balancer
+            choice = balancer.pick(allowed)
+        if breakers is not None:
+            breakers.admit(component, choice)
         return choice
 
     def _pick_routed(

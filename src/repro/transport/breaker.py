@@ -246,6 +246,8 @@ class BreakerSet:
         self.policy = policy or BreakerPolicy()
         self._clock = clock
         self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
+        #: Per component, how many of its breakers are not CLOSED.
+        self._not_closed: dict[str, int] = {}
         self._transitions = metrics.counter("breaker_transitions") if metrics else None
         self._open_gauge = metrics.gauge("breaker_open_replicas") if metrics else None
         self._skips = metrics.counter("breaker_skipped_picks") if metrics else None
@@ -263,6 +265,9 @@ class BreakerSet:
         return breaker
 
     def _transition(self, component: str, old: BreakerState, new: BreakerState) -> None:
+        if old is BreakerState.CLOSED or new is BreakerState.CLOSED:
+            delta = 1 if old is BreakerState.CLOSED else -1
+            self._not_closed[component] = self._not_closed.get(component, 0) + delta
         if self._transitions is not None:
             self._transitions.inc(component=component, to=new.value)
         if self._open_gauge is not None:
@@ -279,6 +284,10 @@ class BreakerSet:
         return breaker.record_failure()
 
     # -- admission (routing calls these) -------------------------------------
+
+    def all_closed(self, component: str) -> bool:
+        """No breaker of ``component`` is OPEN or HALF_OPEN: picks need not filter."""
+        return not self._not_closed.get(component)
 
     def peek(self, component: str, address: str) -> bool:
         breaker = self._breakers.get((component, address))
@@ -323,17 +332,19 @@ class BreakerSet:
             if key[0] == component and key[1] not in keep
         ]
         for key in stale:
-            del self._breakers[key]
+            breaker = self._breakers.pop(key)
+            # Detached: a caller still holding it must not move the count.
+            breaker._on_transition = None
+            if breaker.state is not BreakerState.CLOSED:
+                self._not_closed[component] -= 1
         if stale and self._open_gauge is not None:
             self._open_gauge.set(float(self.open_count(component)), component=component)
 
     def open_count(self, component: Optional[str] = None) -> int:
-        return sum(
-            1
-            for (comp, _), b in self._breakers.items()
-            if (component is None or comp == component)
-            and b.state is not BreakerState.CLOSED
-        )
+        """Breakers not CLOSED, for one component or all of them."""
+        if component is None:
+            return sum(self._not_closed.values())
+        return self._not_closed.get(component, 0)
 
     def states(self, component: str) -> dict[str, BreakerState]:
         return {

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from typing import Optional
 
 from repro.core.errors import Unavailable, VersionMismatch
 from repro.transport.connection import Connection, client_handshake
@@ -45,10 +46,15 @@ class ConnectionPool:
         self._connections: dict[str, Connection] = {}
         self._locks: dict[str, asyncio.Lock] = {}
 
+    def live(self, address: str) -> Optional[Connection]:
+        """The open connection to ``address``, or None; never dials."""
+        conn = self._connections.get(address)
+        return conn if conn is not None and not conn.closed else None
+
     async def get(self, address: str) -> Connection:
         """Return a live connection to ``address``, dialing if needed."""
-        conn = self._connections.get(address)
-        if conn is not None and not conn.closed:
+        conn = self.live(address)
+        if conn is not None:
             return conn
         lock = self._locks.setdefault(address, asyncio.Lock())
         try:

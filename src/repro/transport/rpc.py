@@ -12,7 +12,10 @@ Two halves:
   (:mod:`repro.core.stub`).  Encodes arguments, asks a
   :class:`ReplicaResolver` which peer should execute the call (this is
   where affinity routing enters, §5.2), performs the call with deadline
-  and bounded retries, and records the observation in the call graph.
+  and bounded retries, and records the call's only call-graph edge.  A
+  warm call is ``invoke`` and one attempt above ``Connection.call``; the
+  resolver and the pool are asked synchronously, and a routing refresh
+  or a dial is awaited only when they come back empty.
 
 Numeric component/method ids are deployment-version-scoped (see
 :mod:`repro.codegen.versioning`); no names travel with requests.
@@ -35,6 +38,7 @@ from repro.core.errors import (
     Unavailable,
 )
 from repro.core.options import (
+    DEFAULT_OPTIONS,
     CallOptions,
     budget_to_wire_ms,
     decorrelated_jitter,
@@ -44,7 +48,7 @@ from repro.core.options import (
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
-from repro.observability.tracing import current_context
+from repro.observability.tracing import NOOP_SPAN, current_context
 from repro.serde.base import Codec
 from repro.transport.client import ConnectionPool
 
@@ -54,19 +58,22 @@ log = logging.getLogger("repro.transport")
 class ReplicaResolver(Protocol):
     """Chooses the peer address for one invocation."""
 
-    async def resolve(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        route_key: Optional[Any] = None,
-    ) -> str:
-        """Return the address of the replica that should execute the call.
+    def pick(
+        self, reg: Registration, method: MethodSpec, args: tuple, route_key: Optional[Any] = None
+    ) -> Optional[str]:
+        """The address of the replica that should execute the call, or None
+        if nothing cached says; ``resolve`` is awaited only then.
 
         ``route_key`` is an explicit affinity key from
         :class:`~repro.core.options.CallOptions`, overriding extraction
         from the ``@routed(by=...)`` argument.
         """
+        ...
+
+    async def resolve(
+        self, reg: Registration, method: MethodSpec, args: tuple, route_key: Optional[Any] = None
+    ) -> str:
+        """Like :meth:`pick`, asking the runtime on a miss."""
         ...
 
     def report_outcome(
@@ -244,30 +251,70 @@ class RemoteInvoker:
         *,
         options: Optional[CallOptions] = None,
     ) -> Any:
-        opts = options or CallOptions()
+        opts = options or DEFAULT_OPTIONS
         payload = bytearray()
         self._codec.encode_into(method.arg_schema, args, payload)
         start = time.perf_counter()
         error = False
         reply = b""
-        trace_id = 0
+        span = NOOP_SPAN
+        if self._tracer is not None:
+            span_name = self._span_names.get((reg.name, method.name))
+            if span_name is None:
+                span_name = f"rpc {reg.name.rsplit('.', 1)[-1]}.{method.name}"
+                self._span_names[(reg.name, method.name)] = span_name
+            span = self._tracer.start_span(span_name, side="client", caller=caller)
         try:
-            if self._tracer is not None:
-                span_name = self._span_names.get((reg.name, method.name))
-                if span_name is None:
-                    span_name = f"rpc {reg.name.rsplit('.', 1)[-1]}.{method.name}"
-                    self._span_names[(reg.name, method.name)] = span_name
-                with self._tracer.start_span(
-                    span_name,
-                    side="client",
-                    caller=caller,
-                ) as span:
-                    trace_id = span.trace_id
-                    reply = await self._call_with_retries(
-                        reg, method, args, payload, opts
+            with span:
+                budget_s = effective_budget_s(opts.deadline_s, self._timeout_s)
+                if budget_s <= 0:
+                    raise DeadlineExceeded(
+                        f"no budget left calling {reg.name}.{method.name}", executed=False
                     )
-            else:
-                reply = await self._call_with_retries(reg, method, args, payload, opts)
+                deadline = time.monotonic() + budget_s
+                max_retries = self._max_retries if opts.retries is None else opts.retries
+                hedge_after_s = opts.hedge_after_s if method.idempotent else None
+                attempt = 0
+                backoff = self._retry_backoff_s
+                while True:
+                    try:
+                        if hedge_after_s is None:
+                            reply = await self._single_attempt(
+                                reg, method, args, payload, opts, deadline, attempt
+                            )
+                        else:
+                            reply = await self._hedged_attempt(
+                                reg, method, args, payload, opts, deadline, hedge_after_s
+                            )
+                        break
+                    except RPCError as exc:
+                        if not exc.retryable or attempt >= max_retries:
+                            raise
+                        if exc.executed and not method.idempotent:
+                            # The method body may already have run; re-executing a
+                            # non-idempotent method could double its effect (the
+                            # double-charge bug this layer exists to fix).
+                            raise
+                        # Outcome reporting and pool eviction already happened
+                        # at the failure site (_single_attempt); this loop only
+                        # decides whether another attempt is worth it.
+                        attempt += 1
+                        backoff = decorrelated_jitter(
+                            backoff,
+                            base_s=self._retry_backoff_s,
+                            cap_s=self._retry_backoff_max_s,
+                        )
+                        if time.monotonic() + backoff >= deadline:
+                            raise DeadlineExceeded(
+                                f"budget exhausted retrying {reg.name}.{method.name} "
+                                f"(after {attempt} attempts)",
+                                executed=exc.executed,
+                            ) from exc
+                        log.debug(
+                            "retrying %s.%s after %s (attempt %d, backoff %.3fs)",
+                            reg.name, method.name, exc, attempt, backoff,
+                        )
+                        await asyncio.sleep(backoff)
             return self._codec.decode(method.result_schema, reply)
         except Exception:
             error = True
@@ -278,7 +325,7 @@ class RemoteInvoker:
                 if cell is None:
                     cell = self._client_latency.bind(component=reg.name)
                     self._lat_cells[reg.name] = cell
-                cell.observe(time.perf_counter() - start, exemplar=trace_id)
+                cell.observe(time.perf_counter() - start, exemplar=span.span.trace_id)
                 if error:
                     err = self._err_cells.get(reg.name)
                     if err is None:
@@ -297,66 +344,6 @@ class RemoteInvoker:
                     error=error,
                 )
 
-    async def _call_with_retries(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        payload: bytes,
-        opts: CallOptions,
-    ) -> bytes:
-        budget_s = effective_budget_s(opts.deadline_s, self._timeout_s)
-        if budget_s <= 0:
-            raise DeadlineExceeded(
-                f"no budget left calling {reg.name}.{method.name}", executed=False
-            )
-        deadline = time.monotonic() + budget_s
-        max_retries = self._max_retries if opts.retries is None else opts.retries
-        hedge_after_s = opts.hedge_after_s if method.idempotent else None
-        attempt = 0
-        backoff = self._retry_backoff_s
-        while True:
-            try:
-                if hedge_after_s is not None:
-                    return await self._hedged_attempt(
-                        reg, method, args, payload, opts, deadline, hedge_after_s
-                    )
-                return await self._single_attempt(
-                    reg, method, args, payload, opts, deadline, attempt=attempt
-                )
-            except RPCError as exc:
-                if not exc.retryable or attempt >= max_retries:
-                    raise
-                if exc.executed and not method.idempotent:
-                    # The method body may already have run; re-executing a
-                    # non-idempotent method could double its effect (the
-                    # double-charge bug this layer exists to fix).
-                    raise
-                # Outcome reporting and pool eviction already happened at
-                # the failure site (_single_attempt); this loop only
-                # decides whether another attempt is worth it.
-                attempt += 1
-                backoff = decorrelated_jitter(
-                    backoff,
-                    base_s=self._retry_backoff_s,
-                    cap_s=self._retry_backoff_max_s,
-                )
-                if time.monotonic() + backoff >= deadline:
-                    raise DeadlineExceeded(
-                        f"budget exhausted retrying {reg.name}.{method.name} "
-                        f"(after {attempt} attempts)",
-                        executed=exc.executed,
-                    ) from exc
-                log.debug(
-                    "retrying %s.%s after %s (attempt %d, backoff %.3fs)",
-                    reg.name,
-                    method.name,
-                    exc,
-                    attempt,
-                    backoff,
-                )
-                await asyncio.sleep(backoff)
-
     async def _single_attempt(
         self,
         reg: Registration,
@@ -373,17 +360,20 @@ class RemoteInvoker:
                 f"deadline exhausted calling {reg.name}.{method.name}",
                 executed=False,
             )
-        address = await self._resolver.resolve(
-            reg, method, args, route_key=opts.route_key
-        )
-        wall_start = time.time()
+        resolver = self._resolver
+        address = resolver.pick(reg, method, args, opts.route_key)
+        if address is None:
+            address = await resolver.resolve(reg, method, args, opts.route_key)
+        wall_start = time.time() if self._tracer is not None else 0.0
         try:
             # Faults inject per *attempt*, modeling a replica failing
             # mid-call: retryable injections are absorbed by the retry loop
             # exactly like real replica failures.
             if self.fault_plan is not None:
                 await self.fault_plan.before_call(reg, method)
-            conn = await self._pool.get(address)
+            conn = self._pool.live(address)
+            if conn is None:
+                conn = await self._pool.get(address)
             reply = await conn.call(
                 reg.component_id,
                 method.index,
@@ -399,12 +389,17 @@ class RemoteInvoker:
                 # never re-handed to a concurrent caller before the next
                 # dial would discover it.
                 self._pool.drop(address)
-            self._report(reg, address, exc=exc)
+            # Every outcome feeds the resolver's breakers.
+            resolver.report_outcome(
+                reg, address, ok=False, code=exc.code,
+                draining=getattr(exc, "draining", False),
+                wrong_owner=getattr(exc, "wrong_owner", False),
+            )
             self._attempt_span(
                 reg, method, address, attempt, wall_start, status="error", exc=exc
             )
             raise
-        self._report(reg, address)
+        resolver.report_outcome(reg, address, ok=True)
         if attempt > 0:
             # A failover retry that landed: record it as a sibling of the
             # failed attempt(s) so the trace shows the whole story.  The
@@ -436,22 +431,6 @@ class RemoteInvoker:
             end_s=time.time(),
             status=status,
             **attrs,
-        )
-
-    def _report(
-        self,
-        reg: Registration,
-        address: str,
-        exc: Optional[RPCError] = None,
-    ) -> None:
-        """Feed one attempt outcome to the resolver (breakers live there)."""
-        self._resolver.report_outcome(
-            reg,
-            address,
-            ok=exc is None,
-            code=None if exc is None else exc.code,
-            draining=getattr(exc, "draining", False),
-            wrong_owner=getattr(exc, "wrong_owner", False),
         )
 
     async def _hedged_attempt(

@@ -49,6 +49,26 @@ class TestBasics:
         assert edges and edges[0].remote_calls >= 1
         await app.shutdown()
 
+    async def test_remote_call_is_one_call_graph_edge(self, demo_registry):
+        """The caller records a remote call; the proclet serving it adds no
+        ``<remote>`` edge, so the manager counts each call once and never
+        offers a non-component as a co-location candidate."""
+        app = await deployed(demo_registry)
+        try:
+            n = 100
+            adder = app.get(Adder)
+            for i in range(n):
+                assert await adder.add(i, 1) == i + 1
+            for proclet in [app._driver, *(e.proclet for e in app.envelopes.values())]:
+                await proclet._send_heartbeat()
+            graph = app.manager.call_graph
+            assert graph.total_calls() == n
+            assert all(e.caller != "<remote>" for e in graph.edges())
+            assert graph.chatty_pairs() == []  # only <root> calls Adder
+            assert [name for name, _ in graph.bottlenecks()] == [app.build.by_iface(Adder).name]
+        finally:
+            await app.shutdown()
+
     async def test_one_proclet_per_group(self, demo_registry):
         app = await deployed(demo_registry)
         assert app.manager.total_replicas() == 4  # four singleton groups

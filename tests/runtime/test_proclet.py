@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import asyncio
+import inspect
+import sys
 
 import pytest
 
 from repro.core.config import AppConfig
 from repro.core.errors import ComponentNotFound, Unavailable
+from repro.core.options import CallOptions
 from repro.runtime import pipes
-from repro.runtime.proclet import Proclet
+from repro.runtime.proclet import Proclet, RoutingResolver
+from repro.transport.client import ConnectionPool
+from repro.transport.connection import Connection
+from repro.transport.rpc import RemoteInvoker
 
 from tests.conftest import Adder, Greeter
 
@@ -145,6 +151,67 @@ class TestStubResolution:
         assert await greeter.greet("Iris") == "Hello, Iris! (5)"
         await client.stop()
         await server.stop()
+
+    async def test_warm_remote_call_object_budget(self, demo_build, runtime):
+        """A warm stub call is two coroutines above ``Connection.call``: no
+        stub frame, no awaited routing lookup or pool get, no fresh
+        ``CallOptions``, and one future (the reply's) per call."""
+        adder_name = demo_build.by_iface(Adder).name
+        server = Proclet("p-server", demo_build, AppConfig(), runtime, heartbeat_interval_s=3600)
+        runtime.hosting["p-server"] = [adder_name]
+        await server.start()
+        runtime.routing[adder_name] = {"component": adder_name, "replicas": [server.address]}
+        client = Proclet("p-client", demo_build, AppConfig(), runtime, heartbeat_interval_s=3600)
+        await client.start()
+        try:
+            adder = client.get(Adder)
+            assert await adder.add(1, 2) == 3  # warm: routing cached, connection dialed
+
+            n = 50
+
+            async def calls():
+                for i in range(n):
+                    assert await adder.add(i, 1) == i + 1
+
+            create_future = type(asyncio.get_running_loop()).create_future.__code__
+            options_init = CallOptions.__init__.__code__
+            entered: set = set()
+            futures = 0
+
+            def profile(frame, event, arg):
+                # Only frames running under calls() — the client side.
+                nonlocal futures
+                code = frame.f_code
+                is_coroutine = code.co_flags & inspect.CO_COROUTINE
+                if event != "call" or not (is_coroutine or code in (create_future, options_init)):
+                    return
+                caller = frame.f_back
+                while caller is not None and caller.f_code is not calls.__code__:
+                    caller = caller.f_back
+                if caller is None:
+                    return
+                if code is create_future:
+                    futures += 1
+                else:
+                    entered.add(code)
+
+            sys.setprofile(profile)
+            try:
+                await calls()
+            finally:
+                sys.setprofile(None)
+            assert RoutingResolver.resolve.__code__ not in entered
+            assert ConnectionPool.get.__code__ not in entered
+            assert options_init not in entered  # CallOptions() never ran
+            assert entered == {
+                RemoteInvoker.invoke.__code__,
+                RemoteInvoker._single_attempt.__code__,
+                Connection.call.__code__,
+            }
+            assert futures == n
+        finally:
+            await client.stop()
+            await server.stop()
 
 
 class TestControl:

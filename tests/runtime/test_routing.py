@@ -214,6 +214,33 @@ class TestBreakerAwareRouting:
         table.update_assignment(build_assignment("c", REPLICAS[:3], generation=1))
         assert table.pick("c", "any-key") == REPLICAS[0]
 
+    def test_trip_is_skipped_at_once_and_close_restores_it(self):
+        """Picks skip breakers while all are CLOSED; a trip takes effect on
+        the very next pick, and a close puts the replica back."""
+        from repro.transport.breaker import BreakerPolicy, BreakerSet
+
+        now = [0.0]
+        breakers = BreakerSet(
+            BreakerPolicy(consecutive_failures=1, open_for_s=1.0, half_open_successes=1),
+            clock=lambda: now[0],
+        )
+        table = RoutingTable(breakers)
+        table.update_replicas("c", REPLICAS[:2])
+        table.update_assignment(build_assignment("c", REPLICAS[:2], generation=1))
+        key = next(k for k in map(str, range(100)) if table.pick("c", k) == REPLICAS[0])
+        assert {table.pick("c", None) for _ in range(4)} == set(REPLICAS[:2])
+
+        breakers.record("c", REPLICAS[0], ok=False)  # trips
+        assert {table.pick("c", None) for _ in range(4)} == {REPLICAS[1]}
+        assert table.pick("c", key) == REPLICAS[1]
+
+        now[0] += 1.0  # cooldown over: the key's owner takes the probe
+        assert table.pick("c", key) == REPLICAS[0]
+        breakers.record("c", REPLICAS[0], ok=True)  # probe succeeded: closed
+        assert breakers.all_closed("c")
+        assert table.pick("c", key) == REPLICAS[0]
+        assert {table.pick("c", None) for _ in range(4)} == set(REPLICAS[:2])
+
     def test_update_replicas_prunes_breakers(self):
         table, breakers = self._table()
         breakers.record("c", REPLICAS[0], ok=False)

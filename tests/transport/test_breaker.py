@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro.observability.metrics import MetricsRegistry
 from repro.transport.breaker import (
     BreakerPolicy,
@@ -233,6 +235,57 @@ class TestBreakerSet:
         assert (
             registry.counter("breaker_skipped_picks").get(component="Comp").value == 1
         )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_not_closed_count_matches_states(seed):
+    """``all_closed``/``open_count`` come from a count kept in the transition
+    callback and in ``retain``; under any sequence of outcomes, clock
+    advances, admissions, peeks and prunes they agree with the breakers'
+    actual states — including breakers a caller still holds after
+    ``retain`` dropped them."""
+    rng = random.Random(seed)
+    clock = FakeClock()
+    breakers = BreakerSet(
+        BreakerPolicy(
+            consecutive_failures=rng.randint(1, 3),
+            min_volume=4,
+            open_for_s=1.0,
+            open_for_max_s=4.0,
+            half_open_successes=rng.randint(1, 2),
+        ),
+        clock=clock,
+    )
+    components, addresses = ("A", "B", "C"), ("x", "y", "z")
+    held: list[CircuitBreaker] = []
+    for _ in range(300):
+        op = rng.randrange(7)
+        comp, addr = rng.choice(components), rng.choice(addresses)
+        if op == 0:
+            breakers.record(comp, addr, ok=rng.random() < 0.4)
+        elif op == 1:
+            clock.advance(rng.choice((0.1, 0.5, 1.0, 2.5)))
+        elif op == 2:
+            breakers.admit(comp, addr)
+        elif op == 3:
+            breakers.peek(comp, addr)
+        elif op == 4:
+            breakers.retain(comp, rng.sample(addresses, rng.randint(0, 3)))
+        elif op == 5:
+            held.append(breakers.breaker(comp, addr))
+        elif held:
+            breaker = rng.choice(held)  # possibly dropped by retain since
+            if rng.random() < 0.5:
+                breaker.record_failure()
+            else:
+                breaker.admit()
+        for c in components:
+            not_closed = sum(
+                s is not BreakerState.CLOSED for s in breakers.states(c).values()
+            )
+            assert breakers.all_closed(c) == (not_closed == 0)
+            assert breakers.open_count(c) == not_closed
+        assert breakers.open_count() == sum(breakers.open_count(c) for c in components)
 
 
 def test_policy_validation():

@@ -22,6 +22,9 @@ class StaticResolver:
         self.address = address
         self.failures = []
 
+    def pick(self, reg, method, args, route_key=None):
+        return self.address
+
     async def resolve(self, reg, method, args, route_key=None):
         return self.address
 
@@ -126,6 +129,11 @@ class FlappingResolver(StaticResolver):
         super().__init__(live)
         self.sequence = [dead, live]
         self.calls = 0
+
+    def pick(self, reg, method, args, route_key=None):
+        address = self.sequence[min(self.calls, len(self.sequence) - 1)]
+        self.calls += 1
+        return address
 
     async def resolve(self, reg, method, args, route_key=None):
         address = self.sequence[min(self.calls, len(self.sequence) - 1)]
