@@ -7,8 +7,8 @@ runtime implements the control plane but not the data plane").
 """
 
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import Connection, client_handshake, server_handshake
-from repro.transport.framing import MAX_FRAME, read_frame, write_frame
+from repro.transport.connection import Connection
+from repro.transport.framing import MAX_FRAME
 from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer
 from repro.transport.rpc import Dispatcher, RemoteInvoker, ReplicaResolver
 from repro.transport.server import RPCServer, parse_address
@@ -16,11 +16,7 @@ from repro.transport.server import RPCServer, parse_address
 __all__ = [
     "ConnectionPool",
     "Connection",
-    "client_handshake",
-    "server_handshake",
     "MAX_FRAME",
-    "read_frame",
-    "write_frame",
     "HttpRpcClient",
     "HttpRpcServer",
     "Dispatcher",

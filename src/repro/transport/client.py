@@ -4,7 +4,13 @@ One :class:`ConnectionPool` per proclet caches a single multiplexed
 connection per peer address (the protocol pipelines, so one connection
 carries arbitrary concurrency).  Dead connections are dropped and
 re-established on next use; connecting concurrently to the same address is
-coalesced behind a per-address lock.
+coalesced behind a per-address lock.  A dial is ``loop.create_connection``
+with a fresh :class:`Connection` as the protocol: it sends HELLO once
+connected, and the dial returns when WELCOME resolves its ``ready`` future —
+each step bounded by ``connect_timeout``.  Only a connection that is already
+closed is evicted after a failed call: an UNAVAILABLE *reply* (a draining
+door, a component hosted elsewhere, a wrong shard owner) comes from a
+healthy peer over a healthy connection that other calls are still using.
 
 Both maps are *pruned*: a connection found closed is removed on sight, and
 its dial lock goes with it once nobody holds it — a long-lived proclet
@@ -18,8 +24,8 @@ import asyncio
 import logging
 from typing import Optional
 
-from repro.core.errors import Unavailable, VersionMismatch
-from repro.transport.connection import Connection, client_handshake
+from repro.core.errors import RPCError, TransportError, Unavailable
+from repro.transport.connection import Connection
 from repro.transport.server import parse_address
 from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
@@ -80,43 +86,35 @@ class ConnectionPool:
 
     async def _dial(self, address: str) -> Connection:
         scheme, host, port = parse_address(address)
-        try:
-            if scheme == "tcp":
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), self._connect_timeout
-                )
-            else:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_unix_connection(host), self._connect_timeout
-                )
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            raise Unavailable(
-                f"cannot connect to {address}: {exc}", executed=False
-            ) from exc
-        try:
-            await asyncio.wait_for(
-                client_handshake(
-                    reader, writer, codec=self._codec, version=self._version
-                ),
-                self._connect_timeout,
-            )
-        except VersionMismatch:
-            writer.close()
-            raise
-        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-            writer.close()
-            raise Unavailable(
-                f"handshake with {address} failed: {exc}", executed=False
-            ) from exc
+        loop = asyncio.get_running_loop()
         conn = Connection(
-            reader,
-            writer,
+            codec=self._codec,
+            version=self._version,
             name=f"client->{address}",
             compress=self._compress,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
         )
-        conn.start()
+        try:
+            if scheme == "tcp":
+                connecting = loop.create_connection(lambda: conn, host, port)
+            else:
+                connecting = loop.create_unix_connection(lambda: conn, host)
+            transport, _ = await asyncio.wait_for(connecting, self._connect_timeout)
+        except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+            raise Unavailable(
+                f"cannot connect to {address}: {exc}", executed=False
+            ) from exc
+        try:
+            # HELLO went out on connect; WELCOME resolves ``ready``.
+            await asyncio.wait_for(conn.ready, self._connect_timeout)
+        except BaseException as exc:  # the socket is ours until we return it
+            transport.close()
+            if isinstance(exc, (RPCError, TransportError, asyncio.TimeoutError)):
+                raise Unavailable(
+                    f"handshake with {address} failed: {exc}", executed=False
+                ) from exc
+            raise  # VersionMismatch as it is, and cancellation
         return conn
 
     def drop(self, address: str) -> None:

@@ -8,38 +8,42 @@ never exchange a single application byte with a proclet from version B
 (§4.4), which in turn is what makes the tag-free compact format safe (§6).
 It is also why there is exactly one way to send: both ends of every
 connection run this file at the same version, so no older peer exists to
-stay compatible with.
+stay compatible with.  The handshake frame is capped at ``MAX_HANDSHAKE``
+bytes, so a peer that has not shown its version cannot make us buffer
+``MAX_FRAME``.
 
 After the handshake, requests are pipelined: many may be in flight, matched
-to responses by request id.  The file reads top to bottom along the two
-directions a frame travels: ``call`` → enqueue → flusher on the way out,
-read loop → dispatch → resolve/serve on the way in.
+to responses by request id.  A :class:`Connection` is its socket's
+:class:`asyncio.Protocol` from connect to close and owns no task of its
+own.  The file reads top to bottom along the two directions a frame
+travels: ``call`` → enqueue → flush on the way out; on the way in,
+``data_received`` handles every frame one socket read delivered right in
+the transport's callback — a reply resolves its call's future, a request
+becomes a server task, stream and control frames go to their handlers.
 
 Writes are *coalesced adaptively*: senders append wire-ready chunks to an
-outbox (a synchronous append — no lock, no await) and a single flusher
-task gathers everything pending into one ``writelines`` + one ``drain``.
-When the connection is idle a lone frame flushes immediately; under load,
-frames that arrive while a previous ``drain`` is in flight ride out
-together in the next batch — batching scales with pressure instead of a
-timer.  A batch is bounded by ``MAX_BATCH_BYTES``.  Senders that get more
-than ``SEND_HIGH_WATER`` bytes ahead of the socket wait for the flusher
-(backpressure), so a slow peer cannot balloon the outbox.
+outbox (a synchronous append — no lock, no await), and the first append in
+a loop iteration schedules one flush callback, which hands everything then
+pending to the transport in one ``writelines`` — batching scales with
+pressure instead of a timer, bounded by ``MAX_BATCH_BYTES`` per round.
+The transport pauses the flush while its own buffer is above its
+high-water mark (``pause_writing``/``resume_writing``), and senders more
+than ``SEND_HIGH_WATER`` bytes ahead of the socket wait (backpressure), so
+a slow peer cannot balloon the outbox.
 
 A connection with *no batching opportunity* — a lone caller ping-ponging
 request/response — bypasses the outbox entirely: when recent flush rounds
 all carried a single frame and the transport buffer is empty, frames are
-written straight through (``writelines``, no flusher hop, no drain).  The
-first send that finds bytes already queued in the same loop tick flips
-back to the flusher — concurrency *is* the batching opportunity — so the
-direct path costs nothing under load and wins back the lone-stream latency
-the flusher hop used to tax (the c=1 regression in BENCH_3.json).
+written straight through.  The first send that finds company flips back to
+the flush — concurrency *is* the batching opportunity — so the direct path
+costs nothing under load and spares a lone stream the flush hop.
 
 Payloads above ``stream_threshold`` travel as a *streaming RPC*; that
 protocol lives in :mod:`repro.transport.streaming`, as an object this
 connection owns and hands stream frames to.
 
 A served request is exactly one :class:`asyncio.Task` (``_serve_one``):
-the read loop looks only at a frame's type byte and hands a ``REQUEST``
+``data_received`` looks only at a frame's type byte and hands a ``REQUEST``
 over undecoded, so decode, handler and reply run back to back in a Task
 the handler sees as ``asyncio.current_task()``.  The connection that
 created the Task also enforces the request's wire budget, as one more
@@ -47,11 +51,11 @@ entry on the timeout heap (one timer) that bounds this side's outgoing
 calls: when it comes due the sweep cancels the Task and ``_serve_one``
 answers ``DEADLINE_EXCEEDED``.  Nothing else is allocated per request.
 
-A connection owns three kinds of task — the read loop, the flusher, and
-server tasks (one per request being served, plus slow control-frame
-sends) — plus one timeout timer, and dies one way:
-:meth:`Connection._teardown`, reached from ``close()``, the read loop's
-exit and a flusher I/O error alike.
+A connection owns its server tasks (one per request being served, plus
+slow control-frame sends), one flush callback and one timeout timer, and
+dies one way: the transport's ``connection_lost`` calls
+:meth:`Connection._teardown`.  ``close()``, a peer hang-up, a write error
+and a protocol violation all end there.
 """
 
 from __future__ import annotations
@@ -74,13 +78,7 @@ from repro.core.errors import (
     error_from_code,
 )
 from repro.transport import message as msg
-from repro.transport.framing import (
-    FrameParser,
-    frame_chunks,
-    new_frame,
-    read_frame,
-    write_frame,
-)
+from repro.transport.framing import FrameParser, frame_chunks, new_frame, take_frame
 from repro.transport.streaming import (
     STREAM_CHUNK_BYTES,
     STREAM_THRESHOLD,
@@ -97,48 +95,64 @@ log = logging.getLogger("repro.transport")
 #: bytes-like object and is owned by the connection once returned.
 Handler = Callable[[int, int, bytes, tuple[int, int], int], Awaitable[bytes]]
 
-#: Max bytes gathered into a single writelines+drain round.
+#: Max bytes gathered into a single writelines round.
 MAX_BATCH_BYTES = 256 * 1024
 
-#: Outbox bytes beyond which senders wait for the flusher (backpressure).
+#: Outbox bytes beyond which senders wait for the flush (backpressure).
 SEND_HIGH_WATER = 1 << 20
-
-#: Read-side batch size: one read() await can deliver this many bytes'
-#: worth of frames a coalescing peer flushed together.
-READ_CHUNK = 256 * 1024
 
 #: Consecutive lone-frame flush rounds before direct write-through re-engages.
 DIRECT_REENGAGE = 8
 
+#: Cap on the one handshake frame each way, checked before the version is:
+#: a HELLO or WELCOME is at most 1 + 2 × (1 + 255) bytes.
+MAX_HANDSHAKE = 513
 
-class Connection:
-    """One established, handshaken connection (either side)."""
+
+class Connection(asyncio.Protocol):
+    """One connection (either end), from connect to close.
+
+    The dialing end passes no ``on_ready``: it sends HELLO once connected
+    and resolves :attr:`ready` when the peer's WELCOME checks out.  The
+    accepting end passes ``on_ready``, called with the connection once the
+    peer's HELLO checked out and WELCOME is on its way.
+    """
 
     def __init__(
         self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
         *,
+        codec: str,
+        version: str,
         handler: Optional[Handler] = None,
+        on_ready: Optional[Callable[["Connection"], None]] = None,
         name: str = "conn",
         compress: bool = False,
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
         stream_window: int = STREAM_WINDOW,
     ) -> None:
-        self._reader = reader
-        self._writer = writer
+        self._codec = codec
+        self._version = version
         self._handler = handler
+        self._on_ready = on_ready
         self._name = name
         self._compress = compress
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        #: The dialing end's handshake: resolved by WELCOME, failed by a
+        #: refusal or a hang-up.  None on the accepting end.
+        self.ready: Optional[asyncio.Future] = (
+            None if on_ready is not None else self._loop.create_future()
+        )
+        self._lost = self._loop.create_future()  # done once torn down
+        self._greeting: Optional[bytearray] = bytearray()  # None once handshaken
+        self._parser = FrameParser()
         self._req_ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self._closed = False
-        self._loop_task: Optional[asyncio.Task] = None
-        self._flush_task: Optional[asyncio.Task] = None
         self._server_tasks: set[asyncio.Task] = set()
         # Two-lane outbox: stream chunks ride the bulk lane, which the
-        # flusher drains only after the normal lane — a small RPC frame
+        # flush drains only after the normal lane — a small RPC frame
         # never queues behind a megabyte of stream chunks.  Overtaking is
         # protocol-legal (req_ids are multiplexed, and within one stream
         # the chunks stay FIFO in their lane).
@@ -146,7 +160,8 @@ class Connection:
         self._outbox_bulk: collections.deque = collections.deque()
         self._outbox_bytes = 0
         self._bulk_bytes = 0
-        self._wakeup = asyncio.Event()
+        self._flush_handle: Optional[asyncio.Handle] = None
+        self._paused = False  # the transport's buffer is above its high water
         self._can_send = asyncio.Event()
         self._can_send.set()
         # Timeouts: a heap of (when, key, ...) tuples behind ONE armed
@@ -156,69 +171,90 @@ class Connection:
         # Entries for finished work are dropped lazily at sweep/compact time.
         self._timeouts: list = []
         self._timeout_timer: Optional[asyncio.TimerHandle] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
         self._streams = Streams(self, stream_chunk, stream_window)
         # Direct write-through: on until concurrency is observed, re-armed
-        # by the flusher after a streak of lone-frame rounds.
+        # by the flush after a streak of lone-frame rounds.
         self._direct = True
         self._lone_flushes = 0
-        self._frames_enqueued = 0
-        self._frames_flushed = 0
+        self._unflushed_frames = 0  # enqueued since the outbox was last empty
         #: Flush rounds and frames flushed (observability: frames/flush is
         #: the achieved coalescing factor).
         self.flushes = 0
         self.frames_sent = 0
         self.direct_writes = 0
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- lifecycle: the transport's callbacks and close ---------------------------
 
-    def start(self) -> None:
-        """Begin the read loop and the flusher (after a successful handshake)."""
-        self._loop = asyncio.get_running_loop()
-        self._loop_task = asyncio.ensure_future(self._read_loop())
-        self._flush_task = asyncio.ensure_future(self._flush_loop())
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        if self.ready is not None:
+            self._write_greeting(msg.Hello(self._codec, self._version))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if not self._closed:
+            log.debug("%s: connection lost: %s", self._name, exc or "peer closed")
+        self._teardown(Unavailable("connection lost"))
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._flush_handle is None and (self._outbox or self._outbox_bulk):
+            self._flush_handle = self._loop.call_soon(self._flush)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     async def close(self) -> None:
-        self._teardown(Unavailable("connection closed"))
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        """Close gracefully — frames already queued still go out — and
+        return once the connection is torn down."""
+        if not self._closed:
+            self._closed = True
+            self._flush()
+            self._transport.close()
+        await self._lost
+
+    def _abort(self, exc: Exception) -> None:
+        """Drop the connection over a protocol violation."""
+        log.debug("%s: %s", self._name, exc)
+        self._closed = True
+        self._transport.abort()
 
     def _teardown(self, exc: Exception) -> None:
-        """The one way a connection dies; every step is idempotent.
+        """The one way a connection dies, called by ``connection_lost``.
 
-        Stops everything the connection owns (read loop, flusher, server
-        tasks, timeout timer), fails what was waiting on it (pending
-        calls, streams, back-pressured senders) and closes the socket.
+        Stops everything the connection owns (server tasks, the flush
+        callback, the timeout timer) and fails what was waiting on it (the
+        handshake, pending calls, streams, back-pressured senders).
         """
         self._closed = True
-        me = asyncio.current_task()
-        for task in (self._loop_task, self._flush_task, *self._server_tasks):
-            if task is not None and task is not me:
-                task.cancel()
+        for task in self._server_tasks:
+            task.cancel()
+        # A task cancelled before its first step never runs the ``finally``
+        # that removes it from the set.
+        self._server_tasks.clear()
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
         if self._timeout_timer is not None:
             self._timeout_timer.cancel()
             self._timeout_timer = None
         self._timeouts.clear()
+        if self.ready is not None and not self.ready.done():
+            self.ready.set_exception(exc)
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(exc)
         self._pending.clear()
         self._streams.abort()
         self._can_send.set()  # wake any sender stuck in backpressure
-        try:
-            self._writer.close()
-        except (ConnectionError, OSError):
-            pass
 
-    # -- outbound: call -> enqueue -> flusher ---------------------------------
+    # -- outbound: call -> enqueue -> flush -------------------------------------
 
     async def call(
         self,
@@ -306,9 +342,9 @@ class Connection:
         When the connection is *lone* — no other call in flight, no server
         task other than the sender (``own_tasks=1``: the caller is one),
         nothing queued anywhere — the frame skips the outbox and goes
-        straight to the transport (no flusher hop, no drain round-trip).
-        The first send that observes company flips ``_direct`` off so the
-        flusher can batch; a streak of lone-frame flushes flips it back on.
+        straight to the transport (no flush callback).  The first send
+        that observes company flips ``_direct`` off so the flush can batch;
+        a streak of lone-frame flushes flips it back on.
         """
         if self._closed:
             return False
@@ -316,9 +352,9 @@ class Connection:
             if (
                 len(self._pending) <= 1
                 and len(self._server_tasks) == own_tasks
-                and self._writer.transport.get_write_buffer_size() == 0
+                and self._transport.get_write_buffer_size() == 0
             ):
-                self._writer.writelines(
+                self._transport.writelines(
                     frame_chunks(head, payload, compress=self._compress)
                 )
                 self.frames_sent += 1
@@ -348,13 +384,13 @@ class Connection:
         Backpressure differs by lane: bulk yields when *total* queued
         bytes cross the high-water mark, while normal frames only yield
         when the normal lane alone is saturated — queued stream chunks
-        must not be able to park a small RPC behind the flusher.
+        must not be able to park a small RPC behind the flush.
         """
         return self._outbox_bytes if bulk else self._outbox_bytes - self._bulk_bytes
 
     def _enqueue(self, head: bytearray, payload: bytes, bulk: bool) -> None:
-        """Append one frame to its lane (order is enqueue order) and wake
-        the flusher.  ``bulk`` is the low-priority lane."""
+        """Append one frame to its lane (order is enqueue order) and make
+        sure a flush is scheduled.  ``bulk`` is the low-priority lane."""
         lane = self._outbox_bulk if bulk else self._outbox
         for chunk in frame_chunks(head, payload, compress=self._compress):
             lane.append(chunk)
@@ -362,8 +398,9 @@ class Connection:
             if bulk:
                 self._bulk_bytes += len(chunk)
         self.frames_sent += 1
-        self._frames_enqueued += 1
-        self._wakeup.set()
+        self._unflushed_frames += 1
+        if self._flush_handle is None and not self._paused:
+            self._flush_handle = self._loop.call_soon(self._flush)
 
     def _post(self, m: msg.Message) -> None:
         """Best-effort synchronous control-frame send (credits, cancels,
@@ -371,7 +408,7 @@ class Connection:
 
         Falls back to a fire-and-forget task when the outbox is
         saturated; failures are swallowed — control frames are advisory
-        and the read loop owns teardown.
+        and ``connection_lost`` owns teardown.
         """
         if self._closed:
             return
@@ -379,7 +416,7 @@ class Connection:
         msg.encode_into(head, m)
         try:
             if not self._try_send(head):
-                self._track(asyncio.ensure_future(self._post_slow(head)))
+                self._server_tasks.add(self._loop.create_task(self._post_slow(head)))
         except (ConnectionError, OSError, TransportError):
             pass
 
@@ -388,73 +425,66 @@ class Connection:
             await self._send(head)
         except (ConnectionError, OSError, TransportError):
             pass
+        finally:
+            self._server_tasks.discard(asyncio.current_task())
 
-    def _track(self, task: asyncio.Task) -> None:
-        self._server_tasks.add(task)
-        task.add_done_callback(self._server_tasks.discard)
+    def _flush(self) -> None:
+        """Hand the outbox to the transport, one ``writelines`` per round,
+        until it is empty or the transport pauses us.
 
-    async def _flush_loop(self) -> None:
-        """The one task that touches the socket's write side.
-
-        Everything pending at flush time leaves in a single ``writelines``
-        followed by a single ``drain`` — under concurrency, dozens of
-        frames share one syscall and one buffer-flush round instead of
-        serializing behind per-frame drains.
+        The first enqueue of a loop iteration schedules this, so every
+        frame enqueued in that iteration leaves in the same round — under
+        concurrency, dozens of frames share one syscall.
         """
-        try:
-            while True:
-                if not self._outbox and not self._outbox_bulk:
-                    self._wakeup.clear()
-                    await self._wakeup.wait()
-                batch = []
-                size = 0
-                outbox = self._outbox
-                bulk_lane = self._outbox_bulk
-                # Normal lane first; stream chunks only top up the batch.
-                while outbox and size < MAX_BATCH_BYTES:
-                    chunk = outbox.popleft()
-                    batch.append(chunk)
-                    size += len(chunk)
-                # At most one stream chunk per round: every drain round is
-                # a slot where queued small frames overtake the bulk flow,
-                # so the kernel never holds more than ~one chunk of bulk
-                # ahead of them.
-                bulk_size = 0
-                while (
-                    bulk_lane
-                    and size < MAX_BATCH_BYTES
-                    and bulk_size <= self._stream_chunk
-                ):
-                    chunk = bulk_lane.popleft()
-                    batch.append(chunk)
-                    size += len(chunk)
-                    bulk_size += len(chunk)
-                    self._bulk_bytes -= len(chunk)
-                self._outbox_bytes -= size
-                if not self._can_send.is_set():
-                    # Waiters re-check their own lane's pressure; just wake.
-                    self._can_send.set()
-                self.flushes += 1
-                self._writer.writelines(batch)
-                if outbox or bulk_lane:
-                    self._lone_flushes = 0  # partial batch: real load
-                else:
-                    frames = self._frames_enqueued - self._frames_flushed
-                    self._frames_flushed = self._frames_enqueued
-                    if frames <= 1:
-                        self._lone_flushes += 1
-                        if self._lone_flushes >= DIRECT_REENGAGE:
-                            # Traffic has turned lone: skip the flusher hop
-                            # until concurrency shows up again.
-                            self._direct = True
-                            self._lone_flushes = 0
-                    else:
-                        self._lone_flushes = 0
-                await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            if not self._closed:
-                log.debug("%s: flush loop ended: %s", self._name, exc)
-            self._teardown(Unavailable("connection lost"))
+        self._flush_handle = None
+        outbox = self._outbox
+        bulk_lane = self._outbox_bulk
+        while (outbox or bulk_lane) and not self._paused:
+            batch = []
+            size = 0
+            # Normal lane first; stream chunks only top up the batch.
+            while outbox and size < MAX_BATCH_BYTES:
+                chunk = outbox.popleft()
+                batch.append(chunk)
+                size += len(chunk)
+            # At most one stream chunk per round: every round is a slot
+            # where queued small frames overtake the bulk flow, so the
+            # kernel never holds more than ~one chunk of bulk ahead of them.
+            bulk_size = 0
+            while (
+                bulk_lane
+                and size < MAX_BATCH_BYTES
+                and bulk_size <= self._stream_chunk
+            ):
+                chunk = bulk_lane.popleft()
+                batch.append(chunk)
+                size += len(chunk)
+                bulk_size += len(chunk)
+                self._bulk_bytes -= len(chunk)
+            self._outbox_bytes -= size
+            if not self._can_send.is_set():
+                # Waiters re-check their own lane's pressure; just wake.
+                self._can_send.set()
+            self.flushes += 1
+            self._transport.writelines(batch)
+            if outbox or bulk_lane:
+                self._lone_flushes = 0  # partial batch: real load
+                continue
+            frames, self._unflushed_frames = self._unflushed_frames, 0
+            if frames <= 1:
+                self._lone_flushes += 1
+                if self._lone_flushes >= DIRECT_REENGAGE:
+                    # Traffic has turned lone: skip the flush hop until
+                    # concurrency shows up again.
+                    self._direct = True
+                    self._lone_flushes = 0
+            else:
+                self._lone_flushes = 0
+
+    def _write_greeting(self, m: msg.Message) -> None:
+        head = new_frame()
+        msg.encode_into(head, m)
+        self._transport.writelines(frame_chunks(head))
 
     # -- timeouts: outgoing calls and served requests' budgets --------------------
 
@@ -515,38 +545,74 @@ class Connection:
         ]
         heapify(self._timeouts)
 
-    # -- inbound: read loop -> dispatch -> resolve / serve ----------------------
+    # -- inbound: data_received -> dispatch -> resolve / serve --------------------
 
-    async def _read_loop(self) -> None:
+    def data_received(self, data: bytes) -> None:
+        if self._greeting is not None:
+            data = self._greet(data)
+            if not data:
+                return
         try:
-            parser = FrameParser()
-            reader = self._reader
-            while True:
-                chunk = await reader.read(READ_CHUNK)
-                if not chunk:
-                    raise TransportError(
-                        "connection closed mid-frame"
-                        if parser.mid_frame
-                        else "connection closed"
-                    )
-                frames = parser.feed(chunk)
-                if len(frames) > 1 and self._direct:
-                    # The peer is coalescing — our replies will have
-                    # company too; stop skipping the flusher.
-                    self._direct = False
-                    self._lone_flushes = 0
-                for frame in frames:
-                    if frame and frame[0] == msg.REQUEST:
-                        # Undecoded: the serving task decodes right before
-                        # it runs the handler.
-                        self._spawn_server_task(frame)
-                    else:
-                        self._dispatch(msg.decode(frame))
-        except (TransportError, ConnectionError, OSError) as exc:
-            if not self._closed:
-                log.debug("%s: read loop ended: %s", self._name, exc)
-        finally:
-            self._teardown(Unavailable("connection lost"))
+            frames = self._parser.feed(data)
+            if len(frames) > 1 and self._direct:
+                # The peer is coalescing — our replies will have company
+                # too; stop writing through.
+                self._direct = False
+                self._lone_flushes = 0
+            for frame in frames:
+                if frame and frame[0] == msg.REQUEST:
+                    # Undecoded: the serving task decodes right before it
+                    # runs the handler.
+                    self._spawn_server_task(frame)
+                else:
+                    self._dispatch(msg.decode(frame))
+        except TransportError as exc:
+            self._abort(exc)
+
+    def _greet(self, data: bytes) -> bytes:
+        """Absorb the handshake frame — HELLO on the accepting end, WELCOME
+        on the dialing end — and return the bytes after it, which belong
+        to the data plane.  A refused handshake closes the connection."""
+        buf = self._greeting
+        buf += data
+        dialer = self.ready is not None
+        try:
+            frame = take_frame(buf, MAX_HANDSHAKE)
+            if frame is None:
+                return b""
+            self._greeting = None
+            peer = msg.decode(frame)
+            expected = msg.Welcome if dialer else msg.Hello
+            if type(peer) is not expected:
+                raise TransportError(
+                    f"handshake failed: expected {expected.__name__.upper()}, got {peer!r}"
+                )
+            if not dialer:
+                # Announce our version even when refusing, so the dialer
+                # can raise a precise error; then close: no application
+                # data crosses the version boundary.
+                self._write_greeting(msg.Welcome(self._codec, self._version))
+            if peer.version != self._version or peer.codec != self._codec:
+                raise VersionMismatch(
+                    f"peer runs deployment version {peer.version} codec "
+                    f"{peer.codec!r}, we run {self._version} codec {self._codec!r}; "
+                    "cross-version communication is forbidden (atomic rollouts)"
+                )
+        except (TransportError, VersionMismatch) as exc:
+            if dialer and not self.ready.done():
+                self.ready.set_exception(exc)
+            if not dialer and isinstance(exc, VersionMismatch):
+                log.warning("rejected cross-version connection: %s", exc)
+            else:
+                log.debug("%s: handshake failed: %s", self._name, exc)
+            self._closed = True
+            self._transport.close()
+            return b""
+        if not dialer:
+            self._on_ready(self)
+        elif not self.ready.done():
+            self.ready.set_result(None)
+        return bytes(buf)
 
     def _dispatch(self, m: object) -> None:
         if isinstance(m, msg.Response):
@@ -578,112 +644,70 @@ class Connection:
             future.set_result(result)
 
     def _spawn_server_task(self, request: "bytes | msg.Request") -> None:
-        """One Task per request: an undecoded REQUEST frame from the read
-        loop, or a :class:`~msg.Request` that streaming reassembled."""
-        self._track(self._loop.create_task(self._serve_one(request)))
+        """One Task per request: an undecoded REQUEST frame off the wire,
+        or a :class:`~msg.Request` that streaming reassembled."""
+        self._server_tasks.add(self._loop.create_task(self._serve_one(request)))
 
     async def _serve_one(self, request: "bytes | msg.Request") -> None:
-        if type(request) is not msg.Request:
-            try:
-                request = msg.decode(request)
-            except TransportError as exc:
-                log.debug("%s: malformed request: %s", self._name, exc)
-                self._teardown(Unavailable("connection lost"))
-                return
-        req_id = request.req_id
-        if self._handler is None:
-            self._post(
-                msg.RpcError(
-                    req_id, int(ErrorCode.INTERNAL), "peer does not serve requests", False
-                )
-            )
-            return
-        deadline_ms = request.deadline_ms
-        cut_at = 0.0
-        if deadline_ms > 0:
-            # The caller's budget, enforced here because this connection
-            # owns the task: the sweep cancels it when the budget is spent.
-            cut_at = self._arm_timeout(
-                deadline_ms / 1000.0, -req_id, asyncio.current_task()
-            )
-        head = new_frame()
-        payload: bytes = b""
+        task = asyncio.current_task()
         try:
-            result = await self._handler(
-                request.component_id,
-                request.method_index,
-                request.args,
-                (request.trace_id, request.parent_span_id),
-                deadline_ms,
-            )
-            if self._stream_threshold and len(result) >= self._stream_threshold:
+            if type(request) is not msg.Request:
                 try:
-                    await self._streams.respond(req_id, result)
-                except (ConnectionError, OSError, TransportError):
-                    pass  # peer is gone; read loop will tear down
-                return
-            msg.encode_response_prefix(head, req_id)
-            payload = result
-        except (RPCError, asyncio.CancelledError) as exc:
-            if isinstance(exc, asyncio.CancelledError):
-                # Only the sweep's cancel becomes a reply; teardown's (or a
-                # stranger's, before the budget is spent) stays a cancellation.
-                if self._closed or not cut_at or self._loop.time() < cut_at:
-                    raise
-                exc = DeadlineExceeded(
-                    f"component {request.component_id} method {request.method_index} "
-                    f"exceeded its caller's {deadline_ms}ms budget"
+                    request = msg.decode(request)
+                except TransportError as exc:
+                    self._abort(exc)
+                    return
+            req_id = request.req_id
+            if self._handler is None:
+                self._post(
+                    msg.RpcError(
+                        req_id, int(ErrorCode.INTERNAL), "peer does not serve requests", False
+                    )
                 )
-            msg.encode_into(
-                head, msg.RpcError(req_id, int(exc.code), str(exc), exc.executed)
-            )
-        except Exception as exc:  # application exception: ship type + message
-            msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, str(exc)))
-        try:
-            if not self._try_send(head, payload, own_tasks=1):
-                await self._send(head, payload)
-        except (ConnectionError, OSError, TransportError):
-            pass  # peer is gone; read loop will tear down
-
-
-async def client_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    *,
-    codec: str,
-    version: str,
-) -> None:
-    """Send HELLO, await WELCOME, verify versions match."""
-    await write_frame(writer, msg.encode(msg.Hello(codec, version)))
-    reply = msg.decode(await read_frame(reader))
-    if not isinstance(reply, msg.Welcome):
-        raise TransportError(f"handshake failed: expected WELCOME, got {reply!r}")
-    if reply.version != version or reply.codec != codec:
-        raise VersionMismatch(
-            f"peer runs deployment version {reply.version} codec "
-            f"{reply.codec!r}, we run {version} codec {codec!r}; "
-            "cross-version communication is forbidden (atomic rollouts)"
-        )
-
-
-async def server_handshake(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    *,
-    codec: str,
-    version: str,
-) -> None:
-    """Await HELLO, verify codec+version, reply WELCOME (or close)."""
-    hello = msg.decode(await read_frame(reader))
-    if not isinstance(hello, msg.Hello):
-        raise TransportError(f"handshake failed: expected HELLO, got {hello!r}")
-    if hello.version != version or hello.codec != codec:
-        # Announce our version so the client can raise a precise error,
-        # then close: no application data crosses the version boundary.
-        await write_frame(writer, msg.encode(msg.Welcome(codec, version)))
-        writer.close()
-        raise VersionMismatch(
-            f"client at version {hello.version} codec {hello.codec!r}, "
-            f"we are {version} codec {codec!r}"
-        )
-    await write_frame(writer, msg.encode(msg.Welcome(codec, version)))
+                return
+            deadline_ms = request.deadline_ms
+            cut_at = 0.0
+            if deadline_ms > 0:
+                # The caller's budget, enforced here because this connection
+                # owns the task: the sweep cancels it when the budget is spent.
+                cut_at = self._arm_timeout(deadline_ms / 1000.0, -req_id, task)
+            head = new_frame()
+            payload: bytes = b""
+            try:
+                result = await self._handler(
+                    request.component_id,
+                    request.method_index,
+                    request.args,
+                    (request.trace_id, request.parent_span_id),
+                    deadline_ms,
+                )
+                if self._stream_threshold and len(result) >= self._stream_threshold:
+                    try:
+                        await self._streams.respond(req_id, result)
+                    except (ConnectionError, OSError, TransportError):
+                        pass  # peer is gone; connection_lost tears down
+                    return
+                msg.encode_response_prefix(head, req_id)
+                payload = result
+            except (RPCError, asyncio.CancelledError) as exc:
+                if isinstance(exc, asyncio.CancelledError):
+                    # Only the sweep's cancel becomes a reply; teardown's (or a
+                    # stranger's, before the budget is spent) stays a cancellation.
+                    if self._closed or not cut_at or self._loop.time() < cut_at:
+                        raise
+                    exc = DeadlineExceeded(
+                        f"component {request.component_id} method {request.method_index} "
+                        f"exceeded its caller's {deadline_ms}ms budget"
+                    )
+                msg.encode_into(
+                    head, msg.RpcError(req_id, int(exc.code), str(exc), exc.executed)
+                )
+            except Exception as exc:  # application exception: ship type + message
+                msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, str(exc)))
+            try:
+                if not self._try_send(head, payload, own_tasks=1):
+                    await self._send(head, payload)
+            except (ConnectionError, OSError, TransportError):
+                pass  # peer is gone; connection_lost tears down
+        finally:
+            self._server_tasks.discard(task)

@@ -16,25 +16,22 @@ negotiated.  Senders compress only when a frame exceeds
 A maximum frame size bounds memory per connection; a peer announcing a
 larger frame is cut off rather than allowed to balloon the process.
 
-Two write paths share the encoding logic:
-
-* :func:`write_frame` — write one frame and drain.  Used for handshakes
-  and other cold paths where per-frame latency does not matter.
-* :func:`new_frame` + :func:`frame_chunks` — the hot path.  A frame is
-  built directly in one ``bytearray`` whose first ``HEADER`` bytes are
-  reserved for the length word (patched in place by ``frame_chunks``), and
-  a large payload travels as a *separate* chunk so it is never copied into
-  the frame buffer.  :class:`repro.transport.connection.Connection` queues
-  the chunks and a single flusher task writes many frames with one
-  ``writelines`` + one ``drain`` (adaptive write coalescing).
+Writing is :func:`new_frame` + :func:`frame_chunks`: a frame is built
+directly in one ``bytearray`` whose first ``HEADER`` bytes are reserved for
+the length word (patched in place by ``frame_chunks``), and a large payload
+travels as a *separate* chunk so it is never copied into the frame buffer.
+:class:`repro.transport.connection.Connection` hands the chunks to its
+transport, many frames per ``writelines`` under load (adaptive write
+coalescing).  Reading is :class:`FrameParser`, fed whatever bytes the
+transport delivered; :func:`take_frame` reads the one handshake frame each
+way under a much smaller cap than ``MAX_FRAME``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import struct
 import zlib
-from typing import Union
+from typing import Optional, Union
 
 from repro.core.errors import TransportError
 
@@ -84,24 +81,12 @@ def frame_chunks(
     return (head, payload) if len(payload) else (head,)
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, payload: Buffer, *, compress: bool = False
-) -> None:
-    """Write one frame and drain the socket buffer (the unbatched path).
-
-    With ``compress=True`` the payload is zlib-compressed when it is large
-    enough to plausibly benefit and compression actually helps.
-    """
-    writer.writelines(frame_chunks(new_frame(), payload, compress=compress))
-    await writer.drain()
-
-
 class FrameParser:
     """Incremental frame parser for batched reads (read-side coalescing).
 
-    The hot read loop pulls large chunks off the socket (one ``read()``
-    await may carry dozens of frames a coalescing peer flushed together)
-    and feeds them here; :meth:`feed` hands back every complete payload.
+    The connection feeds it whatever one socket read delivered — under
+    load, dozens of frames a coalescing peer flushed together — and
+    :meth:`feed` hands back every complete payload.
     Each payload is materialized as owned ``bytes`` — the frame buffer is
     compacted between feeds, so borrowed views would not survive — and
     decompressed when the frame flags it.
@@ -149,28 +134,22 @@ class FrameParser:
         return frames
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes:
-    """Read one frame; raises TransportError on EOF or oversized frames."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise TransportError("connection closed") from exc
-        raise TransportError("connection closed mid-frame") from exc
-    (word,) = _LEN.unpack(header)
-    compressed = bool(word & _COMPRESSED_BIT)
-    length = word & ~_COMPRESSED_BIT
-    if length > MAX_FRAME:
-        raise TransportError(f"peer announced frame of {length} bytes (> MAX_FRAME)")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise TransportError("connection closed mid-frame") from exc
-    if compressed:
-        try:
-            payload = zlib.decompress(payload)
-        except zlib.error as exc:
-            raise TransportError(f"corrupt compressed frame: {exc}") from exc
-        if len(payload) > MAX_FRAME:
-            raise TransportError("decompressed frame exceeds MAX_FRAME")
+def take_frame(buf: bytearray, limit: int) -> Optional[bytes]:
+    """Remove one uncompressed frame of at most ``limit`` bytes from the
+    front of ``buf`` and return its payload; None if it is not all there.
+
+    For the handshake, which must not let an unauthenticated peer announce
+    ``MAX_FRAME`` bytes.  A set compressed bit reads as a length above any
+    ``limit``.
+    """
+    if len(buf) < HEADER:
+        return None
+    (length,) = _LEN.unpack_from(buf)
+    if length > limit:
+        raise TransportError(f"peer announced frame of {length} bytes (> {limit})")
+    end = HEADER + length
+    if len(buf) < end:
+        return None
+    payload = bytes(buf[HEADER:end])
+    del buf[:end]
     return payload

@@ -365,6 +365,7 @@ class RemoteInvoker:
         if address is None:
             address = await resolver.resolve(reg, method, args, opts.route_key)
         wall_start = time.time() if self._tracer is not None else 0.0
+        conn = None
         try:
             # Faults inject per *attempt*, modeling a replica failing
             # mid-call: retryable injections are absorbed by the retry loop
@@ -384,10 +385,13 @@ class RemoteInvoker:
             )
         except RPCError as exc:
             exc.address = address  # lets callers/tests see who failed
-            if exc.code is ErrorCode.UNAVAILABLE:
-                # Evict the broken connection at the failure site so it is
-                # never re-handed to a concurrent caller before the next
-                # dial would discover it.
+            if exc.code is ErrorCode.UNAVAILABLE and (conn is None or conn.closed):
+                # Evict a broken connection (or the dial lock of one that
+                # never came up) at the failure site.  An UNAVAILABLE
+                # *reply* — a draining door, a component hosted elsewhere,
+                # a wrong shard owner — arrived over a healthy connection
+                # that other calls are still using: closing it would fail
+                # them all.
                 self._pool.drop(address)
             # Every outcome feeds the resolver's breakers.
             resolver.report_outcome(

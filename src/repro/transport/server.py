@@ -2,8 +2,10 @@
 
 The runtime is control plane only; proclets communicate directly with one
 another (§4.3).  Each proclet therefore runs one :class:`RPCServer`, serving
-every component replica it hosts.  The server enforces the version handshake
-on every accepted connection before any request is dispatched.
+every component replica it hosts.  Each accepted socket gets a
+:class:`~repro.transport.connection.Connection` as its protocol, which
+enforces the version handshake before any request is dispatched; the server
+tracks a connection only once that handshake has succeeded.
 
 Addresses are strings: ``tcp://127.0.0.1:9000`` or ``unix:///tmp/p.sock``.
 ``tcp://127.0.0.1:0`` binds an ephemeral port; the bound address is
@@ -19,13 +21,8 @@ import logging
 import os
 from typing import Optional
 
-from repro.core.errors import (
-    ConfigError,
-    ResourceExhausted,
-    TransportError,
-    VersionMismatch,
-)
-from repro.transport.connection import Connection, Handler, server_handshake
+from repro.core.errors import ConfigError, ResourceExhausted
+from repro.transport.connection import Connection, Handler
 from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
 log = logging.getLogger("repro.transport")
@@ -161,48 +158,40 @@ class RPCServer:
 
     async def start(self) -> str:
         scheme, host, port = parse_address(self._requested)
+        loop = asyncio.get_running_loop()
         if scheme == "tcp":
-            self._server = await asyncio.start_server(self._accept, host, port)
+            self._server = await loop.create_server(self._accept, host, port)
             bound = self._server.sockets[0].getsockname()
             self.address = f"tcp://{bound[0]}:{bound[1]}"
         else:
             if os.path.exists(host):
                 os.unlink(host)
-            self._server = await asyncio.start_unix_server(self._accept, host)
+            self._server = await loop.create_unix_server(self._accept, host)
             self.address = f"unix://{host}"
         log.debug("rpc server listening on %s", self.address)
         return self.address
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Enforce the version handshake, then start a connection and
-        register it (forgetting the ones that have since died, so a
-        long-lived server does not remember every peer it ever had)."""
-        try:
-            await server_handshake(
-                reader, writer, codec=self._codec, version=self._version
-            )
-        except VersionMismatch as exc:
-            log.warning("rejected cross-version connection: %s", exc)
-            return
-        except (TransportError, ConnectionError, OSError) as exc:
-            log.debug("handshake failed: %s", exc)
-            writer.close()
-            return
-        conn = Connection(
-            reader,
-            writer,
+    def _accept(self) -> Connection:
+        """The protocol of one accepted socket: it enforces the version
+        handshake and only then registers itself."""
+        return Connection(
+            codec=self._codec,
+            version=self._version,
             handler=self._handler,
+            on_ready=self._register,
             name="server",
             compress=self._compress,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
         )
+
+    def _register(self, conn: Connection) -> None:
+        """Remember a handshaken connection, forgetting the ones that have
+        since died (a long-lived server must not remember every peer it
+        ever had)."""
         conns = self._connections
         conns.difference_update([c for c in conns if c.closed])
         conns.add(conn)
-        conn.start()
 
     async def drain(self) -> None:
         """Stop accepting new connections; existing ones stay open.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import asyncio
+import os
 import zlib
 
 import pytest
@@ -10,86 +10,44 @@ import pytest
 from repro.core.config import AppConfig
 from repro.core.errors import TransportError
 from repro.transport.client import ConnectionPool
-from repro.transport.framing import COMPRESS_THRESHOLD, read_frame, write_frame
+from repro.transport.framing import FrameParser
 from repro.transport.server import RPCServer
 
-from tests.transport.test_framing import loopback
-
-
-async def roundtrip(payload: bytes, compress: bool) -> tuple[bytes, int]:
-    """Send one frame; return (decoded payload, bytes on the wire)."""
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        await write_frame(cw, payload, compress=compress)
-        out = await read_frame(sr)
-        # Bytes actually on the wire: re-encode deterministically.
-        wire = len(zlib.compress(payload, level=1)) if compress and len(
-            payload
-        ) >= COMPRESS_THRESHOLD and len(zlib.compress(payload, level=1)) < len(
-            payload
-        ) else len(payload)
-        return out, wire + 4
-    finally:
-        cw.close()
-        sw.close()
-        server.close()
-        await server.wait_closed()
+from tests.transport.test_dataplane import encode_frame
 
 
 class TestFraming:
-    async def test_compressed_roundtrip(self):
+    def test_compressed_roundtrip(self):
         payload = b"the quick brown fox " * 200
-        out, _ = await roundtrip(payload, compress=True)
-        assert out == payload
+        wire = encode_frame(payload, compress=True)
+        assert len(wire) - 4 == len(zlib.compress(payload, level=1)) < len(payload)
+        assert FrameParser().feed(wire) == [payload]
 
-    async def test_small_frames_not_compressed(self):
+    def test_small_frames_not_compressed(self):
         # Below the threshold the flag bit stays clear: assert by reading
         # the raw frame word.
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            await write_frame(cw, b"tiny", compress=True)
-            raw = await sr.readexactly(8)
-            word = int.from_bytes(raw[:4], "big")
-            assert word & 0x8000_0000 == 0
-            assert raw[4:] == b"tiny"
-        finally:
-            cw.close(); sw.close(); server.close(); await server.wait_closed()
+        wire = encode_frame(b"tiny", compress=True)
+        assert int.from_bytes(wire[:4], "big") & 0x8000_0000 == 0
+        assert wire[4:] == b"tiny"
 
-    async def test_incompressible_payload_sent_raw(self):
-        import os
-
+    def test_incompressible_payload_sent_raw(self):
         payload = os.urandom(4096)  # random bytes: zlib cannot shrink
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            await write_frame(cw, payload, compress=True)
-            raw_word = int.from_bytes(await sr.readexactly(4), "big")
-            assert raw_word & 0x8000_0000 == 0  # fell back to raw
-            assert await sr.readexactly(len(payload)) == payload
-        finally:
-            cw.close(); sw.close(); server.close(); await server.wait_closed()
+        wire = encode_frame(payload, compress=True)
+        assert int.from_bytes(wire[:4], "big") & 0x8000_0000 == 0  # fell back to raw
+        assert wire[4:] == payload
 
-    async def test_mixed_compressed_and_raw_frames(self):
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            big = b"z" * 10_000
-            await write_frame(cw, big, compress=True)
-            await write_frame(cw, b"small", compress=True)
-            await write_frame(cw, big, compress=False)
-            assert await read_frame(sr) == big
-            assert await read_frame(sr) == b"small"
-            assert await read_frame(sr) == big
-        finally:
-            cw.close(); sw.close(); server.close(); await server.wait_closed()
+    def test_mixed_compressed_and_raw_frames(self):
+        big = b"z" * 10_000
+        wire = (
+            encode_frame(big, compress=True)
+            + encode_frame(b"small", compress=True)
+            + encode_frame(big, compress=False)
+        )
+        assert FrameParser().feed(wire) == [big, b"small", big]
 
-    async def test_corrupt_compressed_frame_rejected(self):
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            cw.write((0x8000_0000 | 5).to_bytes(4, "big") + b"junk!")
-            await cw.drain()
-            with pytest.raises(TransportError, match="corrupt"):
-                await read_frame(sr)
-        finally:
-            cw.close(); sw.close(); server.close(); await server.wait_closed()
+    def test_corrupt_compressed_frame_rejected(self):
+        with pytest.raises(TransportError, match="corrupt"):
+            FrameParser().feed((0x8000_0000 | 5).to_bytes(4, "big") + b"junk!")
 
 
 class TestEndToEnd:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import collections
+import struct
 
 import pytest
 
@@ -14,8 +16,10 @@ from repro.core.errors import (
     Unavailable,
     VersionMismatch,
 )
+from repro.transport import message as msg
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import SEND_HIGH_WATER
+from repro.transport.connection import MAX_HANDSHAKE, SEND_HIGH_WATER
+from repro.transport.framing import MAX_FRAME, frame_chunks, new_frame
 from repro.transport.server import RPCServer
 
 
@@ -198,12 +202,13 @@ async def test_connection_count_tracked():
         assert h.server.connection_count == 1
 
 
-def pending_flushers() -> list[asyncio.Task]:
+def connection_tasks() -> list[asyncio.Task]:
+    """Unfinished tasks running a ``Connection`` method (server tasks)."""
     return [
         task
         for task in asyncio.all_tasks()
         if not task.done()
-        and getattr(task.get_coro(), "__qualname__", "") == "Connection._flush_loop"
+        and getattr(task.get_coro(), "__qualname__", "").startswith("Connection.")
     ]
 
 
@@ -211,11 +216,14 @@ async def assert_fully_torn_down(conn) -> None:
     for _ in range(5):  # cancellations land within a few loop turns
         await asyncio.sleep(0)
     assert conn.closed
-    assert pending_flushers() == []
-    assert conn._loop_task.done()
+    assert conn._lost.done()  # connection_lost ran
+    assert conn._transport.is_closing()
+    assert connection_tasks() == []
     assert conn._server_tasks == set()
+    assert conn._flush_handle is None
     assert conn._timeout_timer is None
     assert conn._timeouts == []
+    assert conn._pending == {}
 
 
 def serving_a_budgeted_request(server_conn) -> int:
@@ -250,7 +258,9 @@ async def test_peer_hangup_leaves_no_task_or_timer():
         await assert_fully_torn_down(conn)
 
 
-async def test_flusher_io_error_leaves_no_task_or_timer():
+async def test_write_side_failure_leaves_no_task_or_timer():
+    """A failed socket write makes the transport force-close itself and
+    report ``connection_lost``; ``abort()`` is that same path."""
     started = []
 
     async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
@@ -260,21 +270,26 @@ async def test_flusher_io_error_leaves_no_task_or_timer():
 
     async with Harness(handler=handler) as h:
         conn = await h.pool.get(h.address)
-
-        async def broken_drain():
-            raise ConnectionResetError("boom")
-
-        conn._writer.drain = broken_drain
-        conn._direct = False  # send through the flusher, not write-through
-        with pytest.raises(Unavailable):
-            await conn.call(0, 97, b"", timeout=30, deadline_ms=30_000)
-        await assert_fully_torn_down(conn)
-        # The frame was written before the drain that failed: the server
-        # end was serving it, under its budget, when the hang-up arrived.
+        teardowns = []
+        teardown = conn._teardown
+        conn._teardown = lambda exc: (teardowns.append(exc), teardown(exc))
+        call = asyncio.ensure_future(
+            conn.call(0, 97, b"", timeout=30, deadline_ms=30_000)
+        )
         await asyncio.sleep(0.05)
         assert started == [30_000]
+        sent = serving_a_budgeted_request(h.server_conn)
+        conn._transport.abort()
+        with pytest.raises(Unavailable):
+            await call
+        await assert_fully_torn_down(conn)
+        await conn.close()
+        assert len(teardowns) == 1
+        # The server end was serving the request, under its budget, when
+        # the hang-up arrived: the handler is cancelled and nothing replies.
+        await asyncio.sleep(0.05)
         await assert_fully_torn_down(h.server_conn)
-        assert h.server_conn.frames_sent == 0  # no reply to a teardown cancel
+        assert h.server_conn.frames_sent == sent
 
 
 async def test_server_forgets_dead_connections():
@@ -294,9 +309,9 @@ async def test_server_forgets_dead_connections():
 # --------------------------------------------------------------------------
 
 
-async def test_handler_timeout_does_not_capture_read_loop():
-    """A handler's first synchronous segment runs in the request's own task:
-    ``asyncio.timeout()`` there must cancel the handler, not the read loop."""
+async def test_handler_timeout_stays_in_its_own_task():
+    """A handler runs in its request's own task from its first line:
+    ``asyncio.timeout()`` there cancels the handler and nothing else."""
     seen = []
 
     async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
@@ -313,9 +328,9 @@ async def test_handler_timeout_does_not_capture_read_loop():
         conn = await h.pool.get(h.address)
         assert await conn.call(0, 1, b"", timeout=2) == b"done"
         assert await conn.call(0, 1, b"", timeout=2) == b"done"
-        read_loop = h.server_conn._loop_task
-        assert not read_loop.done()
-        assert len(seen) == 2 and read_loop not in seen and seen[0] is not seen[1]
+        assert len(seen) == 2 and seen[0] is not seen[1]
+        assert all(t.get_coro().__qualname__ == "Connection._serve_one" for t in seen)
+        assert not conn.closed and not h.server_conn.closed
 
 
 async def test_suspended_handler_is_cut_at_its_wire_budget():
@@ -359,3 +374,137 @@ async def test_budget_heap_stays_bounded():
         await asyncio.gather(*[caller() for _ in range(callers)])
         assert len(h.server_conn._timeouts) <= 8 * callers
         assert len(conn._timeouts) <= 8 * callers
+
+
+# --------------------------------------------------------------------------
+# The event loop's bill for one round trip, and what an idle connection owns.
+# --------------------------------------------------------------------------
+
+
+async def test_round_trip_event_loop_budget():
+    """A lone call costs one future (the reply's), one task (the served
+    request), no timer, at most two ``call_soon`` callbacks and at most four
+    loop iterations; a dialed, idle connection owns no task on either end."""
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+        for _ in range(10):  # warm: budgets' timers armed, writes direct
+            await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+        await asyncio.sleep(0.01)
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+
+        loop = asyncio.get_running_loop()
+        counts: collections.Counter = collections.Counter()
+        names = ("create_future", "create_task", "call_soon", "call_at", "_run_once")
+
+        def counting(name):
+            original = getattr(loop, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        n = 1000
+        for name in names:
+            setattr(loop, name, counting(name))
+        try:
+            for _ in range(n):
+                await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+        finally:
+            for name in names:
+                delattr(loop, name)
+        assert counts["create_future"] == n
+        assert counts["create_task"] == n
+        assert counts["call_at"] == 0
+        assert counts["call_soon"] <= 2 * n
+        assert counts["_run_once"] <= 4 * n
+
+
+# --------------------------------------------------------------------------
+# Malformed peers: a broken stream tears the connection down and fails
+# what waits on it; a broken handshake is dropped before it is registered.
+# --------------------------------------------------------------------------
+
+
+def frame_bytes(m) -> bytes:
+    head = new_frame()
+    msg.encode_into(head, m)
+    return b"".join(bytes(c) for c in frame_chunks(head))
+
+
+async def raw_peer(after_request: bytes):
+    """A hand-written server: answers HELLO with WELCOME, waits for the
+    first request, then sends ``after_request`` and hangs up."""
+
+    async def on_connect(reader, writer):
+        (length,) = struct.unpack(">I", await reader.readexactly(4))
+        await reader.readexactly(length)  # HELLO
+        writer.write(frame_bytes(msg.Welcome("compact", "v1")))
+        await reader.read(1)  # the request has started to arrive
+        writer.write(after_request)
+        await writer.drain()
+        writer.close()
+
+    server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    return server, f"tcp://{host}:{port}"
+
+
+@pytest.mark.parametrize(
+    "after_request",
+    [
+        pytest.param((64).to_bytes(4, "big") + b"short", id="eof-mid-frame"),
+        pytest.param((MAX_FRAME + 1).to_bytes(4, "big"), id="oversize-announcement"),
+    ],
+)
+async def test_broken_stream_fails_pending_calls(after_request):
+    server, address = await raw_peer(after_request)
+    pool = ConnectionPool(codec="compact", version="v1")
+    try:
+        conn = await pool.get(address)
+        with pytest.raises(Unavailable, match="connection lost"):
+            await conn.call(1, 1, b"x", timeout=5)
+        await assert_fully_torn_down(conn)
+    finally:
+        await pool.close()
+        server.close()
+        await server.wait_closed()
+
+
+async def handshake_reply(address: str, first: bytes) -> bytes:
+    """Everything a server sends back to a raw client whose first bytes are
+    ``first``, up to the server's hang-up."""
+    host, port = address[len("tcp://"):].rsplit(":", 1)
+    reader, writer = await asyncio.open_connection(host, int(port))
+    try:
+        writer.write(first)
+        return await asyncio.wait_for(reader.read(), 5)
+    finally:
+        writer.close()
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        pytest.param(frame_bytes(msg.Ping(1)), id="not-hello"),
+        pytest.param((MAX_HANDSHAKE + 1).to_bytes(4, "big"), id="handshake-over-cap"),
+    ],
+)
+async def test_broken_handshake_is_dropped_unregistered(first):
+    async with Harness() as h:
+        assert await handshake_reply(h.address, first) == b""
+        await asyncio.sleep(0.01)
+        assert h.server._connections == set()
+
+
+async def test_largest_hello_is_within_the_handshake_cap():
+    """A HELLO with 255-byte codec and version names is exactly
+    ``MAX_HANDSHAKE`` bytes: it is read (and refused with WELCOME, since
+    those are not our names), not cut off."""
+    hello = frame_bytes(msg.Hello("c" * 255, "v" * 255))
+    assert len(hello) == 4 + MAX_HANDSHAKE
+    async with Harness() as h:
+        reply = await handshake_reply(h.address, hello)
+        assert reply == frame_bytes(msg.Welcome("compact", "v1"))
+        assert h.server._connections == set()

@@ -11,7 +11,7 @@ import pytest
 from repro.core.errors import TransportError, Unavailable
 from repro.transport import framing
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import SEND_HIGH_WATER, Connection
+from repro.transport.connection import SEND_HIGH_WATER
 from repro.transport.framing import (
     _COMPRESSED_BIT,
     HEADER,
@@ -19,11 +19,8 @@ from repro.transport.framing import (
     FrameParser,
     frame_chunks,
     new_frame,
-    read_frame,
 )
 from repro.transport.server import RPCServer
-
-from tests.transport.test_framing import loopback
 
 
 def encode_frame(payload: bytes, *, compress: bool = False) -> bytes:
@@ -71,31 +68,15 @@ class TestFramingLimits:
         assert zlib.decompress(wire[HEADER:]) == payload
         assert FrameParser().feed(wire) == [payload]
 
-    async def test_truncated_mid_length_word(self):
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            cw.write(b"\x00\x00")  # half a length word, then EOF
-            await cw.drain()
-            cw.close()
-            with pytest.raises(TransportError, match="mid-frame"):
-                await read_frame(sr)
-        finally:
-            sw.close()
-            server.close()
-            await server.wait_closed()
+    def test_truncated_mid_length_word(self):
+        parser = FrameParser()
+        assert parser.feed(b"\x00\x00") == []  # half a length word
+        assert parser.mid_frame  # EOF now would cut a frame short
 
-    async def test_truncated_mid_payload(self):
-        server, (cr, cw), (sr, sw) = await loopback()
-        try:
-            cw.write((64).to_bytes(4, "big") + b"short")
-            await cw.drain()
-            cw.close()
-            with pytest.raises(TransportError, match="mid-frame"):
-                await read_frame(sr)
-        finally:
-            sw.close()
-            server.close()
-            await server.wait_closed()
+    def test_truncated_mid_payload(self):
+        parser = FrameParser()
+        assert parser.feed((64).to_bytes(4, "big") + b"short") == []
+        assert parser.mid_frame
 
 
 class TestFrameParser:
@@ -187,10 +168,8 @@ class TestCoalescing:
             assert conn._outbox_bytes <= SEND_HIGH_WATER + len(big) + HEADER + 16
 
     async def test_close_wakes_backpressured_sender(self):
-        server, (cr, cw), (sr, sw) = await loopback()
-        conn = Connection(cr, cw, name="t")
-        conn.start()
-        try:
+        async with Rig() as rig:
+            conn = await rig.pool.get(rig.address)
             conn._outbox_bytes = SEND_HIGH_WATER  # simulate a full outbox
             send = asyncio.ensure_future(conn._send(new_frame(), b"x"))
             await asyncio.sleep(0.01)
@@ -198,11 +177,53 @@ class TestCoalescing:
             await conn.close()
             with pytest.raises(TransportError, match="closed"):
                 await send
-        finally:
+
+    async def test_flush_waits_while_the_transport_is_paused(self):
+        async with Rig() as rig:
+            conn = await rig.pool.get(rig.address)
+            assert await conn.call(1, 1, b"warm", timeout=5) == b"warm"
+            (server_conn,) = rig.server._connections
+            server_conn._transport.pause_reading()  # the peer stops reading
+            big = b"B" * (256 * 1024)
+            calls = [
+                asyncio.ensure_future(conn.call(1, 1, big, timeout=30))
+                for _ in range(32)
+            ]
+            for _ in range(200):  # until the kernel's and the transport's buffers fill
+                if conn._paused:
+                    break
+                await asyncio.sleep(0.01)
+            assert conn._paused and conn._outbox  # frames held back, not written
+            server_conn._transport.resume_reading()
+            assert await asyncio.gather(*calls) == [big] * 32
+            assert not conn._paused and not conn._outbox
+
+    async def test_close_sends_what_is_queued(self):
+        served = []
+
+        async def record(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+            served.append(bytes(args))
+            return b""
+
+        server = RPCServer(record, codec="compact", version="v1")
+        pool = ConnectionPool(codec="compact", version="v1")
+        try:
+            conn = await pool.get(await server.start())
+            conn._direct = False  # queue for the flush instead of writing through
+            call = asyncio.ensure_future(conn.call(1, 1, b"last words", timeout=5))
+            await asyncio.sleep(0)
+            assert conn._outbox  # enqueued; the flush callback has not run yet
             await conn.close()
-            sw.close()
-            server.close()
-            await server.wait_closed()
+            with pytest.raises(Unavailable):
+                await call
+            for _ in range(100):
+                if served:
+                    break
+                await asyncio.sleep(0.01)
+            assert served == [b"last words"]
+        finally:
+            await pool.close()
+            await server.stop()
 
     async def test_single_frame_flushes_immediately(self):
         async with Rig() as rig:

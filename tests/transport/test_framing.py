@@ -1,102 +1,61 @@
-"""Frame encoding over asyncio streams."""
+"""Frame encoding: ``frame_chunks`` on the way out, ``FrameParser`` (and
+``take_frame`` for the handshake) on the way in."""
 
 from __future__ import annotations
-
-import asyncio
 
 import pytest
 
 from repro.core.errors import TransportError
-from repro.transport.framing import MAX_FRAME, read_frame, write_frame
+from repro.transport.framing import MAX_FRAME, FrameParser, frame_chunks, new_frame, take_frame
 
 
-async def loopback():
-    server_streams = asyncio.Queue()
-
-    async def on_connect(reader, writer):
-        await server_streams.put((reader, writer))
-
-    server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
-    host, port = server.sockets[0].getsockname()
-    creader, cwriter = await asyncio.open_connection(host, port)
-    sreader, swriter = await server_streams.get()
-    return server, (creader, cwriter), (sreader, swriter)
+def encode(payload: bytes) -> bytes:
+    return b"".join(bytes(c) for c in frame_chunks(new_frame(), payload))
 
 
-async def test_roundtrip_frames():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        for payload in (b"", b"x", b"hello" * 1000, bytes(range(256))):
-            await write_frame(cw, payload)
-            assert await read_frame(sr) == payload
-    finally:
-        cw.close()
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_roundtrip_frames():
+    for payload in (b"", b"x", b"hello" * 1000, bytes(range(256))):
+        assert FrameParser().feed(encode(payload)) == [payload]
 
 
-async def test_many_frames_preserve_order():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        for i in range(100):
-            await write_frame(cw, str(i).encode())
-        for i in range(100):
-            assert await read_frame(sr) == str(i).encode()
-    finally:
-        cw.close()
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_many_frames_preserve_order():
+    wire = b"".join(encode(str(i).encode()) for i in range(100))
+    parser = FrameParser()
+    frames = []
+    for start in range(0, len(wire), 7):  # reads that split frames anywhere
+        frames += parser.feed(wire[start : start + 7])
+    assert frames == [str(i).encode() for i in range(100)]
 
 
-async def test_eof_raises_transport_error():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        cw.close()
-        with pytest.raises(TransportError, match="closed"):
-            await read_frame(sr)
-    finally:
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_clean_boundary_is_not_mid_frame():
+    parser = FrameParser()
+    assert parser.feed(encode(b"whole")) == [b"whole"]
+    assert not parser.mid_frame  # EOF here is a clean hang-up
 
 
-async def test_partial_frame_raises():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        cw.write((100).to_bytes(4, "big") + b"only-some")
-        await cw.drain()
-        cw.close()
-        with pytest.raises(TransportError, match="mid-frame"):
-            await read_frame(sr)
-    finally:
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_partial_frame_is_mid_frame():
+    parser = FrameParser()
+    assert parser.feed((100).to_bytes(4, "big") + b"only-some") == []
+    assert parser.mid_frame
 
 
-async def test_oversized_frame_announcement_rejected():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        cw.write((MAX_FRAME + 1).to_bytes(4, "big"))
-        await cw.drain()
-        with pytest.raises(TransportError, match="MAX_FRAME"):
-            await read_frame(sr)
-    finally:
-        cw.close()
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_oversized_frame_announcement_rejected():
+    with pytest.raises(TransportError, match="MAX_FRAME"):
+        FrameParser().feed((MAX_FRAME + 1).to_bytes(4, "big"))
 
 
-async def test_oversized_write_rejected_locally():
-    server, (cr, cw), (sr, sw) = await loopback()
-    try:
-        with pytest.raises(TransportError):
-            await write_frame(cw, b"\0" * (MAX_FRAME + 1))
-    finally:
-        cw.close()
-        sw.close()
-        server.close()
-        await server.wait_closed()
+def test_oversized_write_rejected_locally():
+    with pytest.raises(TransportError):
+        frame_chunks(new_frame(), b"\0" * (MAX_FRAME + 1))
+
+
+def test_take_frame_reads_one_frame_under_its_cap():
+    buf = bytearray(encode(b"x" * 10) + b"rest")
+    assert take_frame(bytearray(buf[:9]), 10) is None  # not all there yet
+    assert take_frame(buf, 10) == b"x" * 10
+    assert buf == b"rest"
+    with pytest.raises(TransportError, match="11 bytes"):
+        take_frame(bytearray(encode(b"x" * 11)), 10)
+    compressed = (0x8000_0000 | 5).to_bytes(4, "big") + b"12345"
+    with pytest.raises(TransportError):
+        take_frame(bytearray(compressed), 10)

@@ -7,7 +7,9 @@ import asyncio
 import pytest
 
 from repro.core.call_graph import CallGraph, ROOT
+from repro.core.component import Component
 from repro.core.errors import DeadlineExceeded, RPCError, Unavailable
+from repro.core.registry import Registry
 from repro.core.stub import LocalInvoker, make_stub
 from repro.serde import COMPACT
 from repro.transport.client import ConnectionPool
@@ -38,14 +40,14 @@ class ServedApp:
 
     def __init__(self, build):
         self.build = build
+        #: Reject new requests at the door the way a draining proclet does.
+        self.draining = False
 
     async def __aenter__(self):
         local = LocalInvoker(version=self.build.version, resolver=self)
         self._local = local
         self.dispatcher = Dispatcher(self.build, COMPACT, local, hosted=None)
-        self.server = RPCServer(
-            self.dispatcher.handle, codec="compact", version=self.build.version
-        )
+        self.server = RPCServer(self._serve, codec="compact", version=self.build.version)
         address = await self.server.start()
         self.pool = ConnectionPool(codec="compact", version=self.build.version)
         self.resolver = StaticResolver(address)
@@ -58,6 +60,11 @@ class ServedApp:
             timeout_s=5.0,
         )
         return self
+
+    async def _serve(self, *request):
+        if self.draining:
+            raise Unavailable("served-app is draining", executed=False, draining=True)
+        return await self.dispatcher.handle(*request)
 
     def get_for(self, iface, caller):
         # Server-side nested calls stay local.
@@ -188,3 +195,46 @@ async def test_deadline_across_retries(demo_build):
         with pytest.raises((DeadlineExceeded, Unavailable)):
             await stub.add(1, 1)
 
+
+
+class Napper(Component):
+    async def nap(self, seconds: float) -> str: ...  # not idempotent
+
+
+#: Naps whose handler was cancelled (a hang-up cancels in-flight handlers).
+cancelled_naps: list[float] = []
+
+
+class NapperImpl:
+    async def nap(self, seconds: float) -> str:
+        try:
+            await asyncio.sleep(seconds)
+        except asyncio.CancelledError:
+            cancelled_naps.append(seconds)
+            raise
+        return "rested"
+
+
+@pytest.mark.parametrize("rejection", ["draining", "unhosted"])
+async def test_unavailable_reply_keeps_the_shared_connection(rejection):
+    """A healthy peer's UNAVAILABLE reply must not close the connection a
+    slow non-idempotent call is still waiting on."""
+    registry = Registry()
+    registry.register(Napper, NapperImpl)
+    build = registry.freeze()
+    cancelled_naps.clear()
+    async with ServedApp(build) as served:
+        napper = make_stub(build.by_iface(Napper), served.remote, ROOT)
+        slow = asyncio.ensure_future(napper.nap(0.3))
+        await asyncio.sleep(0.05)
+        conn = served.pool.live(served.resolver.address)
+        assert conn is not None
+        if rejection == "draining":
+            served.draining = True
+        else:
+            served.dispatcher.set_hosted(set())
+        with pytest.raises(Unavailable, match="draining|not hosted"):
+            await napper.nap(0.0)
+        assert await slow == "rested"
+        assert served.pool.live(served.resolver.address) is conn
+        assert cancelled_naps == []

@@ -12,11 +12,8 @@ from repro.core.errors import DeadlineExceeded
 from repro.transport import framing
 from repro.transport import message as msg
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import Connection, client_handshake
-from repro.transport.framing import HEADER
+from repro.transport.connection import Connection
 from repro.transport.server import RPCServer
-
-from tests.transport.test_framing import loopback
 
 # Small knobs so the tests exercise many chunks without megabyte payloads.
 THRESHOLD = 16 * 1024
@@ -151,33 +148,24 @@ class TestInterleaving:
 async def raw_pair(handler=None):
     """A hand-built client/server Connection pair over a loopback socket,
     with tiny stream knobs — for tests that drive the protocol directly."""
-    server_holder = {}
-
-    async def on_accept(reader, writer):
-        from repro.transport.connection import server_handshake
-
-        await server_handshake(reader, writer, codec="compact", version="v1")
-        conn = Connection(
-            reader, writer, handler=handler, name="server",
-            stream_threshold=THRESHOLD, stream_chunk=CHUNK, stream_window=WINDOW,
-        )
-        conn.start()
-        server_holder["conn"] = conn
-
-    server = await asyncio.start_server(on_accept, "127.0.0.1", 0)
-    host, port = server.sockets[0].getsockname()[:2]
-    reader, writer = await asyncio.open_connection(host, port)
-    await client_handshake(reader, writer, codec="compact", version="v1")
-    client = Connection(
-        reader, writer, name="client",
+    loop = asyncio.get_running_loop()
+    knobs = dict(
+        codec="compact", version="v1",
         stream_threshold=THRESHOLD, stream_chunk=CHUNK, stream_window=WINDOW,
     )
-    client.start()
-    for _ in range(100):
-        if "conn" in server_holder:
-            break
-        await asyncio.sleep(0.01)
-    return server, client, server_holder["conn"]
+    accepted = loop.create_future()
+    server = await loop.create_server(
+        lambda: Connection(
+            handler=handler, on_ready=accepted.set_result, name="server", **knobs
+        ),
+        "127.0.0.1",
+        0,
+    )
+    host, port = server.sockets[0].getsockname()[:2]
+    client = Connection(name="client", **knobs)
+    await loop.create_connection(lambda: client, host, port)
+    await asyncio.wait_for(client.ready, 5)
+    return server, client, await asyncio.wait_for(accepted, 5)
 
 
 class TestCancellation:
