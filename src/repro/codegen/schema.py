@@ -60,10 +60,15 @@ class Kind(enum.Enum):
 
 @dataclass(frozen=True)
 class Field:
-    """A named field of a struct schema."""
+    """A named field of a struct schema.
+
+    ``kw_only`` fields (``kw_only=True``, after ``KW_ONLY``) are passed to
+    the constructor by keyword; the wire does not know the difference.
+    """
 
     name: str
     schema: "Schema"
+    kw_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,7 @@ def _struct_schema(cls: type, seen: set) -> Schema:
             continue
         if f.name not in hints:
             raise SchemaError(f"field {cls.__name__}.{f.name} has no type annotation")
-        fields.append(Field(f.name, _derive(hints[f.name], seen)))
+        fields.append(Field(f.name, _derive(hints[f.name], seen), f.kw_only))
     return Schema(Kind.STRUCT, fields=tuple(fields), cls=cls)
 
 

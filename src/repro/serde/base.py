@@ -137,6 +137,21 @@ def read_float(r: Reader) -> float:
     return _FLOAT.unpack(r.take(8))[0]
 
 
+def build_struct(schema: Schema, values: list) -> Any:
+    """An instance of ``schema.cls`` from its field values in schema order:
+    ``kw_only`` fields go by keyword, the others positionally."""
+    fields = schema.fields
+    for f in fields:
+        if f.kw_only:
+            break
+    else:  # none: the common case costs one scan, not a split
+        return schema.cls(*values)
+    return schema.cls(
+        *[v for f, v in zip(fields, values) if not f.kw_only],
+        **{f.name: v for f, v in zip(fields, values) if f.kw_only},
+    )
+
+
 class Codec(Protocol):
     """The interface all three wire formats implement."""
 

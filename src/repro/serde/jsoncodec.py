@@ -17,6 +17,7 @@ from typing import Any
 
 from repro.codegen.schema import Kind, Schema
 from repro.core.errors import DecodeError, EncodeError
+from repro.serde.base import build_struct
 
 
 class JSONCodec:
@@ -168,7 +169,7 @@ def _from_jsonable(schema: Schema, value: Any) -> Any:
                     f"missing field {f.name!r} for {schema.cls.__name__}"
                 )
             args.append(_from_jsonable(f.schema, value[f.name]))
-        return schema.cls(*args)
+        return build_struct(schema, args)
     if kind is Kind.ENUM:
         _expect_type(value, str, schema)
         try:

@@ -29,6 +29,7 @@ from repro.codegen.schema import Kind, Schema
 from repro.core.errors import DecodeError, EncodeError
 from repro.serde.base import (
     Reader,
+    build_struct,
     read_float,
     read_uvarint,
     unzigzag,
@@ -198,7 +199,6 @@ class TaggedCodec:
             pass
         field_schemas = {i + 1: f.schema for i, f in enumerate(schema.fields)}
         names = [f.name for f in schema.fields]
-        cls = schema.cls
 
         def dec(r: Reader) -> Any:
             values = self._decode_message(r, field_schemas)
@@ -209,7 +209,7 @@ class TaggedCodec:
                     args.append(values[number])
                 else:
                     args.append(_zero_value(f.schema))
-            return cls(*args)
+            return build_struct(schema, args)
 
         self._struct_decoders[schema] = dec
         return dec
@@ -396,7 +396,7 @@ def _zero_value(schema: Schema) -> Any:
     if kind is Kind.ENUM:
         return next(iter(schema.cls))
     if kind is Kind.STRUCT:
-        return schema.cls(*[_zero_value(f.schema) for f in schema.fields])
+        return build_struct(schema, [_zero_value(f.schema) for f in schema.fields])
     raise DecodeError(f"no zero value for schema kind {kind}")
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import enum
 import hashlib
+import pickle
 import random
+import sys
 import traceback
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass, field, make_dataclass
 from typing import Optional
 
 import pytest
@@ -568,6 +571,104 @@ def _arg_schema(*types) -> Schema:
     return Schema(Kind.TUPLE, args=tuple(schema_of(t) for t in types))
 
 
+def _init_frames(fn) -> int:
+    """How many ``__init__`` frames running ``fn()`` enters."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_name == "__init__":
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError:  # a frozen dataclass holding a list
+        return "unhashable"
+
+
+# Dataclasses whose constructor a decoder must run (each adds to what the
+# generated ``__init__`` does, or replaces it).
+
+
+@dataclass
+class Handmade:
+    n: int
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+
+@dataclass(frozen=True, slots=True)
+class Slotted:
+    n: int
+
+
+@dataclass(slots=True)
+class EmptySlotted:  # no field is a slot descriptor; there is still no __dict__
+    pass
+
+
+@dataclass(frozen=True)
+class CustomNew:
+    n: int
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls)
+
+
+@dataclass
+class CustomSetattr:
+    n: int
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+
+
+@dataclass
+class InitFalse:
+    n: int
+    seen: int = field(default=0, init=False)
+
+
+@dataclass
+class Shadowed:
+    n: int
+
+
+Shadowed.n = property(lambda self: self._n, lambda self, value: setattr(self, "_n", value))
+
+
+@dataclass(frozen=True)
+class _Base:
+    n: int
+
+
+class NoInitOfItsOwn(_Base):
+    pass
+
+
+CONSTRUCTED = [
+    Handmade(5),
+    Slotted(5),
+    EmptySlotted(),
+    CustomNew(5),
+    CustomSetattr(5),
+    InitFalse(5),
+    Shadowed(5),
+    NoInitOfItsOwn(5),
+]
+
+
 class TestGeneratedCode:
     def test_equal_schemas_share_one_compiled_codec(self):
         codec = CompactCodec()
@@ -649,3 +750,49 @@ class TestGeneratedCode:
         with pytest.raises(EncodeError) as info:
             codec.encode(schema, (one(5), other(5)))
         assert "n.encode()" in traceback.extract_tb(info.value.__cause__.__traceback__)[-1].line
+
+    def test_decoding_a_page_runs_no_constructor(self):
+        schema = schema_of(HomePage)
+        data = CODEC.encode(schema, _seeded_page(64))
+        CODEC.decode(schema, data)  # compile first
+        assert _init_frames(lambda: HomePage([], 0, Ad("", ""), [])) == 2  # the counter counts
+        assert _init_frames(lambda: CODEC.decode(schema, data)) == 0
+
+    def test_decoded_instances_are_indistinguishable_from_constructed_ones(self):
+        page = _seeded_page(3)
+        got = CODEC.decode(schema_of(HomePage), CODEC.encode(schema_of(HomePage), page))
+        hand = Hand("alice", [Card(Suit.HEARTS, 1)], 5.5, None)  # not frozen
+        got_hand = CODEC.decode(schema_of(Hand), CODEC.encode(schema_of(Hand), hand))
+        pairs = [
+            (got, page),
+            (got.ad, page.ad),
+            (got.products[2], page.products[2]),
+            (got.products[2].price, page.products[2].price),
+            (got_hand, hand),
+            (got_hand.cards[0], hand.cards[0]),
+        ]
+        for decoded, built in pairs:
+            assert type(decoded) is type(built) and decoded == built
+            assert repr(decoded) == repr(built)
+            assert _hash(decoded) == _hash(built)
+            assert list(vars(decoded).items()) == list(vars(built).items())
+            assert dataclasses.asdict(decoded) == dataclasses.asdict(built)
+            assert dataclasses.replace(decoded) == built
+            assert pickle.loads(pickle.dumps(decoded)) == built
+            first = dataclasses.fields(built)[0].name
+            if type(built).__dataclass_params__.frozen:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(decoded, first, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(decoded, first)
+            else:
+                setattr(decoded, first, None)
+                assert getattr(decoded, first) is None
+
+    @pytest.mark.parametrize("value", CONSTRUCTED, ids=lambda value: type(value).__name__)
+    def test_classes_the_rule_leaves_out_are_constructed(self, value):
+        schema = _arg_schema(type(value), int)
+        data = CODEC.encode(schema, (value, 7))
+        decoded = CODEC.decode(schema, data)
+        assert decoded == (value, 7) and type(decoded[0]) is type(value)
+        assert _init_frames(lambda: CODEC.decode(schema, data)) == 1

@@ -2,7 +2,8 @@
 
 Invariants (DESIGN.md):
 
-* decode(encode(x)) == x for every schema-typed value, all three codecs;
+* decode(encode(x)) == x for every schema-typed value, all three codecs,
+  and is built like x: the same class and instance dict at every level;
 * the compact encoding is never larger than the tagged encoding of the
   same value (it strictly drops information: tags and type info);
 * varint/zigzag primitives are total and inverse on arbitrary ints.
@@ -15,11 +16,13 @@ that corner; ``test_tagged_optional_container_caveat`` pins the behaviour.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen.schema import schema_of
@@ -41,10 +44,17 @@ class Leaf:
     blob: bytes
 
 
+@dataclass
+class Note:
+    text: str
+    pinned: bool
+
+
 @dataclass(frozen=True)
 class Tree:
     flag: Flag
     leaves: list[Leaf]
+    notes: list[Note]
     index: dict[str, int]
     maybe: Optional[str]
     pair: tuple[int, str]
@@ -61,6 +71,7 @@ tree_strategy = st.builds(
     Tree,
     flag=st.sampled_from(Flag),
     leaves=st.lists(leaf_strategy, max_size=5),
+    notes=st.lists(st.builds(Note, text=texts, pinned=st.booleans()), max_size=3),
     index=st.dictionaries(texts, st.integers(), max_size=5),
     maybe=st.none() | texts,
     pair=st.tuples(st.integers(), texts),
@@ -70,22 +81,78 @@ TREE_SCHEMA = schema_of(Tree)
 LEAF_SCHEMA = schema_of(Leaf)
 
 
+def assert_built_alike(got, want):
+    """``got == want``, and also the same class and, for a dataclass, the
+    same instance dict in the same key order, at every level."""
+    assert type(got) is type(want)
+    if dataclasses.is_dataclass(want):
+        assert list(vars(got)) == list(vars(want))
+        for name, item in vars(want).items():
+            assert_built_alike(vars(got)[name], item)
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_built_alike(a, b)
+    elif isinstance(want, dict):
+        assert list(got) == list(want)
+        for key, item in want.items():
+            assert_built_alike(got[key], item)
+    else:
+        assert got == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(tree_strategy)
 def test_compact_roundtrip(tree):
-    assert COMPACT.decode(TREE_SCHEMA, COMPACT.encode(TREE_SCHEMA, tree)) == tree
+    assert_built_alike(COMPACT.decode(TREE_SCHEMA, COMPACT.encode(TREE_SCHEMA, tree)), tree)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_strategy)
 def test_tagged_roundtrip(tree):
-    assert TAGGED.decode(TREE_SCHEMA, TAGGED.encode(TREE_SCHEMA, tree)) == tree
+    assert_built_alike(TAGGED.decode(TREE_SCHEMA, TAGGED.encode(TREE_SCHEMA, tree)), tree)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_strategy)
 def test_json_roundtrip(tree):
-    assert JSON.decode(TREE_SCHEMA, JSON.encode(TREE_SCHEMA, tree)) == tree
+    assert_built_alike(JSON.decode(TREE_SCHEMA, JSON.encode(TREE_SCHEMA, tree)), tree)
+
+
+@dataclass(frozen=True, kw_only=True)
+class KwOnly:
+    a: int
+    b: str
+
+
+@dataclass(frozen=True)
+class AfterSentinel:
+    a: int
+    _: KW_ONLY
+    b: str
+    c: list[int]
+
+
+@dataclass(kw_only=True)
+class KwChecked:
+    a: int
+    b: str = field(kw_only=False)  # one positional field among keyword ones
+    c: list[int]
+
+    def __post_init__(self):
+        self.total = self.a + sum(self.c)
+
+
+@pytest.mark.parametrize("codec", [COMPACT, TAGGED, JSON], ids=lambda codec: codec.name)
+@pytest.mark.parametrize(
+    "value",
+    [KwOnly(a=1, b="x"), AfterSentinel(1, b="x", c=[2, 3]), KwChecked("x", a=1, c=[2, 3])],
+    ids=lambda value: type(value).__name__,
+)
+def test_kw_only_dataclass_roundtrip(codec, value):
+    for tp, v in ((type(value), value), (list[type(value)], [value, value])):
+        schema = schema_of(tp)
+        assert_built_alike(codec.decode(schema, codec.encode(schema, v)), v)
 
 
 @settings(max_examples=150, deadline=None)
