@@ -14,12 +14,28 @@ bytes, so a peer that has not shown its version cannot make us buffer
 
 After the handshake, requests are pipelined: many may be in flight, matched
 to responses by request id.  A :class:`Connection` is its socket's
-:class:`asyncio.Protocol` from connect to close and owns no task of its
-own.  The file reads top to bottom along the two directions a frame
+:class:`asyncio.BufferedProtocol` from connect to close and owns no task
+of its own.  The file reads top to bottom along the two directions a frame
 travels: ``call`` → enqueue → flush on the way out; on the way in,
-``data_received`` handles every frame one socket read delivered right in
+``buffer_updated`` handles every frame one socket read delivered right in
 the transport's callback — a reply resolves its call's future, a request
 becomes a server task, stream and control frames go to their handlers.
+
+The transport reads with ``recv_into`` straight into memory the runtime
+owns: a ``READ_BUFFER_BYTES`` buffer *lent* by the connection's owner.
+``RPCServer`` and ``ConnectionPool`` each allocate one and lend it to every
+connection they create, so a proclet — one event loop — holds two, however
+many peers it talks to (a connection built without one allocates its own).
+The plain :class:`asyncio.Protocol` read path asks the socket for a fresh
+256 KiB ``bytes`` per read instead, which costs an mmap/munmap pair or a
+heap trim for a 20-byte frame, depending on the allocator's state.
+Sharing is safe because of one invariant: **nothing produced by a read
+aliases the lent buffer once** ``buffer_updated`` **returns**.  The
+handshake copies into ``_greeting``; ``FrameParser.feed`` copies each
+completed frame out as ``bytes`` and keeps a partial tail in its own
+buffer; and nothing the callback does re-enters another connection's read
+— futures, ``create_task`` and ``connection_lost`` are scheduled, not run
+inline.
 
 Writes are *coalesced adaptively*: senders append wire-ready chunks to an
 outbox (a synchronous append — no lock, no await), and the first append in
@@ -43,7 +59,7 @@ protocol lives in :mod:`repro.transport.streaming`, as an object this
 connection owns and hands stream frames to.
 
 A served request is exactly one :class:`asyncio.Task` (``_serve_one``):
-``data_received`` looks only at a frame's type byte and hands a ``REQUEST``
+``buffer_updated`` looks only at a frame's type byte and hands a ``REQUEST``
 over undecoded, so decode, handler and reply run back to back in a Task
 the handler sees as ``asyncio.current_task()``.  The connection that
 created the Task also enforces the request's wire budget, as one more
@@ -108,14 +124,24 @@ DIRECT_REENGAGE = 8
 #: a HELLO or WELCOME is at most 1 + 2 × (1 + 255) bytes.
 MAX_HANDSHAKE = 513
 
+#: Size of the buffer socket reads land in.  A whole batch of coalesced
+#: small frames, or a 12 KB page, fits in one read; a 64 KiB stream chunk
+#: frame straddles two, which the parser handles.
+READ_BUFFER_BYTES = 64 * 1024
 
-class Connection(asyncio.Protocol):
+
+class Connection(asyncio.BufferedProtocol):
     """One connection (either end), from connect to close.
 
     The dialing end passes no ``on_ready``: it sends HELLO once connected
     and resolves :attr:`ready` when the peer's WELCOME checks out.  The
     accepting end passes ``on_ready``, called with the connection once the
     peer's HELLO checked out and WELCOME is on its way.
+
+    ``read_buffer`` is the memory socket reads land in, lent by the
+    connection's owner and possibly shared with the owner's other
+    connections on the same loop; None allocates a private one.  No object
+    a read produces aliases it once :meth:`buffer_updated` returns.
     """
 
     def __init__(
@@ -130,6 +156,7 @@ class Connection(asyncio.Protocol):
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
         stream_window: int = STREAM_WINDOW,
+        read_buffer: Optional[bytearray] = None,
     ) -> None:
         self._codec = codec
         self._version = version
@@ -146,6 +173,9 @@ class Connection(asyncio.Protocol):
         )
         self._lost = self._loop.create_future()  # done once torn down
         self._greeting: Optional[bytearray] = bytearray()  # None once handshaken
+        self._read_buffer = memoryview(
+            read_buffer if read_buffer is not None else bytearray(READ_BUFFER_BYTES)
+        )
         self._parser = FrameParser()
         self._req_ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -545,9 +575,13 @@ class Connection(asyncio.Protocol):
         ]
         heapify(self._timeouts)
 
-    # -- inbound: data_received -> dispatch -> resolve / serve --------------------
+    # -- inbound: buffer_updated -> dispatch -> resolve / serve ------------------
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        data = self._read_buffer[:nbytes]
         if self._greeting is not None:
             data = self._greet(data)
             if not data:
@@ -569,7 +603,7 @@ class Connection(asyncio.Protocol):
         except TransportError as exc:
             self._abort(exc)
 
-    def _greet(self, data: bytes) -> bytes:
+    def _greet(self, data: memoryview) -> bytes:
         """Absorb the handshake frame — HELLO on the accepting end, WELCOME
         on the dialing end — and return the bytes after it, which belong
         to the data plane.  A refused handshake closes the connection."""

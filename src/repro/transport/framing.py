@@ -14,7 +14,11 @@ negotiated.  Senders compress only when a frame exceeds
 ``COMPRESS_THRESHOLD`` *and* compression actually shrank it.
 
 A maximum frame size bounds memory per connection; a peer announcing a
-larger frame is cut off rather than allowed to balloon the process.
+larger frame is cut off rather than allowed to balloon the process.  The
+cap holds for what a compressed frame *inflates* to as well: inflation
+stops within ``INFLATE_STEP`` bytes past ``MAX_FRAME``, so a small frame
+of compressed zeros cannot make the receiver allocate gigabytes before it
+is rejected.
 
 Writing is :func:`new_frame` + :func:`frame_chunks`: a frame is built
 directly in one ``bytearray`` whose first ``HEADER`` bytes are reserved for
@@ -22,9 +26,12 @@ the length word (patched in place by ``frame_chunks``), and a large payload
 travels as a *separate* chunk so it is never copied into the frame buffer.
 :class:`repro.transport.connection.Connection` hands the chunks to its
 transport, many frames per ``writelines`` under load (adaptive write
-coalescing).  Reading is :class:`FrameParser`, fed whatever bytes the
-transport delivered; :func:`take_frame` reads the one handshake frame each
-way under a much smaller cap than ``MAX_FRAME``.
+coalescing).  Reading is :class:`FrameParser`, fed a ``memoryview`` of
+whatever one socket read delivered into the connection's lent read buffer
+— memory the next read, possibly another connection's, overwrites — so
+the parser keeps nothing that aliases its input; :func:`take_frame` reads
+the one handshake frame each way under a much smaller cap than
+``MAX_FRAME``.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ MAX_FRAME = 64 * 1024 * 1024
 
 #: Frames below this size are never compressed (zlib overhead dominates).
 COMPRESS_THRESHOLD = 512
+
+#: Most bytes one inflation step produces before the size is checked again.
+INFLATE_STEP = 64 * 1024
 
 _LEN = struct.Struct(">I")
 _COMPRESSED_BIT = 0x8000_0000
@@ -87,9 +97,11 @@ class FrameParser:
     The connection feeds it whatever one socket read delivered — under
     load, dozens of frames a coalescing peer flushed together — and
     :meth:`feed` hands back every complete payload.
-    Each payload is materialized as owned ``bytes`` — the frame buffer is
-    compacted between feeds, so borrowed views would not survive — and
-    decompressed when the frame flags it.
+    Each chunk is copied into the parser's own buffer before it is parsed,
+    and each payload is materialized as owned ``bytes`` — the chunk is a
+    view of a read buffer the next read overwrites, and the parser's
+    buffer is compacted between feeds, so borrowed views would survive
+    neither — and decompressed when the frame flags it.
     """
 
     __slots__ = ("_buf",)
@@ -121,17 +133,39 @@ class FrameParser:
                 break
             payload = bytes(memoryview(buf)[pos + HEADER : end])
             if word & _COMPRESSED_BIT:
-                try:
-                    payload = zlib.decompress(payload)
-                except zlib.error as exc:
-                    raise TransportError(f"corrupt compressed frame: {exc}") from exc
-                if len(payload) > MAX_FRAME:
-                    raise TransportError("decompressed frame exceeds MAX_FRAME")
+                payload = _inflate(payload)
             frames.append(payload)
             pos = end
         if pos:
             del buf[:pos]
         return frames
+
+
+def _inflate(data: bytes) -> bytes:
+    """Decompress one frame body, rejecting it as soon as its output passes
+    ``MAX_FRAME``: at most ``MAX_FRAME + INFLATE_STEP`` bytes are ever
+    inflated, however far the stream would go.
+
+    Stepping, rather than one ``decompress(data, MAX_FRAME + 1)``, also
+    keeps a rejected frame from costing twice the cap: zlib joins its
+    output blocks into a fresh ``bytes`` at the end of each call.
+    """
+    inflater = zlib.decompressobj()
+    pieces = []
+    size = 0
+    try:
+        while not inflater.eof:
+            piece = inflater.decompress(data, INFLATE_STEP)
+            data = inflater.unconsumed_tail
+            if not (piece or data or inflater.eof):
+                raise TransportError("corrupt compressed frame: truncated stream")
+            size += len(piece)
+            if size > MAX_FRAME:
+                raise TransportError("decompressed frame exceeds MAX_FRAME")
+            pieces.append(piece)
+    except zlib.error as exc:
+        raise TransportError(f"corrupt compressed frame: {exc}") from exc
+    return b"".join(pieces)
 
 
 def take_frame(buf: bytearray, limit: int) -> Optional[bytes]:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 import zlib
 
 import pytest
 
 from repro.core.config import AppConfig
 from repro.core.errors import TransportError
+from repro.transport import framing
 from repro.transport.client import ConnectionPool
 from repro.transport.framing import FrameParser
 from repro.transport.server import RPCServer
@@ -48,6 +50,45 @@ class TestFraming:
     def test_corrupt_compressed_frame_rejected(self):
         with pytest.raises(TransportError, match="corrupt"):
             FrameParser().feed((0x8000_0000 | 5).to_bytes(4, "big") + b"junk!")
+
+
+def compressed_frame(body: bytes) -> bytes:
+    """A frame flagged compressed, whatever its body inflates to (a sender
+    built with ``frame_chunks`` could never announce more than MAX_FRAME)."""
+    return (0x8000_0000 | len(body)).to_bytes(4, "big") + body
+
+
+class TestInflationCap:
+    """Every receiver inflates whatever a peer flags compressed, so
+    ``MAX_FRAME`` must bound the inflated size *while* inflating."""
+
+    def test_bomb_is_rejected_without_inflating_it(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME", 1 << 20)
+        squeeze = zlib.compressobj(9)
+        zeros = bytes(1 << 20)
+        bomb = b"".join(squeeze.compress(zeros) for _ in range(32)) + squeeze.flush()
+        assert len(bomb) < 64 * 1024  # 32 MiB of zeros in a small frame
+        wire = compressed_frame(bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError, match="exceeds MAX_FRAME"):
+                FrameParser().feed(wire)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+    def test_inflated_size_is_capped_at_exactly_max_frame(self, monkeypatch):
+        monkeypatch.setattr(framing, "MAX_FRAME", 4096)
+        at_cap = bytes(4096)
+        assert FrameParser().feed(compressed_frame(zlib.compress(at_cap))) == [at_cap]
+        with pytest.raises(TransportError, match="exceeds MAX_FRAME"):
+            FrameParser().feed(compressed_frame(zlib.compress(bytes(4097))))
+
+    def test_truncated_stream_rejected(self):
+        body = zlib.compress(b"the quick brown fox " * 200)
+        with pytest.raises(TransportError, match="corrupt"):
+            FrameParser().feed(compressed_frame(body[: len(body) // 2]))
 
 
 class TestEndToEnd:

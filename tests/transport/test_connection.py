@@ -5,6 +5,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import struct
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.errors import (
 )
 from repro.transport import message as msg
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import MAX_HANDSHAKE, SEND_HIGH_WATER
+from repro.transport.connection import MAX_HANDSHAKE, SEND_HIGH_WATER, Connection
 from repro.transport.framing import MAX_FRAME, frame_chunks, new_frame
 from repro.transport.server import RPCServer
 
@@ -421,6 +422,33 @@ async def test_round_trip_event_loop_budget():
         assert counts["_run_once"] <= 4 * n
 
 
+async def test_read_path_allocation_budget():
+    """Socket reads land in the buffer the connection's owner lent it, not
+    in a fresh 256 KiB ``bytes`` per read: 200 lone round trips keep the
+    traced peak within 128 KiB of where it started."""
+    assert issubclass(Connection, asyncio.BufferedProtocol)
+    assert not hasattr(Connection, "data_received")  # one read path
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+        for _ in range(20):  # warm: budgets' timers armed, writes direct
+            await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+        assert conn._read_buffer.obj is h.pool._read_buffer
+        assert h.server_conn._read_buffer.obj is h.server._read_buffer
+        loop = asyncio.get_running_loop()
+        debug = loop.get_debug()
+        loop.set_debug(False)  # -X dev: no creation traceback per handle
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(200):
+                await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            loop.set_debug(debug)
+        assert peak - start < 128 * 1024
+
+
 # --------------------------------------------------------------------------
 # Malformed peers: a broken stream tears the connection down and fails
 # what waits on it; a broken handshake is dropped before it is registered.
@@ -470,6 +498,85 @@ async def test_broken_stream_fails_pending_calls(after_request):
         await pool.close()
         server.close()
         await server.wait_closed()
+
+
+#: Method index the split-reply peer answers with an oversize announcement.
+ANNOUNCE_OVERSIZE = 0xEE
+
+
+async def split_reply_peer(handlers: list):
+    """A hand-written server that echoes each request's args, writing every
+    reply frame in two halves a few loop iterations apart, so the client
+    reads it in two pieces with other connections' reads in between."""
+
+    async def read_frame(reader) -> bytes:
+        (length,) = struct.unpack(">I", await reader.readexactly(4))
+        return await reader.readexactly(length)
+
+    async def on_connect(reader, writer):
+        handlers.append(asyncio.current_task())
+        try:
+            await read_frame(reader)  # HELLO
+            writer.write(frame_bytes(msg.Welcome("compact", "v1")))
+            while True:
+                request = msg.decode(await read_frame(reader))
+                if request.method_index == ANNOUNCE_OVERSIZE:
+                    writer.write((MAX_FRAME + 1).to_bytes(4, "big"))
+                    continue
+                head = new_frame()
+                msg.encode_response_prefix(head, request.req_id)
+                wire = b"".join(bytes(c) for c in frame_chunks(head, bytes(request.args)))
+                writer.write(wire[: len(wire) // 2])
+                await asyncio.sleep(0.002)
+                writer.write(wire[len(wire) // 2 :])
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # the client hung up or aborted
+        finally:
+            writer.close()
+
+    server = await asyncio.start_server(on_connect, "127.0.0.1", 0)
+    host, port = server.sockets[0].getsockname()[:2]
+    return server, f"tcp://{host}:{port}"
+
+
+async def test_connections_sharing_a_read_buffer_keep_their_own_frames():
+    """Two pool connections read into the pool's one buffer while each
+    reply arrives in two reads, the other connection's reads landing in the
+    same memory in between: every call still gets its own reply, and an
+    oversize announcement still aborts only its own connection."""
+    handlers: list = []
+    peers = [await split_reply_peer(handlers) for _ in range(2)]
+    pool = ConnectionPool(codec="compact", version="v1")
+    try:
+        a, b = [await pool.get(address) for _, address in peers]
+        assert a._read_buffer.obj is b._read_buffer.obj is pool._read_buffer
+
+        async def caller(conn, tag: bytes, n: int):
+            for i in range(n):
+                args = b"%s%03d" % (tag, i) * (1 + 40 * (i % 5))  # 6 B to ~1 KB
+                assert await conn.call(1, 1, args, timeout=5) == args
+
+        await asyncio.gather(
+            *[caller(a, b"a%d-" % k, 15) for k in range(3)],
+            *[caller(b, b"b%d-" % k, 15) for k in range(3)],
+        )
+        # b's reply is half read when a's peer announces a frame over
+        # MAX_FRAME: a dies, b's reply completes from the parser's own copy.
+        in_flight = asyncio.ensure_future(b.call(1, 1, b"still mine" * 50, timeout=5))
+        await asyncio.sleep(0.001)
+        with pytest.raises(Unavailable, match="connection lost"):
+            await a.call(1, ANNOUNCE_OVERSIZE, b"", timeout=5)
+        assert await in_flight == b"still mine" * 50
+        await assert_fully_torn_down(a)
+        assert not b.closed and pool.live(peers[1][1]) is b
+        await caller(b, b"after-", 5)
+    finally:
+        await pool.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=5)
+        for server, _ in peers:
+            server.close()
+            await server.wait_closed()
 
 
 async def handshake_reply(address: str, first: bytes) -> bytes:

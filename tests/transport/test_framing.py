@@ -4,13 +4,50 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import TransportError
 from repro.transport.framing import MAX_FRAME, FrameParser, frame_chunks, new_frame, take_frame
 
 
-def encode(payload: bytes) -> bytes:
-    return b"".join(bytes(c) for c in frame_chunks(new_frame(), payload))
+def encode(payload: bytes, compress: bool = False) -> bytes:
+    return b"".join(bytes(c) for c in frame_chunks(new_frame(), payload, compress=compress))
+
+
+#: Size of the reused read buffer in the property below.
+READ_BUF = 512
+
+payloads = st.one_of(
+    st.just(b""),
+    st.binary(max_size=64),
+    # Compressible and several buffers long: travels compressed when asked.
+    st.binary(min_size=1, max_size=8).map(lambda unit: unit * (2 * READ_BUF)),
+    # Longer than the buffer and unlikely to shrink: travels raw.
+    st.binary(min_size=READ_BUF + 1, max_size=3 * READ_BUF),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames=st.lists(st.tuples(payloads, st.booleans()), max_size=10), data=st.data())
+def test_reassembly_from_one_reused_read_buffer(frames, data):
+    """What a connection's read path does: every read lands in the same
+    buffer, is fed as a view of it, and is overwritten by the next read.
+    Frames split anywhere must come out whole, in order, owned."""
+    wire = b"".join(encode(payload, compress) for payload, compress in frames)
+    read_buffer = bytearray(READ_BUF)
+    view = memoryview(read_buffer)
+    parser = FrameParser()
+    out = []
+    pos = 0
+    while pos < len(wire):
+        n = data.draw(st.integers(1, min(READ_BUF, len(wire) - pos)), label="read")
+        read_buffer[:n] = wire[pos : pos + n]
+        out += parser.feed(view[:n])
+        read_buffer[:] = b"\xee" * READ_BUF  # the next read, any connection's
+        pos += n
+    assert out == [payload for payload, _ in frames]
+    assert all(type(frame) is bytes for frame in out)
+    assert not parser.mid_frame
 
 
 def test_roundtrip_frames():
