@@ -18,6 +18,7 @@ old and new processes apart.
 from __future__ import annotations
 
 import inspect
+import linecache
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, get_type_hints
 
@@ -215,3 +216,16 @@ def _compile_method(iface: type, attr: str, fn: Callable, index: int) -> MethodS
         routing_key=routing_key,
         idempotent=bool(getattr(fn, IDEMPOTENT_ATTR, False)),
     )
+
+
+def register_source(label: str, source: str) -> str:
+    """File generated source in :mod:`linecache` so tracebacks can quote
+    it; ``label`` names the generator and what it generated for."""
+    lines = source.splitlines(keepends=True)
+    filename, n = f"<{label}>", 1
+    while linecache.cache.get(filename, (0, None, lines))[2] != lines:
+        n += 1  # another source with this label (two classes of one name)
+        filename = f"<{label}#{n}>"
+    # mtime None: checkcache() never drops an entry that has no file behind it.
+    linecache.cache[filename] = (len(source), None, lines, filename)
+    return filename

@@ -4,7 +4,9 @@
     components and use it to identify the critical path, the bottleneck
     components, the chatty components, etc."
 
-Every stub invocation reports an observation here.  The graph aggregates
+Every stub invocation reports an observation here: a local call through
+:meth:`CallGraph.record`, a remote one straight into the edge cell its
+invoker bound once per (caller, method).  The graph aggregates
 per-edge call counts, bytes, and latency, and answers the queries the
 runtime's placement engine asks: who talks to whom, which pairs are chatty
 (co-location candidates), which components dominate latency (bottlenecks),
@@ -83,11 +85,25 @@ class CallGraph:
             if error:
                 stats.errors += 1
 
+    def edge(self, caller: str, callee: str, method: str) -> EdgeStats:
+        """The live cell of one edge, for an invoker that binds it once and
+        updates its fields itself from its event loop: no keyword call and
+        no lock per call.  Like a bound metric cell, readers see a
+        statistical snapshot (one call's fields may be partly applied)."""
+        key = (caller, callee, method)
+        with self._lock:
+            stats = self._edges.get(key)
+            if stats is None:
+                stats = self._edges[key] = EdgeStats(caller, callee, method)
+            return stats
+
     # -- queries -------------------------------------------------------------
 
     def edges(self) -> list[EdgeStats]:
+        """Every edge called at least once (a bound edge exists before its
+        first call completes)."""
         with self._lock:
-            return [_copy(e) for e in self._edges.values()]
+            return [_copy(e) for e in self._edges.values() if e.calls]
 
     def components(self) -> set[str]:
         out: set[str] = set()
@@ -186,8 +202,11 @@ class CallGraph:
         return pairs[:max_group_size] if max_group_size else pairs
 
     def reset(self) -> None:
+        # Zeroed in place: invokers keep updating the edges they bound.
         with self._lock:
-            self._edges.clear()
+            for e in self._edges.values():
+                e.calls = e.local_calls = e.bytes_sent = e.bytes_received = e.errors = 0
+                e.total_latency_s = 0.0
 
     # -- aggregation across processes -----------------------------------------
 

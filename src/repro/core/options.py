@@ -87,14 +87,16 @@ DEFAULT_OPTIONS = CallOptions()
 # Ambient deadline: the remaining budget of the request being served.
 # ---------------------------------------------------------------------------
 
-_deadline_var: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
+#: The ambient absolute deadline; the RPC hot paths read and set it
+#: directly, everything else goes through the helpers below.
+ambient_deadline: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
     "repro_call_deadline", default=None
 )
 
 
 def current_deadline() -> Optional[float]:
     """The ambient absolute deadline (``time.monotonic()`` scale), if any."""
-    return _deadline_var.get()
+    return ambient_deadline.get()
 
 
 def remaining_budget_s() -> Optional[float]:
@@ -102,7 +104,7 @@ def remaining_budget_s() -> Optional[float]:
 
     May be zero or negative once the budget is spent.
     """
-    deadline = _deadline_var.get()
+    deadline = ambient_deadline.get()
     if deadline is None:
         return None
     return deadline - time.monotonic()
@@ -116,15 +118,15 @@ def shrink_deadline(deadline: float) -> Optional[contextvars.Token]:
     ever shrink.  Returns the token :func:`restore_deadline` undoes it
     with, or ``None`` if nothing changed.
     """
-    current = _deadline_var.get()
+    current = ambient_deadline.get()
     if current is not None and current <= deadline:
         return None
-    return _deadline_var.set(deadline)
+    return ambient_deadline.set(deadline)
 
 
 def restore_deadline(token: Optional[contextvars.Token]) -> None:
     if token is not None:
-        _deadline_var.reset(token)
+        ambient_deadline.reset(token)
 
 
 @contextlib.contextmanager

@@ -14,7 +14,9 @@ the call, not at ``await``) and returns the coroutine of an
 
 The caller's invoker records each call in the deployment's
 :class:`~repro.core.call_graph.CallGraph` (the serving side of an RPC adds
-nothing) so the runtime can make placement and scaling decisions (§5.1).
+nothing: it runs the method through its own per-method thunk, see
+:class:`repro.transport.rpc.Dispatcher`) so the runtime can make
+placement and scaling decisions (§5.1).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import asyncio
 import time
 from typing import Any, Optional, Protocol
 
-from repro.codegen.compiler import MethodSpec
+from repro.codegen.compiler import MethodSpec, register_source
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import ComponentContext, instantiate
 from repro.core.errors import DeadlineExceeded, RegistrationError
@@ -102,47 +104,32 @@ def make_stub(reg: Registration, invoker: Invoker, caller: str = ROOT) -> Any:
 
 
 def _build_stub_class(reg: Registration) -> type:
-    namespace: dict[str, Any] = {}
+    """Generate the interface's stub methods as source, one per method, each
+    with the method's exact parameters: Python itself binds keyword and
+    positional arguments (and raises the ``TypeError`` for a bad call), so
+    a call is one argument tuple and the invoker's coroutine.  Not
+    coroutine functions: returning the invoker's coroutine adds no frame
+    per call."""
+    namespace: dict[str, Any] = {"__name__": __name__}
+    lines = []
     for spec in reg.spec.methods:
-        namespace[spec.name] = _make_stub_method(spec)
-    return type(f"{reg.iface.__name__}Stub", (Stub,), namespace)
-
-
-def _make_stub_method(spec: MethodSpec):
-    arg_names = spec.arg_names
-
-    # Not a coroutine function: returning the invoker's coroutine adds no
-    # frame per call.
-    def stub_method(self: Stub, *args: Any, **kwargs: Any) -> Any:
-        if kwargs:
-            # Normalize keyword arguments into positional order; the wire
-            # format carries positions, not names.
-            merged = list(args)
-            for name in arg_names[len(args):]:
-                if name in kwargs:
-                    merged.append(kwargs.pop(name))
-                else:
-                    raise TypeError(
-                        f"{spec.name}() missing required argument {name!r}"
-                    )
-            if kwargs:
-                raise TypeError(
-                    f"{spec.name}() got unexpected keyword arguments "
-                    f"{sorted(kwargs)}"
-                )
-            args = tuple(merged)
-        if len(args) != len(arg_names):
-            raise TypeError(
-                f"{spec.name}() takes {len(arg_names)} arguments "
-                f"({', '.join(arg_names)}), got {len(args)}"
-            )
-        return self._repro_invoker.invoke(
-            self._repro_registration, spec, args, self._repro_caller, options=self._repro_options
-        )
-
-    stub_method.__name__ = spec.name
-    stub_method.__qualname__ = f"stub.{spec.name}"
-    return stub_method
+        params = "".join(f", {name}" for name in spec.arg_names)
+        args = "".join(f"{name}, " for name in spec.arg_names)
+        namespace[f"_spec_{spec.name}"] = spec
+        lines += [
+            f"def {spec.name}(self{params}):",
+            f"    return self._repro_invoker.invoke(self._repro_registration, "
+            f"_spec_{spec.name}, ({args}), self._repro_caller, "
+            f"options=self._repro_options)",
+        ]
+    source = "\n".join(lines) + "\n"
+    filename = register_source(f"repro.core.stub {reg.name}", source)
+    exec(compile(source, filename, "exec"), namespace)
+    cls_name = f"{reg.iface.__name__}Stub"
+    methods = {spec.name: namespace[spec.name] for spec in reg.spec.methods}
+    for name, fn in methods.items():
+        fn.__qualname__ = f"{cls_name}.{name}"
+    return type(cls_name, (Stub,), methods)
 
 
 class LocalInvoker:
@@ -260,17 +247,13 @@ class LocalInvoker:
         try:
             # Co-located calls stay plain procedure calls (§3.2) — no
             # retries or hedging — but an explicit deadline is still honored.
-            if (tracer is None or caller == "<remote>") and deadline_s is None:
+            if tracer is None and deadline_s is None:
                 # The common case: nothing to wrap, so don't pay for a
                 # closure and an extra coroutine frame per call.
                 return await fn(*args)
 
             async def run() -> Any:
-                # Remote-originated invocations are already wrapped in a
-                # server-side span with identical name and timing by the
-                # RPC dispatcher; a second "local" span would double every
-                # remote call's span volume for no information.
-                if tracer is not None and caller != "<remote>":
+                if tracer is not None:
                     with tracer.start_span(
                         f"{reg.name.rsplit('.', 1)[-1]}.{method.name}",
                         side="local",
@@ -292,8 +275,7 @@ class LocalInvoker:
             error = True
             raise
         finally:
-            # The remote caller already recorded this edge, with its bytes.
-            if self.call_graph is not None and caller != "<remote>":
+            if self.call_graph is not None:
                 self.call_graph.record(
                     caller,
                     reg.name,

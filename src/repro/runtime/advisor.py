@@ -17,11 +17,11 @@ when
   (strings, ints — the things :func:`repro.runtime.routing.key_hash`
   handles well).
 
-The advisor is wired into every proclet's local invoker, so a deployment
-accumulates advice as it serves; ``suggestions()`` is what a human (or an
-auto-router) reads.  Boutique's ``CartStore`` methods — annotated
-``@routed(by="user_id")`` by hand — are exactly what it rediscovers, which
-is the test.
+The advisor is wired into every proclet's local invoker and served-method
+thunks, so a deployment accumulates advice as it serves; ``suggestions()``
+is what a human (or an auto-router) reads.  Boutique's ``CartStore``
+methods — annotated ``@routed(by="user_id")`` by hand — are exactly what
+it rediscovers, which is the test.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class ParamStats:
 
     def observe(self, value: Any) -> None:
         self.calls += 1
-        if self.unhashable:
-            return
+        if self.unhashable or self.overflowed:
+            return  # nothing more to learn: only the count moves
         try:
             key = hash((type(value).__name__, value))
         except TypeError:
@@ -56,6 +56,11 @@ class ParamStats:
             self.values.add(key)
         elif key not in self.values:
             self.overflowed = True
+
+    def reset(self) -> None:
+        self.calls = 0
+        self.unhashable = self.overflowed = False
+        self.values.clear()
 
     @property
     def distinct(self) -> int:
@@ -97,6 +102,24 @@ class RoutingAdvisor:
         #: (component, method) pairs already routed (no advice needed).
         self._already_routed: set[tuple[str, str]] = set()
 
+    def bind(
+        self,
+        component: str,
+        method: str,
+        arg_names: tuple[str, ...],
+        *,
+        already_routed: bool = False,
+    ) -> tuple[ParamStats, ...]:
+        """One method's per-argument stats, in argument order, for a caller
+        that binds them once and feeds them itself (a served method's
+        thunk): ``stats.observe(value)`` per argument, no lock.  A method
+        already routed needs no advice and gets none."""
+        with self._lock:
+            if already_routed:
+                self._already_routed.add((component, method))
+                return ()
+            return tuple(self._param((component, method, name)) for name in arg_names)
+
     def observe(
         self,
         component: str,
@@ -112,12 +135,13 @@ class RoutingAdvisor:
             return
         with self._lock:
             for name, value in zip(arg_names, args):
-                key = (component, method, name)
-                stats = self._stats.get(key)
-                if stats is None:
-                    stats = ParamStats()
-                    self._stats[key] = stats
-                stats.observe(value)
+                self._param((component, method, name)).observe(value)
+
+    def _param(self, key: tuple[str, str, str]) -> ParamStats:
+        stats = self._stats.get(key)  # the caller holds the lock
+        if stats is None:
+            stats = self._stats[key] = ParamStats()
+        return stats
 
     def suggestions(
         self,
@@ -147,6 +171,7 @@ class RoutingAdvisor:
         return sorted(best.values(), key=lambda s: s.repeat_rate, reverse=True)
 
     def reset(self) -> None:
+        # Zeroed in place: thunks keep feeding the stats they bound.
         with self._lock:
-            self._stats.clear()
-            self._already_routed.clear()
+            for stats in self._stats.values():
+                stats.reset()

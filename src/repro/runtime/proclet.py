@@ -34,7 +34,7 @@ from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import ComponentContext, shutdown_instance
 from repro.core.config import AppConfig
-from repro.core.errors import ComponentNotFound, DeadlineExceeded, ErrorCode, Unavailable
+from repro.core.errors import DeadlineExceeded, ErrorCode, Unavailable
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker, make_stub
 from repro.observability.logs import LogBuffer
@@ -44,7 +44,7 @@ from repro.runtime.pipes import ControlEndpoint
 from repro.runtime.routing import Assignment, RoutingTable
 from repro.serde import codec_by_name
 from repro.transport.client import ConnectionPool
-from repro.transport.rpc import Dispatcher, RemoteInvoker
+from repro.transport.rpc import Dispatcher, RemoteInvoker, Thunk
 from repro.transport.server import AdmissionController, RPCServer
 
 log = logging.getLogger("repro.runtime.proclet")
@@ -276,9 +276,10 @@ class Proclet:
         self._method_latency = self.metrics.histogram("component_method_latency_s")
         self._method_calls = self.metrics.counter("component_method_calls")
         self._method_errors = self.metrics.counter("component_method_errors")
-        # (component_id, method_index) -> pre-bound metric cells; the
-        # per-RPC accounting path must not re-resolve labels every call.
-        self._method_cells: dict[tuple[int, int], tuple[Any, Any, Any]] = {}
+        #: (component_id, method_index) -> (thunk, latency, calls, errors)
+        #: of every hosted method, bound when its component is hosted.  A
+        #: request naming anything else touches no per-method state.
+        self._served: dict[tuple[int, int], tuple[Thunk, Any, Any, Any]] = {}
 
         from repro.observability.logs import ComponentLogger
         from repro.state import StateRuntime
@@ -304,7 +305,12 @@ class Proclet:
             state_factory=self.state.component_state,
         )
         self._dispatcher = Dispatcher(
-            build, self._codec, self._local, hosted=set(), tracer=self.tracer
+            build,
+            self._codec,
+            self._local,
+            hosted=set(),
+            tracer=self.tracer,
+            advisor=self.advisor,
         )
         self._admission = AdmissionController(
             config.max_inflight, config.max_queue_depth
@@ -434,12 +440,27 @@ class Proclet:
         self._hosted = hosted
         self._dispatcher.set_hosted(hosted)
         for name in sorted(removed):
+            reg = self.build.by_name(name)
+            for spec in reg.spec.methods:
+                self._served.pop((reg.component_id, spec.index), None)
             await self._local.discard_instance(name)
             self.state.detach_component(name)  # flush; new owner replays
             self._table.invalidate(name)  # future calls re-resolve
         for name in sorted(hosted):
             reg = self.build.by_name(name)
-            await self._local.instance(reg)
+            self._bind_served(reg, await self._local.instance(reg))
+
+    def _bind_served(self, reg: Registration, instance: Any) -> None:
+        """Bind every method of a hosted component: its thunk and its
+        metric cells, once, so serving a request looks up nothing else."""
+        for spec in reg.spec.methods:
+            labels = {"component": reg.name, "method": spec.name}
+            self._served[(reg.component_id, spec.index)] = (
+                self._dispatcher.thunk(reg, spec, instance),
+                self._method_latency.bind(**labels),
+                self._method_calls.bind(**labels),
+                self._method_errors.bind(**labels),
+            )
 
     @property
     def hosted(self) -> set[str]:
@@ -462,6 +483,10 @@ class Proclet:
             raise Unavailable(
                 f"{self.proclet_id} is draining", executed=False, draining=True
             )
+        served = self._served.get((component_id, method_index))
+        if served is None:
+            served = await self._bind_cold(component_id, method_index)
+        thunk, latency, calls, errors = served
         self.inflight_rpcs += 1
         try:
             admission = self._admission
@@ -470,9 +495,7 @@ class Proclet:
             start = time.perf_counter()
             failed = False
             try:
-                return await self._dispatcher.handle(
-                    component_id, method_index, args, trace, deadline_ms
-                )
+                return await thunk(args, trace, deadline_ms)
             except BaseException:
                 failed = True
                 raise
@@ -480,20 +503,6 @@ class Proclet:
                 admission.leave()
                 elapsed = time.perf_counter() - start
                 self._busy_s += elapsed
-                cells = self._method_cells.get((component_id, method_index))
-                if cells is None:
-                    try:
-                        reg = self.build.by_id(component_id)
-                        name, method = reg.name, reg.spec.methods[method_index].name
-                    except (ComponentNotFound, IndexError):
-                        name, method = "?", "?"
-                    cells = self._method_cells[(component_id, method_index)] = tuple(
-                        metric.bind(component=name, method=method)
-                        for metric in (
-                            self._method_latency, self._method_calls, self._method_errors
-                        )
-                    )
-                latency, calls, errors = cells
                 # trace[0] is the caller's trace id: a histogram exemplar
                 # pivots a latency bucket straight to that trace.
                 latency.observe(elapsed, exemplar=trace[0])
@@ -502,6 +511,16 @@ class Proclet:
                     errors.inc()
         finally:
             self.inflight_rpcs -= 1
+
+    async def _bind_cold(self, component_id: int, method_index: int) -> tuple:
+        """A request with no bound thunk: refused if it names nothing hosted
+        (before any per-method state is touched), else its component is
+        still being instantiated by :meth:`host_components`."""
+        reg, _ = self._dispatcher.resolve(component_id, method_index)
+        instance = await self._local.instance(reg)
+        self._dispatcher.resolve(component_id, method_index)  # still hosted?
+        self._bind_served(reg, instance)
+        return self._served[(component_id, method_index)]
 
     async def _queue_for_slot(
         self, admission: AdmissionController, deadline_ms: int

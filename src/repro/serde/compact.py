@@ -51,10 +51,10 @@ x86 host).
 from __future__ import annotations
 
 import dataclasses
-import linecache
 import struct
 from typing import Any, Callable, NamedTuple
 
+from repro.codegen.compiler import register_source
 from repro.codegen.schema import Kind, Schema
 from repro.core.errors import DecodeError, EncodeError
 
@@ -138,23 +138,11 @@ class CompactCodec:
         for name, struct_schema in gen.structs.items():
             pair = self._compiled.get(struct_schema) or self._compile(struct_schema)
             namespace[f"enc_{name}"], namespace[f"dec_{name}"] = pair.encode, pair.decode
-        filename = _register_source(_label(schema), source)
+        filename = register_source(f"repro.serde.compact {_label(schema)}", source)
         exec(compile(source, filename, "exec"), namespace)
         compiled = _Compiled(namespace["encode"], namespace["decode"], source)
         self._compiled[schema] = compiled
         return compiled
-
-
-def _register_source(label: str, source: str) -> str:
-    """File the source in :mod:`linecache` so tracebacks can quote it."""
-    lines = source.splitlines(keepends=True)
-    filename, n = f"<repro.serde.compact {label}>", 1
-    while linecache.cache.get(filename, (0, None, lines))[2] != lines:
-        n += 1  # another schema with this label (two classes of one name)
-        filename = f"<repro.serde.compact {label}#{n}>"
-    # mtime None: checkcache() never drops an entry that has no file behind it.
-    linecache.cache[filename] = (len(source), None, lines, filename)
-    return filename
 
 
 def _label(schema: Schema) -> str:

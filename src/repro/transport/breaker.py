@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -41,7 +40,9 @@ class BreakerState(enum.Enum):
 class BreakerPolicy:
     """Trip/recovery thresholds shared by every breaker in a set."""
 
-    #: Rolling outcome window; outcomes older than this stop counting.
+    #: Rolling outcome window, kept as ``WINDOW_BUCKETS`` fixed buckets:
+    #: outcomes stop counting a bucket at a time, 0.9–1.0 × this after
+    #: they happened.
     window_s: float = 10.0
     #: Trip after this many consecutive failures (connect errors are
     #: cheap and unambiguous, so the default is low).
@@ -66,6 +67,12 @@ class BreakerPolicy:
             raise ValueError("error_rate must be in (0, 1]")
         if self.open_for_s <= 0:
             raise ValueError("open_for_s must be positive")
+        if self.window_s <= 0:
+            raise ValueError("window_s must be positive")
+
+
+#: Buckets of the rolling outcome window.
+WINDOW_BUCKETS = 10
 
 
 class CircuitBreaker:
@@ -82,10 +89,15 @@ class CircuitBreaker:
         self._clock = clock
         self._on_transition = on_transition
         self._state = BreakerState.CLOSED
-        # The outcome window: timestamps of every attempt, and of the failed
-        # ones again — a (time, ok) tuple each was 16 MB at 18k calls/s.
-        self._window: deque[float] = deque()
-        self._window_failures: deque[float] = deque()
+        # The outcome window: (attempts, failures) counts per fixed time
+        # bucket, a ring indexed by bucket number.  Recording an outcome is
+        # one increment, and the window's memory does not grow with
+        # throughput, as a timestamp per call did.
+        self._bucket_s = self.policy.window_s / WINDOW_BUCKETS
+        self._epochs = [0] * WINDOW_BUCKETS  # the bucket number each slot counts
+        self._slot = 0  # the current bucket's slot
+        self._bucket_end = float("-inf")  # when the current bucket ends
+        self._clear_window()
         self._consecutive_failures = 0
         self._opened_at = 0.0
         #: Re-trips without an intervening close (drives cooldown backoff).
@@ -159,7 +171,9 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         now = self._clock()
-        self._append(now, True)
+        if now >= self._bucket_end:
+            self._next_bucket(now)
+        self._attempts[self._slot] += 1
         self._consecutive_failures = 0
         if self._state is BreakerState.HALF_OPEN:
             self._probes_inflight = max(0, self._probes_inflight - 1)
@@ -170,40 +184,45 @@ class CircuitBreaker:
     def record_failure(self) -> bool:
         """Record one failed attempt; True if this record tripped OPEN."""
         now = self._clock()
-        self._append(now, False)
+        if now >= self._bucket_end:
+            self._next_bucket(now)
+        self._attempts[self._slot] += 1
+        self._failures[self._slot] += 1
         self._consecutive_failures += 1
         if self._state is BreakerState.HALF_OPEN:
             self._probes_inflight = max(0, self._probes_inflight - 1)
             self._trip(now)
             return True
-        if self._state is BreakerState.CLOSED and self._should_trip(now):
+        if self._state is BreakerState.CLOSED and self._should_trip():
             self._trip(now)
             return True
         return False
 
-    def _should_trip(self, now: float) -> bool:
+    def _should_trip(self) -> bool:
         if self._consecutive_failures >= self.policy.consecutive_failures:
             return True
-        self._prune(now)
-        total = len(self._window)
+        oldest = self._epochs[self._slot] - WINDOW_BUCKETS  # aged out, and before
+        total = failures = 0
+        for epoch, n, failed in zip(self._epochs, self._attempts, self._failures):
+            if epoch > oldest:
+                total += n
+                failures += failed
         if total < self.policy.min_volume:
             return False
-        return len(self._window_failures) / total >= self.policy.error_rate
+        return failures / total >= self.policy.error_rate
 
     def _trip(self, now: float) -> None:
         self._opened_at = now
         self.last_tripped_at = now
         self._trip_streak += 1
         self.trips += 1
-        self._window.clear()
-        self._window_failures.clear()
+        self._clear_window()
         self._consecutive_failures = 0
         self._set_state(BreakerState.OPEN)
 
     def _close(self) -> None:
         self._trip_streak = 0
-        self._window.clear()
-        self._window_failures.clear()
+        self._clear_window()
         self._consecutive_failures = 0
         self._probes_inflight = 0
         self._probe_successes = 0
@@ -211,19 +230,19 @@ class CircuitBreaker:
 
     # -- window bookkeeping -----------------------------------------------------
 
-    def _append(self, now: float, ok: bool) -> None:
-        self._window.append(now)
-        if not ok:
-            self._window_failures.append(now)
-        self._prune(now)
+    def _next_bucket(self, now: float) -> None:
+        """Make the bucket ``now`` falls in current, taking over the slot
+        of the bucket that aged out of the window."""
+        epoch = int(now // self._bucket_s)
+        if epoch != self._epochs[self._slot]:
+            slot = self._slot = epoch % WINDOW_BUCKETS
+            self._epochs[slot] = epoch
+            self._attempts[slot] = self._failures[slot] = 0
+        self._bucket_end = (epoch + 1) * self._bucket_s
 
-    def _prune(self, now: float) -> None:
-        horizon = now - self.policy.window_s
-        window, failures = self._window, self._window_failures
-        while window and window[0] < horizon:
-            window.popleft()
-        while failures and failures[0] < horizon:
-            failures.popleft()
+    def _clear_window(self) -> None:
+        self._attempts = [0] * WINDOW_BUCKETS
+        self._failures = [0] * WINDOW_BUCKETS
 
 
 class BreakerSet:
@@ -277,7 +296,7 @@ class BreakerSet:
 
     def record(self, component: str, address: str, *, ok: bool) -> bool:
         """Record one attempt outcome; True if the breaker tripped OPEN."""
-        breaker = self.breaker(component, address)
+        breaker = self._breakers.get((component, address)) or self.breaker(component, address)
         if ok:
             breaker.record_success()
             return False

@@ -56,7 +56,10 @@ costs nothing under load and spares a lone stream the flush hop.
 
 Payloads above ``stream_threshold`` travel as a *streaming RPC*; that
 protocol lives in :mod:`repro.transport.streaming`, as an object this
-connection owns and hands stream frames to.
+connection owns and hands stream frames to.  A payload that neither
+streams nor fits in ``MAX_FRAME`` is refused before it is queued, with
+``INTERNAL``: a request with ``executed=False``, a reply (the handler
+ran) with ``executed=True``.  The connection stays up for its other calls.
 
 A served request is exactly one :class:`asyncio.Task` (``_serve_one``):
 ``buffer_updated`` looks only at a frame's type byte and hands a ``REQUEST``
@@ -93,8 +96,9 @@ from repro.core.errors import (
     VersionMismatch,
     error_from_code,
 )
+from repro.transport import framing
 from repro.transport import message as msg
-from repro.transport.framing import FrameParser, frame_chunks, new_frame, take_frame
+from repro.transport.framing import HEADER, FrameParser, frame_chunks, new_frame, take_frame
 from repro.transport.streaming import (
     STREAM_CHUNK_BYTES,
     STREAM_THRESHOLD,
@@ -306,9 +310,28 @@ class Connection(asyncio.BufferedProtocol):
         if self._closed:
             raise Unavailable("connection closed", executed=False)
         req_id = next(self._req_ids)
+        streamed = self._stream_threshold and len(args) >= self._stream_threshold
+        if not streamed:
+            head = new_frame()
+            msg.encode_request_prefix(
+                head,
+                req_id,
+                component_id,
+                method_index,
+                trace[0],
+                trace[1],
+                deadline_ms,
+            )
+            if len(head) - HEADER + len(args) > framing.MAX_FRAME:
+                # Refused before anything is queued: the connection, and
+                # every call sharing it, is unharmed.
+                raise RPCError(
+                    f"request of {len(args)} bytes exceeds MAX_FRAME with streaming off",
+                    code=ErrorCode.INTERNAL,
+                    executed=False,
+                )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = future
-        streamed = self._stream_threshold and len(args) >= self._stream_threshold
         try:
             if streamed:
                 # Armed *before* the upload, so a deadline that expires
@@ -318,19 +341,8 @@ class Connection(asyncio.BufferedProtocol):
                 await self._streams.upload(
                     req_id, future, component_id, method_index, args, trace, deadline_ms
                 )
-            else:
-                head = new_frame()
-                msg.encode_request_prefix(
-                    head,
-                    req_id,
-                    component_id,
-                    method_index,
-                    trace[0],
-                    trace[1],
-                    deadline_ms,
-                )
-                if not self._try_send(head, args):
-                    await self._send(head, args)
+            elif not self._try_send(head, args):
+                await self._send(head, args)
         except (ConnectionError, OSError, TransportError) as exc:
             self._pending.pop(req_id, None)
             await self.close()
@@ -705,7 +717,6 @@ class Connection(asyncio.BufferedProtocol):
                 # The caller's budget, enforced here because this connection
                 # owns the task: the sweep cancels it when the budget is spent.
                 cut_at = self._arm_timeout(deadline_ms / 1000.0, -req_id, task)
-            head = new_frame()
             payload: bytes = b""
             try:
                 result = await self._handler(
@@ -721,7 +732,15 @@ class Connection(asyncio.BufferedProtocol):
                     except (ConnectionError, OSError, TransportError):
                         pass  # peer is gone; connection_lost tears down
                     return
+                head = new_frame()
                 msg.encode_response_prefix(head, req_id)
+                if len(head) - HEADER + len(result) > framing.MAX_FRAME:
+                    # Answered, not dropped: the caller must not wait out
+                    # its budget for a reply that can never be sent.
+                    raise RPCError(
+                        f"reply of {len(result)} bytes exceeds MAX_FRAME with streaming off",
+                        code=ErrorCode.INTERNAL,
+                    )
                 payload = result
             except (RPCError, asyncio.CancelledError) as exc:
                 if isinstance(exc, asyncio.CancelledError):
@@ -733,10 +752,12 @@ class Connection(asyncio.BufferedProtocol):
                         f"component {request.component_id} method {request.method_index} "
                         f"exceeded its caller's {deadline_ms}ms budget"
                     )
+                head = new_frame()
                 msg.encode_into(
                     head, msg.RpcError(req_id, int(exc.code), str(exc), exc.executed)
                 )
             except Exception as exc:  # application exception: ship type + message
+                head = new_frame()
                 msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, str(exc)))
             try:
                 if not self._try_send(head, payload, own_tasks=1):

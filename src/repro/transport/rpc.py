@@ -1,21 +1,26 @@
 """The RPC layer: marshals stub invocations onto the wire and back.
 
-Two halves:
+Both halves bind what a call needs once per method, not per call — the
+§4.2 point that the framework, not the developer, owns marshaling:
 
-* :class:`Dispatcher` — server side.  Looks up the component by numeric id,
-  the method by index, decodes the argument tuple with the deployment
-  codec, invokes the local replica, and encodes the result.  It makes the
-  caller's remaining budget *ambient* for the handler's own outgoing
-  calls; it does not enforce it — the connection that created the
-  request's task cuts it off (:mod:`repro.transport.connection`).
+* :class:`Dispatcher` — server side.  When a component is hosted, each of
+  its methods gets a *thunk*: the handler, schemas, span name and
+  routing-advisor stats looked up once.  A served request is the thunk:
+  decode the argument tuple with the deployment codec, make the caller's
+  remaining budget *ambient* for the handler's own outgoing calls, run
+  the handler, encode the result.  The budget is not enforced here — the
+  connection that created the request's task cuts it off
+  (:mod:`repro.transport.connection`).
 * :class:`RemoteInvoker` — client side, plugged into stubs
   (:mod:`repro.core.stub`).  Encodes arguments, asks a
   :class:`ReplicaResolver` which peer should execute the call (this is
   where affinity routing enters, §5.2), performs the call with deadline
-  and bounded retries, and records the call's only call-graph edge.  A
-  warm call is ``invoke`` and one attempt above ``Connection.call``; the
-  resolver and the pool are asked synchronously, and a routing refresh
-  or a dial is awaited only when they come back empty.
+  and bounded retries, and records the call's only call-graph edge into
+  a cell bound per (caller, method).  A warm call is ``invoke`` directly
+  above ``Connection.call``: the resolver and the pool answer
+  synchronously and the first attempt runs inline.  Only a failed
+  attempt, a cold call (a routing refresh or a dial to await), an
+  injected fault or a hedge enters the retry loop.
 
 Numeric component/method ids are deployment-version-scoped (see
 :mod:`repro.codegen.versioning`); no names travel with requests.
@@ -26,13 +31,14 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Any, Optional, Protocol
+from typing import Any, Awaitable, Callable, Optional, Protocol
 
 from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph
 from repro.core.errors import (
     ComponentNotFound,
     DeadlineExceeded,
+    DecodeError,
     ErrorCode,
     RPCError,
     Unavailable,
@@ -40,11 +46,9 @@ from repro.core.errors import (
 from repro.core.options import (
     DEFAULT_OPTIONS,
     CallOptions,
+    ambient_deadline,
     budget_to_wire_ms,
     decorrelated_jitter,
-    effective_budget_s,
-    restore_deadline,
-    shrink_deadline,
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
@@ -97,8 +101,19 @@ class ReplicaResolver(Protocol):
         ...
 
 
+#: One hosted method's serving path: (args, (trace_id, parent_span_id),
+#: deadline_ms) -> the encoded result.
+Thunk = Callable[[bytes, tuple[int, int], int], Awaitable[bytearray]]
+
+
 class Dispatcher:
-    """Serves decoded RPC requests against local component replicas."""
+    """Serves RPC requests against local component replicas.
+
+    :meth:`thunk` binds one hosted method's whole serving path once, when
+    its component is hosted; a proclet keeps a table of them and awaits
+    the one a request names.  :meth:`handle` is the same path for a server
+    without such a table: it resolves, instantiates and binds per request.
+    """
 
     def __init__(
         self,
@@ -108,13 +123,14 @@ class Dispatcher:
         *,
         hosted: Optional[set[str]] = None,
         tracer: Optional[Any] = None,
+        advisor: Optional[Any] = None,
     ) -> None:
         self._build = build
         self._codec = codec
         self._local = local
         self._hosted = hosted  # None: host everything (single group)
         self._tracer = tracer
-        self._span_names: dict[tuple[int, int], str] = {}
+        self._advisor = advisor
 
     def hosts(self, name: str) -> bool:
         return self._hosted is None or name in self._hosted
@@ -122,14 +138,8 @@ class Dispatcher:
     def set_hosted(self, hosted: set[str]) -> None:
         self._hosted = hosted
 
-    async def handle(
-        self,
-        component_id: int,
-        method_index: int,
-        args: bytes,
-        trace: tuple[int, int] = (0, 0),
-        deadline_ms: int = 0,
-    ) -> bytes:
+    def resolve(self, component_id: int, method_index: int) -> tuple[Registration, MethodSpec]:
+        """The hosted method a request names, or the error refusing it."""
         try:
             reg = self._build.by_id(component_id)
         except ComponentNotFound as exc:
@@ -146,45 +156,82 @@ class Dispatcher:
                 code=ErrorCode.INTERNAL,
                 executed=False,
             )
-        spec = reg.spec.methods[method_index]
-        arg_values = self._codec.decode(spec.arg_schema, args)
-        # Re-derive an absolute deadline from our own clock and make it
-        # ambient, so every outgoing call this handler performs inherits
-        # the *remaining* budget (the paper's runtime-owned resilience).
-        # Cutting the handler off when the budget is spent is not done
-        # here: the connection that created this request's task does it.
-        ambient = (
-            shrink_deadline(time.monotonic() + deadline_ms / 1000.0)
-            if deadline_ms > 0
-            else None
+        return reg, reg.spec.methods[method_index]
+
+    def thunk(self, reg: Registration, spec: MethodSpec, instance: Any) -> Thunk:
+        """Bind one method of a hosted ``instance``: its handler, schemas,
+        span name and routing-advisor stats are looked up here, once.
+
+        ``codec.decode``/``encode_into`` and ``tracer.start_span`` are
+        looked up per call, never captured, so a wrapper installed on their
+        class (the perf harness's tracing) sees every call.
+        """
+        codec, local, tracer = self._codec, self._local, self._tracer
+        arg_schema, result_schema = spec.arg_schema, spec.result_schema
+        handler = getattr(instance, spec.name)
+        params = (
+            self._advisor.bind(
+                reg.name, spec.name, spec.arg_names, already_routed=spec.routing_key is not None
+            )
+            if self._advisor is not None
+            else ()
         )
-        try:
-            if self._tracer is not None and trace[0]:
-                span_name = self._span_names.get((component_id, method_index))
-                if span_name is None:
-                    span_name = f"{reg.name.rsplit('.', 1)[-1]}.{spec.name}"
-                    self._span_names[(component_id, method_index)] = span_name
-                # Join the caller's trace: the server-side span becomes the
-                # ambient parent for everything this invocation does locally.
-                with self._tracer.start_span(
-                    span_name,
-                    remote_parent=trace,
-                    side="server",
-                ):
-                    result = await self._local.invoke(
-                        reg, spec, arg_values, caller="<remote>"
-                    )
-            else:
-                result = await self._local.invoke(
-                    reg, spec, arg_values, caller="<remote>"
-                )
-        finally:
-            restore_deadline(ambient)
-        # The returned buffer is enqueued on the wire as-is (no bytes()
-        # materialization); the connection owns it from here.
-        reply = bytearray()
-        self._codec.encode_into(spec.result_schema, result, reply)
-        return reply
+        span_name = f"{reg.name.rsplit('.', 1)[-1]}.{spec.name}"
+
+        async def serve(args: bytes, trace: tuple[int, int], deadline_ms: int) -> bytearray:
+            try:
+                values = codec.decode(arg_schema, args)
+            except DecodeError as exc:
+                # The method never ran: not an application error, and not
+                # a success for the caller's breaker.
+                raise RPCError(
+                    f"malformed arguments for {span_name}: {exc}",
+                    code=ErrorCode.INTERNAL,
+                    executed=False,
+                ) from exc
+            # Pin the caller's budget to our clock and make it ambient
+            # (deadlines only shrink), so every outgoing call the handler
+            # makes inherits the *remaining* budget.
+            token = None
+            if deadline_ms > 0:
+                deadline = time.monotonic() + deadline_ms / 1000.0
+                current = ambient_deadline.get()
+                if current is None or current > deadline:
+                    token = ambient_deadline.set(deadline)
+            try:
+                if local.fault_plan is not None:
+                    await local.fault_plan.before_call(reg, spec)
+                for stats, value in zip(params, values):
+                    stats.observe(value)
+                if tracer is not None and trace[0]:
+                    # Join the caller's trace: the server-side span becomes
+                    # the ambient parent for everything the handler does.
+                    with tracer.start_span(span_name, remote_parent=trace, side="server"):
+                        result = await handler(*values)
+                else:
+                    result = await handler(*values)
+            finally:
+                if token is not None:
+                    ambient_deadline.reset(token)
+            # Enqueued on the wire as-is (no bytes() materialization); the
+            # connection owns it from here.
+            reply = bytearray()
+            codec.encode_into(result_schema, result, reply)
+            return reply
+
+        return serve
+
+    async def handle(
+        self,
+        component_id: int,
+        method_index: int,
+        args: bytes,
+        trace: tuple[int, int] = (0, 0),
+        deadline_ms: int = 0,
+    ) -> bytes:
+        reg, spec = self.resolve(component_id, method_index)
+        instance = await self._local.instance(reg)
+        return await self.thunk(reg, spec, instance)(args, trace, deadline_ms)
 
 
 class RemoteInvoker:
@@ -232,11 +279,10 @@ class RemoteInvoker:
         self._client_errors = (
             metrics.counter("rpc_client_errors") if metrics is not None else None
         )
-        # Per-component bound cells and span names, resolved once: the
-        # invoke fast path must not pay label sorting or rsplit per call.
-        self._lat_cells: dict[str, Any] = {}
-        self._err_cells: dict[str, Any] = {}
-        self._span_names: dict[tuple[str, str], str] = {}
+        #: (caller, component id, method index) -> what a call updates
+        #: once it is done, bound on the first call: its call-graph edge,
+        #: the component's client latency and error cells, its span name.
+        self._sites: dict[tuple[str, int, int], tuple[Any, Any, Any, str]] = {}
         #: Optional repro.testing.faults.FaultPlan, consulted per call.
         self.fault_plan = None
         #: Count of hedge attempts issued (observability/tests).
@@ -251,6 +297,13 @@ class RemoteInvoker:
         *,
         options: Optional[CallOptions] = None,
     ) -> Any:
+        """One call: the first attempt runs inline when routing and the
+        pool answer from cache; a failed attempt, a cold or fault-injected
+        call, and a hedged one go through :meth:`_retry_loop`."""
+        site = self._sites.get((caller, reg.component_id, method.index))
+        if site is None:
+            site = self._bind_site(reg, method, caller)
+        edge, latency, errors, span_name = site
         opts = options or DEFAULT_OPTIONS
         payload = bytearray()
         self._codec.encode_into(method.arg_schema, args, payload)
@@ -258,91 +311,146 @@ class RemoteInvoker:
         error = False
         reply = b""
         span = NOOP_SPAN
-        if self._tracer is not None:
-            span_name = self._span_names.get((reg.name, method.name))
-            if span_name is None:
-                span_name = f"rpc {reg.name.rsplit('.', 1)[-1]}.{method.name}"
-                self._span_names[(reg.name, method.name)] = span_name
-            span = self._tracer.start_span(span_name, side="client", caller=caller)
+        tracer = self._tracer
+        if tracer is not None:
+            span = tracer.start_span(span_name, side="client", caller=caller)
         try:
             with span:
-                budget_s = effective_budget_s(opts.deadline_s, self._timeout_s)
-                if budget_s <= 0:
+                # The budget: explicit or default, capped by the ambient
+                # deadline of the request being served.
+                budget = self._timeout_s if opts.deadline_s is None else opts.deadline_s
+                now = time.monotonic()
+                ambient = ambient_deadline.get()
+                if ambient is not None and ambient - now < budget:
+                    budget = ambient - now
+                if budget <= 0:
                     raise DeadlineExceeded(
                         f"no budget left calling {reg.name}.{method.name}", executed=False
                     )
-                deadline = time.monotonic() + budget_s
-                max_retries = self._max_retries if opts.retries is None else opts.retries
-                hedge_after_s = opts.hedge_after_s if method.idempotent else None
-                attempt = 0
-                backoff = self._retry_backoff_s
-                while True:
+                deadline = now + budget
+                resolver = self._resolver
+                address = conn = None
+                if self.fault_plan is None and not (
+                    opts.hedge_after_s is not None and method.idempotent
+                ):
+                    address = resolver.pick(reg, method, args, opts.route_key)
+                    if address is not None:
+                        conn = self._pool.live(address)
+                if conn is None:
+                    # Faulted, hedged, or cold: the first attempt awaits a
+                    # routing refresh or a dial (at the address already
+                    # picked, if there is one).
+                    reply = await self._retry_loop(
+                        reg, method, args, payload, opts, deadline, address=address
+                    )
+                else:
+                    wall_start = time.time() if tracer is not None else 0.0
+                    failure = None
                     try:
-                        if hedge_after_s is None:
-                            reply = await self._single_attempt(
-                                reg, method, args, payload, opts, deadline, attempt
-                            )
-                        else:
-                            reply = await self._hedged_attempt(
-                                reg, method, args, payload, opts, deadline, hedge_after_s
-                            )
-                        break
+                        reply = await conn.call(
+                            reg.component_id,
+                            method.index,
+                            payload,
+                            timeout=budget,
+                            trace=current_context(),
+                            deadline_ms=max(1, int(budget * 1000)),
+                        )
+                        resolver.report_outcome(reg, address, ok=True)
                     except RPCError as exc:
-                        if not exc.retryable or attempt >= max_retries:
-                            raise
-                        if exc.executed and not method.idempotent:
-                            # The method body may already have run; re-executing a
-                            # non-idempotent method could double its effect (the
-                            # double-charge bug this layer exists to fix).
-                            raise
-                        # Outcome reporting and pool eviction already happened
-                        # at the failure site (_single_attempt); this loop only
-                        # decides whether another attempt is worth it.
-                        attempt += 1
-                        backoff = decorrelated_jitter(
-                            backoff,
-                            base_s=self._retry_backoff_s,
-                            cap_s=self._retry_backoff_max_s,
+                        self._attempt_failed(reg, method, address, conn, 0, wall_start, exc)
+                        failure = exc
+                    if failure is not None:
+                        reply = await self._retry_loop(
+                            reg, method, args, payload, opts, deadline, failure
                         )
-                        if time.monotonic() + backoff >= deadline:
-                            raise DeadlineExceeded(
-                                f"budget exhausted retrying {reg.name}.{method.name} "
-                                f"(after {attempt} attempts)",
-                                executed=exc.executed,
-                            ) from exc
-                        log.debug(
-                            "retrying %s.%s after %s (attempt %d, backoff %.3fs)",
-                            reg.name, method.name, exc, attempt, backoff,
-                        )
-                        await asyncio.sleep(backoff)
             return self._codec.decode(method.result_schema, reply)
         except Exception:
             error = True
             raise
         finally:
-            if self._client_latency is not None:
-                cell = self._lat_cells.get(reg.name)
-                if cell is None:
-                    cell = self._client_latency.bind(component=reg.name)
-                    self._lat_cells[reg.name] = cell
-                cell.observe(time.perf_counter() - start, exemplar=span.span.trace_id)
+            elapsed = time.perf_counter() - start
+            if latency is not None:
+                latency.observe(elapsed, exemplar=span.span.trace_id)
                 if error:
-                    err = self._err_cells.get(reg.name)
-                    if err is None:
-                        err = self._client_errors.bind(component=reg.name)
-                        self._err_cells[reg.name] = err
-                    err.inc()
-            if self._call_graph is not None:
-                self._call_graph.record(
-                    caller,
-                    reg.name,
-                    method.name,
-                    latency_s=time.perf_counter() - start,
-                    bytes_sent=len(payload),
-                    bytes_received=len(reply),
-                    local=False,
-                    error=error,
+                    errors.inc()
+            if edge is not None:
+                edge.calls += 1
+                edge.bytes_sent += len(payload)
+                edge.bytes_received += len(reply)
+                edge.total_latency_s += elapsed
+                if error:
+                    edge.errors += 1
+
+    def _bind_site(self, reg: Registration, method: MethodSpec, caller: str) -> tuple:
+        metered = self._client_latency is not None
+        site = (
+            self._call_graph.edge(caller, reg.name, method.name)
+            if self._call_graph is not None
+            else None,
+            self._client_latency.bind(component=reg.name) if metered else None,
+            self._client_errors.bind(component=reg.name) if metered else None,
+            f"rpc {reg.name.rsplit('.', 1)[-1]}.{method.name}",
+        )
+        self._sites[(caller, reg.component_id, method.index)] = site
+        return site
+
+    async def _retry_loop(
+        self,
+        reg: Registration,
+        method: MethodSpec,
+        args: tuple,
+        payload: bytes,
+        opts: CallOptions,
+        deadline: float,
+        failure: Optional[RPCError] = None,
+        address: Optional[str] = None,
+    ) -> bytes:
+        """Every attempt after the failed inline one (``failure``), or every
+        attempt of a call that could not take the inline path (the first
+        of them at ``address`` if the inline path had picked one)."""
+        max_retries = self._max_retries if opts.retries is None else opts.retries
+        hedge_after_s = opts.hedge_after_s if method.idempotent else None
+        attempt = 0
+        backoff = self._retry_backoff_s
+        while True:
+            if failure is not None:
+                if not failure.retryable or attempt >= max_retries:
+                    raise failure
+                if failure.executed and not method.idempotent:
+                    # The method body may already have run; re-executing a
+                    # non-idempotent method could double its effect (the
+                    # double-charge bug this layer exists to fix).
+                    raise failure
+                # Outcome reporting and pool eviction already happened at
+                # the failure site (_attempt_failed); this loop only
+                # decides whether another attempt is worth it.
+                attempt += 1
+                backoff = decorrelated_jitter(
+                    backoff,
+                    base_s=self._retry_backoff_s,
+                    cap_s=self._retry_backoff_max_s,
                 )
+                if time.monotonic() + backoff >= deadline:
+                    raise DeadlineExceeded(
+                        f"budget exhausted retrying {reg.name}.{method.name} "
+                        f"(after {attempt} attempts)",
+                        executed=failure.executed,
+                    ) from failure
+                log.debug(
+                    "retrying %s.%s after %s (attempt %d, backoff %.3fs)",
+                    reg.name, method.name, failure, attempt, backoff,
+                )
+                await asyncio.sleep(backoff)
+            try:
+                if hedge_after_s is None:
+                    return await self._single_attempt(
+                        reg, method, args, payload, opts, deadline, attempt, address
+                    )
+                return await self._hedged_attempt(
+                    reg, method, args, payload, opts, deadline, hedge_after_s
+                )
+            except RPCError as exc:
+                failure, address = exc, None
 
     async def _single_attempt(
         self,
@@ -353,6 +461,7 @@ class RemoteInvoker:
         opts: CallOptions,
         deadline: float,
         attempt: int = 0,
+        address: Optional[str] = None,
     ) -> bytes:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -361,7 +470,8 @@ class RemoteInvoker:
                 executed=False,
             )
         resolver = self._resolver
-        address = resolver.pick(reg, method, args, opts.route_key)
+        if address is None:
+            address = resolver.pick(reg, method, args, opts.route_key)
         if address is None:
             address = await resolver.resolve(reg, method, args, opts.route_key)
         wall_start = time.time() if self._tracer is not None else 0.0
@@ -384,24 +494,7 @@ class RemoteInvoker:
                 deadline_ms=budget_to_wire_ms(remaining),
             )
         except RPCError as exc:
-            exc.address = address  # lets callers/tests see who failed
-            if exc.code is ErrorCode.UNAVAILABLE and (conn is None or conn.closed):
-                # Evict a broken connection (or the dial lock of one that
-                # never came up) at the failure site.  An UNAVAILABLE
-                # *reply* — a draining door, a component hosted elsewhere,
-                # a wrong shard owner — arrived over a healthy connection
-                # that other calls are still using: closing it would fail
-                # them all.
-                self._pool.drop(address)
-            # Every outcome feeds the resolver's breakers.
-            resolver.report_outcome(
-                reg, address, ok=False, code=exc.code,
-                draining=getattr(exc, "draining", False),
-                wrong_owner=getattr(exc, "wrong_owner", False),
-            )
-            self._attempt_span(
-                reg, method, address, attempt, wall_start, status="error", exc=exc
-            )
+            self._attempt_failed(reg, method, address, conn, attempt, wall_start, exc)
             raise
         resolver.report_outcome(reg, address, ok=True)
         if attempt > 0:
@@ -410,6 +503,33 @@ class RemoteInvoker:
             # happy first attempt stays span-free — zero hot-path cost.
             self._attempt_span(reg, method, address, attempt, wall_start, status="ok")
         return reply
+
+    def _attempt_failed(
+        self,
+        reg: Registration,
+        method: MethodSpec,
+        address: str,
+        conn: Optional[Any],
+        attempt: int,
+        wall_start: float,
+        exc: RPCError,
+    ) -> None:
+        """What every failed attempt does at its failure site."""
+        exc.address = address  # lets callers/tests see who failed
+        if exc.code is ErrorCode.UNAVAILABLE and (conn is None or conn.closed):
+            # Evict a broken connection (or the dial lock of one that never
+            # came up) at the failure site.  An UNAVAILABLE *reply* — a
+            # draining door, a component hosted elsewhere, a wrong shard
+            # owner — arrived over a healthy connection that other calls
+            # are still using: closing it would fail them all.
+            self._pool.drop(address)
+        # Every outcome feeds the resolver's breakers.
+        self._resolver.report_outcome(
+            reg, address, ok=False, code=exc.code,
+            draining=getattr(exc, "draining", False),
+            wrong_owner=getattr(exc, "wrong_owner", False),
+        )
+        self._attempt_span(reg, method, address, attempt, wall_start, status="error", exc=exc)
 
     def _attempt_span(
         self,

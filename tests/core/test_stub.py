@@ -45,7 +45,7 @@ class TestStubCalls:
         assert await adder_stub.add(2, b=3) == 5
 
     async def test_missing_arg_raises_typeerror(self, adder_stub):
-        with pytest.raises(TypeError, match="takes 2 arguments"):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 'b'"):
             await adder_stub.add(2)
 
     async def test_extra_args_raise(self, adder_stub):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.core.config import AppConfig
-from repro.core.errors import ComponentNotFound, Unavailable
+from repro.core.errors import ComponentNotFound, ErrorCode, RPCError, Unavailable
 from repro.core.options import CallOptions
 from repro.runtime import pipes
 from repro.runtime.proclet import Proclet, RoutingResolver
@@ -153,63 +153,195 @@ class TestStubResolution:
         await server.stop()
 
     async def test_warm_remote_call_object_budget(self, demo_build, runtime):
-        """A warm stub call is two coroutines above ``Connection.call``: no
-        stub frame, no awaited routing lookup or pool get, no fresh
-        ``CallOptions``, and one future (the reply's) per call."""
-        adder_name = demo_build.by_iface(Adder).name
-        server = Proclet("p-server", demo_build, AppConfig(), runtime, heartbeat_interval_s=3600)
-        runtime.hosting["p-server"] = [adder_name]
-        await server.start()
-        runtime.routing[adder_name] = {"component": adder_name, "replicas": [server.address]}
-        client = Proclet("p-client", demo_build, AppConfig(), runtime, heartbeat_interval_s=3600)
-        await client.start()
+        """A warm stub call is one coroutine above ``Connection.call``: no
+        stub frame, no attempt frame, no awaited routing lookup or pool get,
+        no fresh ``CallOptions``, and one future (the reply's) per call."""
+        server, client = await serving_pair(demo_build, runtime)
         try:
+            await assert_warm_call_budget(client.get(Adder))
+        finally:
+            await client.stop()
+            await server.stop()
+
+    async def test_warm_call_with_options_object_budget(self, demo_build, runtime):
+        """A deadline and a retry count stay on the inline path too."""
+        server, client = await serving_pair(demo_build, runtime)
+        try:
+            await assert_warm_call_budget(
+                client.get(Adder).with_options(deadline_s=5.0, retries=0)
+            )
+        finally:
+            await client.stop()
+            await server.stop()
+
+
+async def assert_warm_call_budget(adder) -> None:
+    """Profile 50 warm ``adder.add`` calls: the coroutines they enter and
+    the futures they create."""
+    assert await adder.add(1, 2) == 3  # warm: routing cached, connection dialed
+
+    n = 50
+
+    async def calls():
+        for i in range(n):
+            assert await adder.add(i, 1) == i + 1
+
+    create_future = type(asyncio.get_running_loop()).create_future.__code__
+    options_init = CallOptions.__init__.__code__
+    entered: set = set()
+    futures = 0
+
+    def profile(frame, event, arg):
+        # Only frames running under calls() — the client side.
+        nonlocal futures
+        code = frame.f_code
+        is_coroutine = code.co_flags & inspect.CO_COROUTINE
+        if event != "call" or not (is_coroutine or code in (create_future, options_init)):
+            return
+        caller = frame.f_back
+        while caller is not None and caller.f_code is not calls.__code__:
+            caller = caller.f_back
+        if caller is None:
+            return
+        if code is create_future:
+            futures += 1
+        else:
+            entered.add(code)
+
+    sys.setprofile(profile)
+    try:
+        await calls()
+    finally:
+        sys.setprofile(None)
+    assert RoutingResolver.resolve.__code__ not in entered
+    assert ConnectionPool.get.__code__ not in entered
+    assert options_init not in entered  # CallOptions() never ran
+    assert entered == {RemoteInvoker.invoke.__code__, Connection.call.__code__}
+    assert futures == n
+
+
+async def serving_pair(demo_build, runtime, config=None):
+    """A proclet hosting Adder, and a client proclet routed to it."""
+    adder_name = demo_build.by_iface(Adder).name
+    server = Proclet("p-server", demo_build, AppConfig(), runtime, heartbeat_interval_s=3600)
+    runtime.hosting["p-server"] = [adder_name]
+    await server.start()
+    runtime.routing[adder_name] = {"component": adder_name, "replicas": [server.address]}
+    client = Proclet(
+        "p-client", demo_build, config or AppConfig(), runtime, heartbeat_interval_s=3600
+    )
+    await client.start()
+    return server, client
+
+
+class Mangling:
+    """The deployment codec, with argument bytes mangled after encoding —
+    what a broken or hostile peer puts on the wire."""
+
+    def __init__(self, codec, mangle):
+        self._codec, self._mangle = codec, mangle
+
+    def encode_into(self, schema, value, out):
+        self._codec.encode_into(schema, value, out)
+        out[:] = self._mangle(bytes(out))
+
+    def decode(self, schema, data):
+        return self._codec.decode(schema, data)
+
+
+class TestServedMethods:
+    async def test_warm_served_request_frame_budget(self, demo_build, runtime):
+        """A warm served request is four coroutines: the connection's
+        request task, the proclet's door, the method's bound thunk and the
+        handler — no dispatcher or local-invoker frame."""
+        server, client = await serving_pair(demo_build, runtime)
+        try:
+            reg = demo_build.by_iface(Adder)
             adder = client.get(Adder)
-            assert await adder.add(1, 2) == 3  # warm: routing cached, connection dialed
-
-            n = 50
-
-            async def calls():
-                for i in range(n):
-                    assert await adder.add(i, 1) == i + 1
-
-            create_future = type(asyncio.get_running_loop()).create_future.__code__
-            options_init = CallOptions.__init__.__code__
+            assert await adder.add(1, 2) == 3  # warm
+            thunk = server._served[(reg.component_id, reg.spec.method("add").index)][0]
+            handler = type(server._local.instances()[reg.name]).add
+            serve_one = Connection._serve_one.__code__
             entered: set = set()
-            futures = 0
 
             def profile(frame, event, arg):
-                # Only frames running under calls() — the client side.
-                nonlocal futures
                 code = frame.f_code
-                is_coroutine = code.co_flags & inspect.CO_COROUTINE
-                if event != "call" or not (is_coroutine or code in (create_future, options_init)):
+                if event != "call" or not code.co_flags & inspect.CO_COROUTINE:
                     return
-                caller = frame.f_back
-                while caller is not None and caller.f_code is not calls.__code__:
-                    caller = caller.f_back
-                if caller is None:
-                    return
-                if code is create_future:
-                    futures += 1
-                else:
+                outer = frame
+                while outer is not None and outer.f_code is not serve_one:
+                    outer = outer.f_back
+                if outer is not None:  # running under a served request
                     entered.add(code)
 
             sys.setprofile(profile)
             try:
-                await calls()
+                for i in range(50):
+                    assert await adder.add(i, 1) == i + 1
             finally:
                 sys.setprofile(None)
-            assert RoutingResolver.resolve.__code__ not in entered
-            assert ConnectionPool.get.__code__ not in entered
-            assert options_init not in entered  # CallOptions() never ran
             assert entered == {
-                RemoteInvoker.invoke.__code__,
-                RemoteInvoker._single_attempt.__code__,
-                Connection.call.__code__,
+                serve_one,
+                Proclet._handle_rpc.__code__,
+                thunk.__code__,
+                handler.__code__,
             }
-            assert futures == n
         finally:
+            await client.stop()
+            await server.stop()
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [lambda b: b"\xff\xff\xff", lambda b: b + b"\x00"],
+        ids=["garbage", "trailing-byte"],
+    )
+    async def test_malformed_arguments_are_refused_unexecuted(
+        self, demo_build, runtime, mangle
+    ):
+        """Arguments that do not decode are the caller's fault, not the
+        method's: INTERNAL with executed=False, the handler never runs, and
+        the caller's breaker records a failure (one trips it here), never
+        the success an application error would credit."""
+        from repro.transport.breaker import BreakerState
+
+        server, client = await serving_pair(
+            demo_build, runtime, AppConfig(breaker_failures=1)
+        )
+        try:
+            reg = demo_build.by_iface(Adder)
+            client._remote._codec = Mangling(client._remote._codec, mangle)
+            with pytest.raises(RPCError) as info:
+                await client.get(Adder).add(1, 2)
+            assert type(info.value) is RPCError
+            assert info.value.code is ErrorCode.INTERNAL
+            assert info.value.executed is False
+            assert server._local.instances()[reg.name].calls == 0
+            breaker = client.breakers.breaker(reg.name, server.address)
+            assert breaker.state is BreakerState.OPEN
+        finally:
+            await client.stop()
+            await server.stop()
+
+    async def test_unknown_ids_touch_no_per_method_state(self, demo_build, runtime):
+        """Requests naming methods this proclet does not have are refused
+        INTERNAL/executed=False, and however many distinct ids a peer sends,
+        the proclet's per-method tables stay the size of what it hosts."""
+        server, client = await serving_pair(demo_build, runtime)
+        pool = ConnectionPool(codec="compact", version=demo_build.version)
+        try:
+            reg = demo_build.by_iface(Adder)
+            served, cells = len(server._served), len(server.metrics.cells())
+            assert served == len(reg.spec.methods)
+            conn = await pool.get(server.address)
+            for i in range(1000):
+                with pytest.raises(RPCError) as info:
+                    await conn.call(reg.component_id, 100 + i, b"", timeout=5)
+                assert info.value.code is ErrorCode.INTERNAL
+                assert info.value.executed is False
+            assert len(server._served) == served
+            assert len(server.metrics.cells()) == cells
+        finally:
+            await pool.close()
             await client.stop()
             await server.stop()
 

@@ -17,6 +17,7 @@ from repro.core.errors import (
     Unavailable,
     VersionMismatch,
 )
+from repro.transport import framing
 from repro.transport import message as msg
 from repro.transport.client import ConnectionPool
 from repro.transport.connection import MAX_HANDSHAKE, SEND_HIGH_WATER, Connection
@@ -615,3 +616,41 @@ async def test_largest_hello_is_within_the_handshake_cap():
         reply = await handshake_reply(h.address, hello)
         assert reply == frame_bytes(msg.Welcome("compact", "v1"))
         assert h.server._connections == set()
+
+
+@pytest.mark.parametrize("direction", ["request", "reply"])
+async def test_oversize_frame_without_streaming_spares_the_connection(direction, monkeypatch):
+    """With streaming off, a frame over MAX_FRAME is refused with a
+    non-retryable INTERNAL before it is queued — executed=False for a
+    request, executed=True for a reply (the handler ran) — instead of
+    closing the connection a bystander call shares, or leaving the caller
+    to wait out its budget for a reply that was dropped."""
+    monkeypatch.setattr(framing, "MAX_FRAME", 1 << 20)
+    oversize = b"x" * ((1 << 20) + 1)
+
+    async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+        if method_index == 97:
+            await asyncio.sleep(0.2)
+            return b"slow"
+        return oversize if method_index == 96 else b"ok"
+
+    server = RPCServer(handler, codec="compact", version="v1", stream_threshold=0)
+    pool = ConnectionPool(codec="compact", version="v1", stream_threshold=0)
+    try:
+        address = await server.start()
+        conn = await pool.get(address)
+        bystander = asyncio.ensure_future(conn.call(0, 97, b"", timeout=5))
+        await asyncio.sleep(0.05)
+        with pytest.raises(RPCError) as info:
+            if direction == "request":
+                await conn.call(0, 1, oversize, timeout=5)
+            else:
+                await asyncio.wait_for(conn.call(0, 96, b"", timeout=5), 2)
+        assert info.value.code is ErrorCode.INTERNAL and not info.value.retryable
+        assert info.value.executed is (direction == "reply")
+        assert await bystander == b"slow"
+        assert pool.live(address) is conn
+        assert await conn.call(0, 1, b"", timeout=5) == b"ok"
+    finally:
+        await pool.close()
+        await server.stop()

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import Component
-from repro.core.errors import DeadlineExceeded, RPCError, Unavailable
+from repro.core.errors import DeadlineExceeded, ErrorCode, RPCError, Unavailable
 from repro.core.registry import Registry
 from repro.core.stub import LocalInvoker, make_stub
 from repro.serde import COMPACT
@@ -16,13 +16,14 @@ from repro.transport.client import ConnectionPool
 from repro.transport.rpc import Dispatcher, RemoteInvoker
 from repro.transport.server import RPCServer
 
-from tests.conftest import Adder, Greeter
+from tests.conftest import Adder, Greeter, KVStore
 
 
 class StaticResolver:
     def __init__(self, address):
         self.address = address
         self.failures = []
+        self.outcomes = []
 
     def pick(self, reg, method, args, route_key=None):
         return self.address
@@ -31,6 +32,7 @@ class StaticResolver:
         return self.address
 
     def report_outcome(self, reg, address, *, ok, **detail):
+        self.outcomes.append((ok, detail.get("code")))
         if not ok:
             self.failures.append((reg.name, address))
 
@@ -42,6 +44,8 @@ class ServedApp:
         self.build = build
         #: Reject new requests at the door the way a draining proclet does.
         self.draining = False
+        #: An error the next request fails with instead of being served.
+        self.fail_next = None
 
     async def __aenter__(self):
         local = LocalInvoker(version=self.build.version, resolver=self)
@@ -64,6 +68,9 @@ class ServedApp:
     async def _serve(self, *request):
         if self.draining:
             raise Unavailable("served-app is draining", executed=False, draining=True)
+        if self.fail_next is not None:
+            exc, self.fail_next = self.fail_next, None
+            raise exc
         return await self.dispatcher.handle(*request)
 
     def get_for(self, iface, caller):
@@ -195,6 +202,37 @@ async def test_deadline_across_retries(demo_build):
         with pytest.raises((DeadlineExceeded, Unavailable)):
             await stub.add(1, 1)
 
+
+
+@pytest.mark.parametrize("executed", [False, True], ids=["unexecuted", "executed"])
+@pytest.mark.parametrize(
+    "iface, method, args, result",
+    [(Adder, "add", (2, 3), 5), (KVStore, "put", ("k", "v"), None)],
+    ids=["idempotent", "not-idempotent"],
+)
+async def test_failed_inline_first_attempt_is_retried_as_before(
+    demo_build, executed, iface, method, args, result
+):
+    """A warm call's first attempt runs inline; when it fails, it is
+    reported at the failure site and retried by the same at-most-once
+    rule as every other attempt: a failure that may have executed the
+    method is retried only if the method is idempotent."""
+    async with ServedApp(demo_build) as served:
+        call = getattr(make_stub(demo_build.by_iface(iface), served.remote, ROOT), method)
+        assert await call(*args) == result  # warm: routed and dialed
+        served.resolver.outcomes.clear()
+        served.fail_next = Unavailable("replica hiccup", executed=executed)
+        spec = demo_build.by_iface(iface).spec.method(method)
+        if not executed or spec.idempotent:
+            assert await call(*args) == result
+            assert served.resolver.outcomes == [(False, ErrorCode.UNAVAILABLE), (True, None)]
+        else:
+            with pytest.raises(Unavailable) as info:
+                await call(*args)
+            assert info.value.executed is True
+            assert served.resolver.outcomes == [(False, ErrorCode.UNAVAILABLE)]
+        # An UNAVAILABLE *reply* leaves the shared connection alone.
+        assert served.pool.live(served.resolver.address) is not None
 
 
 class Napper(Component):
