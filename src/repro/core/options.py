@@ -87,16 +87,14 @@ DEFAULT_OPTIONS = CallOptions()
 # Ambient deadline: the remaining budget of the request being served.
 # ---------------------------------------------------------------------------
 
-#: The ambient absolute deadline; the RPC hot paths read and set it
-#: directly, everything else goes through the helpers below.
-ambient_deadline: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
+_deadline_var: contextvars.ContextVar[Optional[float]] = contextvars.ContextVar(
     "repro_call_deadline", default=None
 )
 
 
 def current_deadline() -> Optional[float]:
     """The ambient absolute deadline (``time.monotonic()`` scale), if any."""
-    return ambient_deadline.get()
+    return _deadline_var.get()
 
 
 def remaining_budget_s() -> Optional[float]:
@@ -104,7 +102,7 @@ def remaining_budget_s() -> Optional[float]:
 
     May be zero or negative once the budget is spent.
     """
-    deadline = ambient_deadline.get()
+    deadline = _deadline_var.get()
     if deadline is None:
         return None
     return deadline - time.monotonic()
@@ -118,15 +116,15 @@ def shrink_deadline(deadline: float) -> Optional[contextvars.Token]:
     ever shrink.  Returns the token :func:`restore_deadline` undoes it
     with, or ``None`` if nothing changed.
     """
-    current = ambient_deadline.get()
+    current = _deadline_var.get()
     if current is not None and current <= deadline:
         return None
-    return ambient_deadline.set(deadline)
+    return _deadline_var.set(deadline)
 
 
 def restore_deadline(token: Optional[contextvars.Token]) -> None:
     if token is not None:
-        ambient_deadline.reset(token)
+        _deadline_var.reset(token)
 
 
 @contextlib.contextmanager

@@ -439,10 +439,13 @@ class Proclet:
         removed = self._hosted - hosted
         self._hosted = hosted
         self._dispatcher.set_hosted(hosted)
-        for name in sorted(removed):
+        # Unbind every moved component before the first await below, so no
+        # request is served by an instance that is being shut down.
+        for name in removed:
             reg = self.build.by_name(name)
             for spec in reg.spec.methods:
                 self._served.pop((reg.component_id, spec.index), None)
+        for name in sorted(removed):
             await self._local.discard_instance(name)
             self.state.detach_component(name)  # flush; new owner replays
             self._table.invalidate(name)  # future calls re-resolve
@@ -483,19 +486,21 @@ class Proclet:
             raise Unavailable(
                 f"{self.proclet_id} is draining", executed=False, draining=True
             )
-        served = self._served.get((component_id, method_index))
-        if served is None:
-            served = await self._bind_cold(component_id, method_index)
-        thunk, latency, calls, errors = served
         self.inflight_rpcs += 1
         try:
             admission = self._admission
             if not admission.try_enter():
                 deadline_ms = await self._queue_for_slot(admission, deadline_ms)
             start = time.perf_counter()
+            served = None
             failed = False
             try:
-                return await thunk(args, trace, deadline_ms)
+                # Looked up once admitted: a component moved away while the
+                # request queued is refused, never run on its old instance.
+                served = self._served.get((component_id, method_index))
+                if served is None:
+                    served = await self._bind_cold(component_id, method_index)
+                return await served[0](args, trace, deadline_ms)
             except BaseException:
                 failed = True
                 raise
@@ -503,12 +508,14 @@ class Proclet:
                 admission.leave()
                 elapsed = time.perf_counter() - start
                 self._busy_s += elapsed
-                # trace[0] is the caller's trace id: a histogram exemplar
-                # pivots a latency bucket straight to that trace.
-                latency.observe(elapsed, exemplar=trace[0])
-                calls.inc()
-                if failed:
-                    errors.inc()
+                if served is not None:
+                    _, latency, calls, errors = served
+                    # trace[0] is the caller's trace id: a histogram exemplar
+                    # pivots a latency bucket straight to that trace.
+                    latency.observe(elapsed, exemplar=trace[0])
+                    calls.inc()
+                    if failed:
+                        errors.inc()
         finally:
             self.inflight_rpcs -= 1
 

@@ -16,10 +16,9 @@ Both halves bind what a call needs once per method, not per call — the
   :class:`ReplicaResolver` which peer should execute the call (this is
   where affinity routing enters, §5.2), performs the call with deadline
   and bounded retries, and records the call's only call-graph edge into
-  a cell bound per (caller, method).  A warm call is ``invoke`` directly
-  above ``Connection.call``: the resolver and the pool answer
-  synchronously and the first attempt runs inline.  Only a failed
-  attempt, a cold call (a routing refresh or a dial to await), an
+  a cell bound per (caller, method).  The first attempt runs inline, so a
+  warm call is ``invoke`` directly above ``Connection.call``: the resolver
+  and the pool answer synchronously.  Only a failed first attempt, an
   injected fault or a hedge enters the retry loop.
 
 Numeric component/method ids are deployment-version-scoped (see
@@ -46,9 +45,11 @@ from repro.core.errors import (
 from repro.core.options import (
     DEFAULT_OPTIONS,
     CallOptions,
-    ambient_deadline,
     budget_to_wire_ms,
     decorrelated_jitter,
+    effective_budget_s,
+    restore_deadline,
+    shrink_deadline,
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
@@ -112,7 +113,10 @@ class Dispatcher:
     :meth:`thunk` binds one hosted method's whole serving path once, when
     its component is hosted; a proclet keeps a table of them and awaits
     the one a request names.  :meth:`handle` is the same path for a server
-    without such a table: it resolves, instantiates and binds per request.
+    without such a table (a bare :class:`~repro.transport.server.RPCServer`
+    handler, as in the transport tests): it resolves, instantiates and
+    binds per request.  The perf harness's seam table also names it
+    (``benchmarks/perf/trace.py``).
     """
 
     def __init__(
@@ -192,12 +196,11 @@ class Dispatcher:
             # Pin the caller's budget to our clock and make it ambient
             # (deadlines only shrink), so every outgoing call the handler
             # makes inherits the *remaining* budget.
-            token = None
-            if deadline_ms > 0:
-                deadline = time.monotonic() + deadline_ms / 1000.0
-                current = ambient_deadline.get()
-                if current is None or current > deadline:
-                    token = ambient_deadline.set(deadline)
+            token = (
+                shrink_deadline(time.monotonic() + deadline_ms / 1000.0)
+                if deadline_ms > 0
+                else None
+            )
             try:
                 if local.fault_plan is not None:
                     await local.fault_plan.before_call(reg, spec)
@@ -211,8 +214,7 @@ class Dispatcher:
                 else:
                     result = await handler(*values)
             finally:
-                if token is not None:
-                    ambient_deadline.reset(token)
+                restore_deadline(token)
             # Enqueued on the wire as-is (no bytes() materialization); the
             # connection owns it from here.
             reply = bytearray()
@@ -297,9 +299,10 @@ class RemoteInvoker:
         *,
         options: Optional[CallOptions] = None,
     ) -> Any:
-        """One call: the first attempt runs inline when routing and the
-        pool answer from cache; a failed attempt, a cold or fault-injected
-        call, and a hedged one go through :meth:`_retry_loop`."""
+        """One call.  The first attempt runs inline, awaiting a routing
+        refresh or a dial only on a cache miss; a failed first attempt, and
+        every attempt of a fault-injected or hedged call, go through
+        :meth:`_retry_loop`."""
         site = self._sites.get((caller, reg.component_id, method.index))
         if site is None:
             site = self._bind_site(reg, method, caller)
@@ -316,49 +319,42 @@ class RemoteInvoker:
             span = tracer.start_span(span_name, side="client", caller=caller)
         try:
             with span:
-                # The budget: explicit or default, capped by the ambient
-                # deadline of the request being served.
-                budget = self._timeout_s if opts.deadline_s is None else opts.deadline_s
-                now = time.monotonic()
-                ambient = ambient_deadline.get()
-                if ambient is not None and ambient - now < budget:
-                    budget = ambient - now
+                budget = effective_budget_s(opts.deadline_s, self._timeout_s)
                 if budget <= 0:
                     raise DeadlineExceeded(
                         f"no budget left calling {reg.name}.{method.name}", executed=False
                     )
-                deadline = now + budget
-                resolver = self._resolver
-                address = conn = None
-                if self.fault_plan is None and not (
+                deadline = time.monotonic() + budget
+                if self.fault_plan is not None or (
                     opts.hedge_after_s is not None and method.idempotent
                 ):
-                    address = resolver.pick(reg, method, args, opts.route_key)
-                    if address is not None:
-                        conn = self._pool.live(address)
-                if conn is None:
-                    # Faulted, hedged, or cold: the first attempt awaits a
-                    # routing refresh or a dial (at the address already
-                    # picked, if there is one).
-                    reply = await self._retry_loop(
-                        reg, method, args, payload, opts, deadline, address=address
-                    )
+                    reply = await self._retry_loop(reg, method, args, payload, opts, deadline)
                 else:
-                    wall_start = time.time() if tracer is not None else 0.0
-                    failure = None
+                    # Attempt 0, inline: the same steps as _single_attempt.
+                    resolver = self._resolver
+                    address = conn = failure = None
                     try:
+                        address = resolver.pick(reg, method, args, opts.route_key)
+                        if address is None:
+                            address = await resolver.resolve(reg, method, args, opts.route_key)
+                        wall_start = time.time() if tracer is not None else 0.0
+                        conn = self._pool.live(address)
+                        if conn is None:
+                            conn = await self._pool.get(address)
                         reply = await conn.call(
                             reg.component_id,
                             method.index,
                             payload,
                             timeout=budget,
                             trace=current_context(),
-                            deadline_ms=max(1, int(budget * 1000)),
+                            deadline_ms=budget_to_wire_ms(budget),
                         )
-                        resolver.report_outcome(reg, address, ok=True)
                     except RPCError as exc:
-                        self._attempt_failed(reg, method, address, conn, 0, wall_start, exc)
+                        if address is not None:  # routing failures are not reported
+                            self._attempt_failed(reg, method, address, conn, 0, wall_start, exc)
                         failure = exc
+                    else:
+                        resolver.report_outcome(reg, address, ok=True)
                     if failure is not None:
                         reply = await self._retry_loop(
                             reg, method, args, payload, opts, deadline, failure
@@ -403,11 +399,9 @@ class RemoteInvoker:
         opts: CallOptions,
         deadline: float,
         failure: Optional[RPCError] = None,
-        address: Optional[str] = None,
     ) -> bytes:
         """Every attempt after the failed inline one (``failure``), or every
-        attempt of a call that could not take the inline path (the first
-        of them at ``address`` if the inline path had picked one)."""
+        attempt of a fault-injected or hedged call."""
         max_retries = self._max_retries if opts.retries is None else opts.retries
         hedge_after_s = opts.hedge_after_s if method.idempotent else None
         attempt = 0
@@ -444,13 +438,13 @@ class RemoteInvoker:
             try:
                 if hedge_after_s is None:
                     return await self._single_attempt(
-                        reg, method, args, payload, opts, deadline, attempt, address
+                        reg, method, args, payload, opts, deadline, attempt
                     )
                 return await self._hedged_attempt(
                     reg, method, args, payload, opts, deadline, hedge_after_s
                 )
             except RPCError as exc:
-                failure, address = exc, None
+                failure = exc
 
     async def _single_attempt(
         self,
@@ -461,7 +455,6 @@ class RemoteInvoker:
         opts: CallOptions,
         deadline: float,
         attempt: int = 0,
-        address: Optional[str] = None,
     ) -> bytes:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -470,8 +463,7 @@ class RemoteInvoker:
                 executed=False,
             )
         resolver = self._resolver
-        if address is None:
-            address = resolver.pick(reg, method, args, opts.route_key)
+        address = resolver.pick(reg, method, args, opts.route_key)
         if address is None:
             address = await resolver.resolve(reg, method, args, opts.route_key)
         wall_start = time.time() if self._tracer is not None else 0.0

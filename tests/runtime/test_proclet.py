@@ -15,9 +15,10 @@ from repro.runtime import pipes
 from repro.runtime.proclet import Proclet, RoutingResolver
 from repro.transport.client import ConnectionPool
 from repro.transport.connection import Connection
+from repro.serde import COMPACT
 from repro.transport.rpc import RemoteInvoker
 
-from tests.conftest import Adder, Greeter
+from tests.conftest import Adder, Greeter, KVStore
 
 
 class ScriptedRuntime:
@@ -343,6 +344,61 @@ class TestServedMethods:
         finally:
             await pool.close()
             await client.stop()
+            await server.stop()
+
+    async def test_request_queued_while_its_component_moves_is_refused(
+        self, demo_build, runtime
+    ):
+        """A request waiting for an execution slot when its component moves
+        away is refused UNAVAILABLE/executed=False once admitted — the
+        caller re-resolves — and never runs on the shut-down instance."""
+        reg = demo_build.by_iface(Adder)
+        server = Proclet(
+            "p-test", demo_build, AppConfig(max_inflight=1), runtime, heartbeat_interval_s=3600
+        )
+        runtime.hosting["p-test"] = [reg.name]
+        await server.start()
+        pool = ConnectionPool(codec="compact", version=demo_build.version)
+        try:
+            old = server._local.instances()[reg.name]
+            spec = reg.spec.method("add")
+            payload = COMPACT.encode(spec.arg_schema, (1, 2))
+            conn = await pool.get(server.address)
+            assert server._admission.try_enter()  # hold the only slot
+            queued = asyncio.ensure_future(
+                conn.call(reg.component_id, spec.index, payload, timeout=5)
+            )
+            await asyncio.sleep(0.05)
+            assert not queued.done()
+            await server.host_components([])
+            server._admission.leave()
+            with pytest.raises(Unavailable) as info:
+                await queued
+            assert info.value.executed is False
+            assert old.calls == 0
+        finally:
+            await pool.close()
+            await server.stop()
+
+    async def test_moved_components_are_unbound_before_any_is_discarded(
+        self, demo_build, runtime
+    ):
+        """While the first moved component shuts down, no request can reach
+        a thunk of any other moved one."""
+        names = [demo_build.by_iface(iface).name for iface in (Adder, KVStore)]
+        server = await make_proclet(demo_build, runtime, hosted=names, heartbeat_interval_s=3600)
+        try:
+            discard = server._local.discard_instance
+            bound_at_discard = []
+
+            async def observed(name):
+                bound_at_discard.append(set(server._served))
+                await discard(name)
+
+            server._local.discard_instance = observed
+            await server.host_components([])
+            assert bound_at_discard == [set(), set()]
+        finally:
             await server.stop()
 
 
