@@ -89,19 +89,21 @@ class CompactCodec:
 
     def encode_into(self, schema: Schema, value: Any, out: bytearray) -> None:
         """Append the encoding to ``out`` — no intermediate materialization."""
+        pair = self._compiled.get(schema) or self._compile(schema)
         try:
-            self.encoder(schema)(out, value)
+            pair.encode(out, value)
         except (TypeError, AttributeError, ValueError, KeyError) as exc:
             raise EncodeError(
                 f"value {value!r} does not conform to schema {schema.canonical()}: {exc}"
             ) from exc
 
     def decode(self, schema: Schema, data: "bytes | bytearray | memoryview") -> Any:
-        # One copy of the frame window: indexing bytes is faster than
-        # indexing a memoryview, and every leaf is materialized anyway.
+        # The transport hands over owned bytes; anything else is copied
+        # once, because indexing bytes is faster than indexing a view.
         buf = data if type(data) is bytes else bytes(data)
         end = len(buf)
-        value, pos = self.decoder(schema)(buf, 0, end)
+        pair = self._compiled.get(schema) or self._compile(schema)
+        value, pos = pair.decode(buf, 0, end)
         if pos != end:
             raise DecodeError(
                 f"{end - pos} trailing bytes after decoding {schema.canonical()}"
@@ -111,16 +113,10 @@ class CompactCodec:
     # -- compilation --------------------------------------------------------
 
     def encoder(self, schema: Schema) -> Encoder:
-        try:
-            return self._compiled[schema].encode
-        except KeyError:
-            return self._compile(schema).encode
+        return (self._compiled.get(schema) or self._compile(schema)).encode
 
     def decoder(self, schema: Schema) -> Decoder:
-        try:
-            return self._compiled[schema].decode
-        except KeyError:
-            return self._compile(schema).decode
+        return (self._compiled.get(schema) or self._compile(schema)).decode
 
     def source(self, schema: Schema) -> str:
         """The Python source generated for ``schema`` (a debugging aid)."""

@@ -754,11 +754,11 @@ class Connection(asyncio.BufferedProtocol):
                     )
                 head = new_frame()
                 msg.encode_into(
-                    head, msg.RpcError(req_id, int(exc.code), str(exc), exc.executed)
+                    head, msg.RpcError(req_id, int(exc.code), _text(exc), exc.executed)
                 )
             except Exception as exc:  # application exception: ship type + message
                 head = new_frame()
-                msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, str(exc)))
+                msg.encode_into(head, msg.AppError(req_id, type(exc).__name__, _text(exc)))
             try:
                 if not self._try_send(head, payload, own_tasks=1):
                     await self._send(head, payload)
@@ -766,3 +766,12 @@ class Connection(asyncio.BufferedProtocol):
                 pass  # peer is gone; connection_lost tears down
         finally:
             self._server_tasks.discard(task)
+
+
+def _text(exc: BaseException) -> str:
+    """``str(exc)`` for a reply; an exception whose ``__str__`` raises still
+    gets answered."""
+    try:
+        return str(exc)
+    except Exception:
+        return f"<unprintable {type(exc).__name__}>"

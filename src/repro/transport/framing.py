@@ -53,6 +53,7 @@ INFLATE_STEP = 64 * 1024
 
 _LEN = struct.Struct(">I")
 _COMPRESSED_BIT = 0x8000_0000
+_LENGTH_BITS = _COMPRESSED_BIT - 1
 
 #: Bytes reserved at the front of a frame buffer for the length word.
 HEADER = _LEN.size
@@ -96,34 +97,44 @@ class FrameParser:
 
     The connection feeds it whatever one socket read delivered — under
     load, dozens of frames a coalescing peer flushed together — and
-    :meth:`feed` hands back every complete payload.
-    Each chunk is copied into the parser's own buffer before it is parsed,
-    and each payload is materialized as owned ``bytes`` — the chunk is a
-    view of a read buffer the next read overwrites, and the parser's
-    buffer is compacted between feeds, so borrowed views would survive
-    neither — and decompressed when the frame flags it.
+    :meth:`feed` hands back every complete payload as owned ``bytes``,
+    decompressed when the frame flags it.  The chunk is a view of a read
+    buffer the next read overwrites, so each read is copied once into an
+    immutable ``bytes`` and the frames are sliced from that.  Only a
+    partial frame at the end is staged, in the parser's own buffer; reads
+    that cannot complete it are appended and nothing more, so a frame
+    spread over many reads costs time linear in its size.
     """
 
-    __slots__ = ("_buf",)
+    __slots__ = ("_tail", "_need")
 
     def __init__(self) -> None:
-        self._buf = bytearray()
+        self._tail = bytearray()
+        #: How long the staged tail must grow before it can hold a frame.
+        self._need = 0
 
     @property
     def mid_frame(self) -> bool:
         """True if EOF now would cut a frame short."""
-        return len(self._buf) > 0
+        return len(self._tail) > 0
 
     def feed(self, chunk: Buffer) -> list:
         """Absorb ``chunk``; return the payloads of all completed frames."""
-        buf = self._buf
-        buf += chunk
+        tail = self._tail
+        if tail:
+            tail += chunk
+            if len(tail) < self._need:
+                return []
+            data = bytes(tail)
+            tail.clear()
+        else:
+            data = bytes(chunk)
         frames: list = []
         pos = 0
-        have = len(buf)
+        have = len(data)
         while have - pos >= HEADER:
-            (word,) = _LEN.unpack_from(buf, pos)
-            length = word & ~_COMPRESSED_BIT
+            (word,) = _LEN.unpack_from(data, pos)
+            length = word & _LENGTH_BITS
             if length > MAX_FRAME:
                 raise TransportError(
                     f"peer announced frame of {length} bytes (> MAX_FRAME)"
@@ -131,13 +142,14 @@ class FrameParser:
             end = pos + HEADER + length
             if end > have:
                 break
-            payload = bytes(memoryview(buf)[pos + HEADER : end])
+            payload = data[pos + HEADER : end]
             if word & _COMPRESSED_BIT:
                 payload = _inflate(payload)
             frames.append(payload)
             pos = end
-        if pos:
-            del buf[:pos]
+        if pos < have:
+            tail += memoryview(data)[pos:]
+            self._need = end - pos if have - pos >= HEADER else HEADER
         return frames
 
 

@@ -7,6 +7,13 @@ Compare with the HTTP baseline (:mod:`repro.transport.http_rpc`), which
 spells out component and method *names* in text headers on every request —
 the per-message cost the paper's design deletes.
 
+Decoding takes the owned ``bytes`` of one frame, as
+:class:`repro.transport.framing.FrameParser` cuts them, and parses the
+header in one pass.  A REQUEST's args, a RESPONSE's result and a
+STREAM_CHUNK's data come out as ``bytes`` slices of the frame — the one
+copy decoding makes — which the codec reads without copying again.
+Header varints are at most ten bytes.
+
 Message layouts (after the frame length prefix)::
 
     HELLO     0x01 | u8 codec_len | codec | u8 version_len | version
@@ -111,7 +118,7 @@ class Request:
         req_id: int,
         component_id: int,
         method_index: int,
-        args: "bytes | memoryview",  # decode() hands out a view into the frame
+        args: bytes,  # decode() hands out an owned slice of the frame
         trace_id: int = 0,
         parent_span_id: int = 0,
         deadline_ms: int = 0,  # remaining budget; 0 = no deadline
@@ -150,7 +157,7 @@ class Response:
 
     __slots__ = ("req_id", "result")
 
-    def __init__(self, req_id: int, result: "bytes | memoryview") -> None:
+    def __init__(self, req_id: int, result: bytes) -> None:
         self.req_id = req_id
         self.result = result
 
@@ -216,7 +223,7 @@ class StreamChunk:
 
     __slots__ = ("req_id", "flags", "data")
 
-    def __init__(self, req_id: int, flags: int, data: "bytes | memoryview") -> None:
+    def __init__(self, req_id: int, flags: int, data: bytes) -> None:
         self.req_id = req_id
         self.flags = flags
         self.data = data
@@ -344,16 +351,18 @@ def encode_into(out: bytearray, msg: Message) -> None:
     elif isinstance(msg, AppError):
         out.append(APP_ERROR)
         write_uvarint(out, msg.req_id)
-        t = msg.exc_type.encode("utf-8")[:65535]
+        # Exception text may hold lone surrogates (a surrogateescape'd file
+        # name): escape them rather than fail to answer.
+        t = msg.exc_type.encode("utf-8", "backslashreplace")[:65535]
         out += len(t).to_bytes(2, "big")
         out += t
-        out += msg.message.encode("utf-8")
+        out += msg.message.encode("utf-8", "backslashreplace")
     elif isinstance(msg, RpcError):
         out.append(RPC_ERROR)
         write_uvarint(out, msg.req_id)
         out.append(msg.code & 0xFF)
         out.append(0x01 if msg.executed else 0x00)
-        out += msg.message.encode("utf-8")
+        out += msg.message.encode("utf-8", "backslashreplace")
     elif isinstance(msg, Ping):
         out.append(PING)
         write_uvarint(out, msg.nonce)
@@ -385,81 +394,59 @@ def encode_into(out: bytearray, msg: Message) -> None:
         raise TransportError(f"cannot encode message {msg!r}")
 
 
-def decode(frame: "bytes | bytearray | memoryview") -> Message:
-    """Decode one frame.
+def decode(frame: bytes) -> Message:
+    """Decode one frame: owned ``bytes``, as the frame parser cuts them.
 
-    Zero-copy: REQUEST args and RESPONSE results are returned as
-    :class:`memoryview` windows into ``frame`` (the schema-directed decoder
-    chains read straight from them), valid as long as the frame buffer
-    lives — which the dispatching task guarantees.
+    REQUEST, RESPONSE and STREAM_CHUNK are parsed inline, each varint's
+    one-byte case on the spot, and their bodies handed out as ``bytes``
+    slices of ``frame``.  A header varint longer than ten bytes is a
+    :class:`TransportError`: ids and budgets are below ``2**64``, and
+    refusing there keeps a hostile varint's cost bounded instead of
+    quadratic in the frame's length.  Every other kind goes through
+    :class:`Reader`.
     """
-    if not len(frame):
+    if not frame:
         raise TransportError("empty frame")
-    buf = frame if isinstance(frame, memoryview) else memoryview(frame)
-    kind = buf[0]
-    if kind == STREAM_CHUNK:
-        # The streaming data plane: hand-inlined like REQUEST/RESPONSE, and
-        # the chunk bytes are a zero-copy view into the frame.
+    kind = frame[0]
+    if kind == REQUEST or kind == RESPONSE or kind == STREAM_CHUNK:
         try:
-            pos = 1
-            b = buf[pos]
+            req_id = frame[1]
+            pos = 2
+            if req_id > 0x7F:
+                req_id, pos = _uvarint_tail(frame, pos, req_id)
+            if kind == RESPONSE:
+                return Response(req_id, frame[pos:])
+            if kind == STREAM_CHUNK:
+                return StreamChunk(req_id, frame[pos], frame[pos + 1 :])
+            component_id = frame[pos]
             pos += 1
-            if b < 0x80:
-                req_id = b
-            else:
-                req_id = b & 0x7F
-                shift = 7
-                while True:
-                    b = buf[pos]
-                    pos += 1
-                    req_id |= (b & 0x7F) << shift
-                    if b < 0x80:
-                        break
-                    shift += 7
-            flags = buf[pos]
-            return StreamChunk(req_id, flags, buf[pos + 1 :])
+            if component_id > 0x7F:
+                component_id, pos = _uvarint_tail(frame, pos, component_id)
+            method_index = frame[pos]
+            pos += 1
+            if method_index > 0x7F:
+                method_index, pos = _uvarint_tail(frame, pos, method_index)
+            trace_id = frame[pos]
+            pos += 1
+            if trace_id > 0x7F:
+                trace_id, pos = _uvarint_tail(frame, pos, trace_id)
+            parent_span_id = frame[pos]
+            pos += 1
+            if parent_span_id > 0x7F:
+                parent_span_id, pos = _uvarint_tail(frame, pos, parent_span_id)
+            deadline_ms = frame[pos]
+            pos += 1
+            if deadline_ms > 0x7F:
+                deadline_ms, pos = _uvarint_tail(frame, pos, deadline_ms)
         except IndexError as exc:
             raise TransportError(
                 f"malformed message of kind {kind}: truncated header"
             ) from exc
-    # REQUEST and RESPONSE are the data plane: parse them with hand-inlined
-    # varint loops over the raw buffer (no Reader, no per-field calls).
-    if kind == RESPONSE or kind == REQUEST:
-        try:
-            pos = 1
-            fields = [0, 0, 0, 0, 0, 0]
-            for i in range(1 if kind == RESPONSE else 6):
-                b = buf[pos]
-                pos += 1
-                if b < 0x80:
-                    fields[i] = b
-                    continue
-                value = b & 0x7F
-                shift = 7
-                while True:
-                    b = buf[pos]
-                    pos += 1
-                    value |= (b & 0x7F) << shift
-                    if b < 0x80:
-                        break
-                    shift += 7
-                fields[i] = value
-            if kind == RESPONSE:
-                return Response(fields[0], buf[pos:])
-            return Request(
-                fields[0],
-                fields[1],
-                fields[2],
-                buf[pos:],
-                fields[3],
-                fields[4],
-                fields[5],
-            )
-        except IndexError as exc:
-            raise TransportError(
-                f"malformed message of kind {kind}: truncated varint"
-            ) from exc
-    r = Reader(buf, 1)
+        return Request(
+            req_id, component_id, method_index, frame[pos:],
+            trace_id, parent_span_id, deadline_ms,
+        )
+    r = Reader(frame, 1)
     try:
         if kind == HELLO:
             return Hello(_read_short_str(r), _read_short_str(r))
@@ -490,6 +477,21 @@ def decode(frame: "bytes | bytearray | memoryview") -> Message:
     except (DecodeError, UnicodeDecodeError) as exc:
         raise TransportError(f"malformed message of kind {kind}: {exc}") from exc
     raise TransportError(f"unknown message kind {kind}")
+
+
+def _uvarint_tail(frame: bytes, pos: int, n: int) -> "tuple[int, int]":
+    """Finish a header varint whose first byte ``n`` had its high bit set;
+    ``pos`` is the index of its second byte."""
+    n &= 0x7F
+    shift = 7
+    while shift < 64:
+        b = frame[pos]
+        pos += 1
+        n |= (b & 0x7F) << shift
+        if b < 0x80:
+            return n, pos
+        shift += 7
+    raise TransportError("header varint longer than 10 bytes")
 
 
 def _short_str(out: bytearray, s: str) -> None:

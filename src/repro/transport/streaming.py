@@ -274,8 +274,7 @@ class Streams:
                 m.req_id, ErrorCode.DEADLINE_EXCEEDED, "deadline expired mid-upload"
             )
             return
-        # Copy out of the read buffer: the stream outlives this frame.
-        st.parts.append(bytes(m.data))
+        st.parts.append(m.data)
         st.received += len(m.data)
         if st.received > MAX_STREAM:
             self._reject(
@@ -309,7 +308,7 @@ class Streams:
             del self.resp_streams[m.req_id]
             self._conn._post(msg.StreamCancel(m.req_id, _RESP_TO_SENDER))
             return
-        st.parts.append(bytes(m.data))
+        st.parts.append(m.data)
         if m.flags & msg.STREAM_END:
             del self.resp_streams[m.req_id]
             self._conn._resolve(m.req_id, b"".join(st.parts), None)

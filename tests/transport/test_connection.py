@@ -100,6 +100,41 @@ async def test_app_error_does_not_poison_connection():
         assert await conn.call(0, 1, b"ok", timeout=2) == b"\x00\x01ok"
 
 
+class Unprintable(Exception):
+    def __str__(self):
+        raise RuntimeError("no text for you")
+
+
+async def unencodable_handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
+    if method_index == 1:
+        # A surrogate-escaped file name: str() works, UTF-8 refuses it.
+        raise ValueError("cannot open \udcff.txt")
+    if method_index == 2:
+        raise Unprintable()
+    return b"ok"
+
+
+@pytest.mark.parametrize(
+    "method,exc_type,text",
+    [(1, "ValueError", "cannot open \\udcff.txt"), (2, "Unprintable", "Unprintable")],
+    ids=["surrogate", "str_raises"],
+)
+async def test_app_error_with_unencodable_text_is_answered(method, exc_type, text):
+    """The reply is built from the exception's text; text that cannot be
+    encoded must still produce a reply, not leave the caller to wait out
+    its budget."""
+    async with Harness(handler=unencodable_handler) as h:
+        conn = await h.pool.get(h.address)
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        with pytest.raises(RemoteApplicationError) as info:
+            await conn.call(0, method, b"", timeout=5, deadline_ms=5000)
+        assert loop.time() - started < 1.0
+        assert info.value.exc_type == exc_type
+        assert text in info.value.exc_message
+        assert await conn.call(0, 0, b"", timeout=2) == b"ok"
+
+
 async def test_rpc_error_not_retryable():
     async with Harness() as h:
         conn = await h.pool.get(h.address)

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +64,23 @@ def test_many_frames_preserve_order():
     for start in range(0, len(wire), 7):  # reads that split frames anywhere
         frames += parser.feed(wire[start : start + 7])
     assert frames == [str(i).encode() for i in range(100)]
+
+
+def test_frame_spread_over_many_reads_is_linear():
+    """An 8 MiB frame in 2 KiB reads: 4096 feeds.  A parser that re-copied
+    what it had staged on every read would move ~16 GiB and take seconds."""
+    payload = bytes(range(256)) * (8 * 1024 * 4)
+    wire = encode(payload) + encode(b"next")
+    view = memoryview(wire)
+    parser = FrameParser()
+    out = []
+    started = time.perf_counter()
+    for start in range(0, len(wire), 2048):
+        out += parser.feed(view[start : start + 2048])
+    elapsed = time.perf_counter() - started
+    assert out == [payload, b"next"]
+    assert not parser.mid_frame
+    assert elapsed < 1.0
 
 
 def test_clean_boundary_is_not_mid_frame():
