@@ -11,6 +11,7 @@ debugging (§5.1, Figure 3).
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import random
 import threading
@@ -176,13 +177,16 @@ class Tracer:
         end_s: float,
         status: str = "ok",
         **attributes: Any,
-    ) -> Span:
+    ) -> Optional[Span]:
         """Record an already-timed span retroactively.
 
         Used where opening a context manager per event would tax the hot
         path — e.g. per-attempt RPC spans that are only materialised for
-        retries and failures.
+        retries and failures.  Inside an unsampled trace
+        (:data:`UNSAMPLED_CONTEXT`) nothing is recorded.
         """
+        if not trace[0] and trace[1]:
+            return None
         span = Span(
             trace_id=trace[0] or _new_id(),
             span_id=_new_id(),
@@ -264,12 +268,17 @@ class ActiveSpan:
         self._tracer._finish(self.span)
 
 
-#: Ambient marker for "this request is inside an unsampled trace".  Its
-#: zero ids make ``current_context()`` report (0, 0) — nothing propagates
-#: over the wire — and zero exemplar ids keep histograms exemplar-free
-#: for unsampled calls.
+#: The wire context of a request inside an unsampled trace: no trace id,
+#: span id 1.  It is as long on the wire as (0, 0), which still means "no
+#: context" and leaves the sampling decision to the callee.
+UNSAMPLED_CONTEXT = (0, 1)
+
+#: Ambient marker for "this request is inside an unsampled trace".  Its ids
+#: make ``current_context()`` report :data:`UNSAMPLED_CONTEXT`, so a callee
+#: stays unsampled too, and its zero trace id keeps histograms
+#: exemplar-free for unsampled calls.
 _UNSAMPLED = Span(
-    trace_id=0, span_id=0, parent_id=None, name="unsampled", start_s=0.0
+    trace_id=0, span_id=UNSAMPLED_CONTEXT[1], parent_id=None, name="unsampled", start_s=0.0
 )
 
 
@@ -285,6 +294,14 @@ class _NoopActiveSpan:
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         _current_span.reset(self._token)
+
+
+#: Bind the unsampled marker as the ambient span, returning the token that
+#: :data:`reset_span` takes: how a callee serving an
+#: :data:`UNSAMPLED_CONTEXT` request keeps the calls it makes unsampled.
+#: Both are C calls, cheaper than a ``with`` block on a hot server path.
+bind_unsampled = functools.partial(_current_span.set, _UNSAMPLED)
+reset_span = _current_span.reset
 
 
 class _NoopSpan:
@@ -334,7 +351,8 @@ DEFAULT = Tracer()
 
 
 def current_context() -> tuple[int, int]:
-    """The ambient (trace_id, span_id), or (0, 0) outside any span.
+    """The ambient (trace_id, span_id): (0, 0) outside any span, and
+    :data:`UNSAMPLED_CONTEXT` inside an unsampled trace.
 
     This is what the RPC layer stamps onto outgoing requests so callee
     proclets can join the trace (the cross-process propagation the paper

@@ -13,24 +13,33 @@ type markers anywhere.  Safety comes from the transport handshake
 deployment versions differ.
 
 Like the Go prototype (Section 4.2), the marshaling code is *generated*:
-the first use of a :class:`Schema` emits Python source for one
+the first use of a :class:`Schema` emits Python source for one flat
 ``encode(out, v)`` and one ``decode(buf, pos, end) -> (value, pos)``
 function, compiles it and caches the pair by schema value.  Primitives are
 inlined (varints, their one-byte case on the spot and longer ones finished
 by a shared helper; ``str.encode`` + ``out +=``; ``struct`` for floats),
-containers are inline ``for`` loops, and every dataclass gets its own pair
-of functions, so a nested struct is one call and a shared type (``Money``)
-is compiled once however many messages hold it.  The decoder walks a
-``bytes`` object with a local position: a read past the end is the
-``IndexError`` each generated function turns into :class:`DecodeError`,
-and every length is checked against the end before it is sliced (a slice
-past the end would shorten silently).  :meth:`CompactCodec.source` prints
-what was generated; tracebacks through it show its lines.
+containers are inline ``for`` loops, and every nested *plain* dataclass
+(below) is expanded in place: the encoder reads each of its fields once
+into a local, the decoder reads them into locals and builds the instance.
+So a 64-product ``HomePage`` costs no Python call per struct in either
+direction; the price is that a shared type's code (``Money``) is repeated
+in every message that holds it.  The decoder walks a ``bytes`` object with
+a local position: a read past the end is the ``IndexError`` the generated
+function turns into :class:`DecodeError`, and every length is checked
+against the end before it is sliced (a slice past the end would shorten
+silently).  :meth:`CompactCodec.source` prints what was generated;
+tracebacks through it show its lines.
 
-A decoded struct is built after its reads, outside the ``try`` that turns
-their errors into :class:`DecodeError`, so what a constructor raises is
-not a wire error.  A *plain* dataclass skips its constructor:
-``v = new(cls); d = v.__dict__; d['id'] = f_id; ...`` with
+What a constructor raises is not a wire error, at any depth.  The root is
+built after its reads, outside the ``try`` that turns their errors into
+:class:`DecodeError`.  A nested class that must be constructed keeps its
+own compiled pair and is called; the helpers the reads call report their
+own wire errors, so an ``IndexError`` or ``UnicodeDecodeError`` that
+reaches a decoder's handler from a frame below it came from a constructor
+and is re-raised as it is.
+
+A *plain* dataclass skips its constructor:
+``v = new(cls0); d = v.__dict__; d['id'] = f_id_1; ...`` with
 ``new = object.__new__``, keys in field order as the generated ``__init__``
 stores them.  Plain means ``@dataclass``'s own ``__init__`` (not one
 written by hand or inherited), no ``__post_init__``, every field
@@ -41,11 +50,7 @@ called, ``kw_only`` fields by keyword.  Which form is decided once, when
 the schema is compiled.  The result is equal, hashes, prints, pickles and
 refuses assignment as a constructed one does; only its ``__dict__`` is
 materialised, which costs ~64 B per instance and makes attribute reads
-slower (CPython's inline-values fast path no longer applies).  A
-64-product ``HomePage`` holds 130 structs; skipping their constructors
-takes its decode from about 270 to about 205 µs, while re-encoding a
-decoded page goes from about 100 to about 115 µs (Python 3.11, 2-vCPU
-x86 host).
+slower (CPython's inline-values fast path no longer applies).
 """
 
 from __future__ import annotations
@@ -194,29 +199,39 @@ _READ_ONCE = (Kind.BOOL, Kind.FLOAT, Kind.STR, Kind.ENUM)
 
 
 def _uvarint_tail(buf: bytes, pos: int, n: int) -> "tuple[int, int]":
-    """Finish a LEB128 read whose first byte ``n`` had its high bit set."""
+    """Finish a LEB128 read whose first byte ``n`` had its high bit set.
+
+    It reports its own truncation: a generated decoder treats an
+    ``IndexError`` from a frame below its own as a constructor's."""
     n &= 0x7F
     shift = 7
-    while True:
-        b = buf[pos]
-        pos += 1
-        n |= (b & 0x7F) << shift
-        if b < 0x80:
-            return n, pos
-        shift += 7
-        # Python ints are arbitrary precision; the bound exists only to cut
-        # off unterminated varints from corrupt buffers, so it is generous.
-        if shift > 9100:
-            raise DecodeError("uvarint too long (corrupt buffer)")
+    try:
+        while True:
+            b = buf[pos]
+            pos += 1
+            n |= (b & 0x7F) << shift
+            if b < 0x80:
+                return n, pos
+            shift += 7
+            # Python ints are arbitrary precision; the bound exists only to cut
+            # off unterminated varints from corrupt buffers, so it is generous.
+            if shift > 9100:
+                raise DecodeError("uvarint too long (corrupt buffer)")
+    except IndexError:
+        raise DecodeError(f"truncated buffer: varint runs past offset {pos}") from None
 
 
 class _Generator:
-    """Emits the source of ``encode`` and ``decode`` for one schema.
+    """Emits the source of one flat ``encode`` and ``decode`` for a schema.
 
-    Structs other than the root are not expanded: they are called as
-    ``enc_<Name>`` / ``dec_<Name>`` and listed in :attr:`structs` for the
-    codec to compile (once) and bind.  Enum tables and the other objects
-    the source names are passed the same way, in :attr:`constants`.
+    Every nested *plain* dataclass (:func:`_fills_dict`) is expanded in
+    place: its fields are read into locals on both sides, and the decoder
+    builds it with ``new(cls<k>)`` plus ``__dict__`` stores, one constant
+    per class occurrence.  Only a *constructed* class below the root is
+    called, as ``enc_<Name>`` / ``dec_<Name>``, and listed in
+    :attr:`structs` for the codec to compile (once) and bind.  Enum tables
+    and the other objects the source names are passed in
+    :attr:`constants`.
     """
 
     def __init__(self, root: Schema) -> None:
@@ -230,38 +245,37 @@ class _Generator:
         root, what = self.root, _label(self.root)
         self._emit(0, "def encode(out, v):", "    append = out.append")
         if root.kind is Kind.STRUCT:
-            for f in root.fields:
-                self._encode(1, f.schema, f"v.{f.name}")
+            self._encode_fields(1, root, "v")
         else:
             self._encode(1, root, "v")
         self._emit(0, "", "def decode(buf, pos, end):", "    try:")
         body = len(self._lines)
         if root.kind is Kind.STRUCT:
-            values = [self._decode(2, f.schema, f"f_{f.name}") for f in root.fields]
+            values = self._decode_fields(2, root)
         else:
             result = self._decode(2, root, "value")
         if len(self._lines) == body:
             self._emit(2, "pass")  # a schema of no bytes (None) reads nothing
+        # A nested constructed class is called inside the try, and the
+        # helpers the reads call report their own wire errors: so what comes
+        # from a frame below this one (tb_next) is a constructor's, which
+        # is not a wire error.
+        reraise = ["    if exc.__traceback__.tb_next:", "        raise"] if self.structs else []
         self._emit(
             1,
-            "except IndexError:",
+            "except IndexError as exc:",
+            *reraise,
             f"    raise DecodeError('truncated buffer decoding {what}') from None",
             "except UnicodeDecodeError as exc:",
+            *reraise,
             f"    raise DecodeError(f'invalid utf-8 in string of {what}: {{exc}}') from exc",
         )
         if root.kind is not Kind.STRUCT:
             self._emit(1, f"return {result}, pos")
-        elif _fills_dict(root.cls):
-            self.constants.update(cls=root.cls, new=object.__new__)
-            self._emit(1, "v = new(cls)", "d = v.__dict__")
-            self._emit(1, *(f"d[{f.name!r}] = {x}" for f, x in zip(root.fields, values)))
-            self._emit(1, "return v, pos")
         else:
-            # Called outside the try: what __post_init__ raises is not a wire error.
-            self.constants["cls"] = root.cls
-            args = [x for f, x in zip(root.fields, values) if not f.kw_only]
-            args += [f"{f.name}={x}" for f, x in zip(root.fields, values) if f.kw_only]
-            self._emit(1, f"return cls({', '.join(args)}), pos")
+            # Built outside the try: what a constructor raises is not a wire error.
+            self._build(1, root, values, "v")
+            self._emit(1, "return v, pos")
         return "\n".join(self._lines) + "\n"
 
     # -- helpers ------------------------------------------------------------
@@ -279,7 +293,7 @@ class _Generator:
         return name
 
     def _struct(self, schema: Schema) -> str:
-        """The name ``schema``'s functions are bound under in this module."""
+        """The name a constructed class's functions are bound under."""
         base = schema.cls.__name__
         name, n = base, 1
         while self.structs.setdefault(name, schema) != schema:
@@ -302,7 +316,7 @@ class _Generator:
     def _encode(self, d: int, schema: Schema, v: str) -> None:
         """Emit statements appending the encoding of expression ``v``."""
         kind = schema.kind
-        if kind is Kind.STRUCT:
+        if kind is Kind.STRUCT and not _fills_dict(schema.cls):
             self._emit(d, f"enc_{self._struct(schema)}(out, {v})")
             return
         if kind not in _READ_ONCE and not v.isidentifier():  # a field access: evaluate it once
@@ -368,8 +382,15 @@ class _Generator:
             n = self._temp("n")
             self._emit(d, f"{n} = {index}[{v}]")
             self._write_uvarint(d, n)
+        elif kind is Kind.STRUCT:
+            self._encode_fields(d, schema, v)
         else:
             raise EncodeError(f"cannot encode schema kind {kind}")
+
+    def _encode_fields(self, d: int, schema: Schema, v: str) -> None:
+        """Emit the encoding of struct ``v``'s fields, in declaration order."""
+        for f in schema.fields:
+            self._encode(d, f.schema, f"{v}.{f.name}")
 
     # -- decoding -----------------------------------------------------------
 
@@ -403,7 +424,9 @@ class _Generator:
         kind = schema.kind
         if kind is Kind.NONE:
             return "None"
-        if kind is Kind.STRUCT:
+        if kind is Kind.STRUCT and _fills_dict(schema.cls):
+            self._build(d, schema, self._decode_fields(d, schema), x)
+        elif kind is Kind.STRUCT:
             self._emit(d, f"{x}, pos = dec_{self._struct(schema)}(buf, pos, end)")
         elif kind is Kind.BOOL:
             self._emit(
@@ -474,6 +497,24 @@ class _Generator:
         else:
             raise DecodeError(f"cannot decode schema kind {kind}")
         return x
+
+    def _decode_fields(self, d: int, schema: Schema) -> list[str]:
+        """Emit reads of a struct's fields into locals; returns their expressions."""
+        return [self._decode(d, f.schema, self._temp(f"f_{f.name}_")) for f in schema.fields]
+
+    def _build(self, d: int, schema: Schema, values: list[str], x: str) -> None:
+        """Emit ``x = `` the struct whose fields ``values`` hold.  A plain
+        class fills a new instance's ``__dict__`` in field order, as its
+        generated ``__init__`` would; any other is called."""
+        cls = self._const("cls", schema.cls)
+        if _fills_dict(schema.cls):
+            self.constants["new"] = object.__new__
+            self._emit(d, f"{x} = new({cls})", f"d = {x}.__dict__")
+            self._emit(d, *(f"d[{f.name!r}] = {y}" for f, y in zip(schema.fields, values)))
+        else:
+            args = [y for f, y in zip(schema.fields, values) if not f.kw_only]
+            args += [f"{f.name}={y}" for f, y in zip(schema.fields, values) if f.kw_only]
+            self._emit(d, f"{x} = {cls}({', '.join(args)})")
 
 
 #: Shared default instance; compiled functions are cached per instance, so

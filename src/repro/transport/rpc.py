@@ -53,7 +53,7 @@ from repro.core.options import (
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
-from repro.observability.tracing import NOOP_SPAN, current_context
+from repro.observability.tracing import NOOP_SPAN, bind_unsampled, current_context, reset_span
 from repro.serde.base import Codec
 from repro.transport.client import ConnectionPool
 
@@ -211,6 +211,14 @@ class Dispatcher:
                     # the ambient parent for everything the handler does.
                     with tracer.start_span(span_name, remote_parent=trace, side="server"):
                         result = await handler(*values)
+                elif trace[1]:
+                    # The caller chose not to sample (UNSAMPLED_CONTEXT):
+                    # nothing the handler calls starts a trace of its own.
+                    ambient = bind_unsampled()
+                    try:
+                        result = await handler(*values)
+                    finally:
+                        reset_span(ambient)
                 else:
                     result = await handler(*values)
             finally:

@@ -7,8 +7,16 @@ import asyncio
 import pytest
 
 from repro.boutique import ALL_COMPONENTS, Address, CreditCard, Frontend
+from repro.core.component import Component
 from repro.core.config import AppConfig
-from repro.observability.tracing import Tracer, current_context, spans_from_wire, spans_to_wire
+from repro.core.registry import Registry
+from repro.observability.tracing import (
+    Tracer,
+    assemble_tree,
+    current_context,
+    spans_from_wire,
+    spans_to_wire,
+)
 from repro.runtime.deployers.multi import deploy_multiprocess
 from repro.runtime.status import render_status
 
@@ -92,6 +100,71 @@ class TestDistributedTraces:
         with tracer.start_span("child", remote_parent=(123, 456)) as span:
             assert span.trace_id == 123
             assert span.parent_id == 456
+
+
+class Head(Component):
+    async def run(self, n: int) -> int: ...
+
+
+class Middle(Component):
+    async def run(self, n: int) -> int: ...
+
+
+class Tail(Component):
+    async def run(self, n: int) -> int: ...
+
+
+class HeadImpl:
+    async def init(self, ctx) -> None:
+        self.next = ctx.get(Middle)
+
+    async def run(self, n: int) -> int:
+        return await self.next.run(n) + 1
+
+
+class MiddleImpl:
+    async def init(self, ctx) -> None:
+        self.next = ctx.get(Tail)
+
+    async def run(self, n: int) -> int:
+        return await self.next.run(n) + 1
+
+
+class TailImpl:
+    async def run(self, n: int) -> int:
+        return n
+
+
+class TestHeadSampling:
+    async def test_an_unsampled_caller_keeps_every_hop_unsampled(self):
+        """At a tiny ``trace_rate`` each tracer admits a burst of 64 new
+        traces and then nothing.  Past the driver's burst its calls are
+        unsampled, and so must be every hop below them: a callee that took
+        a token of its own would store a fragment rooted mid-chain."""
+        registry = Registry()
+        for iface, impl in ((Head, HeadImpl), (Middle, MiddleImpl), (Tail, TailImpl)):
+            registry.register(iface, impl)
+        app = await deploy_multiprocess(
+            AppConfig(name="sampled", trace_rate=0.001), registry=registry, mode="inproc"
+        )
+        calls, hops = 100, 6  # client and server span per hop, three hops
+        try:
+            head = app.get(Head)
+            for i in range(calls):
+                assert await head.run(i) == i + 2
+            store = app.manager.tracer
+            for _ in range(50):  # spans ship with heartbeats
+                if len(store.spans()) >= 64 * hops:
+                    break
+                await asyncio.sleep(0.1)
+            await asyncio.sleep(1.5)  # a heartbeat more, for any stray fragment
+            traces = store.traces()
+        finally:
+            await app.shutdown()
+        roots = [assemble_tree(spans)[0][1] for spans in traces.values()]
+        assert len(traces) == 64
+        assert {(r.name, r.attributes.get("side")) for r in roots} == {("rpc Head.run", "client")}
+        assert all(len(spans) == hops for spans in traces.values())
 
 
 class TestStatusReport:

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from repro.observability.logs import LogBuffer, LogRecord
-from repro.observability.tracing import Span, Tracer, assemble_tree
+from repro.observability.tracing import Span, Tracer, assemble_tree, current_context
 
 
 class TestDropAccounting:
@@ -65,6 +65,13 @@ class TestRecordSpan:
         tracer = Tracer()
         s = tracer.record_span("solo", trace=(0, None), start_s=1.0, end_s=2.0)
         assert s.trace_id != 0 and s.parent_id is None
+
+    def test_retroactive_span_inside_an_unsampled_trace_is_not_recorded(self):
+        tracer = Tracer(trace_rate=1.0, trace_burst=0.0)  # samples nothing
+        with tracer.start_span("root"):
+            trace = current_context()
+            assert tracer.record_span("attempt", trace=trace, start_s=1.0, end_s=2.0) is None
+        assert trace == (0, 1) and tracer.spans() == []
 
 
 class TestAssembleTree:

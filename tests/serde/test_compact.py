@@ -563,6 +563,76 @@ class TestNestedErrors:
             CODEC.decode(schema, bytes.fromhex("0106"))  # [Even(3)]
 
 
+@dataclass
+class Picky:
+    xs: list[int]
+
+    def __post_init__(self):
+        self.first = self.xs[0]  # IndexError for []
+
+
+@dataclass
+class Texty:
+    raw: bytes
+
+    def __post_init__(self):
+        self.text = self.raw.decode()  # UnicodeDecodeError for b"\xff"
+
+
+@dataclass
+class HoldsPicky:
+    picky: Picky
+    texty: Texty
+
+
+def _unbuilt(cls, **fields):
+    """An instance whose constructor never ran, for the encoder to read."""
+    value = object.__new__(cls)
+    vars(value).update(fields)
+    return value
+
+
+class TestConstructorErrorsAtEveryDepth:
+    """What a constructor raises is not a wire error, however deep its class
+    sits: not even an IndexError or UnicodeDecodeError, the two exceptions
+    a truncated or corrupt buffer raises inside a generated decoder."""
+
+    GOOD, EMPTY, BAD_UTF8 = Picky([1]), _unbuilt(Picky, xs=[]), _unbuilt(Texty, raw=b"\xff")
+
+    CASES = {
+        "root field": (HoldsPicky, lambda picky, texty: HoldsPicky(picky, texty)),
+        "list element": (list[HoldsPicky], lambda picky, texty: [HoldsPicky(picky, texty)]),
+        "tuple argument": (
+            tuple[int, Picky, Texty],
+            lambda picky, texty: (7, picky, texty),
+        ),
+        "optional": (Optional[HoldsPicky], lambda picky, texty: HoldsPicky(picky, texty)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_index_error(self, case):
+        tp, build = self.CASES[case]
+        data = CODEC.encode(schema_of(tp), build(self.EMPTY, Texty(b"ok")))
+        with pytest.raises(IndexError):
+            CODEC.decode(schema_of(tp), data)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_unicode_decode_error(self, case):
+        tp, build = self.CASES[case]
+        data = CODEC.encode(schema_of(tp), build(self.GOOD, self.BAD_UTF8))
+        with pytest.raises(UnicodeDecodeError):
+            CODEC.decode(schema_of(tp), data)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_wire_errors_around_them_are_still_decode_errors(self, case):
+        tp, build = self.CASES[case]
+        data = CODEC.encode(schema_of(tp), build(self.GOOD, Texty(b"ok")))
+        assert CODEC.decode(schema_of(tp), data) == build(self.GOOD, Texty(b"ok"))
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError):
+                CODEC.decode(schema_of(tp), data[:cut])
+
+
 # -- the generated code ----------------------------------------------------------
 
 
@@ -677,12 +747,12 @@ class TestGeneratedCode:
         assert codec.encoder(a) is codec.encoder(b)
         assert codec.decoder(a) is codec.decoder(b)
 
-    def test_nested_struct_is_compiled_once_and_shared(self):
+    def test_nested_plain_struct_is_inlined_not_compiled(self):
         codec = CompactCodec()
         codec.encoder(schema_of(Hand))
-        assert codec.compiled_schemas() == 2  # Hand, Card
-        codec.encoder(_arg_schema(Hand, Card))
-        assert codec.compiled_schemas() == 3
+        assert codec.compiled_schemas() == 1  # Hand, with Card expanded in place
+        assert "enc_" not in codec.source(schema_of(Hand))
+        assert "dec_" not in codec.source(schema_of(Hand))
 
     def test_compilation_is_lazy(self):
         codec = CompactCodec()
@@ -719,10 +789,11 @@ class TestGeneratedCode:
         first = asyncio.run(deploy_and_call())
         assert asyncio.run(deploy_and_call()) == first
 
-    def test_source_is_python_one_function_pair_per_struct(self):
+    def test_source_is_python_one_function_pair_per_schema(self):
         source = CODEC.source(schema_of(Hand))
         assert "def encode(out, v):" in source and "def decode(buf, pos, end):" in source
-        assert "enc_Card(out, " in source and "dec_Card(buf, pos, end)" in source
+        assert source.count("def ") == 2
+        assert ".rank" in source and "d['rank'] = " in source  # Card, inlined
         compile(source, "<test>", "exec")
 
     def test_traceback_through_generated_code_shows_its_lines(self):
@@ -731,22 +802,18 @@ class TestGeneratedCode:
             CODEC.encode(TREE, bad)
         frames = traceback.extract_tb(info.value.__traceback__)
         generated = [f for f in frames if f.filename.startswith("<repro.serde.compact ")]
-        assert [f.filename for f in generated] == [
-            "<repro.serde.compact Tree>",
-            "<repro.serde.compact Branch>",
-            "<repro.serde.compact Leaf>",
-        ]
-        assert "enc_Branch(out, " in generated[0].line
-        assert generated[2].line.startswith("raise EncodeError(f'expected int, got ")
-        assert generated[2].line in CODEC.source(schema_of(Leaf))
+        assert [f.filename for f in generated] == ["<repro.serde.compact Tree>"]
+        assert generated[0].line.startswith("raise EncodeError(f'expected int, got ")
+        assert generated[0].line in CODEC.source(TREE)
 
     def test_same_named_classes_do_not_collide(self):
         one, other = make_dataclass("Twin", [("n", int)]), make_dataclass("Twin", [("n", str)])
         schema = _arg_schema(one, other)
         codec = CompactCodec()
         value = (one(5), other("five"))
-        assert codec.decode(schema, codec.encode(schema, value)) == value
-        assert "enc_Twin(" in codec.source(schema) and "enc_Twin_2(" in codec.source(schema)
+        decoded = codec.decode(schema, codec.encode(schema, value))
+        assert decoded == value
+        assert type(decoded[0]) is one and type(decoded[1]) is other
         with pytest.raises(EncodeError) as info:
             codec.encode(schema, (one(5), other(5)))
         assert "n.encode()" in traceback.extract_tb(info.value.__cause__.__traceback__)[-1].line
