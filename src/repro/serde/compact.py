@@ -18,10 +18,10 @@ the first use of a :class:`Schema` emits Python source for one flat
 function, compiles it and caches the pair by schema value.  Primitives are
 inlined (varints, their one-byte case on the spot and longer ones finished
 by a shared helper; ``str.encode`` + ``out +=``; ``struct`` for floats),
-containers are inline ``for`` loops, and every nested *plain* dataclass
-(below) is expanded in place: the encoder reads each of its fields once
-into a local, the decoder reads them into locals and builds the instance.
-So a 64-product ``HomePage`` costs no Python call per struct in either
+containers are inline ``for`` loops, and every nested dataclass is
+expanded in place: the encoder reads each of its fields once into a local,
+the decoder reads them into locals and builds the instance (below).  So a
+64-product ``HomePage`` costs no Python call per struct in either
 direction; the price is that a shared type's code (``Money``) is repeated
 in every message that holds it.  The decoder walks a ``bytes`` object with
 a local position: a read past the end is the ``IndexError`` the generated
@@ -32,11 +32,11 @@ tracebacks through it show its lines.
 
 What a constructor raises is not a wire error, at any depth.  The root is
 built after its reads, outside the ``try`` that turns their errors into
-:class:`DecodeError`.  A nested class that must be constructed keeps its
-own compiled pair and is called; the helpers the reads call report their
-own wire errors, so an ``IndexError`` or ``UnicodeDecodeError`` that
-reaches a decoder's handler from a frame below it came from a constructor
-and is re-raised as it is.
+:class:`DecodeError`.  A nested class that must be constructed is called
+inside it; the helpers the reads call report their own wire errors, so an
+``IndexError`` or ``UnicodeDecodeError`` that reaches the handler from a
+frame below the decoder's came from a constructor and is re-raised as it
+is.
 
 A *plain* dataclass skips its constructor:
 ``v = new(cls0); d = v.__dict__; d['id'] = f_id_1; ...`` with
@@ -136,9 +136,6 @@ class CompactCodec:
         gen = _Generator(schema)
         source = gen.source()
         namespace = dict(gen.constants, DecodeError=DecodeError, EncodeError=EncodeError)
-        for name, struct_schema in gen.structs.items():
-            pair = self._compiled.get(struct_schema) or self._compile(struct_schema)
-            namespace[f"enc_{name}"], namespace[f"dec_{name}"] = pair.encode, pair.decode
         filename = register_source(f"repro.serde.compact {_label(schema)}", source)
         exec(compile(source, filename, "exec"), namespace)
         compiled = _Compiled(namespace["encode"], namespace["decode"], source)
@@ -224,19 +221,16 @@ def _uvarint_tail(buf: bytes, pos: int, n: int) -> "tuple[int, int]":
 class _Generator:
     """Emits the source of one flat ``encode`` and ``decode`` for a schema.
 
-    Every nested *plain* dataclass (:func:`_fills_dict`) is expanded in
-    place: its fields are read into locals on both sides, and the decoder
-    builds it with ``new(cls<k>)`` plus ``__dict__`` stores, one constant
-    per class occurrence.  Only a *constructed* class below the root is
-    called, as ``enc_<Name>`` / ``dec_<Name>``, and listed in
-    :attr:`structs` for the codec to compile (once) and bind.  Enum tables
-    and the other objects the source names are passed in
-    :attr:`constants`.
+    Every nested dataclass is expanded in place: its fields are read into
+    locals on both sides, and the decoder builds it from them, one constant
+    ``cls<k>`` per class occurrence.  A *plain* class (:func:`_fills_dict`)
+    is built with ``new(cls<k>)`` plus ``__dict__`` stores; any other is
+    called.  Classes, enum tables and the other objects the source names
+    are passed in :attr:`constants`.
     """
 
     def __init__(self, root: Schema) -> None:
         self.root = root
-        self.structs: dict[str, Schema] = {}
         self.constants: dict[str, Any] = {}
         self._lines: list[str] = []
         self._temps = 0
@@ -256,18 +250,19 @@ class _Generator:
             result = self._decode(2, root, "value")
         if len(self._lines) == body:
             self._emit(2, "pass")  # a schema of no bytes (None) reads nothing
-        # A nested constructed class is called inside the try, and the
-        # helpers the reads call report their own wire errors: so what comes
-        # from a frame below this one (tb_next) is a constructor's, which
-        # is not a wire error.
-        reraise = ["    if exc.__traceback__.tb_next:", "        raise"] if self.structs else []
+        # A nested class that must be constructed is called inside the try,
+        # and the helpers the reads call report their own wire errors: so
+        # what comes from a frame below this one (tb_next) is a
+        # constructor's, which is not a wire error.
         self._emit(
             1,
             "except IndexError as exc:",
-            *reraise,
+            "    if exc.__traceback__.tb_next:",
+            "        raise",
             f"    raise DecodeError('truncated buffer decoding {what}') from None",
             "except UnicodeDecodeError as exc:",
-            *reraise,
+            "    if exc.__traceback__.tb_next:",
+            "        raise",
             f"    raise DecodeError(f'invalid utf-8 in string of {what}: {{exc}}') from exc",
         )
         if root.kind is not Kind.STRUCT:
@@ -292,15 +287,6 @@ class _Generator:
         self.constants[name] = value
         return name
 
-    def _struct(self, schema: Schema) -> str:
-        """The name a constructed class's functions are bound under."""
-        base = schema.cls.__name__
-        name, n = base, 1
-        while self.structs.setdefault(name, schema) != schema:
-            n += 1  # two classes of one name
-            name = f"{base}_{n}"
-        return name
-
     # -- encoding -----------------------------------------------------------
 
     def _write_uvarint(self, d: int, n: str) -> None:
@@ -316,9 +302,6 @@ class _Generator:
     def _encode(self, d: int, schema: Schema, v: str) -> None:
         """Emit statements appending the encoding of expression ``v``."""
         kind = schema.kind
-        if kind is Kind.STRUCT and not _fills_dict(schema.cls):
-            self._emit(d, f"enc_{self._struct(schema)}(out, {v})")
-            return
         if kind not in _READ_ONCE and not v.isidentifier():  # a field access: evaluate it once
             x = self._temp("x")
             self._emit(d, f"{x} = {v}")
@@ -424,10 +407,8 @@ class _Generator:
         kind = schema.kind
         if kind is Kind.NONE:
             return "None"
-        if kind is Kind.STRUCT and _fills_dict(schema.cls):
+        if kind is Kind.STRUCT:
             self._build(d, schema, self._decode_fields(d, schema), x)
-        elif kind is Kind.STRUCT:
-            self._emit(d, f"{x}, pos = dec_{self._struct(schema)}(buf, pos, end)")
         elif kind is Kind.BOOL:
             self._emit(
                 d,

@@ -818,6 +818,21 @@ class TestGeneratedCode:
             codec.encode(schema, (one(5), other(5)))
         assert "n.encode()" in traceback.extract_tb(info.value.__cause__.__traceback__)[-1].line
 
+    def test_same_named_constructed_classes_do_not_collide(self):
+        def post_init(self):
+            self.seen = type(self)
+
+        ns = {"__post_init__": post_init}
+        one = make_dataclass("Twin", [("n", int)], namespace=ns)
+        other = make_dataclass("Twin", [("n", str)], namespace=ns)
+        schema = _arg_schema(list[one], other)
+        codec = CompactCodec()
+        value = ([one(5)], other("five"))
+        decoded = codec.decode(schema, codec.encode(schema, value))
+        assert decoded == value
+        assert type(decoded[0][0]) is one and decoded[0][0].seen is one
+        assert type(decoded[1]) is other and decoded[1].seen is other
+
     def test_decoding_a_page_runs_no_constructor(self):
         schema = schema_of(HomePage)
         data = CODEC.encode(schema, _seeded_page(64))
