@@ -170,9 +170,6 @@ class LocalInvoker:
         #: An attribute (not a wrapper) so already-minted stubs see it.
         self.fault_plan: Optional[Any] = None
 
-    def set_resolver(self, resolver: Any) -> None:
-        self._resolver = resolver
-
     def _component_state(self, name: str) -> Any:
         if self._state_factory is None:
             # No proclet behind us (single-process deployer, bare tests):

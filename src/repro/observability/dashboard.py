@@ -48,10 +48,7 @@ def render_dashboard(manager: Any, *, color: bool = True, clear: bool = False) -
     def paint(text: str, code: str) -> str:
         return f"{code}{text}{RESET}" if color else text
 
-    firing = []
-    board = getattr(manager, "signals", None)
-    if board is not None:
-        firing = board.firing()
+    firing = manager.signals.firing()
     banner = (
         paint(f"◆ {len(firing)} SIGNAL(S) FIRING", RED + BOLD)
         if firing

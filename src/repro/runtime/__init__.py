@@ -1,15 +1,17 @@
 """The runtime: control plane, placement, routing, scaling, rollouts.
 
-Layout mirrors Figure 3 of the paper: proclets (in-binary daemons) talk to
-envelopes over pipes; envelopes relay to the global manager; the manager
-decides placement, replication, routing, scaling, and rollouts, and
-aggregates telemetry.  Deployers (single/multi/simcloud) bind all of it to
+Layout mirrors Figure 3 of the paper: proclets (in-binary daemons) call
+the runtime API declared in :mod:`repro.runtime.pipes` — over a pipe to
+their envelope, which serves it from the global manager, or on the
+manager directly when they share its process; the manager decides
+placement, replication, routing, scaling, and rollouts, and aggregates
+telemetry.  Deployers (single/multi/simcloud) bind all of it to
 an environment.
 """
 
 from repro.runtime.advisor import RoutingAdvisor, RoutingSuggestion
 from repro.runtime.autoscaler import Autoscaler, ScalingDecision, steady_state_replicas
-from repro.runtime.envelope import InProcessEnvelope, RelayAPI, SubprocessEnvelope
+from repro.runtime.envelope import InProcessEnvelope, SubprocessEnvelope
 from repro.runtime.health import HealthState, HealthTracker
 from repro.runtime.manager import Manager, ProcletInfo, ReplicaLauncher
 from repro.runtime.placement import (
@@ -18,7 +20,8 @@ from repro.runtime.placement import (
     plan_from_config,
     recommend_groups,
 )
-from repro.runtime.proclet import PipeRuntimeAPI, Proclet, RoutingResolver, RuntimeAPI
+from repro.runtime.pipes import PipeRuntimeAPI
+from repro.runtime.proclet import Proclet, RoutingResolver
 from repro.runtime.rollout import (
     BlueGreenRollout,
     PinnedRequest,
@@ -59,7 +62,6 @@ __all__ = [
     "ScalingDecision",
     "steady_state_replicas",
     "InProcessEnvelope",
-    "RelayAPI",
     "SubprocessEnvelope",
     "HealthState",
     "HealthTracker",
@@ -73,7 +75,6 @@ __all__ = [
     "PipeRuntimeAPI",
     "Proclet",
     "RoutingResolver",
-    "RuntimeAPI",
     "Assignment",
     "LoadBalancer",
     "RoutingTable",

@@ -35,6 +35,7 @@ from repro.core.component import Component
 from repro.core.config import AppConfig
 from repro.core.errors import ConfigError, PlacementError
 from repro.core.registry import FrozenRegistry, Registry, global_registry
+from repro.runtime import pipes
 from repro.runtime.envelope import BaseEnvelope, InProcessEnvelope, SubprocessEnvelope
 from repro.runtime.manager import Manager
 from repro.runtime.placement import PlacementPlan
@@ -46,40 +47,29 @@ T = TypeVar("T", bound=Component)
 
 
 class DriverRuntimeAPI:
-    """RuntimeAPI for the driver proclet: a client, not a managed replica."""
+    """The driver proclet's runtime: a client, not a managed replica.
+
+    Every method of :data:`repro.runtime.pipes.API` is the manager's,
+    except that the driver registers nowhere, hosts nothing and sends no
+    heartbeat (it is not load-balanced to, nor health-checked).
+    """
 
     def __init__(self, manager: Manager) -> None:
         self._manager = manager
 
+    def __getattr__(self, name: str) -> Any:
+        if name not in pipes.API:
+            raise AttributeError(name)
+        return getattr(self._manager, name)
+
     async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
-        return None  # the driver hosts nothing and is not load-balanced to
+        return None
 
     async def components_to_host(self, proclet_id: str) -> list[str]:
         return []
 
-    async def start_component(self, component: str) -> None:
-        await self._manager.start_component(component)
-
-    async def routing_info(self, component: str) -> dict[str, Any]:
-        return await self._manager.routing_info(component)
-
     async def heartbeat(self, proclet_id: str, load: float) -> None:
         return None
-
-    async def export_metrics(self, proclet_id: str, snapshot: dict[str, Any]) -> None:
-        await self._manager.export_metrics(proclet_id, snapshot)
-
-    async def export_logs(self, proclet_id: str, records: list[dict[str, Any]]) -> None:
-        await self._manager.export_logs(proclet_id, records)
-
-    async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None:
-        await self._manager.export_call_graph(proclet_id, edges)
-
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None:
-        await self._manager.export_traces(proclet_id, spans)
-
-    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
-        self._manager.ingest_spans(spans)
 
 
 class MultiProcessApp(Application):

@@ -3,33 +3,37 @@
     "An envelope runs as the parent process to a proclet and relays API
     calls to the manager."
 
-An envelope owns exactly one proclet and is the only thing that talks to it
-on the control plane.  Everything the proclet asks (RegisterReplica,
-ComponentsToHost, StartComponent, routing, heartbeats, telemetry) is
-relayed to the :class:`~repro.runtime.manager.Manager`; everything the
-manager decides about this proclet (new hosted set, shutdown) is pushed
-down through the envelope.
+An envelope owns exactly one proclet and is the only thing the manager
+talks to it through.  What the proclet asks (the methods of
+:data:`repro.runtime.pipes.API`) reaches the
+:class:`~repro.runtime.manager.Manager`; what the manager decides about
+this proclet (new hosted set, routing, state handover, drain, shutdown)
+is pushed down through the envelope's one :meth:`~BaseEnvelope.control`.
 
 Two implementations:
 
 * :class:`InProcessEnvelope` — the proclet runs in the same OS process and
-  event loop.  The process boundary collapses but every other mechanism
-  (registration, routing, RPC between proclets over real sockets) is
-  identical.  Used by fast tests and the in-process multiprocess deployer.
+  event loop and calls the manager directly; pushes call its
+  ``handle_control``.  The process boundary collapses but every other
+  mechanism (registration, routing, RPC between proclets over real
+  sockets) is identical.  Used by fast tests and the in-process
+  multiprocess deployer.
 * :class:`SubprocessEnvelope` — the real thing: forks
   ``python -m repro.runtime.procmain``, talks JSON-lines over a UNIX-domain
   socket (standing in for the paper's UNIX pipe: a socketpair *is* a
-  bidirectional pipe), watches the child, and reports its death.
+  bidirectional pipe), serves the proclet's calls with
+  :func:`repro.runtime.pipes.serve`, watches the child, and reports its
+  death.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import os
 import sys
-import tempfile
 from typing import Any, Optional
 
 from repro.core.config import AppConfig
@@ -37,94 +41,23 @@ from repro.core.errors import RuntimeControlError
 from repro.core.registry import FrozenRegistry
 from repro.runtime import pipes
 from repro.runtime.manager import Manager
-from repro.runtime.pipes import ControlEndpoint, StreamPipe, memory_pipe_pair
-from repro.runtime.proclet import PipeRuntimeAPI, Proclet
+from repro.runtime.pipes import ControlEndpoint, StreamPipe
+from repro.runtime.proclet import Proclet
 
 log = logging.getLogger("repro.runtime.envelope")
 
 
-class RelayAPI:
-    """The envelope's RuntimeAPI: relays a proclet's calls to the manager."""
-
-    def __init__(self, manager: Manager, envelope: "BaseEnvelope") -> None:
-        self._manager = manager
-        self._envelope = envelope
-
-    async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
-        self._envelope.address = address
-        await self._manager.register_replica(proclet_id, address, group_id)
-
-    async def components_to_host(self, proclet_id: str) -> list[str]:
-        return await self._manager.components_to_host(proclet_id)
-
-    async def start_component(self, component: str) -> None:
-        await self._manager.start_component(component)
-
-    async def routing_info(self, component: str) -> dict[str, Any]:
-        return await self._manager.routing_info(component)
-
-    async def heartbeat(self, proclet_id: str, load: float) -> None:
-        self._envelope.last_load = load
-        await self._manager.heartbeat(proclet_id, load)
-
-    async def export_metrics(self, proclet_id: str, snapshot: dict[str, Any]) -> None:
-        await self._manager.export_metrics(proclet_id, snapshot)
-
-    async def export_logs(self, proclet_id: str, records: list[dict[str, Any]]) -> None:
-        await self._manager.export_logs(proclet_id, records)
-
-    async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None:
-        await self._manager.export_call_graph(proclet_id, edges)
-
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None:
-        await self._manager.export_traces(proclet_id, spans)
-
-    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
-        # In-process proclets hand over Span objects directly — no wire
-        # encode/decode round trip for telemetry that never leaves the
-        # process.
-        self._manager.ingest_spans(spans)
-
-    async def handle(self, type_: str, body: dict[str, Any]) -> dict[str, Any]:
-        """Pipe-handler form of the relay, for subprocess proclets."""
-        if type_ == pipes.REGISTER_REPLICA:
-            await self.register_replica(body["proclet_id"], body["address"], body["group_id"])
-            return {}
-        if type_ == pipes.COMPONENTS_TO_HOST:
-            return {"components": await self.components_to_host(body["proclet_id"])}
-        if type_ == pipes.START_COMPONENT:
-            await self.start_component(body["component"])
-            return {}
-        if type_ == pipes.ROUTING_INFO:
-            return await self.routing_info(body["component"])
-        if type_ == pipes.HEARTBEAT:
-            await self.heartbeat(body["proclet_id"], body.get("load", 0.0))
-            return {}
-        if type_ == pipes.METRICS:
-            await self.export_metrics(body["proclet_id"], body.get("snapshot", {}))
-            return {}
-        if type_ == pipes.LOGS:
-            await self.export_logs(body["proclet_id"], body.get("records", []))
-            return {}
-        if type_ == pipes.CALL_GRAPH:
-            await self.export_call_graph(body["proclet_id"], body.get("edges", []))
-            return {}
-        if type_ == pipes.TRACES:
-            await self.export_traces(body["proclet_id"], body.get("spans", []))
-            return {}
-        raise RuntimeControlError(f"unknown control request {type_!r}")
-
-
 class BaseEnvelope:
-    """Common envelope state."""
+    """Common envelope state, and the runtime -> proclet pushes.
+
+    Each push goes through :meth:`control`, the one thing a subclass says
+    about how its proclet is reached.
+    """
 
     def __init__(self, proclet_id: str, group_id: int, manager: Manager) -> None:
         self.proclet_id = proclet_id
         self.group_id = group_id
         self.manager = manager
-        self.relay = RelayAPI(manager, self)
-        self.address: Optional[str] = None
-        self.last_load: float = 0.0
         self.stopped = False
 
     async def start(self) -> None:
@@ -133,37 +66,62 @@ class BaseEnvelope:
     async def stop(self) -> None:
         raise NotImplementedError
 
+    async def control(
+        self, type_: str, body: dict[str, Any], *, timeout: float = 30.0
+    ) -> dict[str, Any]:
+        """Send one push to the proclet and return its reply; ``timeout``
+        bounds a round trip over a pipe.  Raises RuntimeControlError when
+        the proclet cannot be reached."""
+        raise NotImplementedError
+
     async def drain(self, deadline_s: float) -> Optional[dict[str, Any]]:
         """Ask the proclet to finish in-flight RPCs before stop().
 
         Returns the proclet's drain response — ``{"drained_s": ...,
         "handover": [shard manifests]}`` — so the manager can re-home the
-        retiring replica's flushed state shards.  Best-effort: envelopes
-        that cannot reach their proclet (already dead, pipe gone) return
-        None — the subsequent hard stop is the fallback either way, and
-        recovery then happens lazily from the shared WAL directory.
+        retiring replica's flushed state shards.  Best-effort: a proclet
+        that cannot be reached (already dead, pipe gone) gives None — the
+        subsequent hard stop is the fallback either way, and recovery then
+        happens lazily from the shared WAL directory.
         """
-        return None
+        if self.stopped:
+            return None
+        try:
+            return await self.control(
+                pipes.DRAIN, {"deadline_s": deadline_s}, timeout=deadline_s + 5.0
+            )
+        except RuntimeControlError:
+            return None  # child died or wedged mid-drain; stop() will clean up
 
     async def push_hosted(self, components: list[str]) -> None:
         """Manager decided this proclet should host a different set."""
-        raise NotImplementedError
+        await self.control(pipes.HOST_COMPONENTS, {"components": components})
 
     async def push_routing(self, component: str, info: dict[str, Any]) -> None:
-        """Manager proactively pushes a fresh assignment (ring changed).
-
-        Best-effort by default; envelopes that can reach their proclet
-        forward it so ownership checks and caller caches update without
-        waiting for a miss.
-        """
+        """Manager proactively pushes a fresh assignment (ring changed), so
+        ownership checks and caller caches update without waiting for a
+        miss.  Best-effort: the proclet also learns on its next miss."""
+        if self.stopped:
+            return
+        try:
+            await self.control(pipes.ROUTING_INFO, info)
+        except RuntimeControlError:
+            pass
 
     async def push_state(self, shards: list[dict[str, Any]]) -> int:
         """Hand flushed shard manifests to this proclet for eager replay.
 
         Returns the number of WAL records the proclet replayed (0 when
-        unreachable); the manager uses the count for handover metrics.
+        unreachable: a survivor replays lazily from the shared WAL dir);
+        the manager uses the count for handover metrics.
         """
-        return 0
+        if self.stopped:
+            return 0
+        try:
+            resp = await self.control(pipes.STATE_HANDOVER, {"shards": shards})
+        except RuntimeControlError:
+            return 0
+        return int(resp.get("replayed", 0))
 
 
 class InProcessEnvelope(BaseEnvelope):
@@ -185,7 +143,7 @@ class InProcessEnvelope(BaseEnvelope):
             proclet_id,
             build,
             config,
-            self.relay,
+            manager,
             group_id=group_id,
             replica_index=replica_index,
             heartbeat_interval_s=heartbeat_interval_s,
@@ -199,29 +157,10 @@ class InProcessEnvelope(BaseEnvelope):
             self.stopped = True
             await self.proclet.stop()
 
-    async def drain(self, deadline_s: float) -> Optional[dict[str, Any]]:
-        if self.stopped:
-            return None
-        # Route through handle_control so in-process drains produce the
-        # same {"drained_s", "handover"} shape subprocess drains do.
-        return await self.proclet.handle_control(
-            pipes.DRAIN, {"deadline_s": deadline_s}
-        )
-
-    async def push_hosted(self, components: list[str]) -> None:
-        await self.proclet.host_components(components)
-
-    async def push_routing(self, component: str, info: dict[str, Any]) -> None:
-        if not self.stopped:
-            await self.proclet.handle_control(pipes.ROUTING_INFO, info)
-
-    async def push_state(self, shards: list[dict[str, Any]]) -> int:
-        if self.stopped:
-            return 0
-        resp = await self.proclet.handle_control(
-            pipes.STATE_HANDOVER, {"shards": shards}
-        )
-        return int(resp.get("replayed", 0))
+    async def control(
+        self, type_: str, body: dict[str, Any], *, timeout: float = 30.0
+    ) -> dict[str, Any]:
+        return await self.proclet.handle_control(type_, body)
 
     def kill(self) -> None:
         """Abrupt, unclean stop — the chaos-testing hook."""
@@ -254,7 +193,7 @@ class SubprocessEnvelope(BaseEnvelope):
         socket_path = os.path.join(self._control_dir, f"{self.proclet_id}.sock")
         if os.path.exists(socket_path):
             os.unlink(socket_path)
-        self._server = await asyncio.start_unix_server(self._accept, socket_path)
+        self._server = await pipes.listen_unix(self._accept, socket_path)
 
         spec_path = os.path.join(self._control_dir, f"{self.proclet_id}.spec.json")
         with open(spec_path, "w") as f:
@@ -277,11 +216,10 @@ class SubprocessEnvelope(BaseEnvelope):
                 f"proclet {self.proclet_id} did not connect its control socket"
             ) from None
 
-    async def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        pipe = StreamPipe(reader, writer)
-        self._endpoint = ControlEndpoint(pipe, self.relay.handle, name=f"env-{self.proclet_id}")
+    def _accept(self, pipe: StreamPipe) -> None:
+        self._endpoint = ControlEndpoint(
+            pipe, functools.partial(pipes.serve, self.manager), name=f"env-{self.proclet_id}"
+        )
         self._endpoint.start()
         self._connected.set()
 
@@ -294,50 +232,23 @@ class SubprocessEnvelope(BaseEnvelope):
         except (asyncio.CancelledError, ValueError):
             pass
 
-    async def push_hosted(self, components: list[str]) -> None:
-        if self._endpoint is not None:
-            await self._endpoint.request("host_components", {"components": components})
-
-    async def drain(self, deadline_s: float) -> Optional[dict[str, Any]]:
-        if self.stopped or self._endpoint is None or self._endpoint.closed:
-            return None
-        try:
-            return await self._endpoint.request(
-                pipes.DRAIN,
-                {"deadline_s": deadline_s},
-                timeout=deadline_s + 5.0,
-            )
-        except (RuntimeControlError, asyncio.TimeoutError):
-            return None  # child died or wedged mid-drain; stop() will clean up
-
-    async def push_routing(self, component: str, info: dict[str, Any]) -> None:
-        if self.stopped or self._endpoint is None or self._endpoint.closed:
-            return
-        try:
-            await self._endpoint.request(pipes.ROUTING_INFO, info)
-        except (RuntimeControlError, asyncio.TimeoutError):
-            pass  # proclet will learn on its next routing miss
-
-    async def push_state(self, shards: list[dict[str, Any]]) -> int:
-        if self.stopped or self._endpoint is None or self._endpoint.closed:
-            return 0
-        try:
-            resp = await self._endpoint.request(
-                pipes.STATE_HANDOVER, {"shards": shards}, timeout=30.0
-            )
-            return int(resp.get("replayed", 0))
-        except (RuntimeControlError, asyncio.TimeoutError):
-            return 0  # survivor will replay lazily from the shared WAL dir
+    async def control(
+        self, type_: str, body: dict[str, Any], *, timeout: float = 30.0
+    ) -> dict[str, Any]:
+        if self._endpoint is None or self._endpoint.closed:
+            raise RuntimeControlError(f"{self.proclet_id}: no control pipe")
+        return await self._endpoint.request(type_, body, timeout=timeout)
 
     async def stop(self) -> None:
-        if self.stopped:
-            return
-        self.stopped = True
-        if self._endpoint is not None and not self._endpoint.closed:
+        if not self.stopped:
+            self.stopped = True
             try:
-                await self._endpoint.request(pipes.SHUTDOWN, timeout=5.0)
+                await self.control(pipes.SHUTDOWN, {}, timeout=5.0)
             except RuntimeControlError:
                 pass
+        # Even after kill() or the child's death, the pipe, the child and
+        # the server are still ours to close.
+        if self._endpoint is not None:
             await self._endpoint.close()
         if self._process is not None:
             try:

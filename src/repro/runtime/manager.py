@@ -70,6 +70,17 @@ class ReplicaLauncher(Protocol):
         """
         ...
 
+    async def push_routing(
+        self, proclet_id: str, component: str, info: dict[str, Any]
+    ) -> None:
+        """Push a fresh assignment to a running proclet (best-effort)."""
+        ...
+
+    async def push_state(self, proclet_id: str, shards: list[dict[str, Any]]) -> int:
+        """Hand flushed shard manifests to a proclet for eager replay;
+        returns the WAL records it replayed (0 when unreachable)."""
+        ...
+
 
 @dataclass
 class ProcletInfo:
@@ -138,21 +149,19 @@ class Manager:
         # tail-sampling store (Tracer-compatible query surface).
         app = resolved.app
         self.tracer = TraceStore(
-            max_traces=getattr(app, "trace_max_traces", 2000),
-            sample_rate=getattr(app, "trace_sample_rate", 1.0),
+            max_traces=app.trace_max_traces, sample_rate=app.trace_sample_rate
         )
         # Live pipeline: per-second series from snapshot deltas, and the
         # anomaly/SLO signal board evaluated on every telemetry tick.
-        slo_latency_ms = getattr(app, "slo_latency_ms", 250.0)
         self.timeseries = TimeSeriesStore()
         self.pipeline = TelemetryPipeline(
-            self.timeseries, slow_threshold_s=slo_latency_ms / 1000.0
+            self.timeseries, slow_threshold_s=app.slo_latency_ms / 1000.0
         )
         self.signals = SignalBoard(
             self.timeseries,
             slos=default_slos(
-                error_budget=getattr(app, "slo_error_budget", 0.01),
-                latency_budget=getattr(app, "slo_latency_budget", 0.05),
+                error_budget=app.slo_error_budget,
+                latency_budget=app.slo_latency_budget,
             ),
         )
         # The closed-loop remediation controller: consumes
@@ -176,7 +185,9 @@ class Manager:
         }
         self._lock = asyncio.Lock()
 
-    # -- Table 1 API (called by envelopes on behalf of proclets) --------------
+    # -- the proclet -> runtime API (repro.runtime.pipes.API) -----------------
+    # In-process proclets call these directly; a subprocess proclet's calls
+    # arrive over its envelope's control pipe (pipes.serve).
 
     async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
         """RegisterReplica: a proclet is alive and serving at ``address``."""
@@ -241,13 +252,11 @@ class Manager:
     async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None:
         self.call_graph.replace_from_wire(proclet_id, edges)
 
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None:
-        from repro.observability.tracing import spans_from_wire
-
-        self.tracer.ingest(spans_from_wire(spans))
+    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
+        self.ingest_spans(spans)
 
     def ingest_spans(self, spans: list[Any]) -> None:
-        """Ingest already-materialized Span objects (same-process envelopes)."""
+        """Ingest finished Span objects (decoded at the pipe, if any)."""
         self.tracer.ingest(spans)
 
     # -- control loops ----------------------------------------------------------
@@ -494,9 +503,7 @@ class Manager:
                     "utilization", scope, now, sum(p.load for p in live) / len(live)
                 )
         self.signals.evaluate(now)
-        maintain = getattr(self.tracer, "maintain", None)
-        if maintain is not None:
-            maintain()
+        self.tracer.maintain()
 
     # -- queries ------------------------------------------------------------------
 
@@ -557,12 +564,9 @@ class Manager:
 
     def _bump_group_routing(self, group: GroupState) -> None:
         addresses = self._healthy_addresses(group)
-        push = getattr(self.launcher, "push_routing", None)
         for component in group.components:
             if self._is_routed(component) and addresses:
                 assignment = self._rebuild_assignment(component, addresses)
-                if push is None:
-                    continue
                 # Proactively push the fresh assignment to the group's own
                 # proclets: their per-key ownership checks (repro.state)
                 # must see ring changes promptly, not on the next cache
@@ -576,15 +580,14 @@ class Manager:
                 for p in group.proclets.values():
                     if self._is_live(p.proclet_id):
                         asyncio.ensure_future(
-                            self._push_routing(push, p.proclet_id, component, info)
+                            self._push_routing(p.proclet_id, component, info)
                         )
 
-    @staticmethod
     async def _push_routing(
-        push: Any, proclet_id: str, component: str, info: dict[str, Any]
+        self, proclet_id: str, component: str, info: dict[str, Any]
     ) -> None:
         try:
-            await push(proclet_id, component, info)
+            await self.launcher.push_routing(proclet_id, component, info)
         except Exception:
             log.debug(
                 "routing push of %s to %s failed", component, proclet_id, exc_info=True
@@ -665,9 +668,6 @@ class Manager:
         """
         if not manifests:
             return
-        push = getattr(self.launcher, "push_state", None)
-        if push is None:
-            return
         by_group: dict[int, list[dict[str, Any]]] = {}
         for manifest in manifests:
             gid = self._component_group.get(manifest.get("component"))
@@ -683,7 +683,7 @@ class Manager:
                 if info.proclet_id == retiring_id or not self._is_live(info.proclet_id):
                     continue
                 try:
-                    replayed += int(await push(info.proclet_id, shards) or 0)
+                    replayed += await self.launcher.push_state(info.proclet_id, shards)
                 except Exception:
                     log.exception(
                         "state handover push to %s failed", info.proclet_id

@@ -7,32 +7,36 @@ text protocol beats squeezing bytes (the *data* plane is where the custom
 binary format matters).  Each message is an envelope::
 
     {"id": 7, "kind": "req",  "type": "register_replica", "body": {...}}
-    {"id": 7, "kind": "resp", "body": {...}}
+    {"id": 7, "kind": "resp", "body": {"result": ...}}
     {"id": 7, "kind": "err",  "error": "..."}
+    {"kind": "note", "type": "export_metrics", "body": {...}}
 
-Request types (the API of Table 1, plus the telemetry the figure-3
-architecture needs):
+:data:`API` declares, once, everything a proclet can ask of the runtime:
+Table 1 plus the liveness and telemetry reports Figure 3's architecture
+needs.  A message's type is the method's name and its body maps the
+method's parameter names to the arguments; one-way methods travel as
+notes.  Both ends of the pipe are read off the table —
+:class:`PipeRuntimeAPI` on the proclet's side, :func:`serve` on the
+envelope's — and :class:`~repro.runtime.manager.Manager` implements every
+row, so an in-process proclet calls the manager directly.
+
+The runtime pushes these to a proclet (the envelope's ``control``):
 
 =====================  ======================================================
-``register_replica``   proclet -> runtime: alive and serving at an address
-``components_to_host`` proclet -> runtime: which components should I run?
-``start_component``    proclet -> runtime: ensure a component is started
-``routing_info``       proclet -> runtime: replica set / assignment for a
-                       component
-``heartbeat``          proclet -> runtime: liveness + load report
-``metrics``            proclet -> runtime: metrics snapshot
-``logs``               proclet -> runtime: buffered structured log records
-``drain``              runtime -> proclet: close the door, finish in-flight
-                       RPCs, flush + export owned state shards, respond when
-                       drained (graceful pre-shutdown)
-``state_handover``     runtime -> proclet: adopt flushed state shards a
-                       retiring peer exported (replay before serving)
-``shutdown``           runtime -> proclet: stop serving and exit
+``routing_info``       fresh replica set / assignment for a component
+``host_components``    a new hosted set (live re-placement)
+``drain``              close the door, finish in-flight RPCs, flush + export
+                       owned state shards, respond when drained (graceful
+                       pre-shutdown)
+``state_handover``     adopt flushed state shards a retiring peer exported
+                       (replay before serving)
+``shutdown``           stop serving and exit
 =====================  ======================================================
 
 Transports: :class:`StreamPipe` (real OS pipes / sockets; what subprocess
-proclets use) and :class:`MemoryPipe` (paired in-process queues; what tests
-and the in-process envelope use).  Both expose ``send``/``recv``/``close``.
+proclets use, opened by :func:`connect_unix` and :func:`listen_unix`) and
+:class:`MemoryPipe` (paired in-process queues; what tests use).  Both
+expose ``send``/``recv``/``close``.
 """
 
 from __future__ import annotations
@@ -41,26 +45,61 @@ import asyncio
 import itertools
 import json
 import logging
-from typing import Any, Awaitable, Callable, Optional, Protocol
+from dataclasses import dataclass, field
+from typing import Any, Awaitable, Callable, Mapping, Optional, Protocol
 
 from repro.core.errors import RuntimeControlError
+from repro.observability.tracing import spans_from_wire, spans_to_wire
 
 log = logging.getLogger("repro.runtime.pipes")
 
-# Request type constants (Table 1 names in snake_case).
-REGISTER_REPLICA = "register_replica"
-COMPONENTS_TO_HOST = "components_to_host"
-START_COMPONENT = "start_component"
+
+@dataclass(frozen=True)
+class ApiMethod:
+    """One proclet -> runtime method: its name, its parameters, and whether
+    it is one-way (sent as a note, no reply awaited)."""
+
+    name: str
+    params: tuple[str, ...]
+    oneway: bool = False
+    #: parameter -> (to_wire, from_wire), for an argument that is not JSON
+    #: as it stands.  Applied only at the pipe.
+    wire: Mapping[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = field(
+        default_factory=dict
+    )
+
+
+#: The proclet -> runtime API, by method name.
+API: dict[str, ApiMethod] = {
+    m.name: m
+    for m in (
+        # Table 1.
+        ApiMethod("register_replica", ("proclet_id", "address", "group_id")),
+        ApiMethod("components_to_host", ("proclet_id",)),
+        ApiMethod("start_component", ("component",)),
+        ApiMethod("routing_info", ("component",)),
+        # Liveness + load, and the telemetry the manager aggregates.
+        ApiMethod("heartbeat", ("proclet_id", "load")),
+        ApiMethod("export_metrics", ("proclet_id", "snapshot"), oneway=True),
+        ApiMethod("export_logs", ("proclet_id", "records"), oneway=True),
+        ApiMethod("export_call_graph", ("proclet_id", "edges"), oneway=True),
+        ApiMethod(
+            "export_spans",
+            ("proclet_id", "spans"),
+            oneway=True,
+            wire={"spans": (spans_to_wire, spans_from_wire)},
+        ),
+    )
+}
+
+# Runtime -> proclet pushes.
 ROUTING_INFO = "routing_info"
-HEARTBEAT = "heartbeat"
-METRICS = "metrics"
-LOGS = "logs"
-CALL_GRAPH = "call_graph"
-TRACES = "traces"
+HOST_COMPONENTS = "host_components"
 DRAIN = "drain"
 STATE_HANDOVER = "state_handover"
 SHUTDOWN = "shutdown"
 
+#: The longest control message (one JSON line) a pipe reader accepts.
 MAX_LINE = 32 * 1024 * 1024
 
 
@@ -73,7 +112,12 @@ class PipeTransport(Protocol):
 
 
 class StreamPipe:
-    """JSON-lines over an asyncio stream pair (pipe, socketpair, TCP)."""
+    """JSON-lines over an asyncio stream pair (pipe, socketpair, TCP).
+
+    The reader's limit bounds a line: open it with ``limit=MAX_LINE`` (as
+    :func:`connect_unix` and :func:`listen_unix` do), or asyncio's 64 KiB
+    default refuses a large telemetry batch and the pipe dies with it.
+    """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         self._reader = reader
@@ -93,8 +137,6 @@ class StreamPipe:
             raise RuntimeControlError(f"control pipe read failed: {exc}") from exc
         if not line:
             return None
-        if len(line) > MAX_LINE:
-            raise RuntimeControlError("control message too large")
         try:
             message = json.loads(line)
         except ValueError as exc:
@@ -139,6 +181,23 @@ def memory_pipe_pair() -> tuple[MemoryPipe, MemoryPipe]:
     a_to_b: asyncio.Queue = asyncio.Queue()
     b_to_a: asyncio.Queue = asyncio.Queue()
     return MemoryPipe(b_to_a, a_to_b), MemoryPipe(a_to_b, b_to_a)
+
+
+async def connect_unix(path: str) -> StreamPipe:
+    """The proclet's end of a UNIX-socket control pipe."""
+    reader, writer = await asyncio.open_unix_connection(path, limit=MAX_LINE)
+    return StreamPipe(reader, writer)
+
+
+async def listen_unix(
+    on_pipe: Callable[[StreamPipe], None], path: str
+) -> asyncio.base_events.Server:
+    """The envelope's end: ``on_pipe`` gets each connecting proclet's pipe."""
+
+    def accept(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        on_pipe(StreamPipe(reader, writer))
+
+    return await asyncio.start_unix_server(accept, path, limit=MAX_LINE)
 
 
 Handler = Callable[[str, dict[str, Any]], Awaitable[dict[str, Any]]]
@@ -283,3 +342,45 @@ class ControlEndpoint:
             task.cancel()
         self._pipe.close()
         self._shutdown_pending()
+
+
+class PipeRuntimeAPI:
+    """The proclet's end of the runtime API: each :data:`API` method is a
+    request over the control pipe (a note if one-way) typed by its name."""
+
+    def __init__(self, endpoint: ControlEndpoint) -> None:
+        self._endpoint = endpoint
+
+    def __getattr__(self, name: str) -> Callable[..., Awaitable[Any]]:
+        method = API.get(name)
+        if method is None:
+            raise AttributeError(name)
+        endpoint = self._endpoint
+
+        async def call(*args: Any) -> Any:
+            if len(args) != len(method.params):
+                raise TypeError(f"{name}() takes arguments {method.params}")
+            body = dict(zip(method.params, args))
+            for param, (to_wire, _) in method.wire.items():
+                body[param] = to_wire(body[param])
+            if method.oneway:
+                await endpoint.notify(name, body)
+                return None
+            return (await endpoint.request(name, body))["result"]
+
+        return call
+
+
+async def serve(runtime: Any, type_: str, body: dict[str, Any]) -> dict[str, Any]:
+    """The envelope's end: run one :data:`API` message as the call of
+    ``runtime``'s method of that name, with the body as its arguments."""
+    method = API.get(type_)
+    if method is None:
+        raise RuntimeControlError(f"unknown control request {type_!r}")
+    if body.keys() != set(method.params):
+        raise RuntimeControlError(
+            f"{type_} takes {list(method.params)}, got {sorted(body)}"
+        )
+    for param, (_, from_wire) in method.wire.items():
+        body[param] = from_wire(body[param])
+    return {"result": await getattr(runtime, type_)(**body)}

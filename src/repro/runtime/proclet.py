@@ -14,13 +14,14 @@ It:
 * hands out stubs: local stubs for co-hosted components, remote stubs —
   with routing — for everything else, asking the runtime to
   ``StartComponent`` on first use,
-* reports heartbeats (with a load estimate), metrics, and logs.
+* reports heartbeats (with a load estimate), metrics, call-graph edges,
+  spans and logs.
 
-The runtime side of the conversation is abstracted as :class:`RuntimeAPI`,
-with two implementations: one over a control pipe (real subprocess
-deployments, :class:`PipeRuntimeAPI`) and one calling the manager directly
-(in-process deployments and tests, in
-:mod:`repro.runtime.deployers.multi`).
+Its ``runtime`` is anything with the methods of
+:data:`repro.runtime.pipes.API`: a
+:class:`~repro.runtime.pipes.PipeRuntimeAPI` in a subprocess proclet, the
+:class:`~repro.runtime.manager.Manager` itself in an in-process one.
+Pushes from the runtime arrive through :meth:`Proclet.handle_control`.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Any, Optional, Protocol
+from typing import Any, Optional
 
 from repro.codegen.compiler import MethodSpec
 from repro.core.call_graph import CallGraph, ROOT
-from repro.core.component import ComponentContext, shutdown_instance
+from repro.core.component import shutdown_instance
 from repro.core.config import AppConfig
 from repro.core.errors import DeadlineExceeded, ErrorCode, Unavailable
 from repro.core.registry import FrozenRegistry, Registration
@@ -40,7 +41,6 @@ from repro.core.stub import LocalInvoker, make_stub
 from repro.observability.logs import LogBuffer
 from repro.observability.metrics import MetricsRegistry
 from repro.runtime import pipes
-from repro.runtime.pipes import ControlEndpoint
 from repro.runtime.routing import Assignment, RoutingTable
 from repro.serde import codec_by_name
 from repro.transport.client import ConnectionPool
@@ -48,88 +48,6 @@ from repro.transport.rpc import Dispatcher, RemoteInvoker, Thunk
 from repro.transport.server import AdmissionController, RPCServer
 
 log = logging.getLogger("repro.runtime.proclet")
-
-
-class RuntimeAPI(Protocol):
-    """What a proclet can ask of the runtime (Table 1 + telemetry)."""
-
-    async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None: ...
-
-    async def components_to_host(self, proclet_id: str) -> list[str]: ...
-
-    async def start_component(self, component: str) -> None: ...
-
-    async def routing_info(self, component: str) -> dict[str, Any]: ...
-
-    async def heartbeat(self, proclet_id: str, load: float) -> None: ...
-
-    async def export_metrics(self, proclet_id: str, snapshot: dict[str, Any]) -> None: ...
-
-    async def export_logs(self, proclet_id: str, records: list[dict[str, Any]]) -> None: ...
-
-    async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None: ...
-
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None: ...
-
-    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
-        """Ship finished Span objects; implementations that cross a real
-        process boundary wire-encode, in-process relays pass them through."""
-        ...
-
-
-class PipeRuntimeAPI:
-    """RuntimeAPI over a control pipe (proclet side of §4.3's Unix pipe)."""
-
-    def __init__(self, endpoint: ControlEndpoint) -> None:
-        self._endpoint = endpoint
-
-    async def register_replica(self, proclet_id: str, address: str, group_id: int) -> None:
-        await self._endpoint.request(
-            pipes.REGISTER_REPLICA,
-            {"proclet_id": proclet_id, "address": address, "group_id": group_id},
-        )
-
-    async def components_to_host(self, proclet_id: str) -> list[str]:
-        resp = await self._endpoint.request(
-            pipes.COMPONENTS_TO_HOST, {"proclet_id": proclet_id}
-        )
-        return list(resp.get("components", []))
-
-    async def start_component(self, component: str) -> None:
-        await self._endpoint.request(pipes.START_COMPONENT, {"component": component})
-
-    async def routing_info(self, component: str) -> dict[str, Any]:
-        return await self._endpoint.request(pipes.ROUTING_INFO, {"component": component})
-
-    async def heartbeat(self, proclet_id: str, load: float) -> None:
-        await self._endpoint.request(
-            pipes.HEARTBEAT, {"proclet_id": proclet_id, "load": load}
-        )
-
-    async def export_metrics(self, proclet_id: str, snapshot: dict[str, Any]) -> None:
-        await self._endpoint.notify(
-            pipes.METRICS, {"proclet_id": proclet_id, "snapshot": snapshot}
-        )
-
-    async def export_logs(self, proclet_id: str, records: list[dict[str, Any]]) -> None:
-        await self._endpoint.notify(
-            pipes.LOGS, {"proclet_id": proclet_id, "records": records}
-        )
-
-    async def export_call_graph(self, proclet_id: str, edges: list[dict[str, Any]]) -> None:
-        await self._endpoint.notify(
-            pipes.CALL_GRAPH, {"proclet_id": proclet_id, "edges": edges}
-        )
-
-    async def export_traces(self, proclet_id: str, spans: list[dict[str, Any]]) -> None:
-        await self._endpoint.notify(
-            pipes.TRACES, {"proclet_id": proclet_id, "spans": spans}
-        )
-
-    async def export_spans(self, proclet_id: str, spans: list[Any]) -> None:
-        from repro.observability.tracing import spans_to_wire
-
-        await self.export_traces(proclet_id, spans_to_wire(spans))
 
 
 class RoutingResolver:
@@ -140,7 +58,7 @@ class RoutingResolver:
     ``RoutingInfo`` round trips to the runtime.
     """
 
-    def __init__(self, runtime: RuntimeAPI, table: RoutingTable) -> None:
+    def __init__(self, runtime: Any, table: RoutingTable) -> None:
         self._runtime = runtime
         self._table = table
         self._breakers = table.breakers
@@ -239,7 +157,7 @@ class Proclet:
         proclet_id: str,
         build: FrozenRegistry,
         config: AppConfig,
-        runtime: RuntimeAPI,
+        runtime: Any,
         *,
         group_id: int = 0,
         replica_index: int = 0,
@@ -266,11 +184,9 @@ class Proclet:
         # ``telemetry: off`` disables span creation and the client-side
         # latency histogram entirely (the control knob behind the E19
         # overhead gate); counters and heartbeats always flow.
-        self.telemetry = getattr(config, "telemetry", "full")
+        self.telemetry = config.telemetry
         self.tracer = (
-            Tracer(trace_rate=getattr(config, "trace_rate", None))
-            if self.telemetry != "off"
-            else None
+            Tracer(trace_rate=config.trace_rate) if self.telemetry != "off" else None
         )
         self.advisor = RoutingAdvisor()
         self._method_latency = self.metrics.histogram("component_method_latency_s")
@@ -577,7 +493,7 @@ class Proclet:
 
     async def handle_control(self, type_: str, body: dict[str, Any]) -> dict[str, Any]:
         """Requests pushed from the envelope/runtime to this proclet."""
-        if type_ == "host_components":
+        if type_ == pipes.HOST_COMPONENTS:
             await self.host_components(body.get("components", []))
             return {}
         if type_ == pipes.ROUTING_INFO:
@@ -646,29 +562,9 @@ class Proclet:
         await self._runtime.export_call_graph(self.proclet_id, self.call_graph.to_wire())
         spans = self.tracer.drain() if self.tracer is not None else []
         if spans:
-            # export_spans lets in-process runtimes skip the wire encode /
-            # decode round trip; pipe-backed runtimes encode internally.
-            export = getattr(self._runtime, "export_spans", None)
-            if export is not None:
-                await export(self.proclet_id, spans)
-            else:
-                from repro.observability.tracing import spans_to_wire
-
-                await self._runtime.export_traces(
-                    self.proclet_id, spans_to_wire(spans)
-                )
+            await self._runtime.export_spans(self.proclet_id, spans)
         from repro.observability.logs import records_to_wire
 
         records = self.log_buffer.drain()
         if records:
             await self._runtime.export_logs(self.proclet_id, records_to_wire(records))
-
-    def context_for(self, reg: Registration) -> ComponentContext:
-        return ComponentContext(
-            component=reg.name,
-            replica_id=self.replica_index,
-            version=self.build.version,
-            getter=lambda iface: self.get_for(iface, reg.name),
-            config=self.config.settings,
-            state=self.state.component_state(reg.name),
-        )

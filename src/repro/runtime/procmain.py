@@ -27,8 +27,8 @@ import sys
 
 from repro.core.config import AppConfig
 from repro.core.registry import global_registry
-from repro.runtime.pipes import ControlEndpoint, StreamPipe
-from repro.runtime.proclet import PipeRuntimeAPI, Proclet
+from repro.runtime.pipes import SHUTDOWN, ControlEndpoint, PipeRuntimeAPI, connect_unix
+from repro.runtime.proclet import Proclet
 
 
 async def amain(socket_path: str, spec_path: str) -> int:
@@ -61,8 +61,7 @@ async def amain(socket_path: str, spec_path: str) -> int:
 
     config = AppConfig.from_dict(spec.get("config", {}))
 
-    reader, writer = await asyncio.open_unix_connection(socket_path)
-    pipe = StreamPipe(reader, writer)
+    pipe = await connect_unix(socket_path)
 
     done = asyncio.Event()
     proclet: Proclet | None = None
@@ -70,7 +69,7 @@ async def amain(socket_path: str, spec_path: str) -> int:
     async def handle(type_: str, body: dict) -> dict:
         assert proclet is not None
         result = await proclet.handle_control(type_, body)
-        if type_ == "shutdown":
+        if type_ == SHUTDOWN:
             done.set()
         return result
 

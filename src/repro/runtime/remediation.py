@@ -171,7 +171,7 @@ class RemediationController:
 
     def __init__(self, manager: "Manager", config: Any) -> None:
         self.manager = manager
-        self.mode = getattr(config, "remediation", "off")
+        self.mode = config.remediation
         self.guardrails = Guardrails(
             cooldown_s=config.remediation_cooldown_s,
             max_actions_per_min=config.remediation_max_actions_per_min,
@@ -285,12 +285,9 @@ class RemediationController:
         return out
 
     def _plan_signals(self) -> list[PlannedAction]:
-        board = getattr(self.manager, "signals", None)
-        if board is None:
-            return []
         out: list[PlannedAction] = []
         firing_keys: set[str] = set()
-        for signal in board.firing():
+        for signal in self.manager.signals.firing():
             firing_keys.add(signal.key)
             latencyish = signal.name in ("p99_ms", "client_p99_ms", "latency")
             errorish = signal.name in ("error_rate", "availability")
@@ -318,9 +315,7 @@ class RemediationController:
         return [a for a in out if a is not None]
 
     def _plan_breaker_storms(self) -> list[PlannedAction]:
-        store = getattr(self.manager, "timeseries", None)
-        if store is None:
-            return []
+        store = self.manager.timeseries
         out: list[PlannedAction] = []
         for name, scope in store.names():
             if name != "breaker_trips" or scope == "_total":
@@ -419,12 +414,10 @@ class RemediationController:
     def _record(self, entry: dict[str, Any], bucket: str) -> None:
         self.journal.append(entry)
         self.counts[bucket] += 1
-        metrics = getattr(self.manager, "_own_metrics", None)
-        if metrics is not None:
-            metrics.counter("remediation_actions").inc(
-                action=entry["action"], verdict=bucket
-            )
-            self.manager._merged_metrics = None
+        self.manager._own_metrics.counter("remediation_actions").inc(
+            action=entry["action"], verdict=bucket
+        )
+        self.manager._merged_metrics = None
 
     def _live_count(self, group_id: int) -> int:
         group = self.manager.group_states().get(group_id)
@@ -445,9 +438,7 @@ class RemediationController:
         """Deployment-wide signals act on the worst concrete component."""
         if scope != "_total":
             return scope
-        store = getattr(self.manager, "timeseries", None)
-        if store is None:
-            return scope
+        store = self.manager.timeseries
         series_name = (
             "error_rate" if signal_name in ("error_rate", "availability") else "p99_ms"
         )

@@ -50,9 +50,7 @@ def render_header(manager: Manager) -> str:
 
 def render_signals(manager: Manager) -> str:
     """Anomaly / SLO burn-rate verdicts from the live signal board."""
-    board = getattr(manager, "signals", None)
-    if board is None:
-        return ""
+    board = manager.signals
     signals = board.signals()
     if not signals:
         return ""
@@ -71,11 +69,9 @@ def render_signals(manager: Manager) -> str:
 
 def render_timeseries(manager: Manager) -> str:
     """Deployment-wide trend sparklines from the per-second ring buffers."""
-    store = getattr(manager, "timeseries", None)
-    if store is None:
-        return ""
     from repro.observability.timeseries import sparkline
 
+    store = manager.timeseries
     lines = []
     for name, unit in (
         ("rps", "req/s"),
@@ -144,7 +140,7 @@ def render_state(manager: Manager) -> str:
     if not writes and not handover_shards and not replayed:
         return ""
     lines = ["durable state (shards / handover):"]
-    assignments = getattr(manager, "_assignments", {})
+    assignments = manager._assignments
     for comp in sorted(set(writes) | set(wrong_owner)):
         assignment = assignments.get(comp)
         gen = assignment.generation if assignment else 0
@@ -226,10 +222,7 @@ def render_remediation(manager: Manager, *, max_entries: int = 8) -> str:
     ones guardrails suppressed — so an operator can audit exactly why a
     replica restarted (or why it pointedly did not).
     """
-    controller = getattr(manager, "remediation", None)
-    if controller is None:
-        return ""
-    wire = controller.to_wire()
+    wire = manager.remediation.to_wire()
     if wire["mode"] == "off" and not wire["journal"]:
         return ""
     budget = wire["budget"]
@@ -294,15 +287,12 @@ def render_traces(manager: Manager, *, max_traces: int = 3) -> str:
         return ""
     # Deepest traces first: the interesting ones cross many components.
     ranked = sorted(traces.items(), key=lambda kv: len(kv[1]), reverse=True)
-    lines = [f"traces ({len(traces)} collected; showing {min(max_traces, len(ranked))}):"]
-    stats = getattr(manager.tracer, "stats", None)
-    if stats is not None:
-        s = stats()
-        lines[0] = (
-            f"traces ({s['kept']} kept + {s['pending']} pending; "
-            f"sampled out {s['sampled_out_traces']}, evicted {s['evicted_traces']}; "
-            f"showing {min(max_traces, len(ranked))}):"
-        )
+    s = manager.tracer.stats()
+    lines = [
+        f"traces ({s['kept']} kept + {s['pending']} pending; "
+        f"sampled out {s['sampled_out_traces']}, evicted {s['evicted_traces']}; "
+        f"showing {min(max_traces, len(ranked))}):"
+    ]
     for trace_id, spans in ranked[:max_traces]:
         lines.append(f"  trace {trace_id & 0xFFFFFFFF:08x} ({len(spans)} spans):")
         for depth, span in manager.tracer.trace_tree(trace_id):
@@ -325,18 +315,16 @@ def render_trace(manager: Manager, trace_id: int) -> str:
         lines.append(
             f" {marker}{'  ' * depth}{span.name:<44s} {span.duration_s * 1000:8.2f}ms"
         )
-    critical = getattr(manager.tracer, "critical_path", None)
-    if critical is not None:
-        path = critical(trace_id)
-        if path:
-            total = path[0][0].duration_s
-            lines.append("critical path:")
-            for span, exclusive_s in path:
-                share = exclusive_s / total * 100 if total > 0 else 0.0
-                lines.append(
-                    f"   {span.name:<44s} self={exclusive_s * 1000:8.2f}ms "
-                    f"({share:4.1f}% of trace)"
-                )
+    path = manager.tracer.critical_path(trace_id)
+    if path:
+        total = path[0][0].duration_s
+        lines.append("critical path:")
+        for span, exclusive_s in path:
+            share = exclusive_s / total * 100 if total > 0 else 0.0
+            lines.append(
+                f"   {span.name:<44s} self={exclusive_s * 1000:8.2f}ms "
+                f"({share:4.1f}% of trace)"
+            )
     return "\n".join(lines)
 
 
@@ -413,7 +401,7 @@ def status_wire(manager: Manager) -> dict[str, Any]:
         }
         for tid, spans in ranked[:50]
     ]
-    out: dict[str, Any] = {
+    return {
         "app": manager.resolved.app.name,
         "version": manager.build.version,
         "components": len(manager.build),
@@ -422,20 +410,11 @@ def status_wire(manager: Manager) -> dict[str, Any]:
         "groups": groups,
         "exemplars": latency_exemplars(manager),
         "traces": trace_index,
+        "signals": manager.signals.to_wire(),
+        "series": manager.timeseries.to_wire(),
+        "remediation": manager.remediation.to_wire(),
+        "trace_stats": manager.tracer.stats(),
     }
-    board = getattr(manager, "signals", None)
-    if board is not None:
-        out["signals"] = board.to_wire()
-    store = getattr(manager, "timeseries", None)
-    if store is not None:
-        out["series"] = store.to_wire()
-    controller = getattr(manager, "remediation", None)
-    if controller is not None:
-        out["remediation"] = controller.to_wire()
-    stats = getattr(manager.tracer, "stats", None)
-    if stats is not None:
-        out["trace_stats"] = stats()
-    return out
 
 
 def render_recent_logs(manager: Manager, count: int = 5) -> str:

@@ -335,20 +335,6 @@ def _expect(wtype: int, want: int, number: int) -> None:
         raise DecodeError(f"field {number}: wire type {wtype}, expected {want}")
 
 
-def _is_len_delimited(schema: Schema) -> bool:
-    if schema.kind is Kind.OPTIONAL:
-        return _is_len_delimited(schema.args[0])
-    return schema.kind in (
-        Kind.STR,
-        Kind.BYTES,
-        Kind.STRUCT,
-        Kind.TUPLE,
-        Kind.DICT,
-        Kind.LIST,
-        Kind.SET,
-    )
-
-
 def _add(bucket: Any, item: Any) -> None:
     if isinstance(bucket, set):
         bucket.add(item)

@@ -9,8 +9,10 @@ add-to-cart, checkout, ...):
 
 Rather than inventing these, we record them from the actual implementation:
 a :class:`RecordingApp` runs the request single-process with an invoker
-that times each call, subtracts child time, and encodes every argument and
-result with all three codecs to get true wire sizes.  The simulated
+that times each call and subtracts child time; once the request is done,
+every argument and result is encoded with all three codecs to get true
+wire sizes (outside the timed windows, so no call is charged for the
+recorder's own encoding).  The simulated
 workload is therefore exactly as chatty, exactly as heavy, and exactly as
 byte-fat as the code in :mod:`repro.boutique` really is.
 """
@@ -73,11 +75,17 @@ class CallNode:
 
 
 class RecordingInvoker(LocalInvoker):
-    """LocalInvoker that builds a :class:`CallNode` tree as it executes."""
+    """LocalInvoker that builds a :class:`CallNode` tree as it executes.
+
+    Calls made outside a recording (``stack`` empty) pass straight through.
+    """
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.stack: list[CallNode] = []
+        #: (node, method, args, result) of each recorded call, sized by
+        #: :meth:`measure_payloads` once the recording is over.
+        self.payloads: list[tuple[CallNode, MethodSpec, tuple, Any]] = []
 
     async def invoke(
         self,
@@ -88,16 +96,10 @@ class RecordingInvoker(LocalInvoker):
         *,
         options: Any = None,
     ) -> Any:
+        if not self.stack:
+            return await super().invoke(reg, method, args, caller, options=options)
         node = CallNode(component=reg.name, method=method.name)
-        for codec_name in CODEC_NAMES:
-            try:
-                node.request_bytes[codec_name] = len(
-                    codec_by_name(codec_name).encode(method.arg_schema, args)
-                )
-            except EncodeError:
-                node.request_bytes[codec_name] = 0
-        if self.stack:
-            self.stack[-1].children.append(node)
+        self.stack[-1].children.append(node)
         self.stack.append(node)
         start = time.perf_counter()
         try:
@@ -106,14 +108,28 @@ class RecordingInvoker(LocalInvoker):
             total = time.perf_counter() - start
             self.stack.pop()
             node.self_cpu_s = max(0.0, total - _subtree_total(node))
-        for codec_name in CODEC_NAMES:
-            try:
-                node.response_bytes[codec_name] = len(
-                    codec_by_name(codec_name).encode(method.result_schema, result)
-                )
-            except EncodeError:
-                node.response_bytes[codec_name] = 0
+        self.payloads.append((node, method, args, result))
         return result
+
+    def measure_payloads(self) -> None:
+        """Size every recorded call's args and result under each codec."""
+        for node, method, args, result in self.payloads:
+            for codec_name in CODEC_NAMES:
+                codec = codec_by_name(codec_name)
+                node.request_bytes[codec_name] = _encoded_size(
+                    codec, method.arg_schema, args
+                )
+                node.response_bytes[codec_name] = _encoded_size(
+                    codec, method.result_schema, result
+                )
+        self.payloads = []
+
+
+def _encoded_size(codec: Any, schema: Any, value: Any) -> int:
+    try:
+        return len(codec.encode(schema, value))
+    except EncodeError:
+        return 0
 
 
 def _subtree_cpu(node: CallNode) -> float:
@@ -153,6 +169,7 @@ class RecordingApp(SingleProcessApp):
         finally:
             total = time.perf_counter() - start
             self._invoker.stack = []
+            self._invoker.measure_payloads()
         root.self_cpu_s = max(0.0, total - _subtree_cpu(root))
         return root
 

@@ -131,6 +131,12 @@ class RecordingLauncher:
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         pass
 
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
+        return 0
+
 
 class TestManagerRetire:
     def _manager(self, demo_build, launcher, **config_kwargs):

@@ -169,7 +169,7 @@ class TestStaleAssignmentRedirect:
 
         # And the rejection is observable on A's side.
         (envelope_a,) = [
-            e for e in app.envelopes.values() if e.address == addr_a
+            e for e in app.envelopes.values() if e.proclet.address == addr_a
         ]
         rejects = envelope_a.proclet.metrics.counter("state_wrong_owner").get(
             component=component

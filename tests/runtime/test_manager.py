@@ -47,6 +47,12 @@ class FakeLauncher:
         self.hosting_updates = getattr(self, "hosting_updates", [])
         self.hosting_updates.append((proclet_id, components))
 
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
+        return 0
+
 
 @pytest.fixture
 def manager(demo_build):

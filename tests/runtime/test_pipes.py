@@ -3,14 +3,26 @@
 from __future__ import annotations
 
 import asyncio
+import inspect
+import json
 
 import pytest
 
+from repro.core.call_graph import CallGraph
+from repro.core.config import AppConfig
 from repro.core.errors import RuntimeControlError
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import Span
+from repro.runtime import pipes
+from repro.runtime.envelope import SubprocessEnvelope
+from repro.runtime.manager import Manager
 from repro.runtime.pipes import (
     ControlEndpoint,
     MemoryPipe,
+    PipeRuntimeAPI,
     StreamPipe,
+    connect_unix,
+    listen_unix,
     memory_pipe_pair,
 )
 
@@ -144,3 +156,194 @@ class TestStreamPipes:
         await server_ep["ep"].close()
         server.close()
         await server.wait_closed()
+
+    async def test_megabyte_message_round_trips(self, tmp_path):
+        """Span batches run to hundreds of KiB: far past asyncio's 64 KiB
+        default reader limit, well under MAX_LINE."""
+        path = str(tmp_path / "ctl.sock")
+        accepted: asyncio.Queue = asyncio.Queue()
+        server = await listen_unix(accepted.put_nowait, path)
+        client = await connect_unix(path)
+        envelope_end = await accepted.get()
+
+        blob = "x" * (1 << 20)
+        await client.send({"blob": blob})
+        assert (await envelope_end.recv())["blob"] == blob
+        await envelope_end.send({"blob": blob})
+        assert (await client.recv())["blob"] == blob
+
+        client.close()
+        envelope_end.close()
+        server.close()
+        await server.wait_closed()
+
+    async def test_line_over_max_line_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipes, "MAX_LINE", 256 * 1024)
+        path = str(tmp_path / "ctl.sock")
+        accepted: asyncio.Queue = asyncio.Queue()
+        server = await listen_unix(accepted.put_nowait, path)
+        client = await connect_unix(path)
+        envelope_end = await accepted.get()
+
+        send = asyncio.ensure_future(client.send({"blob": "x" * (300 * 1024)}))
+        with pytest.raises(RuntimeControlError, match="read failed"):
+            await envelope_end.recv()
+
+        envelope_end.close()
+        client.close()
+        await asyncio.gather(send, return_exceptions=True)
+        server.close()
+        await server.wait_closed()
+
+
+# -- the API table: both paths reach the same Manager call ---------------------
+
+
+class IdleLauncher:
+    """A ReplicaLauncher that is never asked to launch (the tests register
+    their proclet themselves) and swallows pushes."""
+
+    async def start_replica(self, group_id, replica_index):
+        raise AssertionError("unexpected launch")
+
+    async def stop_replica(self, proclet_id):
+        pass
+
+    async def update_hosting(self, proclet_id, components):
+        pass
+
+    async def drain_replica(self, proclet_id, deadline_s):
+        return None
+
+    async def push_routing(self, proclet_id, component, info):
+        pass
+
+    async def push_state(self, proclet_id, shards):
+        return 0
+
+
+def spied_manager(build, calls: list) -> Manager:
+    """A real Manager whose every API method records its bound arguments."""
+    manager = Manager(build, AppConfig().resolve(build.names()), IdleLauncher())
+    for name in pipes.API:
+        original = getattr(manager, name)
+        signature = inspect.signature(original)
+
+        async def spy(*args, _name=name, _sig=signature, _orig=original, **kwargs):
+            calls.append((_name, dict(_sig.bind(*args, **kwargs).arguments)))
+            return await _orig(*args, **kwargs)
+
+        setattr(manager, name, spy)
+    return manager
+
+
+async def pipe_runtime(manager: Manager, tmp_path) -> tuple[PipeRuntimeAPI, list]:
+    """A PipeRuntimeAPI served by a SubprocessEnvelope's own handler."""
+    proclet_end, envelope_end = memory_pipe_pair()
+    envelope = SubprocessEnvelope(
+        "p1", 0, manager, spec={}, control_dir=str(tmp_path)
+    )
+    envelope._accept(envelope_end)
+    endpoint = ControlEndpoint(proclet_end, name="proclet")
+    endpoint.start()
+    return PipeRuntimeAPI(endpoint), [endpoint, envelope._endpoint]
+
+
+def api_calls(build) -> list[tuple[str, tuple]]:
+    """One call per API row, in an order a real manager accepts."""
+    first_group = build.names()[0]
+    metrics = MetricsRegistry()
+    metrics.counter("calls").inc(component=first_group)
+    graph = CallGraph()
+    graph.record("A", "B", "m", latency_s=0.001, local=False)
+    records = [
+        {
+            "timestamp": 1.0,
+            "level": "info",
+            "component": first_group,
+            "replica_id": 0,
+            "message": "hello",
+            "attributes": [["k", "v"]],
+        }
+    ]
+    spans = [Span(7, 1, None, "root", 1.0, 1.5, {"k": "v"}), Span(7, 2, 1, "child", 1.1, 1.2)]
+    calls = [
+        ("register_replica", ("p1", "tcp://127.0.0.1:9001", 0)),
+        ("components_to_host", ("p1",)),
+        ("start_component", (first_group,)),
+        ("routing_info", (first_group,)),
+        ("heartbeat", ("p1", 0.25)),
+        # JSON-native, as a snapshot is once it has crossed any pipe.
+        ("export_metrics", ("p1", json.loads(json.dumps(metrics.snapshot())))),
+        ("export_logs", ("p1", records)),
+        ("export_call_graph", ("p1", graph.to_wire())),
+        ("export_spans", ("p1", spans)),
+    ]
+    assert [name for name, _ in calls] == list(pipes.API), "one call per row"
+    return calls
+
+
+async def settle(calls: list, n: int) -> None:
+    """Wait for one-way notes to be served."""
+    for _ in range(200):
+        if len(calls) >= n:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"only {len(calls)} of {n} calls arrived")
+
+
+class TestApiTable:
+    async def test_pipe_and_in_process_paths_make_the_same_manager_calls(
+        self, demo_build, tmp_path
+    ):
+        direct_calls: list = []
+        direct = spied_manager(demo_build, direct_calls)
+        piped_calls: list = []
+        piped = spied_manager(demo_build, piped_calls)
+        runtime, endpoints = await pipe_runtime(piped, tmp_path)
+
+        for i, (name, args) in enumerate(api_calls(demo_build)):
+            want = await getattr(direct, name)(*args)
+            got = await getattr(runtime, name)(*args)
+            await settle(piped_calls, i + 1)
+            assert got == want, name
+            assert piped_calls[i] == direct_calls[i], name
+        assert direct.tracer.traces() == piped.tracer.traces()
+        for endpoint in endpoints:
+            await endpoint.close()
+
+    async def test_one_row_and_its_manager_method_add_a_control_method(
+        self, demo_build, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(
+            pipes.API, "echo", pipes.ApiMethod("echo", ("proclet_id", "text"))
+        )
+
+        async def echo(self, proclet_id: str, text: str) -> str:
+            return f"{proclet_id}: {text}"
+
+        monkeypatch.setattr(Manager, "echo", echo, raising=False)
+        manager = Manager(
+            demo_build, AppConfig().resolve(demo_build.names()), IdleLauncher()
+        )
+        runtime, endpoints = await pipe_runtime(manager, tmp_path)
+        assert await runtime.echo("p1", "hi") == "p1: hi"
+        for endpoint in endpoints:
+            await endpoint.close()
+
+    async def test_unknown_type_and_unexpected_keys_are_refused(
+        self, demo_build, tmp_path
+    ):
+        manager = Manager(
+            demo_build, AppConfig().resolve(demo_build.names()), IdleLauncher()
+        )
+        runtime, (endpoint, _) = await pipe_runtime(manager, tmp_path)
+        with pytest.raises(RuntimeControlError, match="unknown control request"):
+            await endpoint.request("export_traces", {"proclet_id": "p1", "spans": []})
+        with pytest.raises(RuntimeControlError, match="takes"):
+            await endpoint.request("heartbeat", {"proclet_id": "p1", "load": 0.0, "x": 1})
+        with pytest.raises(RuntimeControlError, match="takes"):
+            await endpoint.request("heartbeat", {"proclet_id": "p1"})
+        with pytest.raises(AttributeError):
+            runtime.export_traces
+        await endpoint.close()

@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import AppConfig
 from repro.core.errors import ComponentNotFound, ErrorCode, RPCError, Unavailable
 from repro.core.options import CallOptions
+from repro.observability.tracing import Span
 from repro.runtime import pipes
 from repro.runtime.proclet import Proclet, RoutingResolver
 from repro.transport.client import ConnectionPool
@@ -22,7 +23,8 @@ from tests.conftest import Adder, Greeter, KVStore
 
 
 class ScriptedRuntime:
-    """A RuntimeAPI double recording every interaction."""
+    """A runtime double (the methods of repro.runtime.pipes.API) recording
+    every interaction."""
 
     def __init__(self, build):
         self.build = build
@@ -32,6 +34,7 @@ class ScriptedRuntime:
         self.metrics = []
         self.logs = []
         self.call_graphs = []
+        self.spans = []
         self.hosting: dict[str, list[str]] = {}
         self.routing: dict[str, dict] = {}
 
@@ -58,6 +61,9 @@ class ScriptedRuntime:
 
     async def export_call_graph(self, proclet_id, edges):
         self.call_graphs.append(edges)
+
+    async def export_spans(self, proclet_id, spans):
+        self.spans.append(spans)
 
 
 @pytest.fixture
@@ -110,6 +116,15 @@ class TestLifecycle:
         await asyncio.sleep(0.2)
         assert runtime.heartbeats
         assert runtime.metrics
+        await proclet.stop()
+
+    async def test_spans_are_exported_as_objects(self, demo_build, runtime):
+        adder = demo_build.by_iface(Adder).name
+        proclet = await make_proclet(demo_build, runtime, hosted=[adder])
+        assert await proclet.get(Adder).add(1, 2) == 3
+        await asyncio.sleep(0.2)
+        spans = [span for batch in runtime.spans for span in batch]
+        assert spans and all(isinstance(span, Span) for span in spans)
         await proclet.stop()
 
 

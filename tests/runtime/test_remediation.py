@@ -52,6 +52,12 @@ class FakeLauncher:
     async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
         pass
 
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
+        return 0
+
 
 class StubBoard:
     """A signal board that fires exactly what the test says."""

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.boutique import ALL_COMPONENTS, CartItem, Frontend
 from repro.serde import COMPACT, JSON, TAGGED
-from repro.sim.profile import CallNode, recording_app
+from repro.sim.profile import CODEC_NAMES, CallNode, recording_app
+from repro.serde import codec_by_name
 
 
 async def record_view_cart():
@@ -93,3 +96,24 @@ class TestRecording:
         t2 = await app.record(home, name="home")
         assert t1.total_calls() == t2.total_calls()
         await app.shutdown()
+
+
+async def test_payload_encoding_is_not_charged_as_self_cpu(monkeypatch):
+    """Sizing payloads costs the recorder, not the recorded calls: with
+    every codec's encode slowed by a fixed sleep, no node's self CPU
+    grows by it."""
+    delay_s = 0.05
+    for name in CODEC_NAMES:
+        cls = type(codec_by_name(name))
+        original = cls.encode
+
+        def slow_encode(self, schema, value, _original=original):
+            time.sleep(delay_s)
+            return _original(self, schema, value)
+
+        monkeypatch.setattr(cls, "encode", slow_encode)
+
+    tree = await record_view_cart()
+    fe = tree.children[0]
+    assert fe.request_bytes["compact"] > 0  # payloads were still sized
+    assert tree.total_self_cpu_s() < delay_s
