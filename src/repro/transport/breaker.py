@@ -371,3 +371,10 @@ class BreakerSet:
             for (comp, addr), b in self._breakers.items()
             if comp == component
         }
+
+    def snapshot(self) -> dict[str, dict[str, str]]:
+        """Per-component view of breaker states (status page / examples)."""
+        out: dict[str, dict[str, str]] = {}
+        for (component, address), breaker in self._breakers.items():
+            out.setdefault(component, {})[address] = breaker.state.value
+        return out

@@ -158,6 +158,63 @@ for _iface, _impl in DEMO_PAIRS:
     repro.global_registry().register(_iface, _impl)
 
 
+
+# ---------------------------------------------------------------------------
+# ReplicaLauncher doubles for tests that drive a Manager without a deployer.
+# ---------------------------------------------------------------------------
+
+
+class NoopLauncher:
+    """A ``ReplicaLauncher`` that does nothing: it launches no proclet,
+    drains none, and swallows pushes.  Doubles subclass it and override
+    only what they record, so a change to the Protocol lands here once."""
+
+    async def start_replica(self, group_id: int, replica_index: int) -> None:
+        pass
+
+    async def stop_replica(self, proclet_id: str) -> None:
+        pass
+
+    async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
+        pass
+
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        return None
+
+    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
+        pass
+
+    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
+        return 0
+
+
+class FakeLauncher(NoopLauncher):
+    """Registers a fake proclet for every start request (asynchronously,
+    as a real envelope would after the child boots) and records stops.
+    Set ``manager`` before the first start."""
+
+    def __init__(self) -> None:
+        self.manager = None
+        self.started: list[tuple[int, int]] = []
+        self.stopped: list[str] = []
+        self._seq = 0
+
+    async def start_replica(self, group_id: int, replica_index: int) -> None:
+        self.started.append((group_id, replica_index))
+        self._seq += 1
+        proclet_id = f"fake-g{group_id}-r{self._seq}"
+        asyncio.get_running_loop().call_soon(
+            lambda: asyncio.ensure_future(
+                self.manager.register_replica(
+                    proclet_id, f"tcp://127.0.0.1:{9000 + self._seq}", group_id
+                )
+            )
+        )
+
+    async def stop_replica(self, proclet_id: str) -> None:
+        self.stopped.append(proclet_id)
+
+
 @pytest.fixture
 def demo_registry() -> Registry:
     registry = Registry()

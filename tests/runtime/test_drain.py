@@ -19,6 +19,8 @@ from repro.core.registry import Registry
 from repro.runtime.deployers.multi import deploy_multiprocess
 from repro.runtime.manager import Manager
 
+from tests.conftest import NoopLauncher
+
 
 class Sleeper(Component):
     # Deliberately NOT @idempotent: a retry of an executed call would be a
@@ -115,27 +117,15 @@ class TestPlannedShutdown:
         await app.shutdown()
 
 
-class RecordingLauncher:
+class RecordingLauncher(NoopLauncher):
     def __init__(self) -> None:
         self.events: list[tuple[str, str]] = []
-
-    async def start_replica(self, group_id: int, replica_index: int) -> None:
-        pass
 
     async def stop_replica(self, proclet_id: str) -> None:
         self.events.append(("stop", proclet_id))
 
     async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
         self.events.append(("drain", proclet_id))
-
-    async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
-        pass
-
-    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
-        pass
-
-    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
-        return 0
 
 
 class TestManagerRetire:

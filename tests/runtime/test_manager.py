@@ -11,47 +11,7 @@ from repro.core.errors import ComponentNotFound
 from repro.runtime.health import HealthState
 from repro.runtime.manager import Manager
 
-from tests.conftest import Adder, Greeter, KVStore
-
-
-class FakeLauncher:
-    """Registers a fake proclet for every start request (like a real
-    envelope would, after the child boots)."""
-
-    def __init__(self):
-        self.manager: Manager | None = None
-        self.started: list[tuple[int, int]] = []
-        self.stopped: list[str] = []
-        self._seq = 0
-
-    async def start_replica(self, group_id: int, replica_index: int) -> None:
-        self.started.append((group_id, replica_index))
-        self._seq += 1
-        proclet_id = f"fake-g{group_id}-r{self._seq}"
-        # Register asynchronously, as a real envelope would.
-        asyncio.get_running_loop().call_soon(
-            lambda: asyncio.ensure_future(
-                self.manager.register_replica(
-                    proclet_id, f"tcp://127.0.0.1:{9000 + self._seq}", group_id
-                )
-            )
-        )
-
-    async def stop_replica(self, proclet_id: str) -> None:
-        self.stopped.append(proclet_id)
-
-    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
-        return None
-
-    async def update_hosting(self, proclet_id: str, components: list[str]) -> None:
-        self.hosting_updates = getattr(self, "hosting_updates", [])
-        self.hosting_updates.append((proclet_id, components))
-
-    async def push_routing(self, proclet_id: str, component: str, info: dict) -> None:
-        pass
-
-    async def push_state(self, proclet_id: str, shards: list[dict]) -> int:
-        return 0
+from tests.conftest import Adder, FakeLauncher, Greeter, KVStore
 
 
 @pytest.fixture

@@ -26,6 +26,8 @@ from repro.runtime.pipes import (
     memory_pipe_pair,
 )
 
+from tests.conftest import NoopLauncher
+
 
 async def echo_handler(type_: str, body: dict) -> dict:
     if type_ == "boom":
@@ -199,32 +201,9 @@ class TestStreamPipes:
 # -- the API table: both paths reach the same Manager call ---------------------
 
 
-class IdleLauncher:
-    """A ReplicaLauncher that is never asked to launch (the tests register
-    their proclet themselves) and swallows pushes."""
-
-    async def start_replica(self, group_id, replica_index):
-        raise AssertionError("unexpected launch")
-
-    async def stop_replica(self, proclet_id):
-        pass
-
-    async def update_hosting(self, proclet_id, components):
-        pass
-
-    async def drain_replica(self, proclet_id, deadline_s):
-        return None
-
-    async def push_routing(self, proclet_id, component, info):
-        pass
-
-    async def push_state(self, proclet_id, shards):
-        return 0
-
-
 def spied_manager(build, calls: list) -> Manager:
     """A real Manager whose every API method records its bound arguments."""
-    manager = Manager(build, AppConfig().resolve(build.names()), IdleLauncher())
+    manager = Manager(build, AppConfig().resolve(build.names()), NoopLauncher())
     for name in pipes.API:
         original = getattr(manager, name)
         signature = inspect.signature(original)
@@ -324,7 +303,7 @@ class TestApiTable:
 
         monkeypatch.setattr(Manager, "echo", echo, raising=False)
         manager = Manager(
-            demo_build, AppConfig().resolve(demo_build.names()), IdleLauncher()
+            demo_build, AppConfig().resolve(demo_build.names()), NoopLauncher()
         )
         runtime, endpoints = await pipe_runtime(manager, tmp_path)
         assert await runtime.echo("p1", "hi") == "p1: hi"
@@ -335,7 +314,7 @@ class TestApiTable:
         self, demo_build, tmp_path
     ):
         manager = Manager(
-            demo_build, AppConfig().resolve(demo_build.names()), IdleLauncher()
+            demo_build, AppConfig().resolve(demo_build.names()), NoopLauncher()
         )
         runtime, (endpoint, _) = await pipe_runtime(manager, tmp_path)
         with pytest.raises(RuntimeControlError, match="unknown control request"):
