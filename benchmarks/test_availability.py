@@ -108,7 +108,7 @@ async def _scenario(enabled: bool, seed: int) -> dict:
         workload, requests=REQUESTS, kill_every=KILL_EVERY, silent_kills=True
     )
     end_t = time.monotonic()
-    # Let the sweep loop finish repairing before the planned-shutdown probe.
+    # Let the reconcile pass finish repairing before the planned-shutdown probe.
     for _ in range(40):
         live = [e for e in app.envelopes.values() if not e.stopped]
         if len(live) >= 3:
@@ -132,7 +132,8 @@ async def _scenario(enabled: bool, seed: int) -> dict:
     group = next(
         g for g in app.manager.group_states().values() if g.group_id >= 0
     )
-    await app.manager._shrink_group(group, max(1, len(group.proclets) - 1))
+    group.target_replicas = max(1, len(group.proclets) - 1)
+    await app.manager.reconcile()
     outcomes = await asyncio.gather(*calls, return_exceptions=True)
     shutdown_failures = sum(1 for o in outcomes if isinstance(o, BaseException))
 

@@ -5,7 +5,7 @@ The control-plane gate for the remediation controller.  Two scenarios:
 **Rampage** — a replicated echo component takes paced load while replicas
 are *silently* killed.  Breakers and retries are disabled on both sides,
 so the only healer is the control plane.  With ``remediation: off`` the
-manager's sweep repairs at ``dead_after_s`` (the conservative,
+manager's reconcile pass repairs at ``dead_after_s`` (the conservative,
 authoritative signal); with ``remediation: on`` the controller restarts
 replicas at *suspect* — the whole point of closing the loop.  Gate: the
 controller recovers at least 1.5x faster **or** lifts the chaos success
@@ -45,8 +45,8 @@ REQUESTS = 400 if QUICK else 900
 KILL_EVERY = 150 if QUICK else 300
 PACE_S = 0.004
 #: Detection thresholds: the controller acts at SUSPECT, the baseline
-#: sweep at DEAD — the spread is the speedup being measured (in-proc
-#: heartbeats tick every 0.2s, the sweep loop every 0.5s).
+#: health step at DEAD — the spread is the speedup being measured (in-proc
+#: heartbeats tick every 0.2s, the reconcile pass every TELEMETRY_TICK_S).
 SUSPECT_AFTER_S = 0.3 if QUICK else 0.4
 DEAD_AFTER_S = 1.2 if QUICK else 2.0
 TELEMETRY_TICK_S = 0.25

@@ -4,7 +4,7 @@ The ``repro.state`` gate.  A routed stateful component keeps per-key
 counters in ``ctx.state`` while two storms hit the deployment:
 
 * **silent kills** — replicas crash without telling the manager, so
-  recovery runs through the shared WAL directory: the sweep relaunches a
+  recovery runs through the shared WAL directory: the reconcile pass relaunches a
   replica, routing generation bumps, and the new owner re-merges disk
   before serving moved keys;
 * **autoscale shrink** — a planned retirement mid-load, exercising the
@@ -93,7 +93,7 @@ async def _read_all(counter, component, app) -> dict[str, int]:
             break
         except Exception:
             assert time.monotonic() < deadline, "service never came back"
-            await app.manager.sweep()
+            await app.manager.reconcile()
             await asyncio.sleep(0.1)
     return {key: await counter.read(key) for key in KEYS}
 
@@ -122,12 +122,12 @@ async def _scenario(seed: int) -> dict:
         workload, requests=REQUESTS, kill_every=KILL_EVERY, silent_kills=True
     )
 
-    # Let the sweep finish repairing before the planned-shrink probe.
+    # Let the reconcile pass finish repairing before the planned-shrink probe.
     for _ in range(60):
         live = [e for e in app.envelopes.values() if not e.stopped]
         if len(live) >= 3:
             break
-        await app.manager.sweep()
+        await app.manager.reconcile()
         await asyncio.sleep(0.1)
 
     # Phase 2 — autoscale shrink while load continues.  The driver keeps
@@ -141,7 +141,8 @@ async def _scenario(seed: int) -> dict:
     group = next(
         g for g in app.manager.group_states().values() if g.group_id >= 0
     )
-    await app.manager._shrink_group(group, max(1, len(group.proclets) - 1))
+    group.target_replicas = max(1, len(group.proclets) - 1)
+    await app.manager.reconcile()
     shrink_report = await load
     end_t = time.monotonic()
 

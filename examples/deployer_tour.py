@@ -61,7 +61,7 @@ async def main() -> None:
     print("\n3) a replica dies; the manager notices and repairs ...")
     victim = next(iter(app.envelopes))
     app.kill_replica(victim)
-    await app.manager.sweep()
+    await app.manager.reconcile()
     await asyncio.sleep(0.2)
     home = await fe.home("tour-user", "USD")
     print(f"   killed {victim}; app still serves ({len(home.products)} products)")

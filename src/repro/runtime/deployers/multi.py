@@ -122,7 +122,7 @@ class MultiProcessApp(Application):
             heartbeat_interval_s=1.0,
             call_graph=self.call_graph,
         )
-        self._loops: list[asyncio.Task] = []
+        self._control_task: Optional[asyncio.Task] = None
         self._started = False
         self._dashboard = None
 
@@ -139,10 +139,7 @@ class MultiProcessApp(Application):
             for group in self.manager.plan.groups:
                 state = self.manager.group_states()[group.group_id]
                 await self.manager._ensure_replicas(state, minimum=group.replicas)
-        self._loops.append(asyncio.ensure_future(self._sweep_loop()))
-        self._loops.append(asyncio.ensure_future(self._telemetry_loop()))
-        if self.manager.autoscale_enabled:
-            self._loops.append(asyncio.ensure_future(self._autoscale_loop()))
+        self._control_task = asyncio.ensure_future(self._control_loop())
         return self
 
     async def serve_dashboard(self, port: int = 0) -> str:
@@ -155,9 +152,9 @@ class MultiProcessApp(Application):
         return self._dashboard.url
 
     async def shutdown(self) -> None:
-        for task in self._loops:
-            task.cancel()
-        self._loops.clear()
+        if self._control_task is not None:
+            self._control_task.cancel()
+            self._control_task = None
         if self._dashboard is not None:
             await self._dashboard.stop()
             self._dashboard = None
@@ -208,7 +205,11 @@ class MultiProcessApp(Application):
                 control_dir=self._control_dir,
             )
         self._envelopes[proclet_id] = envelope
-        await envelope.start()
+        try:
+            await envelope.start()
+        except Exception:
+            await self.stop_replica(proclet_id)
+            raise
 
     async def stop_replica(self, proclet_id: str) -> None:
         envelope = self._envelopes.pop(proclet_id, None)
@@ -280,47 +281,22 @@ class MultiProcessApp(Application):
         """The driver proclet (exposes its breakers/metrics to callers)."""
         return self._driver
 
-    # -- control loops ---------------------------------------------------------
+    # -- the control loop -------------------------------------------------------
 
-    async def _sweep_loop(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(0.5)
-                await self.manager.sweep()
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("sweep loop failed")
-
-    async def _autoscale_loop(self) -> None:
-        try:
-            while True:
-                await asyncio.sleep(1.0)
-                await self.manager.autoscale_tick()
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("autoscale loop failed")
-
-    async def _telemetry_loop(self) -> None:
-        """The telemetry tick (1s default): heartbeat merges -> series ->
-        signals -> the remediation controller, which must see this
-        second's fresh verdicts before it plans actions."""
+    async def _control_loop(self) -> None:
+        """The manager's one loop: every ``telemetry_tick_s`` (1 s default),
+        fold heartbeats into series and signals, then run one reconcile
+        pass, which must see this tick's fresh verdicts."""
         interval = self.config.telemetry_tick_s
-        try:
-            while True:
-                await asyncio.sleep(interval)
+        while True:
+            await asyncio.sleep(interval)
+            try:
                 self.manager.telemetry_tick()
-                try:
-                    await self.manager.remediation_tick()
-                except Exception:
-                    # A failed action round must not kill telemetry; the
-                    # journal records per-action failures already.
-                    log.exception("remediation tick failed")
-        except asyncio.CancelledError:
-            pass
-        except Exception:
-            log.exception("telemetry loop failed")
+                await self.manager.reconcile()
+            except Exception:
+                # A failed pass must not end the loop; the journal records
+                # each failed replica change already.
+                log.exception("reconcile pass failed")
 
 
 #: Placement and scaling are the driver's concern (hosting sets are pushed
@@ -350,8 +326,8 @@ async def deploy_multiprocess(
     """Deploy each co-location group of the config in its own process.
 
     With ``eager=False`` groups start lazily on first use
-    (``StartComponent``); with ``autoscale=True`` the manager runs the
-    HPA loop over proclet load reports.
+    (``StartComponent``); with ``autoscale=True`` each reconcile pass runs
+    the HPA over proclet load reports.
     """
     config = config or AppConfig()
     reg = registry or global_registry()

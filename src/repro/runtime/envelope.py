@@ -29,6 +29,7 @@ Two implementations:
 from __future__ import annotations
 
 import asyncio
+import collections
 import functools
 import json
 import logging
@@ -188,6 +189,7 @@ class SubprocessEnvelope(BaseEnvelope):
         self._server: Optional[asyncio.base_events.Server] = None
         self._connected = asyncio.Event()
         self._stderr_task: Optional[asyncio.Task] = None
+        self._stderr_tail: collections.deque[str] = collections.deque(maxlen=20)
 
     async def start(self) -> None:
         socket_path = os.path.join(self._control_dir, f"{self.proclet_id}.sock")
@@ -209,12 +211,30 @@ class SubprocessEnvelope(BaseEnvelope):
             stderr=asyncio.subprocess.PIPE,
         )
         self._stderr_task = asyncio.ensure_future(self._pump_stderr())
+        # Whichever comes first: the control connection, or the child's
+        # exit (a bad module, a version mismatch) — not the 30 s timeout.
+        connected = asyncio.ensure_future(self._connected.wait())
+        exited = asyncio.ensure_future(self._process.wait())
         try:
-            await asyncio.wait_for(self._connected.wait(), timeout=30.0)
-        except asyncio.TimeoutError:
+            await asyncio.wait(
+                (connected, exited), timeout=30.0, return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            connected.cancel()
+            exited.cancel()
+        if self._connected.is_set():
+            return
+        if self._process.returncode is None:
             raise RuntimeControlError(
                 f"proclet {self.proclet_id} did not connect its control socket"
-            ) from None
+            )
+        # Let the pump read the child's last words before quoting them.
+        await asyncio.wait({self._stderr_task}, timeout=2.0)
+        raise RuntimeControlError(
+            f"proclet {self.proclet_id} exited with status "
+            f"{self._process.returncode} before connecting its control socket: "
+            + " | ".join(list(self._stderr_tail)[-3:])
+        )
 
     def _accept(self, pipe: StreamPipe) -> None:
         self._endpoint = ControlEndpoint(
@@ -224,13 +244,25 @@ class SubprocessEnvelope(BaseEnvelope):
         self._connected.set()
 
     async def _pump_stderr(self) -> None:
-        """Forward the child's stderr into our log (debuggability)."""
+        """Forward the child's stderr into our log (debuggability); when
+        the child dies on its own with a non-zero status, repeat its last
+        lines at WARNING."""
         assert self._process is not None and self._process.stderr is not None
         try:
             async for line in self._process.stderr:
-                log.info("[%s] %s", self.proclet_id, line.decode(errors="replace").rstrip())
+                text = line.decode(errors="replace").rstrip()
+                self._stderr_tail.append(text)
+                log.info("[%s] %s", self.proclet_id, text)
+            code = await self._process.wait()
         except (asyncio.CancelledError, ValueError):
-            pass
+            return
+        if code and not self.stopped:
+            log.warning(
+                "proclet %s exited with status %d; its last stderr lines:\n%s",
+                self.proclet_id,
+                code,
+                "\n".join(self._stderr_tail),
+            )
 
     async def control(
         self, type_: str, body: dict[str, Any], *, timeout: float = 30.0

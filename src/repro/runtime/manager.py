@@ -12,7 +12,8 @@ The manager owns:
 * the replica lifecycle (``StartComponent`` requests, autoscaling
   decisions, restart-on-death), executed through a deployer-provided
   :class:`ReplicaLauncher` — the manager decides, the deployer does, which
-  is how one manager drives subprocesses, threads, or simulated pods,
+  is how one manager drives subprocesses, threads, or simulated pods; one
+  loop (:meth:`Manager.reconcile`) converges replicas to desired state,
 * routing: replica sets and sliced assignments per component, with
   generations bumped on every membership change,
 * telemetry aggregation: metrics, logs, health.
@@ -90,13 +91,22 @@ class ProcletInfo:
     replica_index: int
     load: float = 0.0
     registered_at: float = 0.0
+    #: Why a controller retired this replica; the next converge removes it.
+    leaving: str = ""
 
 
 @dataclass
 class GroupState:
     group_id: int
     components: tuple[str, ...]
+    #: Desired state: the replica count and who set it last (the journaled
+    #: cause of surplus removals and launches), remediation's held minimum
+    #: ``(replicas, until)`` under the autoscaler, and whether the group
+    #: started (a lazy one waits for StartComponent).
     target_replicas: int
+    cause: str = "placement"
+    hold: tuple[int, float] = (0, 0.0)
+    started: bool = False
     next_replica_index: int = 0
     #: Distinct index for every launch, handed to the new proclet as its
     #: replica identity (routed components partition state by it).
@@ -171,19 +181,11 @@ class Manager:
 
         self.remediation = RemediationController(self, app)
 
-        self._groups: dict[int, GroupState] = {}
-        self._component_group: dict[str, int] = {}
-        for gp in self.plan.groups:
-            state = GroupState(gp.group_id, gp.components, gp.replicas)
-            self._groups[gp.group_id] = state
-            for name in gp.components:
-                self._component_group[name] = gp.group_id
+        self._adopt_plan(self.plan)
         self._assignments: dict[str, Assignment] = {}
         self._generations: dict[str, int] = {}
-        self._autoscalers: dict[int, Autoscaler] = {
-            gid: Autoscaler(resolved.app.autoscale) for gid in self._groups
-        }
         self._lock = asyncio.Lock()
+        self._reconcile_lock = asyncio.Lock()
 
     # -- the proclet -> runtime API (repro.runtime.pipes.API) -----------------
     # In-process proclets call these directly; a subprocess proclet's calls
@@ -202,6 +204,7 @@ class Manager:
             )
             group.next_replica_index += 1
             group.proclets[proclet_id] = info
+            group.started = True
             if group.launching > 0:
                 group.launching -= 1
             self.health.heartbeat(proclet_id, self.clock())
@@ -259,22 +262,50 @@ class Manager:
         """Ingest finished Span objects (decoded at the pipe, if any)."""
         self.tracer.ingest(spans)
 
-    # -- control loops ----------------------------------------------------------
+    # -- the control loop ------------------------------------------------------
 
-    async def sweep(self) -> None:
-        """Health sweep: detect dead proclets, repair routing, restart."""
-        now = self.clock()
-        newly_dead = self.health.sweep(now)
-        for proclet_id in newly_dead:
-            info = self._find_proclet(proclet_id)
-            if info is None:
+    async def reconcile(self) -> list[dict[str, Any]]:
+        """One pass of the manager's control loop: observe, decide, converge.
+
+        Heartbeat ages turn silent replicas SUSPECT, then DEAD; the
+        autoscaler and remediation edit desired state only; then every
+        group converges to it.  The deployer runs a pass right after
+        :meth:`telemetry_tick`, so remediation sees fresh signal verdicts.
+        Returns the pass's journal entries: decisions, then changes.
+        """
+        async with self._reconcile_lock:
+            now = self.clock()
+            for proclet_id in self.health.sweep(now):
+                log.warning("proclet %s died", proclet_id)
+            if self.autoscale_enabled:
+                self._autoscale(now)
+            decisions = await self.remediation.decide()
+            changes: list[dict[str, Any]] = []
+            for gid, group in list(self._groups.items()):
+                if self._groups.get(gid) is group:  # not re-placed meanwhile
+                    changes += await self._converge(group)
+            return decisions + changes
+
+    def _autoscale(self, now: float) -> None:
+        """The HPA's proposal per group (mean load per live replica).
+
+        A remediation hold is a floor under the proposal until it expires,
+        so the autoscaler cannot undo capacity remediation just added.
+        """
+        for group in self._groups.values():
+            live = self.live_replicas(group)
+            if not live:
                 continue
-            log.warning("proclet %s (group %d) died", proclet_id, info.group_id)
-            group = self._groups[info.group_id]
-            group.proclets.pop(proclet_id, None)
-            self.health.remove(proclet_id)
-            self._bump_group_routing(group)
-            await self._ensure_replicas(group, minimum=group.target_replicas)
+            utilization = sum(p.load for p in live) / len(live)
+            desired = self._autoscalers[group.group_id].decide(
+                now=now, current_replicas=len(live), utilization=utilization
+            ).desired
+            floor, until = group.hold
+            if now < until:
+                desired = max(desired, floor)
+            if desired != len(live):
+                group.target_replicas = desired
+                group.cause = "autoscale"
 
     async def apply_placement(self, groups: list[tuple[str, ...]]) -> None:
         """Re-place components across the *running* deployment (§3.1, §5.1).
@@ -289,7 +320,8 @@ class Manager:
         components the most, gets its new hosted set pushed down, and
         callers re-resolve on their next call (a stale address answers
         "unavailable" and the stub retries through fresh routing info).
-        Proclets whose components all moved elsewhere are stopped; new
+        A merged group then holds more proclets than its replica count:
+        the converge step retires the surplus (cause ``placement``).  New
         groups without any adopted proclet start lazily on first use.
 
         Components with in-memory state lose it when they move — the same
@@ -311,44 +343,20 @@ class Manager:
         plan.validate(self.build.names())
 
         async with self._lock:
-            old_components_of = {
-                info.proclet_id: set(self._groups[info.group_id].components)
-                for info in self.proclets()
-            }
-            old_infos = self.proclets()
-
-            self.plan = plan
-            self._groups = {}
-            self._component_group = {}
-            for gp in plan.groups:
-                state = GroupState(gp.group_id, gp.components, gp.replicas)
-                self._groups[gp.group_id] = state
-                for name in gp.components:
-                    self._component_group[name] = gp.group_id
-            self._autoscalers = {
-                gid: Autoscaler(self.resolved.app.autoscale) for gid in self._groups
-            }
-
-            to_stop: list[str] = []
+            old = [(p, set(self._groups[p.group_id].components)) for p in self.proclets()]
+            self._adopt_plan(plan)
             pushes: list[tuple[str, list[str]]] = []
-            for info in old_infos:
-                old_set = old_components_of[info.proclet_id]
-                best: Optional[GroupState] = None
-                best_score = (0, 0.0)
-                for group in self._groups.values():
-                    overlap = len(old_set & set(group.components))
-                    if overlap == 0:
-                        continue
-                    # Prefer max overlap; break ties toward emptier groups
-                    # so merged groups don't stack every old proclet.
-                    score = (overlap, -len(group.proclets))
-                    if best is None or score > best_score:
-                        best, best_score = group, score
-                if best is None:
-                    to_stop.append(info.proclet_id)
-                    continue
+            for info, old_set in old:
+                # The plan covers every component, so some group overlaps.
+                # Prefer max overlap; break ties toward emptier groups so
+                # merged groups don't stack every old proclet.
+                best = max(
+                    self._groups.values(),
+                    key=lambda g: (len(old_set & set(g.components)), -len(g.proclets)),
+                )
                 info.group_id = best.group_id
                 best.proclets[info.proclet_id] = info
+                best.started = True
                 pushes.append((info.proclet_id, sorted(best.components)))
 
             for group in self._groups.values():
@@ -358,96 +366,11 @@ class Manager:
         # deployer, which may call back into the manager.
         for proclet_id, components in pushes:
             await self.launcher.update_hosting(proclet_id, components)
-        for proclet_id in to_stop:
-            # Routing was rebuilt without these proclets above; retire
-            # gracefully so their in-flight requests complete.
-            self.health.remove(proclet_id)
-            await self._retire_replica(proclet_id)
+        for group in list(self._groups.values()):
+            await self._converge(group)
         log.info(
-            "re-placed into %d groups (%d proclets reassigned, %d stopped)",
-            len(self._groups),
-            len(pushes),
-            len(to_stop),
+            "re-placed into %d groups (%d proclets reassigned)", len(self._groups), len(pushes)
         )
-
-    async def autoscale_tick(self) -> None:
-        """One autoscaler pass over every group (mean load per replica)."""
-        if not self.autoscale_enabled:
-            return
-        now = self.clock()
-        for group in self._groups.values():
-            live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
-            if not live:
-                continue
-            utilization = sum(p.load for p in live) / len(live)
-            decision = self._autoscalers[group.group_id].decide(
-                now=now, current_replicas=len(live), utilization=utilization
-            )
-            if decision.desired > len(live):
-                group.target_replicas = decision.desired
-                await self._ensure_replicas(group, minimum=decision.desired)
-            elif decision.desired < len(live):
-                group.target_replicas = decision.desired
-                await self._shrink_group(group, decision.desired)
-
-    async def remediation_tick(self) -> list[dict[str, Any]]:
-        """One controller pass: evidence -> guarded actions.
-
-        The deployer calls this right after :meth:`telemetry_tick` so the
-        controller sees this second's fresh series and signal verdicts.
-        A no-op unless ``AppConfig.remediation`` is ``on`` or ``observe``.
-        """
-        return await self.remediation.tick()
-
-    # -- remediation executors (the controller's effector surface) ---------------
-
-    async def remediate_restart(self, proclet_id: str) -> None:
-        """Replace one replica: out of routing, drain, stop, re-launch.
-
-        The routing bump happens *first* so callers steer elsewhere while
-        the victim drains — the same order as :meth:`_shrink_group`.
-        """
-        info = self._find_proclet(proclet_id)
-        if info is None:
-            return
-        group = self._groups[info.group_id]
-        group.proclets.pop(proclet_id, None)
-        self.health.remove(proclet_id)
-        self._bump_group_routing(group)
-        await self._retire_replica(proclet_id, components=group.components)
-        await self._ensure_replicas(group, minimum=group.target_replicas)
-
-    async def remediate_eject(self, proclet_id: str) -> None:
-        """Remove one replica from routing and retire it, no replacement.
-
-        Chosen over restart when the group already holds its target
-        strength without the victim (the guardrails additionally refuse to
-        eject below the autoscale floor).
-        """
-        info = self._find_proclet(proclet_id)
-        if info is None:
-            return
-        group = self._groups[info.group_id]
-        group.proclets.pop(proclet_id, None)
-        self.health.remove(proclet_id)
-        self._bump_group_routing(group)
-        await self._retire_replica(proclet_id, components=group.components)
-
-    async def remediate_scale_up(self, group_id: int, *, ceiling: int) -> None:
-        """Add one replica to a group, clamped to ``ceiling``."""
-        group = self._group(group_id)
-        live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
-        desired = min(ceiling, max(group.target_replicas, len(live)) + 1)
-        if desired <= len(live):
-            return
-        group.target_replicas = desired
-        # Remediation scale-ups must stick until the incident resolves:
-        # raise the autoscaler's floor too, or its next tick would undo
-        # the capacity the controller just added.
-        scaler = self._autoscalers.get(group_id)
-        if scaler is not None:
-            scaler.raise_floor(desired, now=self.clock())
-        await self._ensure_replicas(group, minimum=desired)
 
     async def remediate_isolate(self, component: str) -> None:
         """Give ``component`` its own process (live re-placement, §5.1).
@@ -460,16 +383,9 @@ class Manager:
         group = self._group_for_component(component)
         if len(group.components) < 2:
             return
-        new_groups: list[tuple[str, ...]] = []
-        for g in self._groups.values():
-            if g.group_id == group.group_id:
-                rest = tuple(c for c in g.components if c != component)
-                new_groups.append((component,))
-                if rest:
-                    new_groups.append(rest)
-            else:
-                new_groups.append(g.components)
-        await self.apply_placement(new_groups)
+        others = [g.components for g in self._groups.values() if g is not group]
+        rest = tuple(c for c in group.components if c != component)
+        await self.apply_placement([*others, rest, (component,)])
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -495,7 +411,7 @@ class Manager:
         now = time.time() if now is None else now
         self.pipeline.tick(self.metrics, now)
         for group in self._groups.values():
-            live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
+            live = self.live_replicas(group)
             scope = f"group{group.group_id}"
             self.timeseries.record("replicas", scope, now, float(len(live)))
             if live:
@@ -519,7 +435,25 @@ class Manager:
     def total_replicas(self) -> int:
         return sum(len(g.proclets) for g in self._groups.values())
 
+    def live_replicas(self, group: GroupState) -> list[ProcletInfo]:
+        """The group's replicas that are starting, healthy or suspect."""
+        return [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
+
     # -- internals -------------------------------------------------------------------
+
+    def _adopt_plan(self, plan: PlacementPlan) -> None:
+        """Fresh groups (no proclets yet) and autoscalers for ``plan``."""
+        self.plan = plan
+        self._groups: dict[int, GroupState] = {
+            gp.group_id: GroupState(gp.group_id, gp.components, gp.replicas)
+            for gp in plan.groups
+        }
+        self._component_group: dict[str, int] = {
+            name: gp.group_id for gp in plan.groups for name in gp.components
+        }
+        self._autoscalers: dict[int, Autoscaler] = {
+            gid: Autoscaler(self.resolved.app.autoscale) for gid in self._groups
+        }
 
     def _group(self, group_id: int) -> GroupState:
         try:
@@ -545,11 +479,8 @@ class Manager:
         return state in (HealthState.HEALTHY, HealthState.STARTING, HealthState.SUSPECT)
 
     def _healthy_addresses(self, group: GroupState) -> list[str]:
-        return [
-            p.address
-            for p in sorted(group.proclets.values(), key=lambda p: p.replica_index)
-            if self._is_live(p.proclet_id)
-        ]
+        live = sorted(self.live_replicas(group), key=lambda p: p.replica_index)
+        return [p.address for p in live]
 
     def _is_routed(self, component: str) -> bool:
         reg = self.build.by_name(component)
@@ -593,32 +524,113 @@ class Manager:
                 "routing push of %s to %s failed", component, proclet_id, exc_info=True
             )
 
-    async def _ensure_replicas(self, group: GroupState, minimum: int) -> None:
-        live = [p for p in group.proclets.values() if self._is_live(p.proclet_id)]
-        deficit = minimum - len(live) - group.launching
-        launches = []
-        for _ in range(max(0, deficit)):
-            group.launching += 1
-            index = group.launch_seq
-            group.launch_seq += 1
-            launches.append(self.launcher.start_replica(group.group_id, index))
-        if launches:
-            group.registered_event.clear()
-            await asyncio.gather(*launches)
-            # Wait for at least one registration so callers of
-            # StartComponent see a routable replica.
-            if not self._healthy_addresses(group):
-                try:
-                    await asyncio.wait_for(group.registered_event.wait(), timeout=30.0)
-                except asyncio.TimeoutError:
-                    raise PlacementError(
-                        f"no replica of group {group.group_id} registered in time"
-                    ) from None
+    async def _ensure_replicas(self, group: GroupState, minimum: int) -> int:
+        """Launch until ``minimum`` replicas are live or launching; returns
+        how many it launched.  Waits for a registration when the group has
+        no routable replica yet (StartComponent's callers need one)."""
+        group.started = True
+        deficit = minimum - len(self.live_replicas(group)) - group.launching
+        if deficit <= 0:
+            return 0
+        group.launching += deficit
+        first = group.launch_seq
+        group.launch_seq += deficit
+        group.registered_event.clear()
+        launches = [
+            self.launcher.start_replica(group.group_id, index)
+            for index in range(first, first + deficit)
+        ]
+        results = await asyncio.gather(*launches, return_exceptions=True)
+        failures = [r for r in results if isinstance(r, BaseException)]
+        # A failed launch never registers: free its slot for the next pass.
+        group.launching -= len(failures)
+        if failures:
+            raise failures[0]
+        if not self._healthy_addresses(group):
+            try:
+                await asyncio.wait_for(group.registered_event.wait(), timeout=30.0)
+            except asyncio.TimeoutError:
+                raise PlacementError(
+                    f"no replica of group {group.group_id} registered in time"
+                ) from None
+        return deficit
+
+    async def _converge(self, group: GroupState) -> list[dict[str, Any]]:
+        """Bring one group's running replicas to its desired state.
+
+        Every replica change goes through here, in this order: the leaving
+        replicas (dead, retired by a controller, or surplus beyond
+        ``target_replicas`` by ``replica_index``) leave routing with one
+        bump, so callers steer to the survivors; each is drained (unless
+        dead: it has nothing to finish) and stopped; then a started group
+        launches back up to its target.
+        """
+        leaving = self._leaving(group)
+        for info, _ in leaving:
+            group.proclets.pop(info.proclet_id, None)
+            self.health.remove(info.proclet_id)
+        if leaving:
+            self._bump_group_routing(group)
+        changes = []
+        for info, cause in leaving:
+            stop = self._retire_replica(
+                info.proclet_id, components=group.components, drain=cause != "health"
+            )
+            changes += await self._journaled("stop_replica", info.proclet_id, group, cause, stop)
+        if group.started:
+            launch = self._ensure_replicas(group, group.target_replicas)
+            cause = leaving[0][1] if leaving else group.cause
+            target = f"group{group.group_id}"
+            changes += await self._journaled("start_replica", target, group, cause, launch)
+        return changes
+
+    def _leaving(self, group: GroupState) -> list[tuple[ProcletInfo, str]]:
+        leaving, staying = [], []
+        for info in group.proclets.values():
+            if self.health.state(info.proclet_id) is HealthState.DEAD:
+                leaving.append((info, "health"))
+            elif info.leaving:
+                leaving.append((info, info.leaving))
+            elif self._is_live(info.proclet_id):
+                staying.append(info)
+        staying.sort(key=lambda p: p.replica_index)
+        leaving += [(info, group.cause) for info in staying[group.target_replicas :]]
+        return leaving
+
+    async def _journaled(
+        self, action: str, target: str, group: GroupState, cause: str, change: Any
+    ) -> list[dict[str, Any]]:
+        """Await one converge change and journal it under ``cause``: one
+        entry per replica it launched (a stop is one).  A failure is
+        journaled, not raised, so the pass goes on to the next group."""
+        started, outcome, count = self.clock(), "ok", 1
+        try:
+            launched = await change
+            count = 1 if launched is None else launched
+        except Exception as exc:
+            outcome = f"failed: {type(exc).__name__}: {exc}"
+            log.exception("%s of %s failed", action, target)
+        entries = [
+            {
+                "ts": time.time(),
+                "action": action,
+                "target": target,
+                "group": group.group_id,
+                "scope": group.components[0],
+                "reason": cause,
+                "verdict": "applied",
+                "outcome": outcome,
+                "duration_ms": round((self.clock() - started) * 1000.0, 3),
+            }
+            for _ in range(count)
+        ]
+        self.remediation.journal.extend(entries)
+        return entries
 
     async def _retire_replica(
-        self, proclet_id: str, *, components: tuple[str, ...] = ()
+        self, proclet_id: str, *, components: tuple[str, ...] = (), drain: bool = True
     ) -> None:
-        """Planned removal: drain in-flight work, then stop.
+        """Removal: drain in-flight work (``drain=False`` skips it), then stop.
 
         Routing must already exclude the replica (callers steer new
         traffic elsewhere while it finishes what it has).
@@ -626,12 +638,12 @@ class Manager:
         hard-stopped.  ``components`` labels the drain-event counters the
         telemetry pipeline turns into per-component series.
         """
-        for comp in components:
-            self._own_metrics.counter("replica_drains").inc(component=comp)
-        if components:
-            self._merged_metrics = None
         deadline_s = self.resolved.app.drain_deadline_s
-        if deadline_s > 0:
+        if drain:
+            for comp in components:
+                self._own_metrics.counter("replica_drains").inc(component=comp)
+            self._merged_metrics = None
+        if drain and deadline_s > 0:
             started = self.clock()
             response: Optional[dict[str, Any]] = None
             try:
@@ -692,19 +704,3 @@ class Manager:
         self._own_metrics.counter("state_handover_replayed").inc(replayed)
         self._own_metrics.histogram("state_handover_s").observe(self.clock() - started)
         self._merged_metrics = None
-
-    async def _shrink_group(self, group: GroupState, desired: int) -> None:
-        live = sorted(
-            (p for p in group.proclets.values() if self._is_live(p.proclet_id)),
-            key=lambda p: p.replica_index,
-        )
-        to_stop = live[desired:]
-        # Drop the retirees from routing *first*: new picks steer to the
-        # survivors while the retirees drain their in-flight requests.
-        for info in to_stop:
-            group.proclets.pop(info.proclet_id, None)
-            self.health.remove(info.proclet_id)
-        if to_stop:
-            self._bump_group_routing(group)
-        for info in to_stop:
-            await self._retire_replica(info.proclet_id, components=group.components)

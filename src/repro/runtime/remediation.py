@@ -3,11 +3,12 @@
 The paper's bet (§4–§5) is that a runtime owning placement, routing and
 telemetry can *operate itself*.  PR 9 built the sensing half — per-second
 series, EWMA anomaly detectors, SLO burn rates, breaker and drain state in
-``runtime.status`` — and this module closes the loop: a controller on the
-manager's telemetry tick maps that evidence to remediation actions and
-executes them through the machinery the manager already has
-(``_retire_replica``, ``_ensure_replicas``, ``apply_placement``, routing
-pushes).
+``runtime.status`` — and this module closes the loop: a controller in the
+manager's reconcile pass maps that evidence to remediation actions.  An
+action only edits the manager's desired state (a victim marked to retire,
+a raised target held against the autoscaler); the pass's converge step
+then drains, stops and launches, as it does for every other controller.
+Isolation re-places at once through ``apply_placement``.
 
 Microservice failures cascade faster than human operators react (Gan &
 Delimitrou), so remediation must be automatic — but a bad signal must not
@@ -36,11 +37,11 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager owns us)
-    from repro.runtime.manager import Manager
+    from repro.runtime.manager import GroupState, Manager
 
 log = logging.getLogger("repro.runtime.remediation")
 
@@ -49,6 +50,9 @@ RESTART = "restart_replica"
 EJECT = "eject_replica"
 SCALE_UP = "scale_up"
 ISOLATE = "isolate_component"
+
+#: How long a remediation scale-up holds against the autoscaler's proposal.
+SCALE_UP_HOLD_S = 120.0
 
 #: Breaker-trip storm threshold: trips of one component within the window
 #: that corroborate "this component's replicas are failing".
@@ -153,7 +157,7 @@ class Guardrails:
 
 
 class RemediationController:
-    """Maps live evidence to guarded actions, once per telemetry tick.
+    """Maps live evidence to guarded actions, once per reconcile pass.
 
     The mapping (see DESIGN.md for the full table):
 
@@ -187,12 +191,14 @@ class RemediationController:
         self._floor = config.autoscale.min_replicas
         self._ceiling = config.autoscale.max_replicas
 
-    # -- the tick ----------------------------------------------------------
+    # -- the decide step -----------------------------------------------------
 
-    async def tick(self, now: Optional[float] = None) -> list[dict[str, Any]]:
-        """Plan, guard, journal, and (mode permitting) execute one round.
+    async def decide(self, now: Optional[float] = None) -> list[dict[str, Any]]:
+        """Plan, guard, journal, and (mode permitting) apply one round.
 
-        Returns the journal entries appended this tick.
+        A fired action only edits the manager's desired state; the same
+        reconcile pass then converges it and journals each replica change.
+        Returns the journal entries appended this round.
         """
         if self.mode == "off":
             return []
@@ -200,7 +206,7 @@ class RemediationController:
         appended: list[dict[str, Any]] = []
         seen_groups: set[int] = set()
         for action in self.plan():
-            # One action per group per tick: remediations change the very
+            # One action per group per round: remediations change the very
             # evidence later rules would act on.
             if action.group_id in seen_groups:
                 continue
@@ -215,28 +221,28 @@ class RemediationController:
                 "outcome": None,
                 "duration_ms": None,
             }
+            appended.append(entry)
+            group = self.manager.group_states()[action.group_id]
             verdict = self.guardrails.check(
                 action,
-                live_replicas=self._live_count(action.group_id),
+                live_replicas=len(self.manager.live_replicas(group)),
                 floor=self._floor,
                 ceiling=self._ceiling,
             )
             if verdict is not None:
                 entry["verdict"] = f"suppressed:{verdict}"
                 self._record(entry, "suppressed")
-                appended.append(entry)
                 continue
             if self.mode == "observe":
                 entry["verdict"] = "observed"
                 self._record(entry, "observed")
-                appended.append(entry)
                 continue
             seen_groups.add(action.group_id)
             self.guardrails.commit(action)
             entry["verdict"] = "fired"
             started = self.manager.clock()
             try:
-                await self._execute(action)
+                await self._apply(action, group)
                 entry["outcome"] = "ok"
                 self._record(entry, "fired")
             except Exception as exc:
@@ -246,8 +252,25 @@ class RemediationController:
             entry["duration_ms"] = round(
                 (self.manager.clock() - started) * 1000.0, 3
             )
-            appended.append(entry)
         return appended
+
+    async def _apply(self, action: PlannedAction, group: "GroupState") -> None:
+        """Edit the manager's desired state for one fired action."""
+        manager = self.manager
+        if action.action == ISOLATE:
+            await manager.remediate_isolate(action.scope)
+        elif action.action == SCALE_UP:
+            live = len(manager.live_replicas(group))
+            desired = min(self._ceiling, max(group.target_replicas, live) + 1)
+            if desired > live:
+                group.target_replicas = desired
+                group.cause = "remediation"
+                group.hold = (desired, manager.clock() + SCALE_UP_HOLD_S)
+        else:  # RESTART or EJECT: the victim leaves; a restart refills it
+            group.proclets[action.target].leaving = "remediation"
+        # Only applied actions climb the escalation ladder.
+        if action.reason.count(":") >= 2:  # signal keys look like kind:name:scope
+            self._escalation[action.reason] = self._escalation.get(action.reason, 0) + 1
 
     # -- planning ----------------------------------------------------------
 
@@ -268,7 +291,7 @@ class RemediationController:
             for info in list(group.proclets.values()):
                 if manager.health.state(info.proclet_id) is not HealthState.SUSPECT:
                     continue
-                live = self._live_count(group.group_id)
+                live = len(manager.live_replicas(group))
                 # The group survives at target strength without the
                 # suspect: pure ejection.  Otherwise restart (eject +
                 # replace) to hold replica count.
@@ -375,12 +398,7 @@ class RemediationController:
         from repro.runtime.health import HealthState
 
         manager = self.manager
-        live = [
-            info
-            for info in group.proclets.values()
-            if manager.health.state(info.proclet_id)
-            in (HealthState.HEALTHY, HealthState.SUSPECT, HealthState.STARTING)
-        ]
+        live = manager.live_replicas(group)
         if not live:
             return None
         suspects = [
@@ -391,24 +409,6 @@ class RemediationController:
         pool = suspects or live
         return min(pool, key=lambda i: i.registered_at).proclet_id
 
-    # -- execution ---------------------------------------------------------
-
-    async def _execute(self, action: PlannedAction) -> None:
-        manager = self.manager
-        if action.action == RESTART:
-            await manager.remediate_restart(action.target)
-        elif action.action == EJECT:
-            await manager.remediate_eject(action.target)
-        elif action.action == SCALE_UP:
-            await manager.remediate_scale_up(action.group_id, ceiling=self._ceiling)
-        elif action.action == ISOLATE:
-            await manager.remediate_isolate(action.scope)
-        else:  # pragma: no cover - mapper only emits the four above
-            raise ValueError(f"unknown remediation action {action.action!r}")
-        # Only successful executions climb the escalation ladder.
-        if action.reason.count(":") >= 2:  # signal keys look like kind:name:scope
-            self._escalation[action.reason] = self._escalation.get(action.reason, 0) + 1
-
     # -- bookkeeping -------------------------------------------------------
 
     def _record(self, entry: dict[str, Any], bucket: str) -> None:
@@ -418,16 +418,6 @@ class RemediationController:
             action=entry["action"], verdict=bucket
         )
         self.manager._merged_metrics = None
-
-    def _live_count(self, group_id: int) -> int:
-        group = self.manager.group_states().get(group_id)
-        if group is None:
-            return 0
-        return sum(
-            1
-            for info in group.proclets.values()
-            if self.manager._is_live(info.proclet_id)
-        )
 
     def _group_of(self, scope: str):
         manager = self.manager

@@ -190,17 +190,20 @@ class NoopLauncher:
 
 class FakeLauncher(NoopLauncher):
     """Registers a fake proclet for every start request (asynchronously,
-    as a real envelope would after the child boots) and records stops.
-    Set ``manager`` before the first start."""
+    as a real envelope would after the child boots) and records starts,
+    drains and stops, in call order, in ``events``.  Set ``manager``
+    before the first start."""
 
     def __init__(self) -> None:
         self.manager = None
         self.started: list[tuple[int, int]] = []
         self.stopped: list[str] = []
+        self.events: list[tuple[str, object]] = []
         self._seq = 0
 
     async def start_replica(self, group_id: int, replica_index: int) -> None:
         self.started.append((group_id, replica_index))
+        self.events.append(("start", group_id))
         self._seq += 1
         proclet_id = f"fake-g{group_id}-r{self._seq}"
         asyncio.get_running_loop().call_soon(
@@ -211,8 +214,12 @@ class FakeLauncher(NoopLauncher):
             )
         )
 
+    async def drain_replica(self, proclet_id: str, deadline_s: float) -> None:
+        self.events.append(("drain", proclet_id))
+
     async def stop_replica(self, proclet_id: str) -> None:
         self.stopped.append(proclet_id)
+        self.events.append(("stop", proclet_id))
 
 
 @pytest.fixture

@@ -13,7 +13,11 @@ import pytest
 
 from repro.boutique import ALL_COMPONENTS, Address, CreditCard, Frontend
 from repro.core.config import AppConfig
-from repro.runtime.deployers.multi import deploy_multiprocess
+from repro.core.errors import RuntimeControlError
+from repro.core.registry import Registry
+from repro.runtime.deployers.multi import MultiProcessApp, deploy_multiprocess
+
+from tests.conftest import Adder, AdderImpl
 
 ADDRESS = Address("1 Hacker Way", "Menlo Park", "CA", "US", 94025)
 CARD = CreditCard("4432-8015-6152-0454", 672, 2030, 1)
@@ -77,12 +81,34 @@ class TestSubprocessDeployment:
                 if "catalog" in str(env._spec.get("components", "")).lower()
                 or True  # any victim works; pick the first
             )
+            envelope = app.envelopes[victim]
             app.kill_replica(victim)
-            await app.manager.sweep()
+            await app.manager.reconcile()
             await asyncio.sleep(0.3)
+            # The dead child's envelope was stopped, control server and all.
+            assert victim not in app.envelopes
+            assert not envelope._server.is_serving()
 
             # The group was relaunched as a fresh child; the app serves.
             home = await fe.home("u1", "USD")
             assert home.products
+        finally:
+            await app.shutdown()
+
+    async def test_child_exiting_during_start_fails_fast(self):
+        """A child that dies before connecting its control socket (here:
+        a module it cannot import) fails the launch at once, with its exit
+        status, instead of after the 30 s connect timeout."""
+        registry = Registry()
+        registry.register(Adder, AdderImpl)
+        app = MultiProcessApp(registry.freeze(), AppConfig(name="badmod"), mode="subprocess")
+        app._modules = ["tests.no_such_module"]
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        try:
+            with pytest.raises(RuntimeControlError, match="exited with status 1"):
+                await asyncio.wait_for(app.start(), timeout=10.0)
+            assert loop.time() - started < 2.0
+            assert app.envelopes == {}
         finally:
             await app.shutdown()

@@ -143,6 +143,40 @@ class TestCli:
             )
             assert code == 0 and f"trace {tid:x}" in out
 
+    async def test_actions_subcommand_shows_the_journal(self, demo_registry):
+        """``repro actions`` reads status.json's journal: remediation's
+        decisions and every replica change, each with its cause."""
+        import contextlib
+        import io
+
+        from repro.cli import main
+
+        config = AppConfig(name="actions", remediation="observe")
+        async with weavertest(registry=demo_registry, config=config, mode="multi") as app:
+            victim = next(iter(app.envelopes))
+            app.kill_replica(victim)
+            await app.manager.reconcile()
+            url = await app.serve_dashboard(port=0)
+
+            def run(*argv):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = main(list(argv))
+                return code, buf.getvalue()
+
+            code, out = await asyncio.to_thread(run, "actions", "--address", url)
+            assert code == 0
+            assert "remediation mode=observe" in out
+            assert "stop_replica" in out and victim in out and "health -> ok" in out
+
+            code, out = await asyncio.to_thread(run, "actions", "--json", "--address", url)
+            assert code == 0
+            wire = json.loads(out)
+            assert wire["mode"] == "observe"
+            changes = [(e["action"], e["reason"]) for e in wire["journal"]]
+            assert ("stop_replica", "health") in changes
+            assert ("start_replica", "health") in changes
+
     async def test_cli_reports_unreachable_dashboard(self):
         from repro.cli import main
 

@@ -98,7 +98,8 @@ class TestPlannedShutdown:
         group = next(iter(app.manager.group_states().values()))
         assert len(group.proclets) == 3
         # ...then shrink to one replica mid-flight (autoscale's move).
-        await app.manager._shrink_group(group, 1)
+        group.target_replicas = 1
+        await app.manager.reconcile()
 
         results = await asyncio.gather(*calls, return_exceptions=True)
         failures = [r for r in results if isinstance(r, BaseException)]
@@ -111,7 +112,8 @@ class TestPlannedShutdown:
     async def test_shrink_with_drain_disabled_still_converges(self):
         app = await deployed(replicas={Sleeper: 2}, drain_deadline_s=0.0)
         group = next(iter(app.manager.group_states().values()))
-        await app.manager._shrink_group(group, 1)
+        group.target_replicas = 1
+        await app.manager.reconcile()
         assert len([e for e in app.envelopes.values() if not e.stopped]) == 1
         assert await app.get(Sleeper).nap(0.0) == "rested"
         await app.shutdown()

@@ -75,7 +75,8 @@ class TestDrainHandover:
 
         group = next(iter(app.manager.group_states().values()))
         assert len(group.proclets) == 2
-        await app.manager._shrink_group(group, 1)
+        group.target_replicas = 1
+        await app.manager.reconcile()
         assert len(group.proclets) == 1
 
         # Every acknowledged increment survives on the survivor.
@@ -109,14 +110,14 @@ class TestCrashRecovery:
 
         (proclet_id,) = list(app.envelopes)
         app.kill_replica(proclet_id)
-        # The sweep loop notices the death and relaunches; the new replica
+        # The reconcile pass notices the death and relaunches; the new replica
         # replays the shared WAL directory on first touch.
         deadline = asyncio.get_running_loop().time() + 10.0
         while not app.manager.replica_addresses(
             "tests.runtime.test_handover.Ledger"
         ):
             assert asyncio.get_running_loop().time() < deadline
-            await app.manager.sweep()
+            await app.manager.reconcile()
             await asyncio.sleep(0.05)
 
         for key in KEYS[:10]:

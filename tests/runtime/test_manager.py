@@ -104,7 +104,7 @@ class TestHealthAndRepair:
 
         # Silence the heartbeat long enough to be declared dead.
         manager.health.mark_dead(info.proclet_id)
-        await manager.sweep()
+        await manager.reconcile()
         await asyncio.sleep(0.01)  # let the relaunch registration land
         addresses = manager.replica_addresses(name)
         assert addresses
@@ -127,7 +127,7 @@ class TestAutoscaling:
         gid = group_id_of(manager, Adder)
         await manager.register_replica("p1", "tcp://1:1", gid)
         await manager.heartbeat("p1", load=1.0)  # target 0.5 -> wants 2
-        await manager.autoscale_tick()
+        await manager.reconcile()
         await asyncio.sleep(0.01)
         name = manager.build.by_iface(Adder).name
         assert len(manager.replica_addresses(name)) == 2
@@ -138,7 +138,7 @@ class TestAutoscaling:
         await manager.register_replica("p2", "tcp://1:2", gid)
         await manager.heartbeat("p1", load=0.01)
         await manager.heartbeat("p2", load=0.01)
-        await manager.autoscale_tick()
+        await manager.reconcile()
         stopped = manager.launcher.stopped
         assert len(stopped) == 1
 
@@ -154,7 +154,7 @@ class TestAutoscaling:
         gid = m._component_group[demo_build.by_iface(Adder).name]
         await m.register_replica("p1", "tcp://1:1", gid)
         await m.heartbeat("p1", load=5.0)
-        await m.autoscale_tick()
+        await m.reconcile()
         assert launcher.started == []
 
 
@@ -200,3 +200,190 @@ class TestTelemetry:
         g.record("A", "B", "m", latency_s=0.001, local=False)
         await manager.export_call_graph("p1", g.to_wire())
         assert manager.call_graph.total_calls() == 1
+
+
+class ConvergeHarness:
+    """A manager over the shared FakeLauncher, on a hand-driven clock, whose
+    routing bumps land in the launcher's event log beside its calls."""
+
+    def __init__(self, demo_build, *, autoscale: bool) -> None:
+        self.now = 1000.0
+        config = AppConfig(
+            name="converge",
+            remediation="on",
+            remediation_cooldown_s=0.0,
+            drain_deadline_s=1.0,
+            autoscale=AutoscaleConfig(
+                target_utilization=0.5, max_replicas=4, scale_down_stabilization_s=0.0
+            ),
+        )
+        self.launcher = FakeLauncher()
+        self.manager = Manager(
+            demo_build,
+            config.resolve(demo_build.names()),
+            self.launcher,
+            clock=lambda: self.now,
+            autoscale_enabled=autoscale,
+        )
+        self.launcher.manager = self.manager
+        self.gid = group_id_of(self.manager, Adder)
+        self.group = self.manager.group_states()[self.gid]
+        bump = self.manager._bump_group_routing
+
+        def recording_bump(group):
+            self.launcher.events.append(("bump", group.group_id))
+            bump(group)
+
+        self.manager._bump_group_routing = recording_bump
+
+    async def replicas(self, count: int, *, target: int) -> None:
+        for i in range(count):
+            await self.manager.register_replica(f"p{i}", f"tcp://127.0.0.1:{7000 + i}", self.gid)
+        self.group.target_replicas = target
+        self.launcher.events.clear()
+
+    async def advance(self, seconds: float, *, load: float = 0.0, silent=()) -> None:
+        """Move the clock; every replica but ``silent`` heartbeats."""
+        self.now += seconds
+        for info in self.manager.proclets():
+            if info.proclet_id not in silent:
+                await self.manager.heartbeat(info.proclet_id, load)
+
+    async def registrations_land(self, count: int) -> None:
+        """Yield until the FakeLauncher's queued registrations ran."""
+        while len(self.group.proclets) < count:
+            await asyncio.sleep(0)
+
+
+class LatencyBoard:
+    """A signal board with one firing p99 anomaly on ``scope``."""
+
+    def __init__(self, scope: str) -> None:
+        from repro.observability.signals import Signal
+
+        self.signals = [
+            Signal(
+                kind="anomaly", name="p99_ms", scope=scope, firing=True,
+                value=1.0, baseline=0.0, detail="test",
+            )
+        ]
+
+    def firing(self):
+        return list(self.signals)
+
+
+async def _dead_replica(h):
+    await h.replicas(1, target=1)
+    h.manager.health.mark_dead("p0")
+    return await h.manager.reconcile()
+
+
+async def _scale_up(h):
+    await h.replicas(1, target=1)
+    await h.advance(1.0, load=1.0)  # target utilization 0.5 -> wants 2
+    return await h.manager.reconcile()
+
+
+async def _scale_down(h):
+    await h.replicas(2, target=2)
+    await h.advance(1.0, load=0.01)
+    return await h.manager.reconcile()
+
+
+async def _restart(h):
+    await h.replicas(1, target=1)
+    await h.advance(4.0, silent=("p0",))  # past suspect_after, short of dead
+    return await h.manager.reconcile()
+
+
+async def _eject(h):
+    await h.replicas(2, target=1)
+    await h.advance(4.0, silent=("p0",))
+    return await h.manager.reconcile()
+
+
+async def _hold_then_shrink(h):
+    await h.replicas(1, target=1)
+    h.manager.signals = LatencyBoard(h.group.components[0])
+    entries = await h.manager.reconcile()  # remediation scales up and holds 2
+    assert [(e["action"], e["reason"]) for e in entries if e["verdict"] == "applied"] == [
+        ("start_replica", "remediation")
+    ]
+    assert h.launcher.events[0] == ("start", h.gid)
+    assert h.group.hold == (2, h.now + 120.0)
+    await h.registrations_land(2)
+    h.manager.signals = LatencyBoard("nobody")
+    # Idle load: the autoscaler proposes 1, the hold keeps 2.
+    await h.advance(1.0)
+    h.launcher.events.clear()
+    assert await h.manager.reconcile() == []
+    assert h.group.target_replicas == 2
+    # Once the hold expires, the autoscaler may shrink.
+    await h.advance(120.0)
+    return await h.manager.reconcile()
+
+
+#: (case, act, expected launcher/routing call order, (action, cause) changes)
+CONVERGE_CASES = [
+    (
+        "dead replica is stopped and replaced",
+        _dead_replica,
+        [("bump", "g"), ("stop", "p0"), ("start", "g")],
+        [("stop_replica", "health"), ("start_replica", "health")],
+    ),
+    (
+        "autoscaler scales up",
+        _scale_up,
+        [("start", "g")],
+        [("start_replica", "autoscale")],
+    ),
+    (
+        "autoscaler scales down by replica_index",
+        _scale_down,
+        [("bump", "g"), ("drain", "p1"), ("stop", "p1")],
+        [("stop_replica", "autoscale")],
+    ),
+    (
+        "remediation restarts a suspect",
+        _restart,
+        [("bump", "g"), ("drain", "p0"), ("stop", "p0"), ("start", "g")],
+        [("stop_replica", "remediation"), ("start_replica", "remediation")],
+    ),
+    (
+        "remediation ejects a surplus suspect",
+        _eject,
+        [("bump", "g"), ("drain", "p0"), ("stop", "p0")],
+        [("stop_replica", "remediation")],
+    ),
+    (
+        "scale-up hold outlives an idle autoscaler, then it shrinks",
+        _hold_then_shrink,
+        [("bump", "g"), ("drain", "fake-g{g}-r1"), ("stop", "fake-g{g}-r1")],
+        [("stop_replica", "autoscale")],
+    ),
+]
+
+
+class TestReconcile:
+    @pytest.mark.parametrize(
+        "act,order,changes",
+        [case[1:] for case in CONVERGE_CASES],
+        ids=[case[0] for case in CONVERGE_CASES],
+    )
+    async def test_converge(self, demo_build, act, order, changes):
+        h = ConvergeHarness(demo_build, autoscale=act in (_scale_up, _scale_down, _hold_then_shrink))
+        entries = await act(h)
+
+        def resolve(arg):
+            return h.gid if arg == "g" else arg.format(g=h.gid)
+
+        expected = [(call, resolve(arg)) for call, arg in order]
+        # Routing drops the leavers before they drain, drains before stops;
+        # a replacement's own registration may bump routing again after.
+        assert h.launcher.events[: len(expected)] == expected
+        assert [
+            (e["action"], e["reason"]) for e in entries if e["verdict"] == "applied"
+        ] == changes
+        assert all(e["outcome"] == "ok" for e in entries)
+        journal = list(h.manager.remediation.journal)
+        assert all(e in journal for e in entries)

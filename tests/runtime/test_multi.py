@@ -154,11 +154,21 @@ class TestFailureRecovery:
             if name in env.proclet.hosted
         )
         app.kill_replica(victim)
-        await app.manager.sweep()
+        await app.manager.reconcile()
         await asyncio.sleep(0.05)
 
         # The manager restarted the group; calls work again.
         assert await adder.add(2, 2) == 4
+        await app.shutdown()
+
+    async def test_dead_replica_envelope_is_stopped(self, demo_registry):
+        app = await deployed(demo_registry)
+        victim = next(iter(app.envelopes))
+        app.kill_replica(victim)
+        await app.manager.reconcile()
+        # The converge step stopped the dead replica: its envelope is gone.
+        assert victim not in app.envelopes
+        assert len(app.envelopes) == app.manager.total_replicas()
         await app.shutdown()
 
     async def test_version_is_consistent_everywhere(self, demo_registry):

@@ -161,7 +161,7 @@ class TestModes:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        assert await manager.remediation_tick() == []
+        assert await manager.reconcile() == []
         assert launcher.stopped == []
 
     async def test_observe_mode_journals_without_acting(self, demo_build):
@@ -170,7 +170,7 @@ class TestModes:
         started_before = len(launcher.started)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        entries = await manager.remediation_tick()
+        entries = await manager.reconcile()
         assert entries and all(e["verdict"] == "observed" for e in entries)
         assert launcher.stopped == []  # decided, not executed
         assert len(launcher.started) == started_before
@@ -181,7 +181,7 @@ class TestModes:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        entries = await manager.remediation_tick()
+        entries = await manager.reconcile()
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["outcome"] == "ok"
         assert victim in launcher.stopped
@@ -208,7 +208,7 @@ class TestSuspectMapping:
         make_suspect(manager, victim)
         plans = [p for p in manager.remediation.plan() if p.target == victim]
         assert plans and plans[0].action == EJECT
-        await manager.remediation_tick()
+        await manager.reconcile()
         assert victim not in group.proclets
         assert victim in launcher.stopped
 
@@ -218,7 +218,7 @@ class TestSuspectMapping:
         group = next(iter(manager.group_states().values()))
         victim = next(iter(group.proclets))
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await manager.reconcile()
         # The victim is gone and a replacement was launched + registered.
         assert victim not in group.proclets
         assert len(group.proclets) >= group.target_replicas
@@ -232,7 +232,7 @@ class TestSignalMapping:
         manager.signals = board
         comp = adder_name(manager)
         board.fire("anomaly", "p99_ms", comp)
-        entries = await manager.remediation_tick()
+        entries = await manager.reconcile()
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["action"] == SCALE_UP
         group = manager._group_for_component(comp)
@@ -246,7 +246,7 @@ class TestSignalMapping:
         comp = adder_name(manager)
         victims = set(manager._group_for_component(comp).proclets)
         board.fire("anomaly", "error_rate", comp)
-        entries = await manager.remediation_tick()
+        entries = await manager.reconcile()
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["action"] == RESTART
         assert fired[0]["target"] in victims
@@ -260,7 +260,7 @@ class TestSignalMapping:
         board.fire("anomaly", "p99_ms", comp)
         actions = []
         for _ in range(4):
-            for e in await manager.remediation_tick():
+            for e in await manager.reconcile():
                 if e["verdict"] == "fired":
                     actions.append(e["action"])
         # scale_up, scale_up, then isolate — which downgrades to another
@@ -275,10 +275,10 @@ class TestSignalMapping:
         manager.signals = board
         comp = adder_name(manager)
         s = board.fire("anomaly", "p99_ms", comp)
-        await manager.remediation_tick()
+        await manager.reconcile()
         assert manager.remediation._escalation.get(s.key) == 1
         board.clear()
-        await manager.remediation_tick()  # signal resolved
+        await manager.reconcile()  # signal resolved
         assert s.key not in manager.remediation._escalation
 
     async def test_total_scope_resolves_to_worst_component(self, demo_build):
@@ -292,7 +292,7 @@ class TestSignalMapping:
         manager.timeseries.record("p99_ms", comp_a, now, 900.0)
         manager.timeseries.record("p99_ms", comp_g, now, 30.0)
         board.fire("slo", "latency", "_total")
-        entries = await manager.remediation_tick()
+        entries = await manager.reconcile()
         fired = [e for e in entries if e["verdict"] == "fired"]
         assert fired and fired[0]["scope"] == comp_a
 
@@ -318,26 +318,34 @@ class TestBreakerStorms:
 
 class TestExecutors:
     async def test_scale_up_clamps_to_ceiling(self, demo_build):
-        manager, launcher = make_manager(demo_build)
+        manager, launcher = make_manager(
+            demo_build,
+            autoscale=AutoscaleConfig(max_replicas=3, scale_down_stabilization_s=0.0),
+        )
         await start_all(manager)
-        group = next(iter(manager.group_states().values()))
+        board = StubBoard()
+        manager.signals = board
+        board.fire("anomaly", "p99_ms", adder_name(manager))
+        group = manager._group_for_component(adder_name(manager))
         for _ in range(6):
-            await manager.remediate_scale_up(group.group_id, ceiling=3)
+            await manager.reconcile()
         assert group.target_replicas == 3
 
     async def test_scale_up_raises_autoscaler_floor(self, demo_build):
         manager, _ = make_manager(demo_build)
+        manager.autoscale_enabled = True
         await start_all(manager)
-        group = next(iter(manager.group_states().values()))
-        await manager.remediate_scale_up(group.group_id, ceiling=4)
-        scaler = manager._autoscalers[group.group_id]
-        floor, expires = scaler._floor
+        board = StubBoard()
+        manager.signals = board
+        board.fire("anomaly", "p99_ms", adder_name(manager))
+        await manager.reconcile()
+        group = manager._group_for_component(adder_name(manager))
+        floor, expires = group.hold
         assert floor == 2 and expires > manager.clock()
-        # An idle-load decision cannot undo the remediation capacity.
-        decision = scaler.decide(
-            now=manager.clock(), current_replicas=2, utilization=0.01
-        )
-        assert decision.desired >= 2
+        # An idle-load pass cannot undo the remediation capacity.
+        board.clear()
+        await manager.reconcile()
+        assert group.target_replicas >= 2
 
     async def test_isolate_splits_a_colocated_group(self, demo_build):
         manager, _ = make_manager(demo_build)
@@ -384,7 +392,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await manager.reconcile()
         wire = manager.remediation.to_wire()
         json.dumps(wire)  # must be wire-safe
         assert wire["mode"] == "on"
@@ -400,7 +408,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await manager.reconcile()
         fired = [
             cell.value
             for (name, labels), cell in manager.metrics.cells().items()
@@ -423,7 +431,7 @@ class TestJournalAndWire:
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
-        await manager.remediation_tick()
+        await manager.reconcile()
         text = render_remediation(manager)
         assert "remediation (mode=on)" in text
         assert "fired" in text
