@@ -136,9 +136,8 @@ class MultiProcessApp(Application):
             self._control_dir = tempfile.mkdtemp(prefix="repro-ctl-")
         await self._driver.start()
         if eager:
-            for group in self.manager.plan.groups:
-                state = self.manager.group_states()[group.group_id]
-                await self.manager._ensure_replicas(state, minimum=group.replicas)
+            for group in self.manager.group_states().values():
+                await self.manager._ensure_replicas(group, minimum=group.target_replicas)
         self._control_task = asyncio.ensure_future(self._control_loop())
         return self
 
@@ -250,8 +249,9 @@ class MultiProcessApp(Application):
             await envelope.push_hosted(components)
 
     async def replace_placement(self, groups: list[tuple[str, ...]]) -> None:
-        """Live re-placement of the running app (see Manager.apply_placement)."""
+        """Live re-placement (see Manager.apply_placement), converged at once."""
         await self.manager.apply_placement(groups)
+        await self.manager.reconcile()
 
     def kill_replica(self, proclet_id: str, *, silent: bool = False) -> None:
         """Abruptly kill one proclet (chaos-testing hook, §5.3).

@@ -99,12 +99,11 @@ class ProcletInfo:
 class GroupState:
     group_id: int
     components: tuple[str, ...]
-    #: Desired state: the replica count and who set it last (the journaled
-    #: cause of surplus removals and launches), remediation's held minimum
-    #: ``(replicas, until)`` under the autoscaler, and whether the group
-    #: started (a lazy one waits for StartComponent).
+    #: Desired state: the replica count, the HPA that proposes it,
+    #: remediation's held minimum ``(replicas, until)`` under that proposal,
+    #: and whether the group started (a lazy one waits for StartComponent).
     target_replicas: int
-    cause: str = "placement"
+    autoscaler: Autoscaler
     hold: tuple[int, float] = (0, 0.0)
     started: bool = False
     next_replica_index: int = 0
@@ -181,6 +180,7 @@ class Manager:
 
         self.remediation = RemediationController(self, app)
 
+        self._groups: dict[int, GroupState] = {}
         self._adopt_plan(self.plan)
         self._assignments: dict[str, Assignment] = {}
         self._generations: dict[str, int] = {}
@@ -269,43 +269,52 @@ class Manager:
 
         Heartbeat ages turn silent replicas SUSPECT, then DEAD; the
         autoscaler and remediation edit desired state only; then every
-        group converges to it.  The deployer runs a pass right after
-        :meth:`telemetry_tick`, so remediation sees fresh signal verdicts.
-        Returns the pass's journal entries: decisions, then changes.
+        group converges to it, all groups at once.  The deployer runs a
+        pass right after :meth:`telemetry_tick`, so remediation sees fresh
+        signal verdicts.  Returns the pass's journal entries: decisions,
+        then changes.
         """
         async with self._reconcile_lock:
             now = self.clock()
             for proclet_id in self.health.sweep(now):
                 log.warning("proclet %s died", proclet_id)
-            if self.autoscale_enabled:
-                self._autoscale(now)
+            causes = self._autoscale(now) if self.autoscale_enabled else {}
             decisions = await self.remediation.decide()
-            changes: list[dict[str, Any]] = []
-            for gid, group in list(self._groups.items()):
-                if self._groups.get(gid) is group:  # not re-placed meanwhile
-                    changes += await self._converge(group)
-            return decisions + changes
+            for entry in decisions:
+                if entry["verdict"] == "fired":
+                    causes[entry["group"]] = "remediation"
+            # A group below target that no controller touched this pass is
+            # restoring its strength after a failed launch: health's job.
+            converging = [
+                self._converge(g, causes.get(g.group_id, "health")) for g in self._groups.values()
+            ]
+            changes = await asyncio.gather(*converging)
+            return decisions + [entry for group in changes for entry in group]
 
-    def _autoscale(self, now: float) -> None:
+    def _autoscale(self, now: float) -> dict[int, str]:
         """The HPA's proposal per group (mean load per live replica).
 
         A remediation hold is a floor under the proposal until it expires,
         so the autoscaler cannot undo capacity remediation just added.
+        Returns the cause of each target it changed, by group id.
         """
+        causes = {}
         for group in self._groups.values():
             live = self.live_replicas(group)
             if not live:
                 continue
             utilization = sum(p.load for p in live) / len(live)
-            desired = self._autoscalers[group.group_id].decide(
+            desired = group.autoscaler.decide(
                 now=now, current_replicas=len(live), utilization=utilization
             ).desired
+            cause = "autoscale"
             floor, until = group.hold
-            if now < until:
-                desired = max(desired, floor)
+            if now < until and floor > desired:
+                desired, cause = floor, "remediation"
             if desired != len(live):
                 group.target_replicas = desired
-                group.cause = "autoscale"
+                causes[group.group_id] = cause
+        return causes
 
     async def apply_placement(self, groups: list[tuple[str, ...]]) -> None:
         """Re-place components across the *running* deployment (§3.1, §5.1).
@@ -315,31 +324,24 @@ class Manager:
 
         ``groups`` is a new, complete co-location partition (typically from
         :func:`repro.runtime.placement.recommend_groups` over the merged
-        call graph).  No process is necessarily restarted: each existing
-        proclet is re-assigned to the new group that overlaps its current
-        components the most, gets its new hosted set pushed down, and
-        callers re-resolve on their next call (a stale address answers
+        call graph).  No process is restarted: each existing proclet is
+        re-assigned to the new group that overlaps its current components
+        the most, gets its new hosted set pushed down, and callers
+        re-resolve on their next call (a stale address answers
         "unavailable" and the stub retries through fresh routing info).
-        A merged group then holds more proclets than its replica count:
-        the converge step retires the surplus (cause ``placement``).  New
+
+        Only desired state changes here; the next reconcile pass converges
+        it.  A group whose members did not change keeps its target, hold
+        and autoscaler.  Every other group's target is at least the number
+        of live proclets it adopted, so re-placement retires none: the plan
+        covers every component, so every proclet finds a group.  New
         groups without any adopted proclet start lazily on first use.
 
         Components with in-memory state lose it when they move — the same
         contract as a replica restart, which applications must already
         tolerate (§8.3).
         """
-        from repro.runtime.placement import GroupPlacement
-
-        plan = PlacementPlan(
-            groups=tuple(
-                GroupPlacement(
-                    group_id=i,
-                    components=tuple(members),
-                    replicas=max(self.resolved.replicas[n] for n in members),
-                )
-                for i, members in enumerate(groups)
-            )
-        )
+        plan = plan_from_config(self.resolved, groups)
         plan.validate(self.build.names())
 
         async with self._lock:
@@ -347,7 +349,6 @@ class Manager:
             self._adopt_plan(plan)
             pushes: list[tuple[str, list[str]]] = []
             for info, old_set in old:
-                # The plan covers every component, so some group overlaps.
                 # Prefer max overlap; break ties toward emptier groups so
                 # merged groups don't stack every old proclet.
                 best = max(
@@ -360,14 +361,15 @@ class Manager:
                 pushes.append((info.proclet_id, sorted(best.components)))
 
             for group in self._groups.values():
+                group.target_replicas = max(
+                    group.target_replicas, len(self.live_replicas(group))
+                )
                 self._bump_group_routing(group)
 
-        # Effectful steps outside the lock: pushes and stops go through the
-        # deployer, which may call back into the manager.
+        # Pushes go through the deployer, which may call back into the
+        # manager: outside the lock.
         for proclet_id, components in pushes:
             await self.launcher.update_hosting(proclet_id, components)
-        for group in list(self._groups.values()):
-            await self._converge(group)
         log.info(
             "re-placed into %d groups (%d proclets reassigned)", len(self._groups), len(pushes)
         )
@@ -442,17 +444,24 @@ class Manager:
     # -- internals -------------------------------------------------------------------
 
     def _adopt_plan(self, plan: PlacementPlan) -> None:
-        """Fresh groups (no proclets yet) and autoscalers for ``plan``."""
+        """Groups for ``plan``.  A group whose members did not change is kept
+        whole: desired state, launch counters and proclets.  Every other
+        group starts fresh, without proclets; the groups it replaces are
+        emptied and unstarted, so a pass still converging one launches
+        nothing."""
+        kept = {frozenset(g.components): g for g in self._groups.values()}
         self.plan = plan
-        self._groups: dict[int, GroupState] = {
-            gp.group_id: GroupState(gp.group_id, gp.components, gp.replicas)
-            for gp in plan.groups
-        }
+        self._groups = {}
+        for gp in plan.groups:
+            group = kept.pop(frozenset(gp.components), None) or GroupState(
+                gp.group_id, gp.components, gp.replicas, Autoscaler(self.resolved.app.autoscale)
+            )
+            group.group_id = gp.group_id
+            self._groups[gp.group_id] = group
+        for group in kept.values():
+            group.proclets, group.started = {}, False
         self._component_group: dict[str, int] = {
             name: gp.group_id for gp in plan.groups for name in gp.components
-        }
-        self._autoscalers: dict[int, Autoscaler] = {
-            gid: Autoscaler(self.resolved.app.autoscale) for gid in self._groups
         }
 
     def _group(self, group_id: int) -> GroupState:
@@ -524,23 +533,22 @@ class Manager:
                 "routing push of %s to %s failed", component, proclet_id, exc_info=True
             )
 
-    async def _ensure_replicas(self, group: GroupState, minimum: int) -> int:
-        """Launch until ``minimum`` replicas are live or launching; returns
-        how many it launched.  Waits for a registration when the group has
-        no routable replica yet (StartComponent's callers need one)."""
+    async def _ensure_replicas(self, group: GroupState, minimum: int) -> None:
+        """Launch until ``minimum`` replicas are live or launching.  Waits
+        for a registration when the group has no routable replica yet
+        (StartComponent's callers need one)."""
         group.started = True
         deficit = minimum - len(self.live_replicas(group)) - group.launching
         if deficit <= 0:
-            return 0
+            return
         group.launching += deficit
-        first = group.launch_seq
+        indexes = range(group.launch_seq, group.launch_seq + deficit)
         group.launch_seq += deficit
         group.registered_event.clear()
-        launches = [
-            self.launcher.start_replica(group.group_id, index)
-            for index in range(first, first + deficit)
-        ]
-        results = await asyncio.gather(*launches, return_exceptions=True)
+        results = await asyncio.gather(
+            *(self.launcher.start_replica(group.group_id, i) for i in indexes),
+            return_exceptions=True,
+        )
         failures = [r for r in results if isinstance(r, BaseException)]
         # A failed launch never registers: free its slot for the next pass.
         group.launching -= len(failures)
@@ -553,38 +561,46 @@ class Manager:
                 raise PlacementError(
                     f"no replica of group {group.group_id} registered in time"
                 ) from None
-        return deficit
 
-    async def _converge(self, group: GroupState) -> list[dict[str, Any]]:
+    async def _converge(self, group: GroupState, cause: str) -> list[dict[str, Any]]:
         """Bring one group's running replicas to its desired state.
 
         Every replica change goes through here, in this order: the leaving
         replicas (dead, retired by a controller, or surplus beyond
         ``target_replicas`` by ``replica_index``) leave routing with one
-        bump, so callers steer to the survivors; each is drained (unless
-        dead: it has nothing to finish) and stopped; then a started group
-        launches back up to its target.
+        bump, so callers steer to the survivors; all of them drain at once
+        (a dead one skips it: it has nothing to finish) and stop; then a
+        started group launches back up to its target.  Each stop and each
+        launch is journaled under its cause; a failure is journaled, not
+        raised, so the pass goes on.
         """
-        leaving = self._leaving(group)
+        leaving = self._leaving(group, cause)
         for info, _ in leaving:
             group.proclets.pop(info.proclet_id, None)
-            self.health.remove(info.proclet_id)
         if leaving:
             self._bump_group_routing(group)
-        changes = []
-        for info, cause in leaving:
-            stop = self._retire_replica(
-                info.proclet_id, components=group.components, drain=cause != "health"
+        started = self.clock()
+        results = await asyncio.gather(
+            *(self._retire_replica(info.proclet_id, group.components) for info, _ in leaving),
+            return_exceptions=True,
+        )
+        changes = [
+            self._change("stop_replica", info.proclet_id, group, why, started, result)
+            for (info, why), result in zip(leaving, results)
+        ]
+        missing = group.target_replicas - len(self.live_replicas(group)) - group.launching
+        if group.started and missing > 0:
+            started = self.clock()
+            (error,) = await asyncio.gather(
+                self._ensure_replicas(group, group.target_replicas), return_exceptions=True
             )
-            changes += await self._journaled("stop_replica", info.proclet_id, group, cause, stop)
-        if group.started:
-            launch = self._ensure_replicas(group, group.target_replicas)
-            cause = leaving[0][1] if leaving else group.cause
-            target = f"group{group.group_id}"
-            changes += await self._journaled("start_replica", target, group, cause, launch)
+            target = f"group{group.group_id} (+{missing})"
+            why = leaving[0][1] if leaving else cause
+            changes.append(self._change("start_replica", target, group, why, started, error))
+        self.remediation.changes.extend(changes)
         return changes
 
-    def _leaving(self, group: GroupState) -> list[tuple[ProcletInfo, str]]:
+    def _leaving(self, group: GroupState, cause: str) -> list[tuple[ProcletInfo, str]]:
         leaving, staying = [], []
         for info in group.proclets.values():
             if self.health.state(info.proclet_id) is HealthState.DEAD:
@@ -594,50 +610,41 @@ class Manager:
             elif self._is_live(info.proclet_id):
                 staying.append(info)
         staying.sort(key=lambda p: p.replica_index)
-        leaving += [(info, group.cause) for info in staying[group.target_replicas :]]
+        leaving += [(info, cause) for info in staying[group.target_replicas :]]
         return leaving
 
-    async def _journaled(
-        self, action: str, target: str, group: GroupState, cause: str, change: Any
-    ) -> list[dict[str, Any]]:
-        """Await one converge change and journal it under ``cause``: one
-        entry per replica it launched (a stop is one).  A failure is
-        journaled, not raised, so the pass goes on to the next group."""
-        started, outcome, count = self.clock(), "ok", 1
-        try:
-            launched = await change
-            count = 1 if launched is None else launched
-        except Exception as exc:
-            outcome = f"failed: {type(exc).__name__}: {exc}"
-            log.exception("%s of %s failed", action, target)
-        entries = [
-            {
-                "ts": time.time(),
-                "action": action,
-                "target": target,
-                "group": group.group_id,
-                "scope": group.components[0],
-                "reason": cause,
-                "verdict": "applied",
-                "outcome": outcome,
-                "duration_ms": round((self.clock() - started) * 1000.0, 3),
-            }
-            for _ in range(count)
-        ]
-        self.remediation.journal.extend(entries)
-        return entries
+    def _change(
+        self, action: str, target: str, group: GroupState, cause: str,
+        started: float, error: Optional[BaseException],
+    ) -> dict[str, Any]:
+        """One converge change as a journal entry, with its cause in ``reason``."""
+        outcome = "ok" if error is None else f"failed: {type(error).__name__}: {error}"
+        if error is not None:
+            log.error("%s of %s failed", action, target, exc_info=error)
+        return {
+            "ts": time.time(),
+            "action": action,
+            "target": target,
+            "group": group.group_id,
+            "scope": group.components[0],
+            "reason": cause,
+            "verdict": "applied",
+            "outcome": outcome,
+            "duration_ms": round((self.clock() - started) * 1000.0, 3),
+        }
 
-    async def _retire_replica(
-        self, proclet_id: str, *, components: tuple[str, ...] = (), drain: bool = True
-    ) -> None:
-        """Removal: drain in-flight work (``drain=False`` skips it), then stop.
+    async def _retire_replica(self, proclet_id: str, components: tuple[str, ...] = ()) -> None:
+        """Removal: drain in-flight work, then stop.
 
         Routing must already exclude the replica (callers steer new
-        traffic elsewhere while it finishes what it has).
-        ``drain_deadline_s = 0`` disables drain: the replica is
-        hard-stopped.  ``components`` labels the drain-event counters the
-        telemetry pipeline turns into per-component series.
+        traffic elsewhere while it finishes what it has).  A dead replica
+        skips the drain: it has nothing to finish.  ``drain_deadline_s =
+        0`` disables drain: the replica is hard-stopped.  ``components``
+        labels the drain-event counters the telemetry pipeline turns into
+        per-component series.
         """
+        drain = self.health.state(proclet_id) is not HealthState.DEAD
+        self.health.remove(proclet_id)
         deadline_s = self.resolved.app.drain_deadline_s
         if drain:
             for comp in components:

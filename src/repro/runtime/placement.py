@@ -65,14 +65,17 @@ class PlacementPlan:
             raise PlacementError("a component appears in two groups")
 
 
-def plan_from_config(resolved: ResolvedConfig) -> PlacementPlan:
-    """Build the initial plan from configuration.
+def plan_from_config(
+    resolved: ResolvedConfig, partition: Optional[Sequence[Sequence[str]]] = None
+) -> PlacementPlan:
+    """Build a plan from configuration: its co-location groups, or
+    ``partition`` when given (a live re-placement).
 
     A group's replica count is the max over its members' counts: replicating
     a process replicates every component inside it.
     """
     groups = []
-    for i, members in enumerate(resolved.groups):
+    for i, members in enumerate(resolved.groups if partition is None else partition):
         replicas = max(resolved.replicas[name] for name in members)
         groups.append(GroupPlacement(group_id=i, components=tuple(members), replicas=replicas))
     return PlacementPlan(groups=tuple(groups))

@@ -8,7 +8,8 @@ manager's reconcile pass maps that evidence to remediation actions.  An
 action only edits the manager's desired state (a victim marked to retire,
 a raised target held against the autoscaler); the pass's converge step
 then drains, stops and launches, as it does for every other controller.
-Isolation re-places at once through ``apply_placement``.
+Isolation re-places through ``apply_placement``, which edits desired
+state too.
 
 Microservice failures cascade faster than human operators react (Gan &
 Delimitrou), so remediation must be automatic — but a bad signal must not
@@ -39,6 +40,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
+
+from repro.runtime.health import HealthState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (manager owns us)
     from repro.runtime.manager import GroupState, Manager
@@ -185,6 +188,11 @@ class RemediationController:
         self.journal: deque[dict[str, Any]] = deque(
             maxlen=config.remediation_journal_size
         )
+        #: The converge step's replica changes, bounded apart so they cannot
+        #: push decisions out; the wire journal interleaves both by time.
+        self.changes: deque[dict[str, Any]] = deque(
+            maxlen=config.remediation_journal_size
+        )
         self.counts = {"fired": 0, "suppressed": 0, "observed": 0, "failed": 0}
         #: Escalation state per signal key: consecutive remediated firings.
         self._escalation: dict[str, int] = {}
@@ -193,7 +201,7 @@ class RemediationController:
 
     # -- the decide step -----------------------------------------------------
 
-    async def decide(self, now: Optional[float] = None) -> list[dict[str, Any]]:
+    async def decide(self) -> list[dict[str, Any]]:
         """Plan, guard, journal, and (mode permitting) apply one round.
 
         A fired action only edits the manager's desired state; the same
@@ -202,7 +210,7 @@ class RemediationController:
         """
         if self.mode == "off":
             return []
-        now = time.time() if now is None else now
+        now = time.time()
         appended: list[dict[str, Any]] = []
         seen_groups: set[int] = set()
         for action in self.plan():
@@ -264,7 +272,6 @@ class RemediationController:
             desired = min(self._ceiling, max(group.target_replicas, live) + 1)
             if desired > live:
                 group.target_replicas = desired
-                group.cause = "remediation"
                 group.hold = (desired, manager.clock() + SCALE_UP_HOLD_S)
         else:  # RESTART or EJECT: the victim leaves; a restart refills it
             group.proclets[action.target].leaving = "remediation"
@@ -283,8 +290,6 @@ class RemediationController:
         return actions
 
     def _plan_suspects(self) -> list[PlannedAction]:
-        from repro.runtime.health import HealthState
-
         manager = self.manager
         out: list[PlannedAction] = []
         for group in manager.group_states().values():
@@ -301,7 +306,7 @@ class RemediationController:
                         action=action,
                         group_id=group.group_id,
                         target=info.proclet_id,
-                        scope=group.components[0] if group.components else "_total",
+                        scope=group.components[0],
                         reason="health:suspect (missed heartbeats)",
                     )
                 )
@@ -364,26 +369,16 @@ class RemediationController:
         return [a for a in out if a is not None]
 
     def _action_for(self, step: str, group: Any, scope: str, reason: str):
+        target: Optional[str] = f"group{group.group_id}"
         if step in (RESTART, EJECT):
-            victim = self._pick_victim(group)
-            if victim is None:
+            target = self._pick_victim(group)
+            if target is None:
                 return None
-            return PlannedAction(
-                action=step,
-                group_id=group.group_id,
-                target=victim,
-                scope=scope,
-                reason=reason,
-            )
-        if step == ISOLATE and len(group.components) < 2:
+        elif step == ISOLATE and len(group.components) < 2:
             # Already alone in its process: nothing to isolate from.
             step = SCALE_UP
         return PlannedAction(
-            action=step,
-            group_id=group.group_id,
-            target=f"group{group.group_id}",
-            scope=scope,
-            reason=reason,
+            action=step, group_id=group.group_id, target=target, scope=scope, reason=reason
         )
 
     def _pick_victim(self, group: Any) -> Optional[str]:
@@ -395,8 +390,6 @@ class RemediationController:
         the most accumulated state to go wrong, and the pick rotates as
         restarts mint fresh replicas.
         """
-        from repro.runtime.health import HealthState
-
         manager = self.manager
         live = manager.live_replicas(group)
         if not live:
@@ -456,5 +449,7 @@ class RemediationController:
                 "cooldown_s": self.guardrails.cooldown_s,
                 "blast_fraction": self.guardrails.blast_fraction,
             },
-            "journal": [dict(e) for e in self.journal],
+            "journal": [
+                dict(e) for e in sorted([*self.journal, *self.changes], key=lambda e: e["ts"])
+            ],
         }

@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.core.component import component_name
 from repro.core.config import AppConfig, AutoscaleConfig
 from repro.core.errors import ComponentNotFound
 from repro.runtime.health import HealthState
@@ -385,5 +386,75 @@ class TestReconcile:
             (e["action"], e["reason"]) for e in entries if e["verdict"] == "applied"
         ] == changes
         assert all(e["outcome"] == "ok" for e in entries)
-        journal = list(h.manager.remediation.journal)
+        journal = h.manager.remediation.to_wire()["journal"]
         assert all(e in journal for e in entries)
+
+    async def test_isolation_keeps_other_groups_desired_state(self, demo_build):
+        """Re-placement retires no proclet: a group the autoscaler grew to 3
+        keeps its replicas and hold when another group is split."""
+        h = ConvergeHarness(demo_build, autoscale=False)
+        adder, greeter = component_name(Adder), component_name(Greeter)
+        rest = tuple(n for n in sorted(h.manager._component_group) if n not in (adder, greeter))
+        await h.manager.apply_placement([(adder,), (greeter, *rest)])
+        h.gid = group_id_of(h.manager, Adder)
+        await h.replicas(3, target=3)
+        h.group.hold = (3, h.now + 120.0)
+        other = group_id_of(h.manager, Greeter)
+        await h.manager.register_replica("q0", "tcp://127.0.0.1:7100", other)
+
+        await h.manager.remediate_isolate(greeter)
+        entries = await h.manager.reconcile()
+
+        assert entries == []
+        assert not [e for e in h.launcher.events if e[0] in ("drain", "stop")]
+        group = h.manager._group_for_component(adder)
+        assert sorted(group.proclets) == ["p0", "p1", "p2"]
+        assert (group.target_replicas, group.hold) == (3, (3, h.now + 120.0))
+
+    async def test_a_pass_drains_its_leavers_at_once(self, demo_build):
+        h = ConvergeHarness(demo_build, autoscale=True)
+        await h.replicas(3, target=3)
+        await h.advance(1.0, load=0.01)  # the autoscaler wants 1
+        gate, draining = asyncio.Event(), []
+
+        async def drain_replica(proclet_id, deadline_s):
+            draining.append(proclet_id)
+            await gate.wait()
+
+        h.launcher.drain_replica = drain_replica
+        pass_ = asyncio.ensure_future(h.manager.reconcile())
+        for _ in range(5):
+            await asyncio.sleep(0)
+        # Both surplus replicas drain together; neither has stopped yet.
+        assert sorted(draining) == ["p1", "p2"] and h.launcher.stopped == []
+        gate.set()
+        entries = await pass_
+        assert sorted(h.launcher.stopped) == ["p1", "p2"]
+        assert [(e["action"], e["reason"]) for e in entries] == [("stop_replica", "autoscale")] * 2
+
+    async def test_failed_relaunch_is_retried_under_its_cause(self, demo_build):
+        from repro.core.errors import RuntimeControlError
+
+        h = ConvergeHarness(demo_build, autoscale=False)
+        await h.replicas(1, target=1)
+        start = h.launcher.start_replica
+        fail = [True]
+
+        async def start_replica(group_id, replica_index):
+            if fail[0]:
+                raise RuntimeControlError("child exited with status 1")
+            await start(group_id, replica_index)
+
+        h.launcher.start_replica = start_replica
+        h.manager.health.mark_dead("p0")
+        first = await h.manager.reconcile()
+        assert [(e["action"], e["reason"], e["outcome"][:6]) for e in first] == [
+            ("stop_replica", "health", "ok"),
+            ("start_replica", "health", "failed"),
+        ]
+        fail[0] = False
+        second = await h.manager.reconcile()
+        assert [(e["action"], e["reason"], e["outcome"]) for e in second] == [
+            ("start_replica", "health", "ok")
+        ]
+        await h.registrations_land(1)

@@ -385,6 +385,19 @@ class TestJournalAndWire:
         assert wire["journal"][-1]["target"] == "p11"
         assert wire["counts"]["fired"] == 12
 
+    async def test_changes_do_not_evict_decisions(self, demo_build):
+        manager, _ = make_manager(demo_build, remediation_journal_size=3)
+        controller = manager.remediation
+        entry = {"action": RESTART, "target": "p0", "group": 0, "scope": "c",
+                 "reason": "r", "outcome": "ok", "duration_ms": 1.0}
+        controller._record({**entry, "ts": 0.0, "verdict": "fired"}, "fired")
+        controller.changes.extend(
+            {**entry, "ts": float(i), "verdict": "applied"} for i in range(1, 10)
+        )
+        journal = controller.to_wire()["journal"]
+        assert [e["ts"] for e in journal] == [0.0, 7.0, 8.0, 9.0]
+        assert journal[0]["verdict"] == "fired"
+
     async def test_to_wire_shape_and_jsonability(self, demo_build):
         import json
 
