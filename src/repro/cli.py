@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import importlib
+import json
 import sys
 from typing import Optional
 
@@ -81,13 +82,12 @@ async def _cmd_deploy(args: argparse.Namespace) -> int:
 
 
 async def _cmd_status(args: argparse.Namespace) -> int:
-    """Print a running deployment's status by asking its dashboard server."""
+    """Print a running deployment's status report (or its model, as JSON)."""
     from repro.observability.dashboard import fetch
+    from repro.runtime.status import render_sections
 
-    if args.json:
-        print(await asyncio.to_thread(fetch, f"{args.address}/status.json"))
-    else:
-        print(await asyncio.to_thread(fetch, f"{args.address}/dashboard.txt"))
+    body = await asyncio.to_thread(fetch, f"{args.address}/status.json")
+    print(body if args.json else render_sections(json.loads(body)))
     return 0
 
 
@@ -109,43 +109,15 @@ async def _cmd_top(args: argparse.Namespace) -> int:
 
 async def _cmd_actions(args: argparse.Namespace) -> int:
     """Show the remediation controller's action journal and guardrail state."""
-    import json as _json
-
     from repro.observability.dashboard import fetch_json
+    from repro.runtime.status import render_remediation
 
     status = await asyncio.to_thread(fetch_json, f"{args.address}/status.json")
-    wire = status.get("remediation")
-    if wire is None:
-        print("deployment exposes no remediation controller", file=sys.stderr)
-        return 1
     if args.json:
-        print(_json.dumps(wire, indent=2))
-        return 0
-    counts = wire.get("counts", {})
-    budget = wire.get("budget", {})
-    print(
-        f"remediation mode={wire.get('mode', '?')}  "
-        f"fired={counts.get('fired', 0)} observed={counts.get('observed', 0)} "
-        f"suppressed={counts.get('suppressed', 0)} failed={counts.get('failed', 0)}"
-    )
-    print(
-        f"budget: {budget.get('available', '?')}/"
-        f"{budget.get('max_actions_per_min', '?')} actions available this minute, "
-        f"cooldown {budget.get('cooldown_s', '?')}s, "
-        f"blast radius {budget.get('blast_fraction', 0):.0%} of a group"
-    )
-    journal = wire.get("journal", [])
-    if not journal:
-        print("journal: empty (no decisions yet)")
-        return 0
-    print(f"journal ({len(journal)} entries, newest last):")
-    for entry in journal[-args.last :]:
-        outcome = entry.get("outcome")
-        tail = f" -> {outcome}" if outcome else ""
-        print(
-            f"  [{entry.get('verdict', '?'):<20s}] {entry.get('action', '?'):<16s} "
-            f"{entry.get('target', '?'):<24s} {entry.get('reason', '')}{tail}"
-        )
+        print(json.dumps(status["remediation"], indent=2))
+    else:
+        text = render_remediation(status["remediation"], max_entries=args.last)
+        print(text or "remediation is off and its journal is empty")
     return 0
 
 
@@ -267,10 +239,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return asyncio.run(args.handler(args))
-    except WeaverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # dashboard unreachable, bad port, ...
+    except (WeaverError, OSError) as exc:  # OSError: dashboard unreachable, bad port, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

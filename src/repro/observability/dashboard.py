@@ -22,6 +22,9 @@ import logging
 import time
 from typing import Any, Optional
 
+from repro.core.errors import TransportError
+from repro.transport.http_rpc import _read_http_message
+
 log = logging.getLogger("repro.observability.dashboard")
 
 RESET = "\x1b[0m"
@@ -29,46 +32,36 @@ BOLD = "\x1b[1m"
 DIM = "\x1b[2m"
 RED = "\x1b[31m"
 GREEN = "\x1b[32m"
-YELLOW = "\x1b[33m"
 CLEAR = "\x1b[2J\x1b[H"
 
 
+#: The dashboard's sections: a subset of the report's, by model key.
+DASHBOARD_SECTIONS = (
+    "app", "signals", "series", "groups", "remediation", "call_graph", "latencies"
+)
+
+
 def render_dashboard(manager: Any, *, color: bool = True, clear: bool = False) -> str:
-    """The live terminal dashboard (one frame)."""
-    from repro.runtime.status import (
-        render_call_graph,
-        render_header,
-        render_latencies,
-        render_remediation,
-        render_replicas,
-        render_signals,
-        render_timeseries,
-    )
+    """The live terminal dashboard (one frame): a signal banner over a
+    subset of the status report, rendered from the same status model."""
+    from repro.runtime.status import render_sections, status_wire
 
     def paint(text: str, code: str) -> str:
         return f"{code}{text}{RESET}" if color else text
 
-    firing = manager.signals.firing()
+    status = status_wire(manager)
+    firing = status["signals"]["firing"]
     banner = (
         paint(f"◆ {len(firing)} SIGNAL(S) FIRING", RED + BOLD)
         if firing
         else paint("● all signals nominal", GREEN)
     )
     stamp = paint(time.strftime("%H:%M:%S"), DIM)
-    sections = [
-        f"{banner}   {stamp}",
-        render_header(manager),
-        render_signals(manager),
-        render_remediation(manager),
-        render_timeseries(manager),
-        render_replicas(manager),
-        render_latencies(manager),
-        render_call_graph(manager),
-    ]
-    body = "\n\n".join(s for s in sections if s)
+    body = f"{banner}   {stamp}\n\n" + render_sections(status, DASHBOARD_SECTIONS)
     return (CLEAR + body) if (clear and color) else body
 
 
+#: The page shows ``/dashboard.txt``; its state badge is the banner line.
 _HTML = """<!doctype html>
 <html><head><meta charset="utf-8"><title>repro dashboard</title>
 <style>
@@ -76,57 +69,22 @@ _HTML = """<!doctype html>
         margin:1.5rem; }
  h1 { font-size:1.1rem; } .ok { color:#a3be8c; } .bad { color:#bf616a; }
  pre { background:#161b22; padding:1rem; border-radius:6px; overflow-x:auto; }
- table { border-collapse:collapse; margin:0.5rem 0; }
- td,th { padding:2px 10px; text-align:left; border-bottom:1px solid #2e3440; }
 </style></head>
 <body>
 <h1>repro live dashboard <span id="state" class="ok">connecting…</span></h1>
-<div id="signals"></div>
-<div id="remediation"></div>
 <pre id="body">loading…</pre>
 <script>
 async function tick() {
+  const state = document.getElementById('state');
   try {
-    const [txt, status] = await Promise.all([
-      fetch('/dashboard.txt').then(r => r.text()),
-      fetch('/status.json').then(r => r.json()),
-    ]);
-    document.getElementById('body').textContent = txt;
-    const firing = (status.signals && status.signals.firing) || [];
-    const state = document.getElementById('state');
-    state.textContent = firing.length ? firing.length + ' signal(s) FIRING' : 'healthy';
-    state.className = firing.length ? 'bad' : 'ok';
-    let rows = '';
-    for (const s of (status.signals ? status.signals.signals : [])) {
-      rows += '<tr><td>' + (s.firing ? 'FIRING' : 'ok') + '</td><td>' +
-              s.kind + ':' + s.name + '</td><td>' + s.scope + '</td><td>' +
-              s.detail + '</td></tr>';
-    }
-    document.getElementById('signals').innerHTML =
-      rows ? '<table><tr><th></th><th>signal</th><th>scope</th><th>detail</th></tr>' + rows + '</table>' : '';
-    const rem = status.remediation;
-    let remHtml = '';
-    if (rem && (rem.mode !== 'off' || rem.journal.length)) {
-      remHtml = '<p>remediation mode=<b>' + rem.mode + '</b>' +
-        ' fired=' + (rem.counts.fired || 0) +
-        ' observed=' + (rem.counts.observed || 0) +
-        ' suppressed=' + (rem.counts.suppressed || 0) +
-        ' budget=' + rem.budget.available + '/' + rem.budget.max_actions_per_min +
-        '/min</p>';
-      let arows = '';
-      for (const a of rem.journal.slice(-8).reverse()) {
-        arows += '<tr><td>' + a.verdict + '</td><td>' + a.action + '</td><td>' +
-                 a.target + '</td><td>' + a.reason + '</td></tr>';
-      }
-      if (arows) {
-        remHtml += '<table><tr><th>verdict</th><th>action</th><th>target</th>' +
-                   '<th>reason</th></tr>' + arows + '</table>';
-      }
-    }
-    document.getElementById('remediation').innerHTML = remHtml;
+    const txt = await fetch('/dashboard.txt').then(r => r.text());
+    const banner = txt.split('\\n', 1)[0];
+    state.textContent = banner;
+    state.className = banner.includes('FIRING') ? 'bad' : 'ok';
+    document.getElementById('body').textContent = txt.slice(banner.length).trim();
   } catch (e) {
-    document.getElementById('state').textContent = 'disconnected';
-    document.getElementById('state').className = 'bad';
+    state.textContent = 'disconnected';
+    state.className = 'bad';
   }
   setTimeout(tick, 1000);
 }
@@ -164,15 +122,12 @@ class DashboardServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            parts = request.decode("latin-1").split()
-            path = parts[1] if len(parts) >= 2 else "/"
-            # Drain headers; requests are tiny and bodies are ignored.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            status, ctype, body = self._route(path.split("?", 1)[0])
+            request = await asyncio.wait_for(
+                _read_http_message(reader, request_side=True), timeout=5.0
+            )
+            if request is None:
+                return
+            status, ctype, body = self._route(request[1].split("?", 1)[0])
             payload = body.encode("utf-8")
             writer.write(
                 (
@@ -185,7 +140,7 @@ class DashboardServer:
                 + payload
             )
             await writer.drain()
-        except (asyncio.TimeoutError, ConnectionError):
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError, TransportError):
             pass
         except Exception:
             log.exception("dashboard request failed")
@@ -203,13 +158,10 @@ class DashboardServer:
         if path == "/":
             return "200 OK", "text/html", _HTML
         if path == "/status.json":
-            return "200 OK", "application/json", json.dumps(status_wire(self.manager))
+            body = json.dumps(status_wire(self.manager), default=str)
+            return "200 OK", "application/json", body
         if path == "/dashboard.txt":
-            return (
-                "200 OK",
-                "text/plain",
-                render_dashboard(self.manager, color=False),
-            )
+            return "200 OK", "text/plain", render_dashboard(self.manager, color=False)
         if path == "/metrics":
             return "200 OK", "text/plain", render_prometheus(self.manager.metrics)
         if path.startswith("/trace/"):

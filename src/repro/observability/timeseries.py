@@ -64,10 +64,16 @@ class RingSeries:
                 out.append(Point(self._ts[idx], self._values[idx]))
         return out
 
+    def tail(self, last: int) -> list[Point]:
+        """The newest ``last`` points, oldest first (no walk of the whole ring)."""
+        cap = self._capacity
+        return [
+            Point(self._ts[i % cap], self._values[i % cap])
+            for i in range(self._next - min(last, self._size), self._next)
+        ]
+
     def values(self, last: Optional[int] = None) -> list[float]:
-        pts = self.points()
-        if last is not None:
-            pts = pts[-last:]
+        pts = self.points() if last is None else self.tail(last)
         return [p.value for p in pts]
 
     def latest(self) -> Optional[Point]:
@@ -132,7 +138,7 @@ class TimeSeriesStore:
         """JSON-able tails of every series for dashboards and the CLI."""
         out: dict[str, Any] = {}
         for name, scope in self.names():
-            pts = self.series(name, scope).points()[-last:]
+            pts = self.series(name, scope).tail(last)
             out.setdefault(name, {})[scope] = [
                 [round(p.ts, 3), _round(p.value)] for p in pts
             ]

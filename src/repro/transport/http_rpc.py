@@ -392,7 +392,10 @@ async def _read_http_message(
         if not sep:
             raise TransportError(f"malformed header {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
+    raw_length = headers.get("content-length", "0")
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise TransportError(f"malformed content-length {raw_length!r}")
+    length = int(raw_length)
     if length > _MAX_BODY:
         raise TransportError(f"HTTP body of {length} bytes too large")
     body = await reader.readexactly(length) if length else b""

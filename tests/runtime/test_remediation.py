@@ -438,23 +438,23 @@ class TestJournalAndWire:
         assert wire["remediation"]["mode"] == "on"
 
     async def test_render_remediation_includes_journal(self, demo_build):
-        from repro.runtime.status import render_remediation
+        from repro.runtime.status import render_remediation, status_wire
 
         manager, _ = make_manager(demo_build)
         await start_all(manager)
         victim = next(iter(manager.proclets())).proclet_id
         make_suspect(manager, victim)
         await manager.reconcile()
-        text = render_remediation(manager)
+        text = render_remediation(status_wire(manager)["remediation"])
         assert "remediation (mode=on)" in text
         assert "fired" in text
 
     async def test_render_remediation_hidden_when_off_and_idle(self, demo_build):
-        from repro.runtime.status import render_remediation
+        from repro.runtime.status import render_remediation, status_wire
 
         manager, _ = make_manager(demo_build, remediation="off")
         await start_all(manager)
-        assert render_remediation(manager) == ""
+        assert render_remediation(status_wire(manager)["remediation"]) == ""
 
 
 class TestConfigValidation:

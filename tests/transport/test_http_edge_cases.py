@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import logging
 
 import pytest
 
@@ -95,6 +96,16 @@ class TestMalformedRequests:
             )
             # Connection dropped without serving; server survives.
             assert b"200" in await rig.good_request()
+
+    @pytest.mark.parametrize("length", [b"-1", b"abc"])
+    async def test_malformed_content_length_closes_quietly(self, caplog, length):
+        async with Rig() as rig:
+            lines = await rig.raw(
+                b"POST /rpc/C/m HTTP/1.1\r\ncontent-length: " + length + b"\r\n\r\n"
+            )
+            assert lines == []  # refused: no reply, no traceback
+            assert b"200" in await rig.good_request()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     async def test_pipelined_keepalive_requests(self):
         async with Rig() as rig:
