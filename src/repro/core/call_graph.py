@@ -15,9 +15,7 @@ and what the critical path of a request tree looks like.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 #: Name used for calls originating outside any component (e.g. main, the
 #: load generator, an HTTP front door).
@@ -52,10 +50,12 @@ class EdgeStats:
 
 
 class CallGraph:
-    """Thread-safe aggregation of component-to-component call telemetry."""
+    """Aggregation of component-to-component call telemetry.
+
+    No lock: each process records and reads on its one event loop.
+    """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._edges: dict[tuple[str, str, str], EdgeStats] = {}
 
     def record(
@@ -71,39 +71,36 @@ class CallGraph:
         error: bool = False,
     ) -> None:
         key = (caller, callee, method)
-        with self._lock:
-            stats = self._edges.get(key)
-            if stats is None:
-                stats = EdgeStats(caller, callee, method)
-                self._edges[key] = stats
-            stats.calls += 1
-            if local:
-                stats.local_calls += 1
-            stats.bytes_sent += bytes_sent
-            stats.bytes_received += bytes_received
-            stats.total_latency_s += latency_s
-            if error:
-                stats.errors += 1
+        stats = self._edges.get(key)
+        if stats is None:
+            stats = EdgeStats(caller, callee, method)
+            self._edges[key] = stats
+        stats.calls += 1
+        if local:
+            stats.local_calls += 1
+        stats.bytes_sent += bytes_sent
+        stats.bytes_received += bytes_received
+        stats.total_latency_s += latency_s
+        if error:
+            stats.errors += 1
 
     def edge(self, caller: str, callee: str, method: str) -> EdgeStats:
         """The live cell of one edge, for an invoker that binds it once and
-        updates its fields itself from its event loop: no keyword call and
-        no lock per call.  Like a bound metric cell, readers see a
-        statistical snapshot (one call's fields may be partly applied)."""
+        updates its fields itself from its event loop, with no keyword call.
+        Like a bound metric cell, readers see a statistical snapshot (one
+        call's fields may be partly applied)."""
         key = (caller, callee, method)
-        with self._lock:
-            stats = self._edges.get(key)
-            if stats is None:
-                stats = self._edges[key] = EdgeStats(caller, callee, method)
-            return stats
+        stats = self._edges.get(key)
+        if stats is None:
+            stats = self._edges[key] = EdgeStats(caller, callee, method)
+        return stats
 
     # -- queries -------------------------------------------------------------
 
     def edges(self) -> list[EdgeStats]:
         """Every edge called at least once (a bound edge exists before its
         first call completes)."""
-        with self._lock:
-            return [_copy(e) for e in self._edges.values() if e.calls]
+        return [_copy(e) for e in self._edges.values() if e.calls]
 
     def components(self) -> set[str]:
         out: set[str] = set()
@@ -203,10 +200,9 @@ class CallGraph:
 
     def reset(self) -> None:
         # Zeroed in place: invokers keep updating the edges they bound.
-        with self._lock:
-            for e in self._edges.values():
-                e.calls = e.local_calls = e.bytes_sent = e.bytes_received = e.errors = 0
-                e.total_latency_s = 0.0
+        for e in self._edges.values():
+            e.calls = e.local_calls = e.bytes_sent = e.bytes_received = e.errors = 0
+            e.total_latency_s = 0.0
 
     # -- aggregation across processes -----------------------------------------
 
@@ -234,29 +230,28 @@ class CallGraph:
         than adds; ``source`` scoping keeps different proclets' (and
         replicas') contributions separable.
         """
-        with self._lock:
-            stale = [
-                k
-                for k, e in self._edges.items()
-                if getattr(e, "_source", None) == source
-            ]
-            for k in stale:
-                del self._edges[k]
-            for entry in raw:
-                key = (source + "|" + entry["caller"], entry["callee"], entry["method"])
-                stats = EdgeStats(
-                    entry["caller"],
-                    entry["callee"],
-                    entry["method"],
-                    entry["calls"],
-                    entry["local_calls"],
-                    entry["bytes_sent"],
-                    entry["bytes_received"],
-                    entry["total_latency_s"],
-                    entry["errors"],
-                )
-                stats._source = source
-                self._edges[key] = stats
+        stale = [
+            k
+            for k, e in self._edges.items()
+            if getattr(e, "_source", None) == source
+        ]
+        for k in stale:
+            del self._edges[k]
+        for entry in raw:
+            key = (source + "|" + entry["caller"], entry["callee"], entry["method"])
+            stats = EdgeStats(
+                entry["caller"],
+                entry["callee"],
+                entry["method"],
+                entry["calls"],
+                entry["local_calls"],
+                entry["bytes_sent"],
+                entry["bytes_received"],
+                entry["total_latency_s"],
+                entry["errors"],
+            )
+            stats._source = source
+            self._edges[key] = stats
 
     def total_calls(self) -> int:
         return sum(e.calls for e in self.edges())

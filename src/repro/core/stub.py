@@ -31,6 +31,7 @@ from repro.core.component import ComponentContext, instantiate
 from repro.core.errors import DeadlineExceeded, RegistrationError
 from repro.core.options import CallOptions
 from repro.core.registry import Registration
+from repro.observability.tracing import site_attributes
 
 
 class Invoker(Protocol):
@@ -166,6 +167,9 @@ class LocalInvoker:
         self._state_factory = state_factory
         self._instances: dict[str, Any] = {}
         self._locks: dict[str, asyncio.Lock] = {}
+        #: (caller, component, method) -> span name and span attributes,
+        #: bound on the first traced call.
+        self._span_sites: dict[tuple[str, str, str], tuple[str, Any]] = {}
         #: Optional repro.testing.faults.FaultPlan, consulted per call.
         #: An attribute (not a wrapper) so already-minted stubs see it.
         self.fault_plan: Optional[Any] = None
@@ -251,11 +255,14 @@ class LocalInvoker:
 
             async def run() -> Any:
                 if tracer is not None:
-                    with tracer.start_span(
-                        f"{reg.name.rsplit('.', 1)[-1]}.{method.name}",
-                        side="local",
-                        caller=caller,
-                    ):
+                    key = (caller, reg.name, method.name)
+                    site = self._span_sites.get(key)
+                    if site is None:
+                        site = self._span_sites[key] = (
+                            f"{reg.name.rsplit('.', 1)[-1]}.{method.name}",
+                            site_attributes(side="local", caller=caller),
+                        )
+                    with tracer.start_span(*site):
                         return await fn(*args)
                 return await fn(*args)
 

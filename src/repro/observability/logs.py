@@ -11,10 +11,8 @@ eliminates).
 from __future__ import annotations
 
 import collections
-import logging
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 
@@ -30,30 +28,32 @@ class LogRecord:
     attributes: tuple[tuple[str, Any], ...] = ()
 
 
-class LogBuffer:
-    """Bounded ring buffer of structured records (per proclet)."""
+#: Records a ring keeps, per proclet and on the manager.
+CAPACITY = 10_000
 
-    def __init__(self, capacity: int = 10_000) -> None:
-        self._lock = threading.Lock()
+
+class LogBuffer:
+    """Bounded ring buffer of structured records (per proclet; no lock:
+    each process appends and drains on its one event loop)."""
+
+    def __init__(self, capacity: int = CAPACITY) -> None:
         self._records: collections.deque[LogRecord] = collections.deque(maxlen=capacity)
+        #: Oldest records overwritten by newer ones, never silently.
         self.dropped = 0
 
     def append(self, record: LogRecord) -> None:
-        with self._lock:
-            if len(self._records) == self._records.maxlen:
-                self.dropped += 1
-            self._records.append(record)
+        if len(self._records) == self._records.maxlen:
+            self.dropped += 1
+        self._records.append(record)
 
     def drain(self) -> list[LogRecord]:
         """Remove and return everything buffered (envelope poll)."""
-        with self._lock:
-            out = list(self._records)
-            self._records.clear()
-            return out
+        out = list(self._records)
+        self._records.clear()
+        return out
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return len(self._records)
 
 
 class ComponentLogger:
@@ -89,33 +89,25 @@ class ComponentLogger:
         self._log("error", message, attributes)
 
 
-class LogAggregator:
-    """Manager-side merge of records from every proclet."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._records: list[LogRecord] = []
+class LogAggregator(LogBuffer):
+    """Manager-side merge of records from every proclet: a ring of the
+    newest :data:`CAPACITY` records, the older ones counted in ``dropped``."""
 
     def ingest(self, records: Iterable[LogRecord]) -> None:
-        with self._lock:
-            self._records.extend(records)
+        for record in records:
+            self.append(record)
 
     def merged(
         self, *, component: Optional[str] = None, level: Optional[str] = None
     ) -> list[LogRecord]:
         """Time-ordered records, optionally filtered."""
-        with self._lock:
-            records = list(self._records)
+        records = list(self._records)
         if component is not None:
             records = [r for r in records if r.component == component]
         if level is not None:
             records = [r for r in records if r.level == level]
         records.sort(key=lambda r: r.timestamp)
         return records
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
 
 
 def records_to_wire(records: list[LogRecord]) -> list[dict[str, Any]]:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -97,13 +96,8 @@ class BoundMetric:
     """One cell with its labels pre-resolved — the hot-path handle.
 
     ``Metric.inc/observe`` resolve the label set to a cell on every call
-    (sort + tuple + dict lookup under the registry lock); call sites that
-    record per-RPC bind the cell once and skip all of that.
-
-    Bound updates are deliberately lock-free: each mutation is a single
-    list/float operation the GIL keeps atomic, and snapshots are
-    statistical — a reader may observe one in-flight observation's fields
-    partially applied, which the next heartbeat's snapshot absorbs.
+    (sort + tuple + dict lookup); call sites that record per-RPC bind the
+    cell once and skip all of that.
     """
 
     __slots__ = ("_cell",)
@@ -155,21 +149,15 @@ class Metric:
 
     # counter
     def inc(self, value: float = 1.0, **labels: str) -> None:
-        cell = self._cell(labels)
-        with self._registry._lock:
-            cell.value += value
+        self._cell(labels).value += value
 
     # gauge
     def set(self, value: float, **labels: str) -> None:
-        cell = self._cell(labels)
-        with self._registry._lock:
-            cell.value = value
+        self._cell(labels).value = value
 
     # histogram
     def observe(self, value: float, exemplar: int = 0, **labels: str) -> None:
-        cell = self._cell(labels)
-        with self._registry._lock:
-            cell.observe(value, exemplar)
+        self._cell(labels).observe(value, exemplar)
 
     def get(self, **labels: str) -> Any:
         return self._cell(labels)
@@ -183,10 +171,9 @@ class Metric:
 
 
 class MetricsRegistry:
-    """Thread-safe home of every metric in one process."""
+    """The home of every metric in one process (no lock: one event loop)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
         self._cells: dict[tuple[str, Labels], Any] = {}
         self._kinds: dict[str, str] = {}
@@ -201,53 +188,50 @@ class MetricsRegistry:
         return self._metric(name, "histogram", buckets)
 
     def _metric(self, name: str, kind: str, buckets=DEFAULT_BUCKETS) -> Metric:
-        with self._lock:
-            existing = self._kinds.get(name)
-            if existing is not None and existing != kind:
-                raise ValueError(f"metric {name!r} already registered as {existing}")
-            self._kinds[name] = kind
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = Metric(name, kind, self, buckets)
-                self._metrics[name] = metric
-            return metric
+        existing = self._kinds.get(name)
+        if existing is not None and existing != kind:
+            raise ValueError(f"metric {name!r} already registered as {existing}")
+        self._kinds[name] = kind
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = Metric(name, kind, self, buckets)
+            self._metrics[name] = metric
+        return metric
 
     def _cell(self, name: str, kind: str, labels: Labels, buckets) -> Any:
         key = (name, labels)
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                if kind == "counter":
-                    cell = CounterValue()
-                elif kind == "gauge":
-                    cell = GaugeValue()
-                else:
-                    cell = HistogramValue(buckets)
-                self._cells[key] = cell
-            return cell
+        cell = self._cells.get(key)
+        if cell is None:
+            if kind == "counter":
+                cell = CounterValue()
+            elif kind == "gauge":
+                cell = GaugeValue()
+            else:
+                cell = HistogramValue(buckets)
+            self._cells[key] = cell
+        return cell
 
     # -- aggregation ---------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able snapshot, shipped envelope -> manager."""
-        with self._lock:
-            out: dict[str, Any] = {}
-            for (name, labels), cell in self._cells.items():
-                entry = {"labels": list(labels), "kind": self._kinds[name]}
-                if isinstance(cell, (CounterValue, GaugeValue)):
-                    entry["value"] = cell.value
-                else:
-                    entry["buckets"] = list(cell.buckets)
-                    entry["counts"] = list(cell.counts)
-                    entry["total"] = cell.total
-                    entry["count"] = cell.count
-                    if cell.exemplars:
-                        # JSON object keys must be strings.
-                        entry["exemplars"] = {
-                            str(i): [v, tid] for i, (v, tid) in cell.exemplars.items()
-                        }
-                out.setdefault(name, []).append(entry)
-            return out
+        out: dict[str, Any] = {}
+        for (name, labels), cell in self._cells.items():
+            entry = {"labels": list(labels), "kind": self._kinds[name]}
+            if isinstance(cell, (CounterValue, GaugeValue)):
+                entry["value"] = cell.value
+            else:
+                entry["buckets"] = list(cell.buckets)
+                entry["counts"] = list(cell.counts)
+                entry["total"] = cell.total
+                entry["count"] = cell.count
+                if cell.exemplars:
+                    # JSON object keys must be strings.
+                    entry["exemplars"] = {
+                        str(i): [v, tid] for i, (v, tid) in cell.exemplars.items()
+                    }
+            out.setdefault(name, []).append(entry)
+        return out
 
     def merge_snapshot(self, snapshot: dict[str, Any]) -> None:
         """Merge a snapshot from another process into this registry."""
@@ -262,27 +246,25 @@ class MetricsRegistry:
                     labels,
                     tuple(entry.get("buckets", DEFAULT_BUCKETS)),
                 )
-                with self._lock:
-                    if kind == "counter":
-                        cell.value += entry["value"]
-                    elif kind == "gauge":
-                        cell.value = entry["value"]
-                    else:
-                        incoming = HistogramValue(
-                            tuple(entry["buckets"]),
-                            list(entry["counts"]),
-                            entry["total"],
-                            entry["count"],
-                            {
-                                int(i): (v, tid)
-                                for i, (v, tid) in entry.get("exemplars", {}).items()
-                            },
-                        )
-                        cell.merge(incoming)
+                if kind == "counter":
+                    cell.value += entry["value"]
+                elif kind == "gauge":
+                    cell.value = entry["value"]
+                else:
+                    incoming = HistogramValue(
+                        tuple(entry["buckets"]),
+                        list(entry["counts"]),
+                        entry["total"],
+                        entry["count"],
+                        {
+                            int(i): (v, tid)
+                            for i, (v, tid) in entry.get("exemplars", {}).items()
+                        },
+                    )
+                    cell.merge(incoming)
 
     def cells(self) -> dict[tuple[str, Labels], Any]:
-        with self._lock:
-            return dict(self._cells)
+        return dict(self._cells)
 
 
 def render_prometheus(registry: "MetricsRegistry") -> str:

@@ -15,7 +15,6 @@ remediation controller consumes.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
@@ -100,25 +99,25 @@ class TimeSeriesStore:
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._lock = threading.Lock()
         self._series: dict[tuple[str, str], RingSeries] = {}
         self._capacity = capacity
+        # to_wire's (last, answer) until a series or a point is added.
+        self._wire: Optional[tuple[int, dict[str, Any]]] = None
 
     def series(self, name: str, scope: str = "_total") -> RingSeries:
         key = (name, scope)
-        with self._lock:
-            s = self._series.get(key)
-            if s is None:
-                s = RingSeries(name, self._capacity)
-                self._series[key] = s
-            return s
+        s = self._series.get(key)
+        if s is None:
+            s = self._series[key] = RingSeries(name, self._capacity)
+            self._wire = None
+        return s
 
     def record(self, name: str, scope: str, ts: float, value: float) -> None:
+        self._wire = None
         self.series(name, scope).append(ts, value)
 
     def names(self) -> list[tuple[str, str]]:
-        with self._lock:
-            return sorted(self._series)
+        return sorted(self._series)
 
     def query(
         self, name: str, scope: str = "_total", *, window_s: Optional[float] = None
@@ -135,13 +134,17 @@ class TimeSeriesStore:
         return p.value if p else None
 
     def to_wire(self, *, last: int = 120) -> dict[str, Any]:
-        """JSON-able tails of every series for dashboards and the CLI."""
+        """JSON-able tails of every series for dashboards and the CLI; one
+        read-only answer per telemetry tick (only a tick records points)."""
+        if self._wire is not None and self._wire[0] == last:
+            return self._wire[1]
         out: dict[str, Any] = {}
         for name, scope in self.names():
             pts = self.series(name, scope).tail(last)
             out.setdefault(name, {})[scope] = [
                 [round(p.ts, 3), _round(p.value)] for p in pts
             ]
+        self._wire = (last, out)
         return out
 
 

@@ -15,30 +15,52 @@ Retention is bounded (``max_traces`` kept traces, oldest evicted) and
 every discard path is counted — sampling and eviction are policies, not
 silent data loss.  Query API is a superset of the old ``Tracer`` surface
 (``spans``/``traces``/``trace_tree``/``ingest``/``reset``) plus
-critical-path analysis over assembled cross-proclet trees.
+critical-path analysis over assembled cross-proclet trees.  A trace is
+stored as packed records (:data:`_RECORD`); only queries build ``Span`` objects.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-import threading
+import struct
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Optional
 
-from repro.observability.metrics import HistogramValue
-from repro.observability.tracing import Span, assemble_tree
+from repro.observability.metrics import DEFAULT_BUCKETS, HistogramValue
+from repro.observability.tracing import Span, assemble_tree, site_attributes
 
 #: Error statuses / codes that force a trace to be kept.
 _ERROR_STATUSES = ("error",)
 _ERROR_CODES = ("deadline_exceeded",)
 
+#: One span: span id, parent id (-1 for none), start, end, then two
+#: indexes: the (name, status) pair and the attributes.  An index i >= 0
+#: is a slot of the store's tables, i < 0 is ``own[~i]`` of the trace.  Ids
+#: are the tracer's 63-bit ids.  40 bytes.
+_RECORD = struct.Struct("<qqddii")
 
-@dataclass
-class _Pending:
-    spans: list[Span] = field(default_factory=list)
-    last_seen: float = 0.0
+#: Distinct (name, status) pairs the store interns; any more stay with
+#: their trace, so the table cannot grow with ad-hoc span names.
+_MAX_NAMES = 4096
+
+
+class _Trace:
+    """One trace's records, and what only its spans name (``own``)."""
+
+    __slots__ = ("records", "own", "last_seen", "hot")
+
+    def __init__(self, last_seen: float) -> None:
+        self.records: Any = bytearray()  # bytes once the trace is kept
+        self.own: list[Any] = []
+        self.last_seen = last_seen
+        self.hot = False  # holds an error or deadline-exceeded span
+
+    def keep(self, value: Any) -> int:
+        self.own.append(value)
+        return ~(len(self.own) - 1)
 
 
 class TraceStore:
@@ -68,14 +90,17 @@ class TraceStore:
         self.max_spans_per_trace = max_spans_per_trace
         self._rng = rng or random.Random()
         self._clock = clock
-        self._lock = threading.Lock()
-        self._pending: "OrderedDict[int, _Pending]" = OrderedDict()
-        self._kept: "OrderedDict[int, list[Span]]" = OrderedDict()
+        self._pending: "OrderedDict[int, _Trace]" = OrderedDict()
+        self._kept: "OrderedDict[int, _Trace]" = OrderedDict()
+        # Interned (name, status) pairs, and site attributes by identity
+        # (canonical per content, held alive here); slot 0: no attributes.
+        self._names: list[tuple[str, str]] = []
+        self._name_index: dict[tuple[str, str], int] = {}
+        self._sites: list[Any] = [MappingProxyType({})]
+        self._site_index: dict[int, int] = {}
         # Rolling distribution of finalized root durations: the basis of
         # the "slow tail" keep rule.
-        self._root_durations = HistogramValue(
-            tuple(50e-6 * 2**i for i in range(21))
-        )
+        self._root_durations = HistogramValue(DEFAULT_BUCKETS)
         # Slow-tail threshold, refreshed every ``_threshold_every`` roots:
         # scanning histogram buckets per finalized trace is measurable at
         # high trace rates, and the rolling p95 moves slowly.
@@ -95,77 +120,94 @@ class TraceStore:
 
     def ingest(self, spans: list[Span]) -> None:
         now = self._clock()
-        with self._lock:
-            for span in spans:
-                pending = self._pending.get(span.trace_id)
-                if pending is None:
-                    # Re-opened kept trace (late spans): append directly.
-                    kept = self._kept.get(span.trace_id)
-                    if kept is not None:
-                        if len(kept) < self.max_spans_per_trace:
-                            kept.append(span)
-                        else:
-                            self.dropped_spans += 1
-                        continue
-                    pending = _Pending()
+        pending, kept = self._pending, self._kept
+        cap = self.max_spans_per_trace * _RECORD.size
+        names, sites, pack = self._name_index, self._site_index, _RECORD.pack
+        for span in spans:
+            trace_id = span.trace_id
+            trace = pending.get(trace_id)
+            if trace is None:
+                # Re-opened kept trace (late spans): append directly.
+                trace = kept.get(trace_id)
+                if trace is None:
                     # A fresh entry lands at the end already; only traces
                     # that were pending before need re-ordering.
-                    self._pending[span.trace_id] = pending
-                else:
-                    self._pending.move_to_end(span.trace_id)
-                if len(pending.spans) < self.max_spans_per_trace:
-                    pending.spans.append(span)
-                else:
-                    self.dropped_spans += 1
-                pending.last_seen = now
-            # Bound the pending set: finalize the stalest early.
-            while len(self._pending) > self.max_traces:
-                trace_id, pending = self._pending.popitem(last=False)
-                self._finalize(trace_id, pending)
+                    trace = pending[trace_id] = _Trace(now)
+            else:
+                pending.move_to_end(trace_id)
+                trace.last_seen = now
+            if len(trace.records) >= cap:
+                self.dropped_spans += 1
+                continue
+            status, attributes = span.status, span.attributes
+            name = names.get((span.name, status))
+            if name is None:
+                name = self._intern_name(span.name, status, trace)
+            if not attributes:
+                site = 0
+            elif type(attributes) is MappingProxyType:
+                site = sites.get(id(attributes))
+                if site is None:
+                    site = self._intern_site(attributes, trace)
+            else:
+                site = trace.keep(attributes)
+            if status in _ERROR_STATUSES or attributes and attributes.get("code") in _ERROR_CODES:
+                trace.hot = True
+            parent_id = -1 if span.parent_id is None else span.parent_id
+            trace.records += pack(span.span_id, parent_id, span.start_s, span.end_s, name, site)
+        # Bound the pending set: finalize the stalest early.
+        while len(pending) > self.max_traces:
+            self._finalize(*pending.popitem(last=False))
+
+    def _intern_name(self, name: str, status: str, trace: _Trace) -> int:
+        if len(self._names) >= _MAX_NAMES:
+            return trace.keep((name, status))
+        index = self._name_index[name, status] = len(self._names)
+        self._names.append((name, status))
+        return index
+
+    def _intern_site(self, attributes: Any, trace: _Trace) -> int:
+        if site_attributes(**attributes) is not attributes:
+            return trace.keep(attributes)  # read-only, but not a site's
+        index = self._site_index[id(attributes)] = len(self._sites)
+        self._sites.append(attributes)
+        return index
 
     def maintain(self, now: Optional[float] = None) -> None:
         """Finalize traces quiet for longer than ``quiescence_s``."""
         now = self._clock() if now is None else now
-        with self._lock:
-            ripe = [
-                tid
-                for tid, p in self._pending.items()
-                if now - p.last_seen >= self.quiescence_s
-            ]
-            for tid in ripe:
-                self._finalize(tid, self._pending.pop(tid))
+        q = self.quiescence_s
+        for tid in [t for t, trace in self._pending.items() if now - trace.last_seen >= q]:
+            self._finalize(tid, self._pending.pop(tid))
 
-    def _finalize(self, trace_id: int, pending: _Pending) -> None:
-        spans = pending.spans
-        root = _root_of(spans)
+    def _finalize(self, trace_id: int, trace: _Trace) -> None:
+        records = list(_RECORD.iter_unpack(trace.records))
+        known = {r[0] for r in records}
+        # The root is the longest span whose parent is not in the trace.
+        durations = [max(0.0, r[3] - r[2]) for r in records if r[1] not in known]
+        root = max(durations) if durations else None
         if root is not None:
-            self._root_durations.observe(root.duration_s)
-        if self._should_keep(spans, root):
-            self._kept[trace_id] = spans
-            self._kept.move_to_end(trace_id)
+            self._root_durations.observe(root)
+        if trace.hot or self._should_keep(root):
+            trace.records = bytes(trace.records)
+            self._kept[trace_id] = trace
             self.kept_traces += 1
             while len(self._kept) > self.max_traces:
                 _, evicted = self._kept.popitem(last=False)
                 self.evicted_traces += 1
-                self.evicted_spans += len(evicted)
+                self.evicted_spans += len(evicted.records) // _RECORD.size
         else:
             self.sampled_out_traces += 1
-            self.sampled_out_spans += len(spans)
+            self.sampled_out_spans += len(records)
 
-    def _should_keep(self, spans: list[Span], root: Optional[Span]) -> bool:
-        for span in spans:
-            if span.status in _ERROR_STATUSES:
-                return True
-            code = span.attributes.get("code")
-            if code in _ERROR_CODES:
-                return True
+    def _should_keep(self, root: Optional[float]) -> bool:
         if root is not None and self._root_durations.count >= 20:
             if self._root_durations.count - self._threshold_at >= self._threshold_every:
                 self._slow_threshold = self.slow_margin * self._root_durations.quantile(
                     self.slow_percentile
                 )
                 self._threshold_at = self._root_durations.count
-            if root.duration_s >= self._slow_threshold:
+            if root >= self._slow_threshold:
                 return True
         if self.sample_rate >= 1.0:
             return True
@@ -173,31 +215,35 @@ class TraceStore:
 
     # -- queries (Tracer-compatible surface + extensions) ---------------------
 
+    def _spans(self, trace_id: int, trace: _Trace) -> list[Span]:
+        """Materialize one trace's records, in arrival order."""
+        names, sites, own = self._names, self._sites, trace.own
+        out: list[Span] = []
+        for span_id, parent_id, start_s, end_s, name, site in _RECORD.iter_unpack(trace.records):
+            name, status = names[name] if name >= 0 else own[~name]
+            attributes = sites[site] if site >= 0 else own[~site]
+            parent = None if parent_id < 0 else parent_id
+            out.append(Span(trace_id, span_id, parent, name, start_s, end_s, attributes, status))
+        return out
+
+    def _all(self) -> list[tuple[int, _Trace]]:
+        return [*self._kept.items(), *self._pending.items()]
+
     def spans(self) -> list[Span]:
-        with self._lock:
-            out: list[Span] = []
-            for spans in self._kept.values():
-                out.extend(spans)
-            for pending in self._pending.values():
-                out.extend(pending.spans)
-            return out
+        return [span for spans in self.traces().values() for span in spans]
 
     def traces(self) -> dict[int, list[Span]]:
-        with self._lock:
-            out: dict[int, list[Span]] = {
-                tid: list(spans) for tid, spans in self._kept.items()
-            }
-            for tid, pending in self._pending.items():
-                out.setdefault(tid, []).extend(pending.spans)
-            return out
+        return {tid: self._spans(tid, trace) for tid, trace in self._all()}
+
+    def largest(self, n: int) -> list[tuple[int, list[Span]]]:
+        """The ``n`` traces with the most spans, largest first (ties in
+        :meth:`traces` order); only those are materialized."""
+        top = heapq.nlargest(n, self._all(), key=lambda kv: len(kv[1].records))
+        return [(tid, self._spans(tid, trace)) for tid, trace in top]
 
     def trace(self, trace_id: int) -> list[Span]:
-        with self._lock:
-            out = list(self._kept.get(trace_id, ()))
-            pending = self._pending.get(trace_id)
-            if pending is not None:
-                out.extend(pending.spans)
-            return out
+        trace = self._kept.get(trace_id) or self._pending.get(trace_id)
+        return self._spans(trace_id, trace) if trace is not None else []
 
     def trace_tree(self, trace_id: int) -> list[tuple[int, Span]]:
         return assemble_tree(self.trace(trace_id))
@@ -234,30 +280,18 @@ class TraceStore:
         return out
 
     def reset(self) -> None:
-        with self._lock:
-            self._pending.clear()
-            self._kept.clear()
+        self._pending.clear()
+        self._kept.clear()
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "kept": len(self._kept),
-                "pending": len(self._pending),
-                "kept_traces": self.kept_traces,
-                "sampled_out_traces": self.sampled_out_traces,
-                "sampled_out_spans": self.sampled_out_spans,
-                "evicted_traces": self.evicted_traces,
-                "evicted_spans": self.evicted_spans,
-                "dropped_spans": self.dropped_spans,
-                "sample_rate": self.sample_rate,
-            }
-
-
-def _root_of(spans: list[Span]) -> Optional[Span]:
-    if not spans:
-        return None
-    known = {s.span_id for s in spans}
-    roots = [s for s in spans if s.parent_id not in known]
-    if not roots:
-        return None
-    return max(roots, key=lambda s: s.duration_s)
+        return {
+            "kept": len(self._kept),
+            "pending": len(self._pending),
+            "kept_traces": self.kept_traces,
+            "sampled_out_traces": self.sampled_out_traces,
+            "sampled_out_spans": self.sampled_out_spans,
+            "evicted_traces": self.evicted_traces,
+            "evicted_spans": self.evicted_spans,
+            "dropped_spans": self.dropped_spans,
+            "sample_rate": self.sample_rate,
+        }

@@ -14,10 +14,10 @@ import contextvars
 import functools
 import os
 import random
-import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 # Trace/span ids must be unique *across processes* (spans from many
 # proclets merge into one tree at the manager), so they are random 63-bit
@@ -50,9 +50,10 @@ _current_span: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Span:
-    """One timed operation within a trace."""
+    """One timed operation within a trace; equal to any span (an
+    :class:`ActiveSpan` too) whose fields are equal."""
 
     trace_id: int
     span_id: int
@@ -60,12 +61,32 @@ class Span:
     name: str
     start_s: float
     end_s: float = 0.0
-    attributes: dict[str, Any] = field(default_factory=dict)
+    attributes: Mapping[str, Any] = field(default_factory=dict)
     status: str = "ok"
 
     @property
     def duration_s(self) -> float:
         return max(0.0, self.end_s - self.start_s)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return all(getattr(self, f.name) == getattr(other, f.name) for f in fields(Span))
+
+
+#: Site-bound attribute mappings, one per distinct content in this process.
+_SITES: dict[tuple, Mapping[str, Any]] = {}
+
+
+def site_attributes(**attributes: Any) -> Mapping[str, Any]:
+    """Read-only attributes a call site binds once and passes to every
+    :meth:`Tracer.start_span`: canonical per content, so neither a span nor
+    the trace store keeps a dict of its own for them."""
+    key = tuple(attributes.items())
+    site = _SITES.get(key)
+    if site is None:
+        site = _SITES[key] = MappingProxyType(attributes)
+    return site
 
 
 class Tracer:
@@ -89,7 +110,7 @@ class Tracer:
         trace_rate: Optional[float] = None,
         trace_burst: Optional[float] = None,
     ) -> None:
-        self._lock = threading.Lock()
+        # No lock: each process runs its tracer on one event loop.
         self._finished: list[Span] = []
         self._max_spans = max_spans
         #: Spans discarded because the buffer was full.  Exported as a
@@ -106,8 +127,6 @@ class Tracer:
         self._token_t = time.monotonic()
 
     def _take_token(self) -> bool:
-        # Approximate under concurrent callers by design: a lock here
-        # would cost more than an occasional extra sampled trace.
         now = time.monotonic()
         tokens = min(
             self._trace_burst,
@@ -123,14 +142,15 @@ class Tracer:
     def start_span(
         self,
         name: str,
-        *,
+        site: Optional[Mapping[str, Any]] = None,
+        /,
         remote_parent: Optional[tuple[int, int]] = None,
         **attributes: Any,
     ) -> "ActiveSpan":
-        """Open a span under the ambient parent, or under ``remote_parent``.
-
-        ``remote_parent`` is a ``(trace_id, span_id)`` pair received over
-        the wire — how a callee proclet joins the caller's trace.
+        """Open a span under the ambient parent, or under ``remote_parent``
+        (a ``(trace_id, span_id)`` pair received over the wire — how a callee
+        proclet joins the caller's trace).  ``site`` is the call site's
+        :func:`site_attributes`; ``**attributes`` are this span's own.
         """
         if remote_parent is not None and remote_parent[0]:
             trace_id, parent_id = remote_parent
@@ -149,24 +169,18 @@ class Tracer:
             else:
                 trace_id = parent.trace_id
                 parent_id = parent.span_id
-        # ``attributes`` is already a fresh dict (it's **kwargs) — no copy.
-        span = Span(
-            trace_id=trace_id,
-            span_id=_new_id(),
-            parent_id=parent_id,
-            name=name,
-            start_s=time.time(),
-            attributes=attributes,
+        if site is not None:
+            attributes = {**site, **attributes} if attributes else site
+        # ``attributes`` is otherwise already a fresh dict (it's **kwargs).
+        return ActiveSpan(
+            trace_id, _new_id(), parent_id, name, time.time(), 0.0, attributes, "ok", self
         )
-        return ActiveSpan(self, span)
 
     def _finish(self, span: Span) -> None:
-        span.end_s = time.time()
-        with self._lock:
-            if len(self._finished) < self._max_spans:
-                self._finished.append(span)
-            else:
-                self.dropped += 1
+        if len(self._finished) < self._max_spans:
+            self._finished.append(span)
+        else:
+            self.dropped += 1
 
     def record_span(
         self,
@@ -187,28 +201,15 @@ class Tracer:
         """
         if not trace[0] and trace[1]:
             return None
-        span = Span(
-            trace_id=trace[0] or _new_id(),
-            span_id=_new_id(),
-            parent_id=trace[1] or None,
-            name=name,
-            start_s=start_s,
-            end_s=end_s,
-            attributes=attributes,
-            status=status,
-        )
-        with self._lock:
-            if len(self._finished) < self._max_spans:
-                self._finished.append(span)
-            else:
-                self.dropped += 1
+        trace_id, parent_id = trace[0] or _new_id(), trace[1] or None
+        span = Span(trace_id, _new_id(), parent_id, name, start_s, end_s, attributes, status)
+        self._finish(span)
         return span
 
     # -- queries --------------------------------------------------------------
 
     def spans(self) -> list[Span]:
-        with self._lock:
-            return list(self._finished)
+        return list(self._finished)
 
     def traces(self) -> dict[int, list[Span]]:
         out: dict[int, list[Span]] = {}
@@ -217,55 +218,49 @@ class Tracer:
         return out
 
     def trace_tree(self, trace_id: int) -> list[tuple[int, Span]]:
-        """The spans of one trace as (depth, span), pre-order.
-
-        Spans whose parent has not been collected (e.g. its proclet has
-        not shipped a heartbeat yet) are rendered as roots rather than
-        dropped — a partial distributed trace is still a trace.
-        """
+        """The spans of one trace as (depth, span), pre-order; a span whose
+        parent was not collected is a root (a partial trace is a trace)."""
         return assemble_tree(self.traces().get(trace_id, []))
 
     def drain(self) -> list[Span]:
         """Remove and return finished spans (proclets ship increments)."""
-        with self._lock:
-            out = list(self._finished)
-            self._finished.clear()
-            return out
+        out = self._finished
+        self._finished = []
+        return out
 
     def ingest(self, spans: list[Span]) -> None:
         """Manager-side merge of spans shipped from proclets."""
-        with self._lock:
-            room = self._max_spans - len(self._finished)
-            self._finished.extend(spans[:room])
-            if len(spans) > room:
-                self.dropped += len(spans) - room
+        room = self._max_spans - len(self._finished)
+        self._finished.extend(spans[:room])
+        if len(spans) > room:
+            self.dropped += len(spans) - room
 
     def reset(self) -> None:
-        with self._lock:
-            self._finished.clear()
+        self._finished.clear()
 
 
-class ActiveSpan:
-    """Context manager binding a span to the ambient context."""
+@dataclass(slots=True, eq=False)
+class ActiveSpan(Span):
+    """A sampled span, and the context manager that binds it to the
+    ambient context while it runs: one object from start to export."""
 
-    __slots__ = ("_tracer", "span", "_token")
+    _tracer: Optional[Tracer] = field(default=None, repr=False)
+    _token: Optional[contextvars.Token] = field(default=None, repr=False)
 
-    def __init__(self, tracer: Tracer, span: Span) -> None:
-        self._tracer = tracer
-        self.span = span
-        self._token: Optional[contextvars.Token] = None
-
-    def __enter__(self) -> Span:
-        self._token = _current_span.set(self.span)
-        return self.span
+    def __enter__(self) -> "ActiveSpan":
+        self._token = _current_span.set(self)
+        return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         if exc_type is not None:
-            self.span.status = "error"
-            self.span.attributes["exception"] = repr(exc)
+            self.status = "error"
+            # A copy: the site's attributes are shared by its other spans.
+            self.attributes = {**self.attributes, "exception": repr(exc)}
         if self._token is not None:
             _current_span.reset(self._token)
-        self._tracer._finish(self.span)
+            self._token = None
+        self.end_s = time.time()
+        self._tracer._finish(self)
 
 
 #: The wire context of a request inside an unsampled trace: no trace id,
@@ -277,16 +272,14 @@ UNSAMPLED_CONTEXT = (0, 1)
 #: make ``current_context()`` report :data:`UNSAMPLED_CONTEXT`, so a callee
 #: stays unsampled too, and its zero trace id keeps histograms
 #: exemplar-free for unsampled calls.
-_UNSAMPLED = Span(
-    trace_id=0, span_id=UNSAMPLED_CONTEXT[1], parent_id=None, name="unsampled", start_s=0.0
-)
+_UNSAMPLED = Span(0, UNSAMPLED_CONTEXT[1], None, "unsampled", 0.0)
 
 
 class _NoopActiveSpan:
     """Stand-in for ActiveSpan on unsampled roots: binds the sentinel."""
 
     __slots__ = ("_token",)
-    span = _UNSAMPLED
+    trace_id = 0
 
     def __enter__(self) -> Span:
         self._token = _current_span.set(_UNSAMPLED)
@@ -309,7 +302,7 @@ class _NoopSpan:
     callers that have no tracer: binds nothing, records nothing."""
 
     __slots__ = ()
-    span = _UNSAMPLED
+    trace_id = 0
 
     def __enter__(self) -> Span:
         return _UNSAMPLED
@@ -384,14 +377,8 @@ def spans_to_wire(spans: list[Span]) -> list[dict]:
 def spans_from_wire(raw: list[dict]) -> list[Span]:
     return [
         Span(
-            trace_id=e["trace_id"],
-            span_id=e["span_id"],
-            parent_id=e.get("parent_id"),
-            name=e["name"],
-            start_s=e["start_s"],
-            end_s=e["end_s"],
-            attributes=dict(e.get("attributes", {})),
-            status=e.get("status", "ok"),
+            e["trace_id"], e["span_id"], e.get("parent_id"), e["name"], e["start_s"],
+            e["end_s"], dict(e.get("attributes", {})), e.get("status", "ok"),
         )
         for e in raw
     ]

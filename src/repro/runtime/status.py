@@ -14,7 +14,6 @@ processes it happens to occupy — the C3 ("hard to manage") fix made visible.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Collection, Optional
 
 from repro.observability.metrics import HistogramValue
@@ -48,9 +47,7 @@ def status_wire(manager: Manager) -> Status:
 
 def _build(manager: Manager, *, max_traces: int) -> Status:
     """The model; the ``max_traces`` deepest traces carry their span tree."""
-    traces = heapq.nlargest(
-        50, manager.tracer.traces().items(), key=lambda kv: len(kv[1])
-    )
+    traces = manager.tracer.largest(50)
     edges = sorted(
         manager.call_graph.pair_traffic().values(), key=lambda e: e.calls, reverse=True
     )
@@ -93,6 +90,7 @@ def _build(manager: Manager, *, max_traces: int) -> Status:
         },
         "logs": {
             "total": len(records),
+            "dropped": manager.logs.dropped,
             "recent": [{**vars(r), "attributes": dict(r.attributes)} for r in records[-5:]],
         },
     }
@@ -439,7 +437,8 @@ def _render_logs(status: Status) -> str:
     logs = status["logs"]
     if not logs["recent"]:
         return ""
-    lines = [f"recent log records ({logs['total']} aggregated):"]
+    dropped = f", {logs['dropped']} older dropped" if logs["dropped"] else ""
+    lines = [f"recent log records ({logs['total']} aggregated{dropped}):"]
     for r in logs["recent"]:
         attrs = r["attributes"]
         lines.append(

@@ -53,7 +53,13 @@ from repro.core.options import (
 )
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
-from repro.observability.tracing import NOOP_SPAN, bind_unsampled, current_context, reset_span
+from repro.observability.tracing import (
+    NOOP_SPAN,
+    bind_unsampled,
+    current_context,
+    reset_span,
+    site_attributes,
+)
 from repro.serde.base import Codec
 from repro.transport.client import ConnectionPool
 
@@ -181,6 +187,7 @@ class Dispatcher:
             else ()
         )
         span_name = f"{reg.name.rsplit('.', 1)[-1]}.{spec.name}"
+        span_site = site_attributes(side="server")
 
         async def serve(args: bytes, trace: tuple[int, int], deadline_ms: int) -> bytearray:
             try:
@@ -209,7 +216,7 @@ class Dispatcher:
                 if tracer is not None and trace[0]:
                     # Join the caller's trace: the server-side span becomes
                     # the ambient parent for everything the handler does.
-                    with tracer.start_span(span_name, remote_parent=trace, side="server"):
+                    with tracer.start_span(span_name, span_site, trace):
                         result = await handler(*values)
                 elif trace[1]:
                     # The caller chose not to sample (UNSAMPLED_CONTEXT):
@@ -291,8 +298,9 @@ class RemoteInvoker:
         )
         #: (caller, component id, method index) -> what a call updates
         #: once it is done, bound on the first call: its call-graph edge,
-        #: the component's client latency and error cells, its span name.
-        self._sites: dict[tuple[str, int, int], tuple[Any, Any, Any, str]] = {}
+        #: the component's client latency and error cells, its span name and
+        #: span attributes.
+        self._sites: dict[tuple[str, int, int], tuple[Any, Any, Any, str, Any]] = {}
         #: Optional repro.testing.faults.FaultPlan, consulted per call.
         self.fault_plan = None
         #: Count of hedge attempts issued (observability/tests).
@@ -314,7 +322,7 @@ class RemoteInvoker:
         site = self._sites.get((caller, reg.component_id, method.index))
         if site is None:
             site = self._bind_site(reg, method, caller)
-        edge, latency, errors, span_name = site
+        edge, latency, errors, span_name, span_site = site
         opts = options or DEFAULT_OPTIONS
         payload = bytearray()
         self._codec.encode_into(method.arg_schema, args, payload)
@@ -324,7 +332,7 @@ class RemoteInvoker:
         span = NOOP_SPAN
         tracer = self._tracer
         if tracer is not None:
-            span = tracer.start_span(span_name, side="client", caller=caller)
+            span = tracer.start_span(span_name, span_site)
         try:
             with span:
                 budget = effective_budget_s(opts.deadline_s, self._timeout_s)
@@ -374,7 +382,7 @@ class RemoteInvoker:
         finally:
             elapsed = time.perf_counter() - start
             if latency is not None:
-                latency.observe(elapsed, exemplar=span.span.trace_id)
+                latency.observe(elapsed, exemplar=span.trace_id)
                 if error:
                     errors.inc()
             if edge is not None:
@@ -394,6 +402,7 @@ class RemoteInvoker:
             self._client_latency.bind(component=reg.name) if metered else None,
             self._client_errors.bind(component=reg.name) if metered else None,
             f"rpc {reg.name.rsplit('.', 1)[-1]}.{method.name}",
+            site_attributes(side="client", caller=caller),
         )
         self._sites[(caller, reg.component_id, method.index)] = site
         return site
