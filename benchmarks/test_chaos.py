@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.boutique import ALL_COMPONENTS, Address, CreditCard, Frontend
 from repro.core.config import AppConfig

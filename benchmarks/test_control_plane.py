@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.boutique import ALL_COMPONENTS, Frontend
 from repro.core.config import AppConfig

@@ -12,8 +12,6 @@ from __future__ import annotations
 import asyncio
 import time
 
-import pytest
-
 import repro
 from benchmarks.conftest import print_table
 from repro.core.config import AppConfig

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.codegen.schema import schema_of, clear_cache
 from repro.core.config import RolloutConfig

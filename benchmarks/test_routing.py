@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from benchmarks.conftest import print_table
 from repro.runtime.routing import build_assignment, moved_fraction
 

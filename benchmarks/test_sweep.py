@@ -8,11 +8,7 @@ autoscaling on — as in Table 2 — the knee turns into the core-count gap.)
 
 from __future__ import annotations
 
-import pytest
-
 from benchmarks.conftest import print_table
-from repro.core.component import component_name
-from repro.boutique import ALL_COMPONENTS
 from repro.sim.cluster import build_deployment
 from repro.sim.costmodel import BASELINE_STACK, WEAVER_STACK
 from repro.sim.engine import Simulator

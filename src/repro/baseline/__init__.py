@@ -9,7 +9,6 @@ never the business logic.
 
 from repro.baseline.service import (
     BaselineApp,
-    HttpInvoker,
     MicroserviceHost,
     ServiceMesh,
     deploy_baseline,
@@ -17,7 +16,6 @@ from repro.baseline.service import (
 
 __all__ = [
     "BaselineApp",
-    "HttpInvoker",
     "MicroserviceHost",
     "ServiceMesh",
     "deploy_baseline",

@@ -7,51 +7,45 @@ conventional way — one HTTP service per component, discovered by *name*
 
 It deliberately reuses the component *implementations* unchanged: a
 :class:`MicroserviceHost` hosts an impl behind
-:class:`~repro.transport.http_rpc.HttpRpcServer`, and an
-:class:`HttpInvoker` gives the impl's ``ctx.get(...)`` dependencies the
-same interface-shaped stubs, but backed by name-addressed HTTP calls.
-Business logic cannot tell which world it is in — which is precisely the
-paper's argument that the *deployment model*, not the code, is what
-microservices get wrong.
+:class:`~repro.transport.http_rpc.HttpRpcServer`.  It reuses the runtime's
+RPC client too: calls go through an unmodified
+:class:`~repro.transport.rpc.RemoteInvoker` (budgets, retries, hedging,
+call-graph edges, spans) whose resolver is the :class:`ServiceMesh` and
+whose pool speaks HTTP.  Business logic cannot tell which world it is in,
+and the two stacks differ only in the wire, the codec and the hosts —
+which is precisely the paper's argument that the *deployment model*, not
+the code, is what microservices get wrong.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
-import logging
 from typing import Any, Optional, TypeVar
 
 from repro.codegen.compiler import MethodSpec
+from repro.core.app import Application
 from repro.core.call_graph import CallGraph, ROOT
 from repro.core.component import Component
 from repro.core.config import AppConfig
-from repro.core.errors import (
-    ComponentNotFound,
-    DeadlineExceeded,
-    ErrorCode,
-    RPCError,
-    Unavailable,
-)
-from repro.core.options import (
-    CallOptions,
-    budget_to_wire_ms,
-    decorrelated_jitter,
-    effective_budget_s,
-)
+from repro.core.errors import ErrorCode, RPCError, Unavailable
 from repro.core.registry import FrozenRegistry, Registration, Registry, global_registry
 from repro.core.stub import LocalInvoker, make_stub
-from repro.observability.tracing import Tracer, current_context
+from repro.observability.tracing import NOOP_SPAN, Tracer
 from repro.serde import codec_by_name
 from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer, incoming_trace
-
-log = logging.getLogger("repro.baseline")
+from repro.transport.rpc import RemoteInvoker
 
 T = TypeVar("T", bound=Component)
 
 
 class ServiceMesh:
-    """Name -> addresses service discovery (the DNS/kube-proxy stand-in)."""
+    """Name -> addresses service discovery (the DNS/kube-proxy stand-in).
+
+    It is also the :class:`~repro.transport.rpc.ReplicaResolver` of the
+    baseline's invokers: ``pick`` answers by service name, round robin,
+    and never returns None, so the protocol's async ``resolve`` is never
+    awaited (this class's ``resolve`` is the by-name lookup).
+    """
 
     def __init__(self) -> None:
         self._services: dict[str, list[str]] = {}
@@ -73,141 +67,90 @@ class ServiceMesh:
             )
         return addresses[next(self._rr) % len(addresses)]
 
+    def pick(
+        self, reg: Registration, method: MethodSpec, args: tuple, route_key: Any = None
+    ) -> str:
+        return self.resolve(reg.name)
+
+    def report_outcome(self, reg: Registration, address: str, **outcome: Any) -> None:
+        pass  # a mesh keeps no breakers
+
     def services(self) -> dict[str, list[str]]:
         return {k: list(v) for k, v in self._services.items()}
 
 
-class HttpInvoker:
-    """Stub invoker that turns component calls into name-addressed HTTP RPCs."""
+class _HttpPeer:
+    """One address, shaped like a framed connection for ``RemoteInvoker``."""
 
-    def __init__(
+    closed = False  # HttpRpcClient closes broken sockets itself
+
+    def __init__(self, pool: "_HttpPool", address: str) -> None:
+        self._pool = pool
+        self._address = address
+
+    async def call(
         self,
-        mesh: ServiceMesh,
+        component_id: int,
+        method_index: int,
+        payload: bytes,
         *,
-        codec_name: str = "tagged",
-        call_graph: Optional[CallGraph] = None,
-        tracer: Optional[Tracer] = None,
-        timeout_s: float = 30.0,
-        max_retries: int = 2,
-        retry_backoff_s: float = 0.02,
-        retry_backoff_max_s: float = 1.0,
-    ) -> None:
-        self._mesh = mesh
-        self._codec = codec_by_name(codec_name)
-        self._client = HttpRpcClient()
-        self._call_graph = call_graph
-        self._tracer = tracer
-        self._timeout_s = timeout_s
-        self._max_retries = max_retries
-        self._retry_backoff_s = retry_backoff_s
-        self._retry_backoff_max_s = retry_backoff_max_s
-
-    async def invoke(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        caller: str,
-        *,
-        options: Optional[CallOptions] = None,
-    ) -> Any:
-        if self._tracer is not None:
-            short = reg.name.rsplit(".", 1)[-1]
-            with self._tracer.start_span(
-                f"http {short}.{method.name}", component=reg.name, caller=caller
-            ):
-                return await self._invoke(reg, method, args, caller, options)
-        return await self._invoke(reg, method, args, caller, options)
-
-    async def _invoke(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        caller: str,
-        options: Optional[CallOptions],
-    ) -> Any:
-        import time
-
-        payload = self._codec.encode(method.arg_schema, args)
-        start = time.perf_counter()
-        error = False
-        reply = b""
-        try:
-            reply = await self._call(
-                reg.name, method, payload, options or CallOptions()
-            )
-            return self._codec.decode(method.result_schema, reply)
-        except Exception:
-            error = True
-            raise
-        finally:
-            if self._call_graph is not None:
-                self._call_graph.record(
-                    caller,
-                    reg.name,
-                    method.name,
-                    latency_s=time.perf_counter() - start,
-                    bytes_sent=len(payload),
-                    bytes_received=len(reply),
-                    local=False,
-                    error=error,
-                )
-
-    async def _call(
-        self, service: str, method: MethodSpec, payload: bytes, opts: CallOptions
+        timeout: float,
+        trace: tuple[int, int],
+        deadline_ms: int,
     ) -> bytes:
-        import time
+        # The ids are the frozen build's; the HTTP wire spells out names.
+        component, method = self._pool.names[component_id, method_index]
+        return await self._pool.client.call(
+            self._address,
+            component,
+            method,
+            payload,
+            timeout=timeout,
+            deadline_ms=deadline_ms,
+            trace=trace,
+        )
 
-        budget_s = effective_budget_s(opts.deadline_s, self._timeout_s)
-        if budget_s <= 0:
-            raise DeadlineExceeded(
-                f"no budget left calling {service}.{method.name}", executed=False
-            )
-        deadline = time.monotonic() + budget_s
-        max_retries = self._max_retries if opts.retries is None else opts.retries
-        attempt = 0
-        backoff = self._retry_backoff_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlineExceeded(
-                    f"deadline exhausted calling {service}.{method.name}",
-                    executed=False,
-                )
-            address = self._mesh.resolve(service)
-            try:
-                return await self._client.call(
-                    address,
-                    service,
-                    method.name,
-                    payload,
-                    timeout=remaining,
-                    deadline_ms=budget_to_wire_ms(remaining),
-                    trace=current_context(),
-                )
-            except RPCError as exc:
-                if not exc.retryable or attempt >= max_retries:
-                    raise
-                if exc.executed and not method.idempotent:
-                    raise  # may have run server-side; don't double-execute
-                attempt += 1
-                self._client.drop(address)
-                backoff = decorrelated_jitter(
-                    backoff,
-                    base_s=self._retry_backoff_s,
-                    cap_s=self._retry_backoff_max_s,
-                )
-                if time.monotonic() + backoff >= deadline:
-                    raise DeadlineExceeded(
-                        f"budget exhausted retrying {service}.{method.name} "
-                        f"(after {attempt} attempts)",
-                        executed=exc.executed,
-                    ) from exc
-                await asyncio.sleep(backoff)
 
-    async def close(self) -> None:
-        await self._client.close()
+class _HttpPool:
+    """The ``RemoteInvoker`` pool of the baseline: every peer shares one
+    :class:`HttpRpcClient`, one request per connection as HTTP/1.1 allows."""
+
+    def __init__(self, build: FrozenRegistry) -> None:
+        self.client = HttpRpcClient()
+        self.names = {
+            (reg.component_id, m.index): (reg.name, m.name)
+            for reg in build
+            for m in reg.spec.methods
+        }
+
+    def live(self, address: str) -> _HttpPeer:
+        return _HttpPeer(self, address)
+
+    async def get(self, address: str) -> _HttpPeer:
+        return _HttpPeer(self, address)
+
+    def drop(self, address: str) -> None:
+        self.client.drop(address)
+
+
+def _http_invoker(
+    pool: _HttpPool,
+    mesh: ServiceMesh,
+    config: AppConfig,
+    codec_name: str,
+    tracer: Optional[Tracer],
+    call_graph: Optional[CallGraph] = None,
+) -> RemoteInvoker:
+    """The runtime's RPC client, addressing by name over the HTTP wire."""
+    return RemoteInvoker(
+        codec=codec_by_name(codec_name),
+        pool=pool,
+        resolver=mesh,
+        call_graph=call_graph,
+        timeout_s=config.call_timeout_s,
+        max_retries=config.max_retries,
+        tracer=tracer,
+    )
 
 
 class MicroserviceHost:
@@ -220,22 +163,24 @@ class MicroserviceHost:
         mesh: ServiceMesh,
         *,
         codec_name: str = "tagged",
-        settings: Optional[dict[str, Any]] = None,
+        config: Optional[AppConfig] = None,
         address: str = "tcp://127.0.0.1:0",
         tracer: Optional[Tracer] = None,
     ) -> None:
+        config = config or AppConfig()
         self.reg = reg
         self.build = build
         self.mesh = mesh
         self.tracer = tracer
         self._codec = codec_by_name(codec_name)
-        self._remote = HttpInvoker(mesh, codec_name=codec_name, tracer=tracer)
+        self._pool = _HttpPool(build)
+        self._remote = _http_invoker(self._pool, mesh, config, codec_name, tracer)
         # The hosted impl's ctx.get(...) resolves through the mesh: every
         # dependency is a remote microservice, exactly like production.
         self._local = LocalInvoker(
             version=build.version,
             resolver=self,
-            settings=settings or {},
+            settings=config.settings,
         )
         self._server = HttpRpcServer(self._handle, address=address)
         self.address: Optional[str] = None
@@ -255,7 +200,7 @@ class MicroserviceHost:
         if self.address is not None:
             self.mesh.deregister(self.reg.name, self.address)
         await self._server.stop()
-        await self._remote.close()
+        await self._pool.client.close()
 
     async def _handle(self, component: str, method: str, body: bytes) -> bytes:
         if component != self.reg.name:
@@ -269,25 +214,21 @@ class MicroserviceHost:
                 f"{component} has no method {method!r}", code=ErrorCode.INTERNAL
             )
         args = self._codec.decode(spec.arg_schema, body)
+        span = NOOP_SPAN
         if self.tracer is not None:
             # Join the caller's trace via the x-repro-trace header — the
             # propagation microservice stacks must hand-roll.
-            with self.tracer.start_span(
+            span = self.tracer.start_span(
                 f"serve {self.reg.name.rsplit('.', 1)[-1]}.{method}",
                 remote_parent=incoming_trace(),
                 component=self.reg.name,
-            ):
-                result = await self._local.invoke(
-                    self.reg, spec, tuple(args), caller="<http>"
-                )
-        else:
-            result = await self._local.invoke(
-                self.reg, spec, tuple(args), caller="<http>"
             )
+        with span:
+            result = await self._local.invoke(self.reg, spec, tuple(args), caller="<http>")
         return self._codec.encode(spec.result_schema, result)
 
 
-class BaselineApp:
+class BaselineApp(Application):
     """A full microservices deployment of an application.
 
     The Application-shaped handle for the status quo: ``get()`` returns
@@ -302,23 +243,15 @@ class BaselineApp:
         *,
         codec_name: str = "tagged",
     ) -> None:
-        self.build = build
-        self.config = config
+        super().__init__(build, config)
         self.codec_name = codec_name
         self.mesh = ServiceMesh()
-        self.call_graph = CallGraph()
         self.tracer = Tracer()
         self.hosts: dict[str, MicroserviceHost] = {}
-        self._client = HttpInvoker(
-            self.mesh,
-            codec_name=codec_name,
-            call_graph=self.call_graph,
-            tracer=self.tracer,
+        self._pool = _HttpPool(build)
+        self._client = _http_invoker(
+            self._pool, self.mesh, config, codec_name, self.tracer, self.call_graph
         )
-
-    @property
-    def version(self) -> str:
-        return self.build.version
 
     async def start(self) -> "BaselineApp":
         for reg in self.build:
@@ -327,7 +260,7 @@ class BaselineApp:
                 self.build,
                 self.mesh,
                 codec_name=self.codec_name,
-                settings=self.config.settings,
+                config=self.config,
                 tracer=self.tracer,
             )
             self.hosts[reg.name] = host
@@ -342,13 +275,7 @@ class BaselineApp:
         for host in self.hosts.values():
             await host.stop()
         self.hosts.clear()
-        await self._client.close()
-
-    async def __aenter__(self) -> "BaselineApp":
-        return self
-
-    async def __aexit__(self, *exc: Any) -> None:
-        await self.shutdown()
+        await self._pool.client.close()
 
 
 async def deploy_baseline(

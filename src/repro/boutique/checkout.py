@@ -24,7 +24,6 @@ from repro.boutique.types import (
     Address,
     CheckoutError,
     CreditCard,
-    Money,
     OrderItem,
     OrderResult,
     zero,

@@ -18,12 +18,10 @@ from repro.boutique.checkout import Checkout
 from repro.boutique.currency import Currency
 from repro.boutique.recommendation import Recommendation
 from repro.boutique.types import (
-    Ad,
     Address,
     CartItem,
     CreditCard,
     HomePage,
-    Money,
     OrderResult,
     Product,
 )

@@ -12,7 +12,7 @@ currency units plus ``nanos`` billionths, with matching signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 NANOS_PER_UNIT = 1_000_000_000
 

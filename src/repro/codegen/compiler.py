@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 import linecache
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, get_type_hints
+from typing import Callable, Optional, get_type_hints
 
 from repro.codegen.schema import ANY, Kind, NONE, Schema, schema_of
 from repro.core.errors import RegistrationError

@@ -33,12 +33,9 @@ from __future__ import annotations
 import inspect
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, TYPE_CHECKING, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.core.errors import RegistrationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.codegen.compiler import InterfaceSpec
 
 T = TypeVar("T", bound="Component")
 

@@ -268,10 +268,21 @@ class TraceStore:
                 children.setdefault(s.parent_id, []).append(s)
             else:
                 roots.append(s)
-        root = max(roots, key=lambda s: s.duration_s)
+        # With no parent-less span (ids forming a cycle), start from the
+        # earliest; a span already on the path is never taken again.
+        root = (
+            max(roots, key=lambda s: s.duration_s)
+            if roots
+            else min(spans, key=lambda s: s.start_s)
+        )
         path = [root]
-        while children.get(path[-1].span_id):
-            path.append(max(children[path[-1].span_id], key=lambda s: s.end_s))
+        on_path = {id(root)}
+        while True:
+            nexts = [c for c in children.get(path[-1].span_id, ()) if id(c) not in on_path]
+            if not nexts:
+                break
+            path.append(max(nexts, key=lambda s: s.end_s))
+            on_path.add(id(path[-1]))
         out: list[tuple[Span, float]] = []
         for i, span in enumerate(path):
             child = path[i + 1] if i + 1 < len(path) else None

@@ -315,7 +315,12 @@ NOOP_SPAN = _NoopSpan()
 
 
 def assemble_tree(spans: list[Span]) -> list[tuple[int, Span]]:
-    """Assemble spans into (depth, span) pre-order, tolerating orphans."""
+    """Assemble spans into (depth, span) pre-order, tolerating orphans.
+
+    Every span is placed exactly once.  Ids that form a cycle (a span
+    naming itself, or a duplicated id naming its twin, as parent) leave
+    spans no root reaches; the earliest of those starts a tree of its own.
+    """
     known = {s.span_id for s in spans}
     children: dict[Optional[int], list[Span]] = {}
     for s in spans:
@@ -324,13 +329,23 @@ def assemble_tree(spans: list[Span]) -> list[tuple[int, Span]]:
     for siblings in children.values():
         siblings.sort(key=lambda s: s.start_s)
     out: list[tuple[int, Span]] = []
+    placed: set[int] = set()  # id() of each placed span
 
-    def walk(parent: Optional[int], depth: int) -> None:
-        for s in children.get(parent, ()):
+    def walk(root: Span) -> None:
+        stack = [(0, root)]
+        while stack:
+            depth, s = stack.pop()
+            if id(s) in placed:
+                continue
+            placed.add(id(s))
             out.append((depth, s))
-            walk(s.span_id, depth + 1)
+            stack.extend((depth + 1, c) for c in reversed(children.get(s.span_id, ())))
 
-    walk(None, 0)
+    for root in children.get(None, ()):
+        walk(root)
+    if len(out) < len(spans):
+        for s in sorted(spans, key=lambda s: s.start_s):
+            walk(s)
     return out
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: Per-parameter cap on tracked distinct values; beyond it we only count.
 MAX_TRACKED_VALUES = 4096

@@ -20,7 +20,7 @@ nearly all of the co-location win on boutique-shaped graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.call_graph import CallGraph, ROOT

@@ -15,9 +15,8 @@ property tested in ``tests/runtime/test_routing.py``.  The manager builds
 assignments and pushes them to proclets; a replica that receives a key it
 no longer owns answers "unavailable", forcing the caller to refresh.
 
-Unrouted methods use :class:`LoadBalancer` (power-of-two-choices over
-per-address in-flight counts, degrading to round-robin when counts are
-unknown).
+Unrouted methods use :class:`LoadBalancer` (round robin over the
+replicas the circuit breakers admit).
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.core.errors import PlacementError
@@ -136,37 +134,21 @@ def build_assignment(
 
 
 class LoadBalancer:
-    """Replica picker for unrouted calls.
+    """Round-robin replica picker for unrouted calls.
 
-    Power-of-two-choices on in-flight counts when the caller reports them,
-    otherwise round-robin.  Deliberately simple: the paper's point is that
-    the *runtime* owns this decision, not that it is novel.
+    Deliberately simple: the paper's point is that the *runtime* owns this
+    decision, not that it is novel.
     """
 
-    def __init__(self, seed: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._rr = itertools.count()
-        self._rng = random.Random(seed)
-        self._inflight: dict[str, int] = {}
 
     def pick(self, replicas: Sequence[str]) -> str:
         if not replicas:
             raise PlacementError("no replicas to balance across")
         if len(replicas) == 1:
             return replicas[0]
-        if self._inflight:
-            a, b = self._rng.sample(list(replicas), 2)
-            return a if self._inflight.get(a, 0) <= self._inflight.get(b, 0) else b
         return replicas[next(self._rr) % len(replicas)]
-
-    def acquire(self, replica: str) -> None:
-        self._inflight[replica] = self._inflight.get(replica, 0) + 1
-
-    def release(self, replica: str) -> None:
-        count = self._inflight.get(replica, 0) - 1
-        if count <= 0:
-            self._inflight.pop(replica, None)
-        else:
-            self._inflight[replica] = count
 
 
 class RoutingTable:

@@ -29,7 +29,7 @@ would be unsafe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 from repro.codegen.schema import Schema, schema_of
 from repro.core.errors import DecodeError, EncodeError, RolloutError

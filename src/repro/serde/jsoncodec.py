@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from typing import Any
 
 from repro.codegen.schema import Kind, Schema

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.errors import ConfigError
 from repro.core.config import AutoscaleConfig
 from repro.observability.timeseries import TimeSeriesStore
-from repro.runtime.autoscaler import Autoscaler, steady_state_replicas
+from repro.runtime.autoscaler import Autoscaler
 from repro.sim.costmodel import StackCosts
 from repro.sim.engine import Resource, Simulator
 from repro.sim.profile import CallNode

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
-from repro.codegen.schema import Schema, schema_of
+from repro.codegen.schema import Schema
 from repro.serde import codec_by_name
 
 

@@ -26,13 +26,12 @@ from typing import Optional
 from repro.boutique import (
     ALL_COMPONENTS,
     Address,
-    CartItem,
     CreditCard,
     Frontend,
 )
 from repro.core.component import component_name
 from repro.core.config import AutoscaleConfig
-from repro.core.registry import Registry, global_registry
+from repro.core.registry import Registry
 from repro.runtime.autoscaler import steady_state_replicas
 from repro.sim.cluster import Deployment, build_deployment
 from repro.sim.costmodel import BASELINE_STACK, WEAVER_STACK, StackCosts

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from repro.sim.cluster import Deployment
-from repro.sim.engine import Simulator
 from repro.sim.profile import CallNode
 
 

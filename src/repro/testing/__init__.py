@@ -7,13 +7,12 @@
 """
 
 from repro.testing.chaos import ChaosMonkey, ChaosReport
-from repro.testing.faults import FaultInjectingInvoker, FaultPlan, FaultRule
+from repro.testing.faults import FaultPlan, FaultRule
 from repro.testing.harness import weavertest
 
 __all__ = [
     "ChaosMonkey",
     "ChaosReport",
-    "FaultInjectingInvoker",
     "FaultPlan",
     "FaultRule",
     "weavertest",

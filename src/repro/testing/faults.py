@@ -5,9 +5,12 @@
 
 A :class:`FaultPlan` decides, per invocation, whether to inject a failure
 (an :class:`~repro.core.errors.Unavailable`, an arbitrary exception, or an
-added delay).  :class:`FaultInjectingInvoker` wraps any invoker — local or
-remote — so the same plan drives single-process unit tests and real
-multiprocess deployments.
+added delay).  Invokers consult a plan through their ``fault_plan``
+attribute — :class:`~repro.core.stub.LocalInvoker` per call,
+:class:`~repro.transport.rpc.RemoteInvoker` per attempt — so the same plan
+drives single-process unit tests and real multiprocess deployments
+(:func:`~repro.testing.harness.weavertest` attaches it to the
+deployment's invokers).
 
 Plans are deterministic given a seed, so a failing chaos run can be
 replayed exactly.
@@ -19,7 +22,7 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.codegen.compiler import MethodSpec
 from repro.core.errors import Unavailable
@@ -124,26 +127,3 @@ class FaultPlan:
                     rule.injected += 1
                     self.total_injected += 1
                     raise rule.make_error()
-
-
-class FaultInjectingInvoker:
-    """Wrap any invoker with a fault plan."""
-
-    def __init__(self, inner: Any, plan: FaultPlan) -> None:
-        self._inner = inner
-        self.plan = plan
-
-    async def invoke(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        caller: str,
-        *,
-        options: Optional[Any] = None,
-    ) -> Any:
-        await self.plan.before_call(reg, method)
-        return await self._inner.invoke(reg, method, args, caller, options=options)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)

@@ -24,9 +24,8 @@ from repro.core.app import init
 from repro.core.config import AppConfig
 from repro.core.errors import ConfigError
 from repro.core.registry import Registry
-from repro.core.stub import LocalInvoker
 from repro.runtime.deployers.multi import deploy_multiprocess
-from repro.testing.faults import FaultInjectingInvoker, FaultPlan
+from repro.testing.faults import FaultPlan
 
 
 @contextlib.asynccontextmanager

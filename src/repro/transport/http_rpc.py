@@ -23,7 +23,6 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import itertools
-import logging
 import os
 import time
 from typing import Awaitable, Callable, Optional
@@ -32,15 +31,13 @@ from repro.core.errors import (
     DeadlineExceeded,
     ErrorCode,
     RemoteApplicationError,
-    ResourceExhausted,
     RPCError,
     TransportError,
     Unavailable,
+    error_from_code,
 )
 from repro.core.options import deadline_scope
 from repro.transport.server import parse_address
-
-log = logging.getLogger("repro.transport.http")
 
 #: Server handler: (component_name, method_name, body) -> response body.
 NamedHandler = Callable[[str, str, bytes], Awaitable[bytes]]
@@ -48,6 +45,13 @@ NamedHandler = Callable[[str, str, bytes], Awaitable[bytes]]
 _MAX_HEADER = 64 * 1024
 _MAX_BODY = 64 * 1024 * 1024
 _USER_AGENT = "repro-baseline/0.1"
+
+#: The status line of an RPCError reply; ``x-rpc-code`` carries the code.
+_HTTP_STATUS = {
+    ErrorCode.DEADLINE_EXCEEDED: 504,
+    ErrorCode.RESOURCE_EXHAUSTED: 429,
+    ErrorCode.UNAVAILABLE: 503,
+}
 
 #: Incoming trace context, set by the server around each handler call —
 #: the HTTP analogue of the framed transport's message trace fields.  The
@@ -161,28 +165,12 @@ class HttpRpcServer:
             else:
                 result = await self._handler(component, method_name, body)
             return 200, {"x-rpc-status": "ok"}, result
-        except DeadlineExceeded as exc:
-            return (
-                504,
-                {"x-rpc-status": "deadline", "x-rpc-executed": _executed(exc)},
-                str(exc).encode(),
-            )
-        except ResourceExhausted as exc:
-            return (
-                429,
-                {"x-rpc-status": "resource-exhausted", "x-rpc-executed": _executed(exc)},
-                str(exc).encode(),
-            )
-        except Unavailable as exc:
-            return (
-                503,
-                {"x-rpc-status": "unavailable", "x-rpc-executed": _executed(exc)},
-                str(exc).encode(),
-            )
         except RPCError as exc:
+            # The framed transport's (code, message, executed) triple, as
+            # headers; the status line is for HTTP middleboxes.
             return (
-                500,
-                {"x-rpc-status": "rpc-error", "x-rpc-executed": _executed(exc)},
+                _HTTP_STATUS.get(exc.code, 500),
+                {"x-rpc-code": str(int(exc.code)), "x-rpc-executed": str(int(exc.executed))},
                 str(exc).encode(),
             )
         except Exception as exc:
@@ -233,6 +221,9 @@ class HttpRpcClient:
             response = await asyncio.wait_for(
                 _read_http_message(reader, request_side=False), timeout
             )
+        except asyncio.CancelledError:
+            writer.close()  # e.g. a hedge's loser: its reply may still arrive
+            raise
         except asyncio.TimeoutError:
             writer.close()
             raise DeadlineExceeded(f"HTTP call to {component}.{method} timed out") from None
@@ -247,20 +238,16 @@ class HttpRpcClient:
         status = int(status_line)
         if status == 200:
             return reply_body
-        rpc_status = headers.get("x-rpc-status", "")
         text = reply_body.decode("utf-8", "replace")
-        executed = headers.get("x-rpc-executed", "1") != "0"
-        if status == 504 or rpc_status == "deadline":
-            raise DeadlineExceeded(text, executed=executed)
-        if status == 429 or rpc_status == "resource-exhausted":
-            err = ResourceExhausted(text)
-            err.executed = executed
-            raise err
-        if status == 503 or rpc_status == "unavailable":
-            raise Unavailable(text, executed=executed)
-        if rpc_status == "app-error":
+        if headers.get("x-rpc-status") == "app-error":
             raise RemoteApplicationError(headers.get("x-exc-type", "Exception"), text)
-        raise RPCError(f"HTTP {status}: {text}", code=ErrorCode.INTERNAL)
+        code = headers.get("x-rpc-code", "")
+        if not (code.isascii() and code.isdigit()):
+            # Refused before dispatch (a bad path): only the status says why.
+            code, text = "0", f"HTTP {status}: {text}"
+        raise error_from_code(
+            int(code), text, executed=headers.get("x-rpc-executed", "1") != "0"
+        )
 
     async def _checkout(self, address: str) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         stack = self._idle.get(address)
@@ -303,10 +290,6 @@ class HttpRpcClient:
     def drop(self, address: str) -> None:
         for _, writer in self._idle.pop(address, []):
             writer.close()
-
-
-def _executed(exc: RPCError) -> str:
-    return "1" if exc.executed else "0"
 
 
 def _format_request(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baseline.service import BaselineApp, ServiceMesh, deploy_baseline
+from repro.baseline.service import ServiceMesh, deploy_baseline
 from repro.core.errors import RemoteApplicationError, Unavailable
 
 from tests.conftest import Adder, Flaky, Greeter, KVStore
@@ -81,7 +81,6 @@ class TestParityWithWeaver:
     worlds — the measured differences are deployment-model only."""
 
     async def test_boutique_order_identical(self):
-        import asyncio
 
         from repro.boutique import ALL_COMPONENTS, Address, CreditCard, Frontend
         from repro.core.app import init

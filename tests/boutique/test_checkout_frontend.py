@@ -9,7 +9,6 @@ from repro.boutique import (
     Checkout,
     Email,
     Frontend,
-    ProductCatalog,
 )
 from repro.boutique.types import Address, CartItem, CheckoutError, CreditCard, Money
 

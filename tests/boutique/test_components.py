@@ -8,7 +8,6 @@ from repro.boutique import (
     Ads,
     Cart,
     CartStore,
-    Checkout,
     Currency,
     Email,
     Payment,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.app import init, run
+from repro.core.app import init
 from repro.core.errors import ComponentNotFound
 
 from tests.conftest import Adder, Greeter, KVStore

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.baseline.service import deploy_baseline
 from repro.boutique import (
     ALL_COMPONENTS,

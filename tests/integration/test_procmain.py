@@ -6,8 +6,6 @@ import asyncio
 import json
 import sys
 
-import pytest
-
 
 async def run_procmain(tmp_path, spec: dict) -> tuple[int, str]:
     spec_path = tmp_path / "spec.json"

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.boutique import ALL_COMPONENTS, Address, CreditCard, Frontend
 from repro.core.component import Component
 from repro.core.config import AppConfig

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
+import signal
 import struct
 
 import pytest
 
 from repro.observability.logs import LogBuffer, LogRecord
+from repro.observability.tracestore import TraceStore
 from repro.observability.tracing import Span, Tracer, assemble_tree, current_context
 
 
@@ -89,6 +92,64 @@ class TestAssembleTree:
         a = Span(trace_id=1, span_id=2, parent_id=1, name="a", start_s=1.0)
         tree = assemble_tree([root, b, a])
         assert [s.name for _, s in tree] == ["r", "a", "b"]
+
+
+@contextlib.contextmanager
+def within_one_second():
+    """Fail, rather than hang, if the body runs longer than 1 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("took longer than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def cyclic(*links: tuple[int, "int | None"]) -> list[Span]:
+    return [
+        Span(
+            trace_id=7,
+            span_id=sid,
+            parent_id=parent,
+            name=f"s{i}",
+            start_s=float(i),
+            end_s=float(i) + 1.0,
+        )
+        for i, (sid, parent) in enumerate(links)
+    ]
+
+
+#: Span ids that form a cycle: malformed input from outside the tracer.
+MALFORMED = {
+    "duplicate_id_names_its_twin": cyclic((1, None), (2, 1), (2, 2)),
+    "self_parented": cyclic((1, 1)),
+    "two_span_loop": cyclic((1, 2), (2, 1)),
+}
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+class TestMalformedIds:
+    def test_tree_places_every_span_once(self, case):
+        spans = MALFORMED[case]
+        with within_one_second():
+            tree = assemble_tree(spans)
+        assert sorted(id(s) for _, s in tree) == sorted(id(s) for s in spans)
+
+    def test_store_queries_return_each_span_once(self, case):
+        store = TraceStore()
+        store.ingest(MALFORMED[case])
+        with within_one_second():
+            tree = store.trace_tree(7)
+            path = store.critical_path(7)
+        assert sorted(s.name for _, s in tree) == sorted(s.name for s in MALFORMED[case])
+        names = [s.name for s, _ in path]
+        assert names and len(names) == len(set(names))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork-based test")

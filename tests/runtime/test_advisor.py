@@ -108,7 +108,7 @@ class TestAdvisorInRuntime:
         and check the advisor proposes user_id keys for cart methods that
         we deliberately leave unannotated (Cart itself; CartStore is
         @routed already and therefore excluded)."""
-        from repro.boutique import ALL_COMPONENTS, CartItem, Frontend
+        from repro.boutique import ALL_COMPONENTS, Frontend
         from repro.core.config import AppConfig
         from repro.runtime.deployers.multi import deploy_multiprocess
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.codegen.compiler import idempotent, routed
 from repro.core.component import Component
 from repro.core.config import AppConfig
@@ -146,7 +144,24 @@ class TestStaleAssignmentRedirect:
         group = next(iter(app.manager.group_states().values()))
         group.target_replicas = 2
         await app.manager._ensure_replicas(group, minimum=2)
-        await asyncio.sleep(0.2)  # let routing pushes land
+
+        def generations() -> set:
+            return {
+                getattr(e.proclet.state.assignment_for(component), "generation", None)
+                for e in app.envelopes.values()
+            }
+
+        # Let routing pushes land: every proclet of the group holds the
+        # manager's new generation.
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 5.0
+        while generations() != {app.manager._assignments[component].generation}:
+            assert loop.time() < deadline, (
+                f"routing pushes did not land within 5 s: proclets hold "
+                f"{generations()}, the manager "
+                f"{app.manager._assignments[component].generation}"
+            )
+            await asyncio.sleep(0.01)
 
         fresh = app.manager._assignments[component]
         assert fresh.generation > stale.generation

@@ -18,7 +18,6 @@ from repro.runtime.envelope import SubprocessEnvelope
 from repro.runtime.manager import Manager
 from repro.runtime.pipes import (
     ControlEndpoint,
-    MemoryPipe,
     PipeRuntimeAPI,
     StreamPipe,
     connect_unix,

@@ -10,7 +10,6 @@ from repro.runtime.rollout import (
     BlueGreenRollout,
     PinnedRequest,
     RollingUpdateModel,
-    RolloutReport,
     run_rollout,
 )
 

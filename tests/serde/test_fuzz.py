@@ -14,11 +14,10 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codegen.schema import schema_of
-from repro.core.errors import DecodeError, TransportError, WeaverError
+from repro.core.errors import DecodeError, TransportError
 from repro.serde import COMPACT, JSON, TAGGED
 from repro.transport import message as wire_msg
 
@@ -146,8 +145,6 @@ def test_compact_of_one_schema_never_panics_under_another():
 def test_malformed_control_messages_never_crash(data):
     """JSON-lines control plane: arbitrary line content fails cleanly."""
     import json
-
-    from repro.core.errors import RuntimeControlError
 
     try:
         parsed = json.loads(data)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pytest
-
 from repro.codegen.schema import schema_of
 from repro.sim.costmodel import (
     BASELINE_STACK,

@@ -6,8 +6,7 @@ import time
 
 import pytest
 
-from repro.boutique import ALL_COMPONENTS, CartItem, Frontend
-from repro.serde import COMPACT, JSON, TAGGED
+from repro.boutique import ALL_COMPONENTS, Frontend
 from repro.sim.profile import CODEC_NAMES, CallNode, recording_app
 from repro.serde import codec_by_name
 
@@ -54,7 +53,6 @@ class TestRecording:
         tree = await record_view_cart()
         fe = tree.children[0]
         # view_cart(user_id, currency) args: ("u1", "USD")
-        from repro.core.registry import global_registry
 
         assert fe.request_bytes["compact"] < fe.request_bytes["tagged"]
         assert fe.request_bytes["tagged"] <= fe.request_bytes["json"]

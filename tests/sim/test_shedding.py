@@ -10,8 +10,6 @@ deadline misses.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.cluster import build_deployment
 from repro.sim.costmodel import StackCosts
 from repro.sim.engine import Simulator

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.boutique import ALL_COMPONENTS
 from repro.core.config import AppConfig
 from repro.runtime.deployers.simcloud import BASELINE_STACK, WEAVER_STACK, deploy_simcloud

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.state.shard import Shard, ShardManifest
 from repro.state.store import StateStore
 from repro.state.wal import segment_files

@@ -8,10 +8,6 @@ own segments.
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
 from repro.state.snapshot import (
     prune_writer_files,
     read_snapshots,

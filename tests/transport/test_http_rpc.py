@@ -9,7 +9,6 @@ import pytest
 from repro.core.errors import (
     DeadlineExceeded,
     RemoteApplicationError,
-    RPCError,
     Unavailable,
 )
 from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer, _format_request

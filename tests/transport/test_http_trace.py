@@ -9,8 +9,6 @@ the baseline deployment.
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.baseline.service import deploy_baseline
 from repro.transport.http_rpc import (
     HttpRpcClient,
@@ -86,14 +84,14 @@ class TestWireRoundTrip:
 
 class TestBaselineLinkage:
     async def test_client_and_server_spans_link_end_to_end(self, demo_registry):
-        """driver -> http Greeter.greet -> serve Greeter.greet, joined by
+        """driver -> rpc Greeter.greet -> serve Greeter.greet, joined by
         the header; the nested Adder hop stays in the same trace."""
         app = await deploy_baseline(registry=demo_registry)
         try:
             assert await app.get(Greeter).greet("bob") == "Hello, bob! (4)"
 
             spans = app.tracer.spans()
-            clients = [s for s in spans if s.name == "http Greeter.greet"]
+            clients = [s for s in spans if s.name == "rpc Greeter.greet"]
             servers = [s for s in spans if s.name == "serve Greeter.greet"]
             assert clients and servers
             client, server = clients[0], servers[0]
@@ -105,7 +103,7 @@ class TestBaselineLinkage:
             names_in_trace = {
                 s.name for s in spans if s.trace_id == client.trace_id
             }
-            assert "http Adder.add" in names_in_trace
+            assert "rpc Adder.add" in names_in_trace
             assert "serve Adder.add" in names_in_trace
         finally:
             await app.shutdown()
