@@ -1,9 +1,10 @@
 """Email component — port of the demo's emailservice.
 
 Renders the order-confirmation message (the demo uses a Jinja template;
-ours is a format string with the same fields) and records it in an
-in-memory outbox instead of talking SMTP — the delivery side is exactly
-the kind of external service §8.2 says need not be a component.
+ours is a format string with the same fields) and counts it as sent
+instead of talking SMTP — the delivery side is exactly the kind of
+external service §8.2 says need not be a component.  Like the demo's
+emailservice, it keeps no message once it has been returned.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class Email(Component):
 @implements(Email)
 class EmailImpl:
     def __init__(self) -> None:
-        self._outbox: list[OrderConfirmation] = []
+        self._sent = 0
 
     async def send_order_confirmation(self, email: str, order: OrderResult) -> OrderConfirmation:
         if "@" not in email:
@@ -44,9 +45,8 @@ class EmailImpl:
             f"Shipping: {shipping.units}.{shipping.nanos // 10_000_000:02d} "
             f"{shipping.currency_code}"
         )
-        confirmation = OrderConfirmation(email=email, order=order, body="\n".join(lines))
-        self._outbox.append(confirmation)
-        return confirmation
+        self._sent += 1
+        return OrderConfirmation(email=email, order=order, body="\n".join(lines))
 
     async def sent_count(self) -> int:
-        return len(self._outbox)
+        return self._sent

@@ -51,7 +51,7 @@ class PaymentImpl:
 
     def __init__(self) -> None:
         self._seq = itertools.count(1)
-        self._charged: list[ChargeResult] = []
+        self.charges = 0  # charges made (the at-most-once oracle); none is kept
 
     async def charge(self, amount: Money, card: CreditCard) -> ChargeResult:
         compact = card.number.replace(" ", "").replace("-", "")
@@ -70,6 +70,5 @@ class PaymentImpl:
             raise PaymentError(f"charge amount must be positive, got {amount}")
         seq = next(self._seq)
         token = hashlib.sha1(f"{compact}|{seq}".encode()).hexdigest()[:16]
-        result = ChargeResult(transaction_id=f"txn-{token}", amount=amount)
-        self._charged.append(result)
-        return result
+        self.charges += 1
+        return ChargeResult(transaction_id=f"txn-{token}", amount=amount)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
@@ -32,53 +33,51 @@ class Point:
 
 
 class RingSeries:
-    """One bounded series of (timestamp, value) points."""
+    """One bounded series of (timestamp, value) points: two ``array('d')``
+    that grow to ``capacity``, then overwrite the oldest point in place."""
 
-    __slots__ = ("name", "_capacity", "_ts", "_values", "_next", "_size")
+    __slots__ = ("name", "_capacity", "_ts", "_values", "_next")
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         self.name = name
         self._capacity = capacity
-        self._ts: list[float] = [0.0] * capacity
-        self._values: list[float] = [0.0] * capacity
-        self._next = 0
-        self._size = 0
+        self._ts = array("d")
+        self._values = array("d")
+        self._next = 0  # the oldest point's slot once full; 0 until then
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._ts)
 
     def append(self, ts: float, value: float) -> None:
+        if len(self._ts) < self._capacity:
+            self._ts.append(ts)
+            self._values.append(value)
+            return
         self._ts[self._next] = ts
         self._values[self._next] = value
         self._next = (self._next + 1) % self._capacity
-        self._size = min(self._size + 1, self._capacity)
 
     def points(self, since: float = 0.0) -> list[Point]:
         """Points with ts >= ``since``, oldest first."""
-        out: list[Point] = []
-        start = (self._next - self._size) % self._capacity
-        for i in range(self._size):
-            idx = (start + i) % self._capacity
-            if self._ts[idx] >= since:
-                out.append(Point(self._ts[idx], self._values[idx]))
-        return out
+        n = len(self._ts)
+        return [
+            Point(self._ts[i % n], self._values[i % n])
+            for i in range(self._next, self._next + n)
+            if self._ts[i % n] >= since
+        ]
 
     def tail(self, last: int) -> list[Point]:
         """The newest ``last`` points, oldest first (no walk of the whole ring)."""
-        cap = self._capacity
+        n = len(self._ts)
         return [
-            Point(self._ts[i % cap], self._values[i % cap])
-            for i in range(self._next - min(last, self._size), self._next)
+            Point(self._ts[i % n], self._values[i % n])
+            for i in range(self._next - min(last, n), self._next)
         ]
 
-    def values(self, last: Optional[int] = None) -> list[float]:
-        pts = self.points() if last is None else self.tail(last)
-        return [p.value for p in pts]
-
     def latest(self) -> Optional[Point]:
-        if not self._size:
+        if not self._ts:
             return None
-        idx = (self._next - 1) % self._capacity
+        idx = (self._next - 1) % len(self._ts)
         return Point(self._ts[idx], self._values[idx])
 
     def window_sum(self, window_s: float, now: Optional[float] = None) -> float:
@@ -105,16 +104,16 @@ class TimeSeriesStore:
         self._wire: Optional[tuple[int, dict[str, Any]]] = None
 
     def series(self, name: str, scope: str = "_total") -> RingSeries:
-        key = (name, scope)
-        s = self._series.get(key)
-        if s is None:
-            s = self._series[key] = RingSeries(name, self._capacity)
-            self._wire = None
-        return s
+        """The series at (name, scope), or an empty one stored nowhere."""
+        s = self._series.get((name, scope))
+        return RingSeries(name, 0) if s is None else s
 
     def record(self, name: str, scope: str, ts: float, value: float) -> None:
         self._wire = None
-        self.series(name, scope).append(ts, value)
+        s = self._series.get((name, scope))
+        if s is None:
+            s = self._series[(name, scope)] = RingSeries(name, self._capacity)
+        s.append(ts, value)
 
     def names(self) -> list[tuple[str, str]]:
         return sorted(self._series)

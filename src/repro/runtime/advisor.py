@@ -5,8 +5,9 @@
 
 The :class:`RoutingAdvisor` watches method invocations and keeps bounded
 per-argument statistics: how often values repeat, and over how many
-distinct values traffic spreads.  A parameter makes a good routing key
-when
+distinct values traffic spreads (a bottom-k sketch: exact up to
+``SKETCH_K`` distinct values, an estimate beyond).  A parameter makes a
+good routing key when
 
 * values **repeat** (affinity pays: the same key hits a warm replica) —
   measured as ``repeat_rate = 1 - distinct/calls``;
@@ -28,50 +29,64 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from heapq import heappush, heapreplace
 from typing import Any
 
-#: Per-parameter cap on tracked distinct values; beyond it we only count.
-MAX_TRACKED_VALUES = 4096
+#: Bottom-k sketch size: ``distinct`` is exact below K distinct values and
+#: an estimate (relative error ~1/sqrt(K)) above, in bounded memory.
+SKETCH_K = 256
+_NO_CUTOFF = 1 << 63  # above every hash: ``hash`` is a signed 64-bit int
 
 
 @dataclass
 class ParamStats:
     calls: int = 0
     unhashable: bool = False
-    #: Distinct observed values (bounded); overflow counts distinct only.
-    values: set = field(default_factory=set)
-    overflowed: bool = False
+    #: The K smallest distinct hashes seen (a bottom-k sketch), and the
+    #: same hashes negated in a heap, so the largest is at ``_heap[0]``.
+    hashes: set = field(default_factory=set)
+    _heap: list = field(default_factory=list)
+    #: The largest kept hash once K are kept: only smaller ones get in.
+    _cutoff: int = _NO_CUTOFF
 
     def observe(self, value: Any) -> None:
         self.calls += 1
-        if self.unhashable or self.overflowed:
+        if self.unhashable:
             return  # nothing more to learn: only the count moves
         try:
-            key = hash((type(value).__name__, value))
+            key = hash((type(value), value))
         except TypeError:
-            self.unhashable = True
-            self.values.clear()
+            self.unhashable = True  # the sketch stays as it is: bounded
             return
-        if len(self.values) < MAX_TRACKED_VALUES:
-            self.values.add(key)
-        elif key not in self.values:
-            self.overflowed = True
+        # Compared before the set is touched: once K are kept, almost
+        # every new value hashes above the cutoff.
+        if key >= self._cutoff or key in self.hashes:
+            return
+        self.hashes.add(key)
+        if len(self._heap) < SKETCH_K:
+            heappush(self._heap, -key)
+        else:
+            self.hashes.discard(-heapreplace(self._heap, -key))
+        if len(self._heap) == SKETCH_K:
+            self._cutoff = -self._heap[0]
 
     def reset(self) -> None:
-        self.calls = 0
-        self.unhashable = self.overflowed = False
-        self.values.clear()
+        self.calls, self.unhashable, self._cutoff = 0, False, _NO_CUTOFF
+        self.hashes.clear()
+        self._heap.clear()
 
     @property
     def distinct(self) -> int:
-        return len(self.values)
+        if len(self.hashes) < SKETCH_K:
+            return len(self.hashes)
+        # The K-th smallest of n uniform hashes sits near K/n of the range.
+        estimate = (SKETCH_K - 1) * 2**64 / (self._cutoff + _NO_CUTOFF)
+        return min(self.calls, round(estimate))
 
     @property
     def repeat_rate(self) -> float:
         if self.calls == 0 or self.unhashable:
             return 0.0
-        if self.overflowed:
-            return 0.0  # effectively unique values: no affinity to exploit
         return 1.0 - self.distinct / self.calls
 
 
@@ -158,7 +173,7 @@ class RoutingAdvisor:
         for (component, method, param), s in stats.items():
             if (component, method) in routed:
                 continue
-            if s.calls < min_calls or s.unhashable or s.overflowed:
+            if s.calls < min_calls or s.unhashable:
                 continue
             if s.distinct < min_distinct or s.repeat_rate < min_repeat_rate:
                 continue

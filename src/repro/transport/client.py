@@ -8,7 +8,7 @@ coalesced behind a per-address lock.  A dial is ``loop.create_connection``
 with a fresh :class:`Connection` as the protocol: it sends HELLO once
 connected, and the dial returns when WELCOME resolves its ``ready`` future —
 each step bounded by ``connect_timeout``.  Every dialed connection reads
-into the one buffer the pool lends it.  Only a connection that is already
+into its event loop's one buffer.  Only a connection that is already
 closed is evicted after a failed call: an UNAVAILABLE *reply* (a draining
 door, a component hosted elsewhere, a wrong shard owner) comes from a
 healthy peer over a healthy connection that other calls are still using.
@@ -26,7 +26,7 @@ import logging
 from typing import Optional
 
 from repro.core.errors import RPCError, TransportError, Unavailable
-from repro.transport.connection import READ_BUFFER_BYTES, Connection
+from repro.transport.connection import Connection
 from repro.transport.server import parse_address
 from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
@@ -50,8 +50,6 @@ class ConnectionPool:
         self._compress = compress
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
-        # Lent to every dialed connection: they all read on this loop.
-        self._read_buffer = bytearray(READ_BUFFER_BYTES)
         self._connections: dict[str, Connection] = {}
         self._locks: dict[str, asyncio.Lock] = {}
 
@@ -97,7 +95,6 @@ class ConnectionPool:
             compress=self._compress,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
-            read_buffer=self._read_buffer,
         )
         try:
             if scheme == "tcp":

@@ -22,10 +22,9 @@ the transport's callback — a reply resolves its call's future, a request
 becomes a server task, stream and control frames go to their handlers.
 
 The transport reads with ``recv_into`` straight into memory the runtime
-owns: a ``READ_BUFFER_BYTES`` buffer *lent* by the connection's owner.
-``RPCServer`` and ``ConnectionPool`` each allocate one and lend it to every
-connection they create, so a proclet — one event loop — holds two, however
-many peers it talks to (a connection built without one allocates its own).
+owns: one ``READ_BUFFER_BYTES`` buffer per event loop, lent to every
+connection on that loop, so a proclet — one event loop — holds one however
+many peers it serves and dials, and so does a whole ``inproc`` deployment.
 The plain :class:`asyncio.Protocol` read path asks the socket for a fresh
 256 KiB ``bytes`` per read instead, which costs an mmap/munmap pair or a
 heap trim for a 20-byte frame, depending on the allocator's state.
@@ -35,7 +34,7 @@ handshake copies into ``_greeting``; ``FrameParser.feed`` copies each
 completed frame out as ``bytes`` and keeps a partial tail in its own
 buffer; and nothing the callback does re-enters another connection's read
 — futures, ``create_task`` and ``connection_lost`` are scheduled, not run
-inline.
+inline.  Both hold per loop, whichever end created the connection.
 
 Writes are *coalesced adaptively*: senders append wire-ready chunks to an
 outbox (a synchronous append — no lock, no await), and the first append in
@@ -68,7 +67,8 @@ the handler sees as ``asyncio.current_task()``.  The connection that
 created the Task also enforces the request's wire budget, as one more
 entry on the timeout heap (one timer) that bounds this side's outgoing
 calls: when it comes due the sweep cancels the Task and ``_serve_one``
-answers ``DEADLINE_EXCEEDED``.  Nothing else is allocated per request.
+answers ``DEADLINE_EXCEEDED``; the Task drops itself from its entry when
+it ends.  Nothing else is allocated per request.
 
 A connection owns its server tasks (one per request being served, plus
 slow control-frame sends), one flush callback and one timeout timer, and
@@ -83,6 +83,7 @@ import asyncio
 import collections
 import itertools
 import logging
+import weakref
 from heapq import heapify, heappop, heappush
 from typing import Awaitable, Callable, Optional
 
@@ -133,6 +134,17 @@ MAX_HANDSHAKE = 513
 #: frame straddles two, which the parser handles.
 READ_BUFFER_BYTES = 64 * 1024
 
+#: Each event loop's one read buffer, lent to every connection on it.
+_READ_BUFFERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def loop_read_buffer(loop: asyncio.AbstractEventLoop) -> bytearray:
+    """The buffer every connection on ``loop`` reads into."""
+    buf = _READ_BUFFERS.get(loop)
+    if buf is None:
+        buf = _READ_BUFFERS[loop] = bytearray(READ_BUFFER_BYTES)
+    return buf
+
 
 class Connection(asyncio.BufferedProtocol):
     """One connection (either end), from connect to close.
@@ -142,10 +154,9 @@ class Connection(asyncio.BufferedProtocol):
     accepting end passes ``on_ready``, called with the connection once the
     peer's HELLO checked out and WELCOME is on its way.
 
-    ``read_buffer`` is the memory socket reads land in, lent by the
-    connection's owner and possibly shared with the owner's other
-    connections on the same loop; None allocates a private one.  No object
-    a read produces aliases it once :meth:`buffer_updated` returns.
+    Socket reads land in :func:`loop_read_buffer`, shared with every other
+    connection on the loop.  No object a read produces aliases it once
+    :meth:`buffer_updated` returns.
     """
 
     def __init__(
@@ -160,7 +171,6 @@ class Connection(asyncio.BufferedProtocol):
         stream_threshold: int = STREAM_THRESHOLD,
         stream_chunk: int = STREAM_CHUNK_BYTES,
         stream_window: int = STREAM_WINDOW,
-        read_buffer: Optional[bytearray] = None,
     ) -> None:
         self._codec = codec
         self._version = version
@@ -177,9 +187,7 @@ class Connection(asyncio.BufferedProtocol):
         )
         self._lost = self._loop.create_future()  # done once torn down
         self._greeting: Optional[bytearray] = bytearray()  # None once handshaken
-        self._read_buffer = memoryview(
-            read_buffer if read_buffer is not None else bytearray(READ_BUFFER_BYTES)
-        )
+        self._read_buffer = memoryview(loop_read_buffer(self._loop))
         self._parser = FrameParser()
         self._req_ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
@@ -198,11 +206,11 @@ class Connection(asyncio.BufferedProtocol):
         self._paused = False  # the transport's buffer is above its high water
         self._can_send = asyncio.Event()
         self._can_send.set()
-        # Timeouts: a heap of (when, key, ...) tuples behind ONE armed
+        # Timeouts: a heap of [when, key, ...] entries behind ONE armed
         # TimerHandle, instead of a loop timer per call.  key > 0 is the
         # req_id of an outgoing call; key <= 0 is minus the req_id of a
-        # request served under a budget, and the entry ends with its task.
-        # Entries for finished work are dropped lazily at sweep/compact time.
+        # request served under a budget, whose task it holds until the task
+        # ends.  Entries for finished work are dropped lazily at sweep/compact time.
         self._timeouts: list = []
         self._timeout_timer: Optional[asyncio.TimerHandle] = None
         self._stream_threshold = stream_threshold
@@ -530,15 +538,15 @@ class Connection(asyncio.BufferedProtocol):
 
     # -- timeouts: outgoing calls and served requests' budgets --------------------
 
-    def _arm_timeout(self, timeout: float, key: int, *what) -> float:
-        """Put ``(when, key, timeout, *what)`` on the heap; returns ``when``."""
+    def _arm_timeout(self, timeout: float, key: int, *what) -> list:
+        """Put ``[when, key, timeout, *what]`` on the heap and return it."""
         # One shared timer per connection beats wait_for (a wrapper task
         # per call) and call_later (a TimerHandle per call): registering a
-        # timeout is a tuple push onto a heap, and the single armed timer
+        # timeout is a list push onto a heap, and the single armed timer
         # sweeps everything due when it fires.
         loop = self._loop
         when = loop.time() + timeout
-        heappush(self._timeouts, (when, key, timeout, *what))
+        heappush(self._timeouts, entry := [when, key, timeout, *what])
         timer = self._timeout_timer
         if timer is None:
             self._timeout_timer = loop.call_at(when, self._sweep_timeouts)
@@ -549,7 +557,7 @@ class Connection(asyncio.BufferedProtocol):
             len(self._pending) + len(self._server_tasks)
         ):
             self._compact_timeouts()
-        return when
+        return entry
 
     def _sweep_timeouts(self) -> None:
         """Fail every pending call, and cancel every served request, whose
@@ -561,7 +569,8 @@ class Connection(asyncio.BufferedProtocol):
             entry = heappop(heap)
             key = entry[1]
             if key <= 0:
-                entry[3].cancel()  # no-op on a finished task; see _serve_one
+                if entry[3] is not None:  # None: the request has ended
+                    entry[3].cancel()
                 continue
             future = self._pending.get(key)
             if future is None or future.done():
@@ -583,7 +592,7 @@ class Connection(asyncio.BufferedProtocol):
         pending = self._pending
         self._timeouts = [
             e for e in self._timeouts
-            if (e[1] in pending if e[1] > 0 else not e[3].done())
+            if (e[1] in pending if e[1] > 0 else e[3] is not None)
         ]
         heapify(self._timeouts)
 
@@ -696,6 +705,7 @@ class Connection(asyncio.BufferedProtocol):
 
     async def _serve_one(self, request: "bytes | msg.Request") -> None:
         task = asyncio.current_task()
+        budget = None  # the request's timeout-heap entry
         try:
             if type(request) is not msg.Request:
                 try:
@@ -712,11 +722,10 @@ class Connection(asyncio.BufferedProtocol):
                 )
                 return
             deadline_ms = request.deadline_ms
-            cut_at = 0.0
             if deadline_ms > 0:
                 # The caller's budget, enforced here because this connection
                 # owns the task: the sweep cancels it when the budget is spent.
-                cut_at = self._arm_timeout(deadline_ms / 1000.0, -req_id, task)
+                budget = self._arm_timeout(deadline_ms / 1000.0, -req_id, task)
             payload: bytes = b""
             try:
                 result = await self._handler(
@@ -746,7 +755,7 @@ class Connection(asyncio.BufferedProtocol):
                 if isinstance(exc, asyncio.CancelledError):
                     # Only the sweep's cancel becomes a reply; teardown's (or a
                     # stranger's, before the budget is spent) stays a cancellation.
-                    if self._closed or not cut_at or self._loop.time() < cut_at:
+                    if self._closed or budget is None or self._loop.time() < budget[0]:
                         raise
                     exc = DeadlineExceeded(
                         f"component {request.component_id} method {request.method_index} "
@@ -766,6 +775,8 @@ class Connection(asyncio.BufferedProtocol):
                 pass  # peer is gone; connection_lost tears down
         finally:
             self._server_tasks.discard(task)
+            if budget is not None:
+                budget[3] = None  # the heap must not keep a finished task
 
 
 def _text(exc: BaseException) -> str:

@@ -6,7 +6,7 @@ every component replica it hosts.  Each accepted socket gets a
 :class:`~repro.transport.connection.Connection` as its protocol, which
 enforces the version handshake before any request is dispatched; the server
 tracks a connection only once that handshake has succeeded.  Every accepted
-connection reads into the one buffer the server lends it (see
+connection reads into its event loop's one buffer (see
 :mod:`repro.transport.connection` for why sharing it is safe).
 
 Addresses are strings: ``tcp://127.0.0.1:9000`` or ``unix:///tmp/p.sock``.
@@ -24,7 +24,7 @@ import os
 from typing import Optional
 
 from repro.core.errors import ConfigError, ResourceExhausted
-from repro.transport.connection import READ_BUFFER_BYTES, Connection, Handler
+from repro.transport.connection import Connection, Handler
 from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
 log = logging.getLogger("repro.transport")
@@ -151,8 +151,6 @@ class RPCServer:
         self._stream_threshold = stream_threshold
         self._stream_chunk = stream_chunk
         self._requested = address
-        # Lent to every accepted connection: they all read on this loop.
-        self._read_buffer = bytearray(READ_BUFFER_BYTES)
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[Connection] = set()
         self.address: str = address
@@ -187,7 +185,6 @@ class RPCServer:
             compress=self._compress,
             stream_threshold=self._stream_threshold,
             stream_chunk=self._stream_chunk,
-            read_buffer=self._read_buffer,
         )
 
     def _register(self, conn: Connection) -> None:

@@ -59,14 +59,14 @@ async def test_charge_at_most_once_under_ambiguous_faults():
         # The injected failure was ambiguous, so the charge was issued at
         # most once — and since injection preempted it, exactly zero times.
         assert plan.total_injected == 1
-        assert len(payment_instance(app)._charged) == 0
+        assert payment_instance(app).charges == 0
 
         # The fault budget is spent: the next checkout goes through, and
         # the card carries exactly one charge in total.
         await fe.add_to_cart(user, "OLJCESPC7Z", 1)
         order = await fe.checkout(user, "USD", ADDRESS, f"{user}@x.com", CARD)
         assert order.order_id
-        assert len(payment_instance(app)._charged) == 1
+        assert payment_instance(app).charges == 1
 
 
 async def test_checkout_succeeds_despite_faults_on_idempotent_reads():
@@ -88,4 +88,4 @@ async def test_checkout_succeeds_despite_faults_on_idempotent_reads():
             await fe.add_to_cart(user, "OLJCESPC7Z", 1)
             order = await fe.checkout(user, "USD", ADDRESS, f"{user}@x.com", CARD)
             assert order.order_id
-        assert len(payment_instance(app)._charged) == 3
+        assert payment_instance(app).charges == 3

@@ -27,6 +27,22 @@ class TestRingSeries:
         assert len(s) == 4
         assert [p.value for p in s.points()] == [6.0, 7.0, 8.0, 9.0]
 
+    def test_every_read_matches_a_list_model_through_the_wrap(self):
+        cap = 5
+        s = RingSeries("x", capacity=cap)
+        model: list[tuple[float, float]] = []
+        for i in range(13):
+            s.append(float(i), i * 1.5)
+            model = (model + [(float(i), i * 1.5)])[-cap:]
+            assert [(p.ts, p.value) for p in s.points()] == model
+            assert [(p.ts, p.value) for p in s.points(since=i - 2.0)] == [
+                m for m in model if m[0] >= i - 2.0
+            ]
+            for last in (1, 3, cap, cap + 2):
+                assert [(p.ts, p.value) for p in s.tail(last)] == model[-last:]
+            assert (s.latest().ts, s.latest().value) == model[-1]
+            assert len(s) == len(model)
+
     def test_points_since_filters_by_timestamp(self):
         s = RingSeries("x", capacity=8)
         for i in range(6):
@@ -64,6 +80,23 @@ class TestTimeSeriesStore:
             store.record("rps", "_total", float(i), float(i))
         pts = store.query("rps", window_s=3.0)
         assert [p.ts for p in pts] == [6.0, 7.0, 8.0, 9.0]
+
+    def test_reading_an_unknown_series_creates_nothing(self):
+        """Queries, ``latest`` and an SLO's burn-rate read of a (name,
+        scope) never recorded answer empty and leave the store as it was,
+        cached wire answer included."""
+        from repro.observability.signals import Slo
+
+        store = TimeSeriesStore()
+        store.record("rps", "_total", 1.0, 5.0)
+        wire = store.to_wire()
+        assert store.query("rps", "Cart") == []
+        assert store.query("p99_ms", window_s=5.0) == []
+        assert store.latest("rps", "Cart") is None
+        slo = Slo(name="availability", good="requests", bad="errors", scope="Cart")
+        assert slo.evaluate(store, 2.0).value == 0
+        assert store.names() == [("rps", "_total")]
+        assert store.to_wire() is wire
 
     def test_to_wire_is_jsonable_and_bounded(self):
         import json

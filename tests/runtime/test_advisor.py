@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.advisor import MAX_TRACKED_VALUES, ParamStats, RoutingAdvisor
+from repro.runtime.advisor import SKETCH_K, ParamStats, RoutingAdvisor
 
 
 def feed(advisor, component, method, names, rows):
@@ -34,11 +34,22 @@ class TestParamStats:
         assert s.repeat_rate == 0.0
 
     def test_overflow_means_no_affinity(self):
+        """Past the sketch's K, unique values still read as unique: no
+        affinity, and a distinct count near the truth."""
+        advisor = RoutingAdvisor()
+        n = 4106
+        feed(advisor, "app.Svc", "m", ("request_id",), [(i,) for i in range(n)])
+        assert advisor.suggestions() == []
+        (s,) = advisor.bind("app.Svc", "m", ("request_id",))
+        assert s.repeat_rate <= 0.1
+        assert abs(s.distinct - n) <= 0.15 * n
+
+    def test_memory_is_bounded_by_the_sketch(self):
         s = ParamStats()
-        for i in range(MAX_TRACKED_VALUES + 10):
-            s.observe(i)
-        assert s.overflowed
-        assert s.repeat_rate == 0.0
+        for i in range(100_000):
+            s.observe(f"v{i}")
+        assert len(s.hashes) <= SKETCH_K == 256
+        assert s.calls == 100_000
 
     def test_type_distinguishes_values(self):
         s = ParamStats()
@@ -87,6 +98,16 @@ class TestAdvisor:
         advisor.observe("app.Store", "get", ("key",), ("k1",), already_routed=True)
         feed(advisor, "app.Store", "get", ("key",), [("a",)] * 50)
         assert advisor.suggestions() == []
+
+    def test_many_repeating_keys_are_suggested(self):
+        """5,000 users making 20 calls each is a perfect routing key, even
+        though far more users exist than the sketch keeps."""
+        advisor = RoutingAdvisor()
+        rows = [(f"user-{i % 5000}",) for i in range(100_000)]
+        feed(advisor, "app.Cart", "get", ("user_id",), rows)
+        (s,) = advisor.suggestions()
+        assert s.param == "user_id"
+        assert s.repeat_rate >= 0.9
 
     def test_best_param_per_method(self):
         advisor = RoutingAdvisor()

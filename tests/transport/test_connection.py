@@ -20,7 +20,12 @@ from repro.core.errors import (
 from repro.transport import framing
 from repro.transport import message as msg
 from repro.transport.client import ConnectionPool
-from repro.transport.connection import MAX_HANDSHAKE, SEND_HIGH_WATER, Connection
+from repro.transport.connection import (
+    MAX_HANDSHAKE,
+    SEND_HIGH_WATER,
+    Connection,
+    loop_read_buffer,
+)
 from repro.transport.framing import MAX_FRAME, frame_chunks, new_frame
 from repro.transport.server import RPCServer
 
@@ -273,6 +278,37 @@ def serving_a_budgeted_request(server_conn) -> int:
     return server_conn.frames_sent
 
 
+def finished_tasks_held_by(conn) -> list:
+    """Finished Tasks reachable from ``conn``'s attributes through plain
+    containers (its heap, sets, dicts and deques)."""
+    seen, found = set(), []
+    stack = list(vars(conn).values())
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, asyncio.Task):
+            found += [x] if x.done() else []
+        elif isinstance(x, (list, tuple, set, collections.deque)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+    return found
+
+
+async def test_served_budgets_do_not_pin_finished_tasks():
+    """A budgeted request's heap entry outlives its Task until a sweep or
+    a compaction drops it; the Task must not stay alive with it."""
+    async with Harness() as h:
+        conn = await h.pool.get(h.address)
+        for _ in range(200):
+            await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
+        await asyncio.sleep(0)  # the last serving task's finally has run
+        assert h.server_conn._timeouts  # entries stay until sweep/compaction
+        assert finished_tasks_held_by(h.server_conn) == []
+
+
 async def test_peer_hangup_leaves_no_task_or_timer():
     async with Harness() as h:
         conn = await h.pool.get(h.address)
@@ -468,8 +504,8 @@ async def test_read_path_allocation_budget():
         conn = await h.pool.get(h.address)
         for _ in range(20):  # warm: budgets' timers armed, writes direct
             await conn.call(0, 1, b"x", timeout=30, deadline_ms=30_000)
-        assert conn._read_buffer.obj is h.pool._read_buffer
-        assert h.server_conn._read_buffer.obj is h.server._read_buffer
+        buffer = loop_read_buffer(asyncio.get_running_loop())
+        assert conn._read_buffer.obj is h.server_conn._read_buffer.obj is buffer
         loop = asyncio.get_running_loop()
         debug = loop.get_debug()
         loop.set_debug(False)  # -X dev: no creation traceback per handle
@@ -585,7 +621,8 @@ async def test_connections_sharing_a_read_buffer_keep_their_own_frames():
     pool = ConnectionPool(codec="compact", version="v1")
     try:
         a, b = [await pool.get(address) for _, address in peers]
-        assert a._read_buffer.obj is b._read_buffer.obj is pool._read_buffer
+        buffer = loop_read_buffer(asyncio.get_running_loop())
+        assert a._read_buffer.obj is b._read_buffer.obj is buffer
 
         async def caller(conn, tag: bytes, n: int):
             for i in range(n):
