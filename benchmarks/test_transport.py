@@ -15,7 +15,7 @@ import pytest
 
 from benchmarks.conftest import print_table
 from repro.transport.client import ConnectionPool
-from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer, _format_request
+from repro.transport.http_rpc import HttpRpcClient, HttpServer, _format_request, rpc_route
 from repro.transport import message as wire_msg
 from repro.transport.server import RPCServer
 
@@ -44,11 +44,11 @@ class CustomRig:
 
 class HttpRig:
     def __init__(self):
-        async def handler(component, method, body):
+        async def handler(component, method, body, trace, deadline_ms):
             return body
 
         self.loop = asyncio.new_event_loop()
-        self.server = HttpRpcServer(handler)
+        self.server = HttpServer(rpc_route(handler))
         self.address = self.loop.run_until_complete(self.server.start())
         self.client = HttpRpcClient()
 

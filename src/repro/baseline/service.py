@@ -6,15 +6,17 @@ conventional way — one HTTP service per component, discovered by *name*
 (tagged binary, i.e. protobuf-style, or JSON).
 
 It deliberately reuses the component *implementations* unchanged: a
-:class:`MicroserviceHost` hosts an impl behind
-:class:`~repro.transport.http_rpc.HttpRpcServer`.  It reuses the runtime's
-RPC client too: calls go through an unmodified
+:class:`MicroserviceHost` hosts an impl behind the RPC route of
+:class:`~repro.transport.http_rpc.HttpServer`.  It reuses the runtime's
+RPC layer on both ends too.  Calls go through an unmodified
 :class:`~repro.transport.rpc.RemoteInvoker` (budgets, retries, hedging,
 call-graph edges, spans) whose resolver is the :class:`ServiceMesh` and
-whose pool speaks HTTP.  Business logic cannot tell which world it is in,
-and the two stacks differ only in the wire, the codec and the hosts —
-which is precisely the paper's argument that the *deployment model*, not
-the code, is what microservices get wrong.
+whose pool speaks HTTP.  Requests are served by the per-method thunks of a
+:class:`~repro.transport.rpc.Dispatcher` (decoding, ambient budget, server
+span, encoding), as in a proclet.  Business logic cannot tell which world
+it is in, and the two stacks differ only in the wire, the codec and the
+hosts — which is precisely the paper's argument that the *deployment
+model*, not the code, is what microservices get wrong.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from repro.core.config import AppConfig
 from repro.core.errors import ErrorCode, RPCError, Unavailable
 from repro.core.registry import FrozenRegistry, Registration, Registry, global_registry
 from repro.core.stub import LocalInvoker, make_stub
-from repro.observability.tracing import NOOP_SPAN, Tracer
+from repro.observability.tracing import Tracer
 from repro.serde import codec_by_name
-from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer, incoming_trace
-from repro.transport.rpc import RemoteInvoker
+from repro.transport.http_rpc import HttpRpcClient, HttpServer, rpc_route
+from repro.transport.rpc import Dispatcher, RemoteInvoker, Thunk
 
 T = TypeVar("T", bound=Component)
 
@@ -182,7 +184,8 @@ class MicroserviceHost:
             resolver=self,
             settings=config.settings,
         )
-        self._server = HttpRpcServer(self._handle, address=address)
+        self._thunks: dict[str, Thunk] = {}
+        self._server = HttpServer(rpc_route(self._serve), address=address)
         self.address: Optional[str] = None
 
     def get_for(self, iface: type, caller: str) -> Any:
@@ -192,6 +195,16 @@ class MicroserviceHost:
         return make_stub(dep, self._remote, caller)
 
     async def start(self) -> str:
+        # One thunk per method, bound once, as a proclet hosting the
+        # component binds them.
+        instance = await self._local.instance(self.reg)
+        dispatcher = Dispatcher(
+            self.build, self._codec, self._local, hosted={self.reg.name}, tracer=self.tracer
+        )
+        self._thunks = {
+            spec.name: dispatcher.thunk(self.reg, spec, instance)
+            for spec in self.reg.spec.methods
+        }
         self.address = await self._server.start()
         self.mesh.register(self.reg.name, self.address)
         return self.address
@@ -202,30 +215,17 @@ class MicroserviceHost:
         await self._server.stop()
         await self._pool.client.close()
 
-    async def _handle(self, component: str, method: str, body: bytes) -> bytes:
-        if component != self.reg.name:
+    async def _serve(
+        self, component: str, method: str, args: bytes, trace: tuple[int, int], deadline_ms: int
+    ) -> bytes:
+        thunk = self._thunks.get(method) if component == self.reg.name else None
+        if thunk is None:
             raise RPCError(
-                f"this service hosts {self.reg.name}, not {component}",
+                f"{component}.{method} is not served here ({self.reg.name} is)",
                 code=ErrorCode.INTERNAL,
+                executed=False,
             )
-        spec = self.reg.spec.by_name.get(method)
-        if spec is None:
-            raise RPCError(
-                f"{component} has no method {method!r}", code=ErrorCode.INTERNAL
-            )
-        args = self._codec.decode(spec.arg_schema, body)
-        span = NOOP_SPAN
-        if self.tracer is not None:
-            # Join the caller's trace via the x-repro-trace header — the
-            # propagation microservice stacks must hand-roll.
-            span = self.tracer.start_span(
-                f"serve {self.reg.name.rsplit('.', 1)[-1]}.{method}",
-                remote_parent=incoming_trace(),
-                component=self.reg.name,
-            )
-        with span:
-            result = await self._local.invoke(self.reg, spec, tuple(args), caller="<http>")
-        return self._codec.encode(spec.result_schema, result)
+        return await thunk(args, trace, deadline_ms)
 
 
 class BaselineApp(Application):

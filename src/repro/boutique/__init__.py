@@ -33,7 +33,7 @@ from repro.boutique.checkout import Checkout, CheckoutImpl
 from repro.boutique.currency import Currency, CurrencyImpl, UnsupportedCurrency
 from repro.boutique.email import Email, EmailImpl
 from repro.boutique.frontend import Frontend, FrontendImpl
-from repro.boutique.httpfront import BoutiqueHttpServer, serve as serve_http
+from repro.boutique.httpfront import BoutiqueHttpServer
 from repro.boutique.payment import Payment, PaymentImpl
 from repro.boutique.recommendation import Recommendation, RecommendationImpl
 from repro.boutique.shipping import Shipping, ShippingImpl
@@ -82,7 +82,6 @@ __all__ = [
     "Recommendation",
     "Shipping",
     "BoutiqueHttpServer",
-    "serve_http",
     "ProductNotFound",
     "UnsupportedCurrency",
     "Ad",

@@ -14,22 +14,21 @@ with ``get(Frontend)``):
     POST /cart/checkout            place order        {currency, email, ...}
     GET  /_healthz                 liveness
 
-Run it via :func:`serve` or the CLI; tests drive it with a raw client.
-Responses are JSON (the original renders HTML; the data is the same).
+Start it with ``await BoutiqueHttpServer(app).start()``; tests drive it
+with a raw client.  Responses are JSON (the original renders HTML; the
+data is the same).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Any, Optional
+from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from repro.boutique.frontend import Frontend
 from repro.boutique.types import Address, CreditCard, HomePage, Money
 from repro.core.errors import WeaverError
-from repro.transport.http_rpc import _read_http_message
-from repro.transport.server import parse_address
+from repro.transport.http_rpc import HttpServer
 
 DEFAULT_USER = "guest"
 
@@ -38,54 +37,21 @@ def _money(m: Money) -> dict[str, Any]:
     return {"currency": m.currency_code, "units": m.units, "nanos": m.nanos}
 
 
-class BoutiqueHttpServer:
-    """Minimal HTTP/1.1 JSON facade over the Frontend component."""
+class BoutiqueHttpServer(HttpServer):
+    """A JSON facade over the Frontend component, routed on the shared
+    HTTP/1.1 server."""
 
     def __init__(self, app: Any, *, address: str = "tcp://127.0.0.1:0") -> None:
+        super().__init__(self._respond, address=address)
         self._frontend: Frontend = app.get(Frontend)
-        self._requested = address
-        self._server: Optional[asyncio.base_events.Server] = None
-        self.address: str = address
         self.requests_served = 0
 
-    async def start(self) -> str:
-        _, host, port = parse_address(self._requested)
-        self._server = await asyncio.start_server(self._serve, host, port)
-        bound = self._server.sockets[0].getsockname()
-        self.address = f"tcp://{bound[0]}:{bound[1]}"
-        return self.address
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _serve(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await _read_http_message(reader, request_side=True)
-                if message is None:
-                    break
-                method, target, headers, body = message
-                status, payload = await self._route(method, target, headers, body)
-                data = json.dumps(payload).encode()
-                head = (
-                    f"HTTP/1.1 {status} {'OK' if status == 200 else 'Error'}\r\n"
-                    f"content-type: application/json\r\n"
-                    f"content-length: {len(data)}\r\n"
-                    "connection: keep-alive\r\n\r\n"
-                ).encode()
-                writer.write(head + data)
-                await writer.drain()
-                self.requests_served += 1
-        except (ConnectionError, OSError, asyncio.IncompleteReadError, Exception):
-            pass
-        finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+    async def _respond(
+        self, method: str, target: str, headers: dict[str, str], body: bytes
+    ) -> tuple[int, dict[str, str], bytes]:
+        status, payload = await self._route(method, target, headers, body)
+        self.requests_served += 1
+        return status, {"content-type": "application/json"}, json.dumps(payload).encode()
 
     async def _route(
         self, method: str, target: str, headers: dict[str, str], body: bytes
@@ -168,10 +134,3 @@ class BoutiqueHttpServer:
             "ad": {"text": home.ad.text, "redirect_url": home.ad.redirect_url},
             "currencies": home.currency_codes,
         }
-
-
-async def serve(app: Any, *, address: str = "tcp://127.0.0.1:0") -> BoutiqueHttpServer:
-    """Start the front door against a deployment and return the server."""
-    server = BoutiqueHttpServer(app, address=address)
-    await server.start()
-    return server

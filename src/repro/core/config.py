@@ -80,8 +80,6 @@ class AppConfig:
     name: str = "app"
     #: Wire format for remote calls: compact | tagged | json.
     codec: str = "compact"
-    #: Data-plane transport between proclets: tcp | unix | inproc.
-    transport: str = "tcp"
     #: Co-location groups: components in the same group share an OS process.
     #: Components absent from every group each get their own group (the
     #: paper's "apples-to-apples" non-co-located deployment).
@@ -185,8 +183,6 @@ class AppConfig:
     def __post_init__(self) -> None:
         if self.codec not in ("compact", "tagged", "json"):
             raise ConfigError(f"unknown codec {self.codec!r}")
-        if self.transport not in ("tcp", "unix", "inproc"):
-            raise ConfigError(f"unknown transport {self.transport!r}")
         if self.call_timeout_s <= 0:
             raise ConfigError("call_timeout_s must be positive")
         if self.max_retries < 0:

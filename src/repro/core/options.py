@@ -21,12 +21,11 @@ boundaries for free.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import dataclasses
 import random
 import time
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.core.errors import ConfigError
 
@@ -125,16 +124,6 @@ def shrink_deadline(deadline: float) -> Optional[contextvars.Token]:
 def restore_deadline(token: Optional[contextvars.Token]) -> None:
     if token is not None:
         _deadline_var.reset(token)
-
-
-@contextlib.contextmanager
-def deadline_scope(deadline: Optional[float]) -> Iterator[None]:
-    """Run a block under an absolute deadline (see :func:`shrink_deadline`)."""
-    token = None if deadline is None else shrink_deadline(deadline)
-    try:
-        yield
-    finally:
-        restore_deadline(token)
 
 
 def effective_budget_s(explicit: Optional[float], default: float) -> float:

@@ -1,8 +1,9 @@
 """Live deployment dashboard: ANSI terminal view + single-file HTML server.
 
 The paper's Figure 3 puts a "Web UI / Debugging Tools" box on top of the
-manager's aggregated telemetry; this module is that box.  One tiny HTTP
-server (stdlib-only, asyncio streams) runs next to the manager and serves:
+manager's aggregated telemetry; this module is that box.  Its routes run
+on the repo's one HTTP/1.1 server (:class:`~repro.transport.http_rpc.HttpServer`)
+next to the manager and serve:
 
 * ``/``               — a self-contained auto-refreshing HTML page
 * ``/status.json``    — the machine-readable status (CLI / remediation)
@@ -16,16 +17,11 @@ ANSI color, consumed by ``repro top``.
 
 from __future__ import annotations
 
-import asyncio
 import json
-import logging
 import time
-from typing import Any, Optional
+from typing import Any
 
-from repro.core.errors import TransportError
-from repro.transport.http_rpc import _read_http_message
-
-log = logging.getLogger("repro.observability.dashboard")
+from repro.transport.http_rpc import HttpServer
 
 RESET = "\x1b[0m"
 BOLD = "\x1b[1m"
@@ -94,76 +90,46 @@ tick();
 """
 
 
-class DashboardServer:
-    """Tiny stdlib HTTP server exposing the manager's live telemetry."""
+class DashboardServer(HttpServer):
+    """The manager's live telemetry, routed on the shared HTTP/1.1 server.
 
-    def __init__(self, manager: Any, *, host: str = "127.0.0.1") -> None:
-        self.manager = manager
-        self.host = host
-        self._server: Optional[asyncio.AbstractServer] = None
-        self.url = ""
+    A browser keeps its connection alive between polls; one that sends
+    nothing for 5 s is closed.
+    """
 
-    async def start(self, port: int = 0) -> str:
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=port
+    def __init__(self, manager: Any, *, port: int = 0) -> None:
+        super().__init__(
+            self._respond, address=f"tcp://127.0.0.1:{port}", read_timeout_s=5.0
         )
-        actual = self._server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.host}:{actual}"
-        log.info("dashboard serving at %s", self.url)
-        return self.url
+        self.manager = manager
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    @property
+    def url(self) -> str:
+        return "http://" + self.address[len("tcp://") :]
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await asyncio.wait_for(
-                _read_http_message(reader, request_side=True), timeout=5.0
-            )
-            if request is None:
-                return
-            status, ctype, body = self._route(request[1].split("?", 1)[0])
-            payload = body.encode("utf-8")
-            writer.write(
-                (
-                    f"HTTP/1.1 {status}\r\n"
-                    f"Content-Type: {ctype}; charset=utf-8\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    f"Cache-Control: no-store\r\n"
-                    f"Connection: close\r\n\r\n"
-                ).encode("latin-1")
-                + payload
-            )
-            await writer.drain()
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError, TransportError):
-            pass
-        except Exception:
-            log.exception("dashboard request failed")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    async def _respond(
+        self, method: str, target: str, headers: dict[str, str], body: bytes
+    ) -> tuple[int, dict[str, str], bytes]:
+        status, ctype, text = self._route(target.split("?", 1)[0])
+        return (
+            status,
+            {"content-type": f"{ctype}; charset=utf-8", "cache-control": "no-store"},
+            text.encode("utf-8"),
+        )
 
-    def _route(self, path: str) -> tuple[str, str, str]:
+    def _route(self, path: str) -> tuple[int, str, str]:
         from repro.observability.metrics import render_prometheus
         from repro.runtime.status import render_trace, status_wire
 
         if path == "/":
-            return "200 OK", "text/html", _HTML
+            return 200, "text/html", _HTML
         if path == "/status.json":
             body = json.dumps(status_wire(self.manager), default=str)
-            return "200 OK", "application/json", body
+            return 200, "application/json", body
         if path == "/dashboard.txt":
-            return "200 OK", "text/plain", render_dashboard(self.manager, color=False)
+            return 200, "text/plain", render_dashboard(self.manager, color=False)
         if path == "/metrics":
-            return "200 OK", "text/plain", render_prometheus(self.manager.metrics)
+            return 200, "text/plain", render_prometheus(self.manager.metrics)
         if path.startswith("/trace/"):
             raw = path[len("/trace/") :]
             # Ids render as hex but status.json carries decimals; an
@@ -178,12 +144,12 @@ class DashboardServer:
                 if tid not in candidates:
                     candidates.append(tid)
             if not candidates:
-                return "400 Bad Request", "text/plain", f"bad trace id {raw!r}\n"
+                return 400, "text/plain", f"bad trace id {raw!r}\n"
             for tid in candidates:
                 if self.manager.tracer.trace(tid):
-                    return "200 OK", "text/plain", render_trace(self.manager, tid)
-            return "200 OK", "text/plain", render_trace(self.manager, candidates[0])
-        return "404 Not Found", "text/plain", f"no route {path!r}\n"
+                    return 200, "text/plain", render_trace(self.manager, tid)
+            return 200, "text/plain", render_trace(self.manager, candidates[0])
+        return 404, "text/plain", f"no route {path!r}\n"
 
 
 def fetch(url: str, timeout_s: float = 5.0) -> str:

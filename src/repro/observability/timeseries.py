@@ -58,13 +58,19 @@ class RingSeries:
         self._next = (self._next + 1) % self._capacity
 
     def points(self, since: float = 0.0) -> list[Point]:
-        """Points with ts >= ``since``, oldest first."""
-        n = len(self._ts)
-        return [
-            Point(self._ts[i % n], self._values[i % n])
-            for i in range(self._next, self._next + n)
-            if self._ts[i % n] >= since
-        ]
+        """Points with ts >= ``since``, oldest first.
+
+        Walks back from the newest point and stops at the first one older
+        than ``since``, so a short window costs its own length, not the
+        ring's.  That relies on timestamps never decreasing along the
+        ring, which holds because each series is written by one telemetry
+        tick at a time.
+        """
+        ts, n = self._ts, len(self._ts)
+        count = 0
+        while count < n and ts[(self._next - 1 - count) % n] >= since:
+            count += 1
+        return self.tail(count)
 
     def tail(self, last: int) -> list[Point]:
         """The newest ``last`` points, oldest first (no walk of the whole ring)."""

@@ -146,8 +146,8 @@ class MultiProcessApp(Application):
         if self._dashboard is None:
             from repro.observability.dashboard import DashboardServer
 
-            self._dashboard = DashboardServer(self.manager)
-            await self._dashboard.start(port=port)
+            self._dashboard = DashboardServer(self.manager, port=port)
+            await self._dashboard.start()
         return self._dashboard.url
 
     async def shutdown(self) -> None:

@@ -9,7 +9,7 @@ runtime implements the control plane but not the data plane").
 from repro.transport.client import ConnectionPool
 from repro.transport.connection import Connection
 from repro.transport.framing import MAX_FRAME
-from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer
+from repro.transport.http_rpc import HttpRpcClient, HttpServer, rpc_route
 from repro.transport.rpc import Dispatcher, RemoteInvoker, ReplicaResolver
 from repro.transport.server import RPCServer, parse_address
 
@@ -18,7 +18,8 @@ __all__ = [
     "Connection",
     "MAX_FRAME",
     "HttpRpcClient",
-    "HttpRpcServer",
+    "HttpServer",
+    "rpc_route",
     "Dispatcher",
     "RemoteInvoker",
     "ReplicaResolver",

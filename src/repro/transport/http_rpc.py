@@ -1,4 +1,4 @@
-"""The status-quo transport baseline: RPC over HTTP/1.1.
+"""The status-quo transport baseline: RPC over HTTP/1.1, and the one HTTP server.
 
 The paper's baseline deployment talks gRPC (HTTP/2) with protobuf payloads.
 We reproduce its *cost structure* with a from-scratch HTTP/1.1 RPC stack:
@@ -16,15 +16,18 @@ None of this is a strawman: it is what every microservice RPC framework
 does, because independently released binaries cannot assume anything about
 each other.  The benchmarks in ``benchmarks/test_transport.py`` measure the
 difference against :mod:`repro.transport.connection`.
+
+:class:`HttpServer` is the repo's one HTTP/1.1 server.  The baseline's RPC
+endpoint (:func:`rpc_route`), the boutique's front door and the live
+dashboard are routes on it.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import itertools
+import logging
 import os
-import time
 from typing import Awaitable, Callable, Optional
 
 from repro.core.errors import (
@@ -36,15 +39,33 @@ from repro.core.errors import (
     Unavailable,
     error_from_code,
 )
-from repro.core.options import deadline_scope
 from repro.transport.server import parse_address
 
-#: Server handler: (component_name, method_name, body) -> response body.
-NamedHandler = Callable[[str, str, bytes], Awaitable[bytes]]
+log = logging.getLogger("repro.transport.http")
+
+#: A route answers one request: (method, target, headers, body) ->
+#: (status, headers, body).  Header names are lower-case.
+Route = Callable[
+    [str, str, dict[str, str], bytes], Awaitable[tuple[int, dict[str, str], bytes]]
+]
+
+#: The RPC route's handler: (component, method, args, (trace_id,
+#: parent_span_id), deadline_ms) -> the encoded result.
+RpcHandler = Callable[[str, str, bytes, tuple[int, int], int], Awaitable[bytes]]
 
 _MAX_HEADER = 64 * 1024
 _MAX_BODY = 64 * 1024 * 1024
 _USER_AGENT = "repro-baseline/0.1"
+
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    429: "Too Many Requests",
+    500: "Error",
+    503: "Unavailable",
+    504: "Gateway Timeout",
+}
 
 #: The status line of an RPCError reply; ``x-rpc-code`` carries the code.
 _HTTP_STATUS = {
@@ -53,41 +74,36 @@ _HTTP_STATUS = {
     ErrorCode.UNAVAILABLE: 503,
 }
 
-#: Incoming trace context, set by the server around each handler call —
-#: the HTTP analogue of the framed transport's message trace fields.  The
-#: microservice world has to reinvent header propagation (W3C traceparent
-#: et al.); this is our minimal version: ``x-repro-trace: <trace>-<span>``.
-_trace_parent: contextvars.ContextVar[tuple[int, int]] = contextvars.ContextVar(
-    "repro_http_trace_parent", default=(0, 0)
-)
+_RPC_TYPE = "application/x-rpc"
+_RPC_OK = {"content-type": _RPC_TYPE, "x-rpc-status": "ok"}
 
 
-def incoming_trace() -> tuple[int, int]:
-    """(trace_id, parent_span_id) of the request being served, or (0, 0)."""
-    return _trace_parent.get()
+class HttpServer:
+    """An HTTP/1.1 server: one keep-alive loop per connection, answering
+    each request with ``route``.
 
+    A client's ``connection: close`` ends its connection after the reply;
+    a route that raises is answered with a logged 500; a malformed request
+    closes the connection without a reply.  ``read_timeout_s`` bounds the
+    wait for each request (``None``: a connection may idle forever).
+    :meth:`stop` closes the live connections too.
+    """
 
-def _parse_trace_header(value: str) -> tuple[int, int]:
-    trace_part, sep, span_part = value.partition("-")
-    if not sep:
-        return (0, 0)
-    try:
-        return int(trace_part), int(span_part)
-    except ValueError:
-        return (0, 0)
-
-
-class HttpRpcServer:
-    """Minimal HTTP/1.1 server dispatching POST /rpc/<component>/<method>."""
-
-    def __init__(self, handler: NamedHandler, *, address: str = "tcp://127.0.0.1:0") -> None:
-        self._handler = handler
-        self._requested = address
+    def __init__(
+        self,
+        route: Route,
+        *,
+        address: str = "tcp://127.0.0.1:0",
+        read_timeout_s: Optional[float] = None,
+    ) -> None:
+        self._handler = route
+        self._read_timeout_s = read_timeout_s
         self._server: Optional[asyncio.base_events.Server] = None
-        self.address: str = address
+        self._writers: set[asyncio.StreamWriter] = set()
+        self.address = address
 
     async def start(self) -> str:
-        scheme, host, port = parse_address(self._requested)
+        scheme, host, port = parse_address(self.address)
         if scheme == "tcp":
             self._server = await asyncio.start_server(self._serve, host, port)
             bound = self._server.sockets[0].getsockname()
@@ -100,88 +116,105 @@ class HttpRpcServer:
         return self.address
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        if self._server is None:
+            return
+        self._server.close()
+        for writer in list(self._writers):
+            writer.close()
+        await self._server.wait_closed()
+        self._server = None
 
     async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._writers.add(writer)
         try:
             while True:
-                request = await _read_http_message(reader, request_side=True)
+                request = await asyncio.wait_for(
+                    _read_http_message(reader, request_side=True), self._read_timeout_s
+                )
                 if request is None:
                     break
-                method, path, headers, body = request
-                status, reply_headers, reply_body = await self._respond(
-                    method, path, headers, body
-                )
-                _write_response(writer, status, reply_headers, reply_body)
+                method, target, headers, body = request
+                try:
+                    status, reply_headers, reply_body = await self._handler(
+                        method, target, headers, body
+                    )
+                except Exception:
+                    log.exception("HTTP %s %s failed", method, target)
+                    status, reply_headers, reply_body = 500, {}, b"internal error"
+                close = headers.get("connection", "").lower() == "close"
+                writer.write(_format_response(status, reply_headers, reply_body, close))
                 await writer.drain()
-        except (TransportError, ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
+                if close:
+                    break
+        except (asyncio.TimeoutError, asyncio.IncompleteReadError, TransportError, OSError):
+            pass  # idle too long, malformed, or the peer went away
         except asyncio.CancelledError:
-            pass  # server shutdown while idle on a keep-alive connection
+            pass  # the loop is closing under an idle keep-alive connection
         finally:
-            try:
-                writer.close()
-            except (ConnectionError, OSError):
-                pass
+            self._writers.discard(writer)
+            writer.close()
 
-    async def _respond(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
+
+def _parse_trace_header(value: str) -> tuple[int, int]:
+    trace_part, sep, span_part = value.partition("-")
+    if not sep:
+        return (0, 0)
+    try:
+        return int(trace_part), int(span_part)
+    except ValueError:
+        return (0, 0)
+
+
+def rpc_route(handler: RpcHandler) -> Route:
+    """The baseline's RPC endpoint, ``POST /rpc/<component>/<method>``.
+
+    The caller's trace context (``x-repro-trace: <trace>-<span>``, the
+    header propagation microservice stacks hand-roll) and remaining budget
+    (``x-repro-deadline``, in ms) are parsed and handed to ``handler``.
+    The route enforces only the budget: a handler outliving it is answered
+    ``DeadlineExceeded``.  An :class:`RPCError` crosses the wire as the
+    framed transport's (code, message, executed) triple, in headers; any
+    other exception as an application error.
+    """
+
+    async def route(
+        method: str, target: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict[str, str], bytes]:
-        if method != "POST" or not path.startswith("/rpc/"):
+        if method != "POST" or not target.startswith("/rpc/"):
             return 404, {}, b"not found"
-        parts = path[len("/rpc/") :].split("/")
+        parts = target[len("/rpc/") :].split("/")
         if len(parts) != 2:
             return 400, {}, b"want /rpc/<component>/<method>"
-        component, method_name = parts
+        component, name = parts
+        trace = _parse_trace_header(headers.get("x-repro-trace", ""))
         try:
             budget_ms = int(headers.get("x-repro-deadline", "0"))
         except ValueError:
             budget_ms = 0
-        trace_token = None
-        trace_header = headers.get("x-repro-trace")
-        if trace_header:
-            trace_token = _trace_parent.set(_parse_trace_header(trace_header))
         try:
+            served = handler(component, name, body, trace, budget_ms)
             if budget_ms > 0:
-                # Same budget semantics as the framed transport: pin the
-                # caller's remaining budget to our clock, make it ambient
-                # for nested calls, and refuse to outlive it.
-                budget_s = budget_ms / 1000.0
-                with deadline_scope(time.monotonic() + budget_s):
-                    try:
-                        result = await asyncio.wait_for(
-                            self._handler(component, method_name, body), budget_s
-                        )
-                    except asyncio.TimeoutError:
-                        raise DeadlineExceeded(
-                            f"{component}.{method_name} exceeded its caller's "
-                            f"{budget_ms}ms budget"
-                        ) from None
+                try:
+                    result = await asyncio.wait_for(served, budget_ms / 1000.0)
+                except asyncio.TimeoutError:
+                    raise DeadlineExceeded(
+                        f"{component}.{name} exceeded its caller's {budget_ms}ms budget"
+                    ) from None
             else:
-                result = await self._handler(component, method_name, body)
-            return 200, {"x-rpc-status": "ok"}, result
+                result = await served
+            return 200, _RPC_OK, result
         except RPCError as exc:
-            # The framed transport's (code, message, executed) triple, as
-            # headers; the status line is for HTTP middleboxes.
-            return (
-                _HTTP_STATUS.get(exc.code, 500),
-                {"x-rpc-code": str(int(exc.code)), "x-rpc-executed": str(int(exc.executed))},
-                str(exc).encode(),
-            )
+            # The status line is for HTTP middleboxes.
+            status, text = _HTTP_STATUS.get(exc.code, 500), str(exc)
+            fields = {"x-rpc-code": str(int(exc.code)), "x-rpc-executed": str(int(exc.executed))}
         except Exception as exc:
-            return (
-                500,
-                {"x-rpc-status": "app-error", "x-exc-type": type(exc).__name__},
-                str(exc).encode(),
-            )
-        finally:
-            if trace_token is not None:
-                _trace_parent.reset(trace_token)
+            status, text = 500, str(exc)
+            fields = {"x-rpc-status": "app-error", "x-exc-type": type(exc).__name__}
+        return status, {"content-type": _RPC_TYPE, **fields}, text.encode()
+
+    return route
 
 
 class HttpRpcClient:
@@ -304,8 +337,10 @@ def _format_request(
 ) -> bytes:
     # The text header block every microservice request pays for.
     deadline = f"x-repro-deadline: {deadline_ms}\r\n" if deadline_ms > 0 else ""
+    # Any context but (0, 0) travels: an unsampled one keeps the callee's
+    # own calls unsampled, as on the framed wire.
     trace_header = (
-        f"x-repro-trace: {trace[0]}-{trace[1]}\r\n" if trace and trace[0] else ""
+        f"x-repro-trace: {trace[0]}-{trace[1]}\r\n" if trace and trace != (0, 0) else ""
     )
     head = (
         f"POST /rpc/{component}/{method} HTTP/1.1\r\n"
@@ -322,26 +357,14 @@ def _format_request(
     return head + body
 
 
-def _write_response(
-    writer: asyncio.StreamWriter, status: int, headers: dict[str, str], body: bytes
-) -> None:
-    reason = {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        429: "Too Many Requests",
-        500: "Error",
-        503: "Unavailable",
-        504: "Gateway Timeout",
-    }
-    lines = [f"HTTP/1.1 {status} {reason.get(status, 'Status')}"]
+def _format_response(
+    status: int, headers: dict[str, str], body: bytes, close: bool
+) -> bytes:
+    lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Status')}"]
     lines.append(f"content-length: {len(body)}")
-    lines.append("content-type: application/x-rpc")
-    lines.append("connection: keep-alive")
-    for k, v in headers.items():
-        lines.append(f"{k}: {v}")
-    head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
-    writer.write(head + body)
+    lines.extend(f"{k}: {v}" for k, v in headers.items())
+    lines.append("connection: close" if close else "connection: keep-alive")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
 async def _read_http_message(

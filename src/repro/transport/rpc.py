@@ -117,12 +117,12 @@ class Dispatcher:
     """Serves RPC requests against local component replicas.
 
     :meth:`thunk` binds one hosted method's whole serving path once, when
-    its component is hosted; a proclet keeps a table of them and awaits
-    the one a request names.  :meth:`handle` is the same path for a server
-    without such a table (a bare :class:`~repro.transport.server.RPCServer`
-    handler, as in the transport tests): it resolves, instantiates and
-    binds per request.  The perf harness's seam table also names it
-    (``benchmarks/perf/trace.py``).
+    its component is hosted; a proclet, like the HTTP baseline's host,
+    keeps a table of them and awaits the one a request names.
+    :meth:`handle` is the same path for a server without such a table (a
+    bare :class:`~repro.transport.server.RPCServer` handler, as in the
+    transport tests): it resolves, instantiates and binds per request.
+    The perf harness's seam table also names it (``benchmarks/perf/trace.py``).
     """
 
     def __init__(

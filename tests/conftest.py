@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import time
+from typing import Any, Callable
 
 import pytest
 
@@ -54,6 +56,25 @@ def pytest_pyfunc_call(pyfuncitem):
         asyncio.run(fn(**kwargs))
         return True
     return None
+
+
+async def until(predicate: Callable[[], Any], timeout_s: float, message: str) -> Any:
+    """Poll ``predicate`` until it returns something truthy, and return it.
+
+    Telemetry (spans, metrics, call-graph edges) reaches the manager on
+    each proclet's own heartbeat, so a test reading it waits for the exact
+    condition it reads, never for a count that another proclet's batch
+    could satisfy first.  Fails the test with ``message`` after
+    ``timeout_s`` seconds.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        result = predicate()
+        if result:
+            return result
+        if time.monotonic() > deadline:
+            raise AssertionError(f"after {timeout_s:g}s: {message}")
+        await asyncio.sleep(0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="codec"):
             AppConfig(codec="msgpack")
 
-    def test_unknown_transport(self):
-        with pytest.raises(ConfigError, match="transport"):
-            AppConfig(transport="carrier-pigeon")
-
     def test_bad_timeout(self):
         with pytest.raises(ConfigError):
             AppConfig(call_timeout_s=0)
@@ -154,6 +150,12 @@ class TestFromDict:
     def test_from_toml_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             AppConfig.from_toml('naem = "typo"')
+
+    def test_transport_is_an_unknown_key(self):
+        """Proclets always talk over the address the runtime assigns; a
+        file asking for a transport is refused, not silently ignored."""
+        with pytest.raises(ConfigError, match="unknown config keys.*transport"):
+            AppConfig.from_toml('name = "shop"\ntransport = "unix"\n')
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "app.toml"

@@ -13,10 +13,11 @@ from repro.core.options import (
     CallOptions,
     budget_to_wire_ms,
     current_deadline,
-    deadline_scope,
     decorrelated_jitter,
     effective_budget_s,
     remaining_budget_s,
+    restore_deadline,
+    shrink_deadline,
 )
 from repro.core.stub import LocalInvoker, make_stub
 
@@ -106,21 +107,27 @@ class TestStubWithOptions:
 class TestAmbientDeadline:
     def test_scope_sets_and_restores(self):
         assert current_deadline() is None
-        with deadline_scope(time.monotonic() + 1.0):
-            assert remaining_budget_s() is not None
+        token = shrink_deadline(time.monotonic() + 1.0)
+        assert remaining_budget_s() is not None
+        restore_deadline(token)
         assert current_deadline() is None
 
     def test_scope_only_shrinks(self):
         tight = time.monotonic() + 0.5
         loose = time.monotonic() + 60.0
-        with deadline_scope(tight):
-            with deadline_scope(loose):  # must NOT extend
-                assert current_deadline() == tight
+        outer = shrink_deadline(tight)
+        inner = shrink_deadline(loose)  # must NOT extend
+        assert inner is None
+        assert current_deadline() == tight
+        restore_deadline(inner)
+        restore_deadline(outer)
+        assert current_deadline() is None
 
     def test_effective_budget_capped_by_ambient(self):
-        with deadline_scope(time.monotonic() + 0.2):
-            assert effective_budget_s(None, 30.0) <= 0.2
-            assert effective_budget_s(10.0, 30.0) <= 0.2
+        token = shrink_deadline(time.monotonic() + 0.2)
+        assert effective_budget_s(None, 30.0) <= 0.2
+        assert effective_budget_s(10.0, 30.0) <= 0.2
+        restore_deadline(token)
         assert effective_budget_s(10.0, 30.0) == 10.0
         assert effective_budget_s(None, 30.0) == 30.0
 

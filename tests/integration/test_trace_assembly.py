@@ -9,24 +9,19 @@ client span, so a failover retry is visible in the assembled trace.
 
 from __future__ import annotations
 
-import asyncio
-
 from repro.core.config import AppConfig
 from repro.testing.harness import weavertest
 
-from tests.conftest import Adder, Flaky, Greeter
+from tests.conftest import Adder, Flaky, Greeter, until
 
 
 async def _spans_matching(app, predicate, timeout_s: float = 8.0):
     """Wait for heartbeats to land spans satisfying ``predicate``."""
-    deadline = asyncio.get_running_loop().time() + timeout_s
-    while True:
-        spans = [s for s in app.manager.tracer.spans() if predicate(s)]
-        if spans:
-            return spans
-        if asyncio.get_running_loop().time() > deadline:
-            return []
-        await asyncio.sleep(0.1)
+    return await until(
+        lambda: [s for s in app.manager.tracer.spans() if predicate(s)],
+        timeout_s,
+        "no matching span reached the manager",
+    )
 
 
 def _by_trace(spans):

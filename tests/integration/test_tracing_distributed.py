@@ -18,6 +18,8 @@ from repro.observability.tracing import (
 from repro.runtime.deployers.multi import deploy_multiprocess
 from repro.runtime.status import render_status
 
+from tests.conftest import until
+
 ADDRESS = Address("1 Main", "Springfield", "IL", "US", 62701)
 CARD = CreditCard("4432-8015-6152-0454", 672, 2030, 1)
 
@@ -29,11 +31,19 @@ async def traced_boutique():
     fe = app.get(Frontend)
     await fe.add_to_cart("trace-user", "OLJCESPC7Z", 1)
     await fe.checkout("trace-user", "USD", ADDRESS, "t@x.com", CARD)
-    # Telemetry (spans) ships with heartbeats; wait for them to land.
-    for _ in range(40):
-        if len(app.manager.tracer.spans()) > 10:
-            break
-        await asyncio.sleep(0.1)
+    # Spans ship with each proclet's own heartbeat: wait until the
+    # checkout's trace holds the spans these tests read.
+    tracer = app.manager.tracer
+
+    def checkout_trace_complete() -> bool:
+        for span in tracer.spans():
+            if span.name == "Checkout.place_order":
+                names = {s.name for s in tracer.trace(span.trace_id)}
+                if {"Payment.charge", "Email.send_order_confirmation"} <= names:
+                    return True
+        return False
+
+    await until(checkout_trace_complete, 10.0, "the checkout's trace never completed")
     return app
 
 

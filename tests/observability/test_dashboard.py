@@ -24,19 +24,29 @@ from repro.runtime.status import (
 )
 from repro.testing.harness import weavertest
 
-from tests.conftest import Greeter
+from tests.conftest import Greeter, until
 
 
 async def _warm(app, calls: int = 5) -> None:
     g = app.get(Greeter)
     for i in range(calls):
         await g.greet(f"user{i}")
-    # Spans/metrics ship on heartbeats; ticks derive series from them.
-    for _ in range(30):
-        await asyncio.sleep(0.1)
+    # Spans and metrics ship on heartbeats; ticks derive series from them.
+    # Wait until both of Greeter's hops have shipped their server spans
+    # and their call counts.
+    names = {"Greeter.greet", "Adder.add"}
+
+    def landed() -> bool:
         app.manager.telemetry_tick()
-        if app.manager.tracer.spans():
-            break
+        served = {s.name for s in app.manager.tracer.spans()}
+        counted = {
+            dict(labels).get("method")
+            for name, labels in app.manager.metrics.cells()
+            if name == "component_method_calls"
+        }
+        return names <= served and {"greet", "add"} <= counted
+
+    await until(landed, 10.0, "Greeter's and Adder's telemetry never landed")
 
 
 class TestDashboardServer:

@@ -183,7 +183,7 @@ class TestPrometheusExport:
         from repro.observability.metrics import render_prometheus
         from repro.core.config import AppConfig
         from repro.runtime.deployers.multi import deploy_multiprocess
-        from tests.conftest import Adder, AdderImpl
+        from tests.conftest import Adder, AdderImpl, until
         from repro.core.registry import Registry
 
         async def run():
@@ -191,10 +191,15 @@ class TestPrometheusExport:
             registry.register(Adder, AdderImpl)
             app = await deploy_multiprocess(AppConfig(name="prom"), registry=registry)
             await app.get(Adder).add(1, 2)
-            for _ in range(30):
-                if app.manager.metrics.cells():
-                    break
-                await asyncio.sleep(0.1)
+            # The Adder proclet's heartbeat carries its server-side cells.
+            await until(
+                lambda: any(
+                    name == "component_method_latency_s"
+                    for name, _ in app.manager.metrics.cells()
+                ),
+                10.0,
+                "the Adder proclet's method metrics never landed",
+            )
             text = render_prometheus(app.manager.metrics)
             await app.shutdown()
             return text

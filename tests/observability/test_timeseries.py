@@ -56,6 +56,25 @@ class TestRingSeries:
         assert s.window_sum(3.0, now=9.0) == 2.0 * 4  # ts 6,7,8,9
         assert s.window_mean(3.0, now=9.0) == 2.0
 
+    def test_windows_over_a_full_ring_match_a_brute_force_filter(self):
+        """``points`` walks back only over the window; a full ring must
+        still answer every window as a filter over all its points would.
+        Windows include 0, exactly all points and more than all points."""
+        cap = 7
+        s = RingSeries("x", capacity=cap)
+        for i in range(3 * cap + 2):  # wrapped more than twice
+            s.append(float(i), float(i % 4) + 0.5)
+        now = s.latest().ts
+        every = [(float(i), float(i % 4) + 0.5) for i in range(3 * cap + 2)][-cap:]
+        span = now - every[0][0]
+        for window in (0.0, 1.0, 2.5, span - 0.5, span, span + 1.0, 1e9):
+            want = [(t, v) for t, v in every if t >= now - window]
+            assert [(p.ts, p.value) for p in s.points(since=now - window)] == want
+            assert s.window_sum(window, now) == sum(v for _, v in want)
+            assert s.window_mean(window, now) == sum(v for _, v in want) / len(want)
+        assert len(s.points(since=now - span)) == cap  # exactly all points
+        assert s.points(since=now + 1.0) == []
+
     def test_empty_series(self):
         s = RingSeries("x")
         assert s.latest() is None

@@ -11,7 +11,7 @@ import pytest
 from repro.core.config import AppConfig, AutoscaleConfig, RolloutConfig
 from repro.runtime.deployers.multi import _config_to_dict, deploy_multiprocess
 
-from tests.conftest import Adder, Flaky, Greeter, KVStore
+from tests.conftest import Adder, Flaky, Greeter, KVStore, until
 
 
 async def deployed(demo_registry, **kwargs):
@@ -31,22 +31,17 @@ class TestBasics:
         # Greeter and Adder live in different proclets: the greeter's
         # proclet must have recorded a remote call to Adder.
         greeter_name = app.build.by_iface(Greeter).name
-        edges = [
-            e
-            for e in app.manager.call_graph.edges()
-            if e.caller == greeter_name and e.callee.endswith("Adder")
-        ]
-        # Heartbeats are asynchronous; poll briefly.
-        for _ in range(30):
-            if edges:
-                break
-            await asyncio.sleep(0.1)
-            edges = [
+        # The edge reaches the manager on the greeter proclet's heartbeat.
+        edges = await until(
+            lambda: [
                 e
                 for e in app.manager.call_graph.edges()
                 if e.caller == greeter_name and e.callee.endswith("Adder")
-            ]
-        assert edges and edges[0].remote_calls >= 1
+            ],
+            10.0,
+            "the greeter's call-graph edge to Adder never landed",
+        )
+        assert edges[0].remote_calls >= 1
         await app.shutdown()
 
     async def test_remote_call_is_one_call_graph_edge(self, demo_registry):
@@ -184,7 +179,6 @@ def test_subprocess_config_keeps_every_proclet_field():
     config = AppConfig(
         name="shipped",
         codec="tagged",
-        transport="unix",
         colocate=(("a.B", "a.C"),),
         replicas={"a.B": 2},
         autoscale=AutoscaleConfig(min_replicas=2),

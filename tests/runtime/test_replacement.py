@@ -10,15 +10,13 @@ proclets, routing re-resolves, and calls keep working throughout.
 
 from __future__ import annotations
 
-import asyncio
-
 import pytest
 
 from repro.core.component import component_name
 from repro.core.config import AppConfig
 from repro.runtime.deployers.multi import deploy_multiprocess
 
-from tests.conftest import Adder, Flaky, Greeter, KVStore
+from tests.conftest import Adder, Flaky, Greeter, KVStore, until
 
 
 def hosted_by(app, iface):
@@ -133,11 +131,21 @@ class TestBoutiqueLiveOptimization:
         for i in range(8):
             await fe.add_to_cart(f"u{i}", "OLJCESPC7Z", 1)
             await fe.view_cart(f"u{i}", "USD")
-        # Wait for the call graph to reach the manager via heartbeats.
-        for _ in range(40):
-            if app.manager.call_graph.total_calls() > 20:
-                break
-            await asyncio.sleep(0.1)
+        # Each caller's edges reach the manager on its own proclet's
+        # heartbeat: wait until the Frontend's and the Cart's have landed.
+        # Every iteration makes three Frontend -> Cart calls and three
+        # Cart -> CartStore calls.
+        name = {r.iface.__name__: r.name for r in app.build}
+
+        def traffic(caller: str, callee: str) -> int:
+            stats = app.manager.call_graph.pair_traffic().get((name[caller], name[callee]))
+            return 0 if stats is None else stats.calls
+
+        await until(
+            lambda: traffic("Frontend", "Cart") >= 24 and traffic("Cart", "CartStore") >= 24,
+            10.0,
+            "the Frontend's and the Cart's call-graph edges never landed",
+        )
 
         groups = recommend_groups(
             app.manager.call_graph, app.build.names(), max_group_size=3, min_traffic=5

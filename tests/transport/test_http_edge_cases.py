@@ -7,17 +7,17 @@ import logging
 
 import pytest
 
-from repro.transport.http_rpc import HttpRpcServer
+from repro.transport.http_rpc import HttpServer, rpc_route
 from repro.transport.server import parse_address
 
 
-async def handler(component, method, body):
+async def handler(component, method, body, trace, deadline_ms):
     return b"ok:" + body
 
 
 class Rig:
     async def __aenter__(self):
-        self.server = HttpRpcServer(handler)
+        self.server = HttpServer(rpc_route(handler))
         self.address = await self.server.start()
         _, self.host, self.port = parse_address(self.address)
         return self
@@ -116,3 +116,70 @@ class TestMalformedRequests:
             blob = await asyncio.wait_for(reader.read(400), timeout=2)
             assert blob.count(b"200 OK") == 2
             writer.close()
+
+
+class TestSharedServer:
+    """The one HTTP/1.1 loop the RPC route, the front door and the
+    dashboard run on."""
+
+    @staticmethod
+    async def start(route, **kwargs):
+        server = HttpServer(route, **kwargs)
+        _, host, port = parse_address(await server.start())
+        return server, host, port
+
+    @staticmethod
+    async def echo(method, target, headers, body):
+        return 200, {"content-type": "text/plain"}, target.encode()
+
+    async def test_route_that_raises_is_a_logged_500(self, caplog):
+        async def broken(method, target, headers, body):
+            if target == "/boom":
+                raise RuntimeError("route bug")
+            return await self.echo(method, target, headers, body)
+
+        server, host, port = await self.start(broken)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /boom HTTP/1.1\r\n\r\nGET /ok HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            blob = await asyncio.wait_for(reader.read(400), timeout=2)
+            while blob.count(b"HTTP/1.1") < 2:
+                blob += await asyncio.wait_for(reader.read(400), timeout=2)
+            assert blob.startswith(b"HTTP/1.1 500 ")
+            assert blob.endswith(b"/ok")  # the connection kept serving
+            writer.close()
+        finally:
+            await server.stop()
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+    async def test_client_connection_close_is_honoured(self):
+        server, host, port = await self.start(self.echo)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"GET /a HTTP/1.1\r\nconnection: close\r\n\r\n")
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=2)  # to EOF
+            assert b"connection: close\r\n" in reply and reply.endswith(b"/a")
+            writer.close()
+        finally:
+            await server.stop()
+
+    async def test_stop_closes_idle_keepalive_connections(self):
+        server, host, port = await self.start(self.echo)
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"GET /a HTTP/1.1\r\n\r\n")
+        await writer.drain()
+        await asyncio.wait_for(reader.readuntil(b"/a"), timeout=2)
+        await asyncio.wait_for(server.stop(), timeout=2)
+        assert await asyncio.wait_for(reader.read(), timeout=2) == b""
+        writer.close()
+
+    async def test_read_timeout_closes_an_idle_connection(self):
+        server, host, port = await self.start(self.echo, read_timeout_s=0.1)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            assert await asyncio.wait_for(reader.read(), timeout=2) == b""
+            writer.close()
+        finally:
+            await server.stop()

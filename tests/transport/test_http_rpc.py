@@ -11,10 +11,12 @@ from repro.core.errors import (
     RemoteApplicationError,
     Unavailable,
 )
-from repro.transport.http_rpc import HttpRpcClient, HttpRpcServer, _format_request
+from repro.transport.http_rpc import HttpRpcClient, HttpServer, _format_request, rpc_route
 
 
-async def handler(component: str, method: str, body: bytes) -> bytes:
+async def handler(
+    component: str, method: str, body: bytes, trace: tuple[int, int], deadline_ms: int
+) -> bytes:
     if method == "app_error":
         raise KeyError("missing key")
     if method == "unavailable":
@@ -27,7 +29,7 @@ async def handler(component: str, method: str, body: bytes) -> bytes:
 
 class Harness:
     async def __aenter__(self):
-        self.server = HttpRpcServer(handler)
+        self.server = HttpServer(rpc_route(handler))
         self.address = await self.server.start()
         self.client = HttpRpcClient()
         return self

@@ -10,12 +10,13 @@ the baseline deployment.
 from __future__ import annotations
 
 from repro.baseline.service import deploy_baseline
+from repro.observability.tracing import UNSAMPLED_CONTEXT
 from repro.transport.http_rpc import (
     HttpRpcClient,
-    HttpRpcServer,
+    HttpServer,
     _format_request,
     _parse_trace_header,
-    incoming_trace,
+    rpc_route,
 )
 
 from tests.conftest import Greeter
@@ -36,20 +37,22 @@ class TestHeaderParsing:
             assert b"x-repro-trace" not in _format_request(
                 "a:1", "C", "m", b"x", 0, trace=trace
             )
-
-    def test_incoming_trace_defaults_to_zero(self):
-        assert incoming_trace() == (0, 0)
+        # An unsampled caller's context travels too: its callee must not
+        # start a trace of its own.
+        unsampled = _format_request("a:1", "C", "m", b"x", 0, trace=UNSAMPLED_CONTEXT)
+        assert b"x-repro-trace: 0-1\r\n" in unsampled
+        assert _parse_trace_header("0-1") == UNSAMPLED_CONTEXT
 
 
 class TestWireRoundTrip:
     async def test_server_sees_client_context(self):
         seen = []
 
-        async def handler(component: str, method: str, body: bytes) -> bytes:
-            seen.append(incoming_trace())
+        async def handler(component, method, body, trace, deadline_ms) -> bytes:
+            seen.append(trace)
             return b"ok"
 
-        server = HttpRpcServer(handler)
+        server = HttpServer(rpc_route(handler))
         address = await server.start()
         client = HttpRpcClient()
         try:
@@ -65,11 +68,11 @@ class TestWireRoundTrip:
         request on the same kept-alive connection."""
         seen = []
 
-        async def handler(component: str, method: str, body: bytes) -> bytes:
-            seen.append(incoming_trace())
+        async def handler(component, method, body, trace, deadline_ms) -> bytes:
+            seen.append(trace)
             return b"ok"
 
-        server = HttpRpcServer(handler)
+        server = HttpServer(rpc_route(handler))
         address = await server.start()
         client = HttpRpcClient()
         try:
@@ -84,15 +87,20 @@ class TestWireRoundTrip:
 
 class TestBaselineLinkage:
     async def test_client_and_server_spans_link_end_to_end(self, demo_registry):
-        """driver -> rpc Greeter.greet -> serve Greeter.greet, joined by
-        the header; the nested Adder hop stays in the same trace."""
+        """driver -> rpc Greeter.greet -> Greeter.greet (the server span
+        the framed stack names the same way), joined by the header; the
+        nested Adder hop stays in the same trace."""
         app = await deploy_baseline(registry=demo_registry)
         try:
             assert await app.get(Greeter).greet("bob") == "Hello, bob! (4)"
 
             spans = app.tracer.spans()
             clients = [s for s in spans if s.name == "rpc Greeter.greet"]
-            servers = [s for s in spans if s.name == "serve Greeter.greet"]
+            servers = [
+                s
+                for s in spans
+                if s.name == "Greeter.greet" and s.attributes.get("side") == "server"
+            ]
             assert clients and servers
             client, server = clients[0], servers[0]
             assert server.trace_id == client.trace_id
@@ -104,7 +112,7 @@ class TestBaselineLinkage:
                 s.name for s in spans if s.trace_id == client.trace_id
             }
             assert "rpc Adder.add" in names_in_trace
-            assert "serve Adder.add" in names_in_trace
+            assert "Adder.add" in names_in_trace
         finally:
             await app.shutdown()
 
@@ -114,10 +122,8 @@ class TestBaselineLinkage:
         try:
             app._client._tracer = None  # simulate a legacy caller
             assert await app.get(Greeter).greet("amy") == "Hello, amy! (4)"
-            # Server spans exist but start fresh traces (no remote parent).
-            serves = [
-                s for s in app.tracer.spans() if s.name == "serve Greeter.greet"
-            ]
-            assert serves and serves[0].parent_id is None
+            # As on the framed wire, only a caller roots a trace: a request
+            # without context is served without a server span.
+            assert not [s for s in app.tracer.spans() if s.name == "Greeter.greet"]
         finally:
             await app.shutdown()
