@@ -27,7 +27,7 @@ from typing import Any, Optional, TypeVar
 from repro.codegen.compiler import MethodSpec
 from repro.core.app import Application
 from repro.core.call_graph import CallGraph, ROOT
-from repro.core.component import Component
+from repro.core.component import Component, shutdown_instance
 from repro.core.config import AppConfig
 from repro.core.errors import ErrorCode, RPCError, Unavailable
 from repro.core.registry import FrozenRegistry, Registration, Registry, global_registry
@@ -213,6 +213,10 @@ class MicroserviceHost:
         if self.address is not None:
             self.mesh.deregister(self.reg.name, self.address)
         await self._server.stop()
+        # As a proclet does: the component's shutdown hook runs, and may
+        # still call its dependencies.
+        for instance in self._local.instances().values():
+            await shutdown_instance(instance)
         await self._pool.client.close()
 
     async def _serve(

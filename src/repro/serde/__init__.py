@@ -1,8 +1,12 @@
 """Wire formats: the paper's compact format plus two status-quo baselines.
 
-See :mod:`repro.serde.base` for the shared machinery and the package
-docstrings of each codec for format details.  :func:`codec_by_name` is the
-lookup used by deployers and benchmarks to select a data-plane format.
+``compact`` and ``tagged`` are generated by one schema compiler
+(:mod:`repro.serde.compact`, with :mod:`repro.serde.tagged` its second
+back-end), so timing one against the other compares formats; ``json``
+interprets ``json.loads`` output.  See each module's docstring for its
+format, and :mod:`repro.serde.base` for the :class:`Codec` interface.
+:func:`codec_by_name` is the lookup used by deployers and benchmarks to
+select a data-plane format.
 """
 
 from repro.serde.base import Codec, Reader

@@ -1,31 +1,16 @@
-"""Shared primitives for the wire formats.
-
-Three codecs live in this package:
-
-* :mod:`repro.serde.compact` — the paper's custom format: fields in schema
-  order, no tags, no type info (Section 6).  Valid only when both peers run
-  the same deployment version.
-* :mod:`repro.serde.tagged` — a protobuf-style tagged binary format: every
-  field carries a varint key ``(field_number << 3) | wire_type`` so old and
-  new readers can skip unknown fields.  This is the status-quo baseline.
-* :mod:`repro.serde.jsoncodec` — JSON with field names, the other status-quo
-  format the paper cites as inefficient.
-
-The two baselines (and the transport's own message headers) share the
-varint and buffer machinery defined here.  The compact codec does not: it
-generates source with these primitives inlined, so since that change a
-compact-vs-tagged timing compares implementations as well as formats.
+"""What the wire formats and the transport share: the :class:`Codec`
+interface, :func:`build_struct` for the JSON codec, and the varint
+:class:`Reader` the transport's message headers are read with
+(:mod:`repro.transport.message`).  The two binary codecs need none of it
+beyond the interface: they are generated source (:mod:`repro.serde.compact`).
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Any, Protocol
 
 from repro.core.errors import DecodeError
 from repro.codegen.schema import Schema
-
-_FLOAT = struct.Struct("<d")
 
 
 class Reader:
@@ -33,15 +18,12 @@ class Reader:
 
     Bounds are checked on every read; a truncated buffer raises
     :class:`DecodeError` rather than ``IndexError`` so callers can treat all
-    malformed input uniformly.
+    malformed input uniformly.  :func:`repro.transport.message.decode`
+    reads the less common message kinds' headers with it.
 
-    Zero-copy contract: a decoder wraps each incoming frame in a
-    single :class:`memoryview` and hands out *borrowed* windows via
-    :meth:`view` and :meth:`rest` — no byte is copied until a decoder
-    materializes it.  Borrowed views are valid only while the backing
-    buffer lives; anything that outlives the decode call (``bytes`` fields,
-    decoded strings) must be materialized, which is exactly what
-    :meth:`take` and ``str(view, "utf-8")`` do.
+    :meth:`view` and :meth:`rest` hand out borrowed windows when the buffer
+    is a :class:`memoryview`, valid only while it lives; :meth:`take`
+    materializes owned ``bytes``.
     """
 
     __slots__ = ("buf", "pos")
@@ -80,9 +62,6 @@ class Reader:
         self.pos += 1
         return b
 
-    def eof(self) -> bool:
-        return self.pos >= len(self.buf)
-
 
 def write_uvarint(out: bytearray, value: int) -> None:
     """Append an unsigned LEB128 varint."""
@@ -107,34 +86,6 @@ def read_uvarint(r: Reader) -> int:
         # off unterminated varints from corrupt buffers, so it is generous.
         if shift > 9100:
             raise DecodeError("uvarint too long (corrupt buffer)")
-
-
-def zigzag(value: int) -> int:
-    """Map signed to unsigned so small magnitudes stay small on the wire.
-
-    Works for arbitrary-precision Python ints: 0,-1,1,-2,2 -> 0,1,2,3,4.
-    """
-    return -2 * value - 1 if value < 0 else 2 * value
-
-
-def unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def write_svarint(out: bytearray, value: int) -> None:
-    write_uvarint(out, zigzag(value))
-
-
-def read_svarint(r: Reader) -> int:
-    return unzigzag(read_uvarint(r))
-
-
-def write_float(out: bytearray, value: float) -> None:
-    out += _FLOAT.pack(value)
-
-
-def read_float(r: Reader) -> float:
-    return _FLOAT.unpack(r.take(8))[0]
 
 
 def build_struct(schema: Schema, values: list) -> Any:
@@ -173,7 +124,7 @@ class Codec(Protocol):
     def decode(self, schema: Schema, data: "bytes | bytearray | memoryview") -> Any:
         """Deserialize a buffer produced by :meth:`encode` with ``schema``.
 
-        Accepts any bytes-like object; the baselines decode from a
-        ``memoryview`` without copying until leaf values are materialized.
+        Accepts any bytes-like object; the generated binary codecs walk a
+        ``bytes`` and copy any other input once.
         """
         ...

@@ -132,11 +132,14 @@ class CompactCodec:
         """How many schemas have been compiled: constant once the process is warm."""
         return len(self._compiled)
 
+    def _generator(self, schema: Schema) -> "_Generator":
+        return _Generator(schema)
+
     def _compile(self, schema: Schema) -> _Compiled:
-        gen = _Generator(schema)
+        gen = self._generator(schema)
         source = gen.source()
         namespace = dict(gen.constants, DecodeError=DecodeError, EncodeError=EncodeError)
-        filename = register_source(f"repro.serde.compact {_label(schema)}", source)
+        filename = register_source(f"repro.serde.{self.name} {_label(schema)}", source)
         exec(compile(source, filename, "exec"), namespace)
         compiled = _Compiled(namespace["encode"], namespace["decode"], source)
         self._compiled[schema] = compiled
@@ -234,6 +237,8 @@ class _Generator:
         self.constants: dict[str, Any] = {}
         self._lines: list[str] = []
         self._temps = 0
+        #: The local holding the end of what the current read may consume.
+        self._end = "end"
 
     def source(self) -> str:
         root, what = self.root, _label(self.root)
@@ -395,10 +400,9 @@ class _Generator:
         a slice past it would shorten silently, and (each element taking
         at least one byte) a count past it is corrupt — rejecting it here
         keeps malformed input from driving huge allocations."""
-        n = self._read_uvarint(d)
-        self._emit(
-            d, f"if {n} > end - pos:", f"    raise DecodeError(f'{complaint.format(n=n)}')"
-        )
+        n, end = self._read_uvarint(d), self._end
+        complaint = complaint.format(n=n, end=end)
+        self._emit(d, f"if {n} > {end} - pos:", f"    raise DecodeError(f'{complaint}')")
         return n
 
     def _decode(self, d: int, schema: Schema, x: str) -> str:
@@ -425,14 +429,14 @@ class _Generator:
             self.constants["unpack_float"] = _FLOAT.unpack_from
             self._emit(
                 d,
-                "if 8 > end - pos:",
+                f"if 8 > {self._end} - pos:",
                 "    raise DecodeError(f'truncated buffer: need 8 bytes at offset {pos}')",
                 f"{x} = unpack_float(buf, pos)[0]",
                 "pos += 8",
             )
         elif kind is Kind.STR or kind is Kind.BYTES:
             n = self._read_length(
-                d, "truncated buffer: need {{{n}}} bytes at offset {{pos}}, have {{end - pos}}"
+                d, "truncated buffer: need {{{n}}} bytes at offset {{pos}}, have {{{end} - pos}}"
             )
             decode = ".decode()" if kind is Kind.STR else ""
             self._emit(d, f"{x} = buf[pos : pos + {n}]{decode}", f"pos += {n}")
@@ -441,7 +445,7 @@ class _Generator:
             self._emit(d, f"{x} = ({', '.join(items)},)")
         elif kind in (Kind.LIST, Kind.SET, Kind.TUPLE, Kind.DICT):
             n = self._read_length(
-                d, "container count {{{n}}} exceeds remaining {{end - pos}} bytes"
+                d, "container count {{{n}}} exceeds remaining {{{end} - pos}} bytes"
             )
             empty = {Kind.SET: "set()", Kind.DICT: "{}"}.get(kind, "[]")
             self._emit(d, f"{x} = {empty}", f"for _ in range({n}):")

@@ -226,3 +226,47 @@ async def test_both_stacks_serve_a_request_the_same_way(stack):
         assert refused.executed is False
     finally:
         await app.shutdown()
+
+
+class Journal(Component):
+    async def write(self, line: str) -> int: ...
+
+
+#: What each stack's ``JournalImpl`` flushed at shutdown.
+FLUSHED: list[list[str]] = []
+
+
+class JournalImpl:
+    """Buffers writes and flushes them only in its shutdown hook."""
+
+    def __init__(self) -> None:
+        self.buffered: list[str] = []
+
+    async def write(self, line: str) -> int:
+        self.buffered.append(line)
+        return len(self.buffered)
+
+    async def shutdown(self) -> None:
+        FLUSHED.append(self.buffered)
+
+
+JOURNAL_STACKS = {
+    "framed": lambda registry: deploy_multiprocess(
+        AppConfig(name="journal"), registry=registry, mode="inproc"
+    ),
+    "baseline": lambda registry: deploy_baseline(AppConfig(name="journal"), registry=registry),
+}
+
+
+@pytest.mark.parametrize("stack", sorted(JOURNAL_STACKS))
+async def test_shutdown_runs_the_component_shutdown_hook(stack):
+    registry = Registry()
+    registry.register(Journal, JournalImpl)
+    FLUSHED.clear()
+    app = await JOURNAL_STACKS[stack](registry)
+    try:
+        assert await app.get(Journal).write("a") == 1
+        assert await app.get(Journal).write("b") == 2
+    finally:
+        await app.shutdown()
+    assert FLUSHED == [["a", "b"]]
