@@ -12,9 +12,9 @@ exact (same bucket boundaries everywhere) and quantile estimates are cheap.
 
 from __future__ import annotations
 
-import bisect
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -55,7 +55,7 @@ class HistogramValue:
             self.counts = [0] * (len(self.buckets) + 1)
 
     def observe(self, value: float, exemplar: int = 0) -> None:
-        index = bisect.bisect_left(self.buckets, value)
+        index = bisect_left(self.buckets, value)
         self.counts[index] += 1
         self.total += value
         self.count += 1
@@ -126,7 +126,7 @@ class BoundHistogram(BoundMetric):
         self._counts = cell.counts
 
     def observe(self, value: float, exemplar: int = 0) -> None:
-        index = bisect.bisect_left(self._buckets, value)
+        index = bisect_left(self._buckets, value)
         self._counts[index] += 1
         cell = self._cell
         cell.total += value
@@ -177,6 +177,8 @@ class MetricsRegistry:
         self._metrics: dict[str, Metric] = {}
         self._cells: dict[tuple[str, Labels], Any] = {}
         self._kinds: dict[str, str] = {}
+        #: histogram name -> the counter that reads its counts (count_of).
+        self._counted: dict[str, str] = {}
 
     def counter(self, name: str) -> Metric:
         return self._metric(name, "counter")
@@ -186,6 +188,14 @@ class MetricsRegistry:
 
     def histogram(self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS) -> Metric:
         return self._metric(name, "histogram", buckets)
+
+    def count_of(self, histogram: str, counter: str) -> None:
+        """Make ``counter`` read the observation count of ``histogram``, label
+        set by label set, whenever the registry is read (:meth:`cells`,
+        :meth:`snapshot`): a call site that observes the histogram pushes
+        nothing more per call."""
+        self._metric(counter, "counter")
+        self._counted[histogram] = counter
 
     def _metric(self, name: str, kind: str, buckets=DEFAULT_BUCKETS) -> Metric:
         existing = self._kinds.get(name)
@@ -216,7 +226,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """A JSON-able snapshot, shipped envelope -> manager."""
         out: dict[str, Any] = {}
-        for (name, labels), cell in self._cells.items():
+        for (name, labels), cell in self.cells().items():
             entry = {"labels": list(labels), "kind": self._kinds[name]}
             if isinstance(cell, (CounterValue, GaugeValue)):
                 entry["value"] = cell.value
@@ -264,7 +274,12 @@ class MetricsRegistry:
                     cell.merge(incoming)
 
     def cells(self) -> dict[tuple[str, Labels], Any]:
-        return dict(self._cells)
+        cells = dict(self._cells)
+        for (name, labels), cell in self._cells.items():
+            counter = self._counted.get(name)
+            if counter is not None:
+                cells[counter, labels] = CounterValue(float(cell.count))
+        return cells
 
 
 def render_prometheus(registry: "MetricsRegistry") -> str:
@@ -333,6 +348,3 @@ class Timer:
         self.elapsed = time.perf_counter() - self._start
         self._metric.observe(self.elapsed, **self._labels)
 
-
-#: Process-wide default registry (deployments may create private ones).
-DEFAULT = MetricsRegistry()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from repro.observability.timeseries import TimeSeriesStore
@@ -45,16 +45,9 @@ class Signal:
         return f"{self.kind}:{self.name}:{self.scope}"
 
     def to_wire(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "scope": self.scope,
-            "firing": self.firing,
-            "value": round(self.value, 6),
-            "baseline": round(self.baseline, 6),
-            "detail": self.detail,
-            "since": self.since,
-        }
+        wire = asdict(self)
+        wire.update(value=round(self.value, 6), baseline=round(self.baseline, 6))
+        return wire
 
 
 class EwmaDetector:

@@ -213,16 +213,12 @@ class TelemetryPipeline:
             per["_total"] += d
 
         for (name, labels), cell in cells.items():
-            if name == "component_method_calls":
+            if name == "component_method_calls" or name == "component_method_errors":
+                per = requests if name == "component_method_calls" else errors
                 d = self._delta(("c", name, labels), cell.value)
                 comp = _component_of(labels)
-                requests[comp] = requests.get(comp, 0.0) + d
-                requests["_total"] = requests.get("_total", 0.0) + d
-            elif name == "component_method_errors":
-                d = self._delta(("c", name, labels), cell.value)
-                comp = _component_of(labels)
-                errors[comp] = errors.get(comp, 0.0) + d
-                errors["_total"] = errors.get("_total", 0.0) + d
+                per[comp] = per.get(comp, 0.0) + d
+                per["_total"] = per.get("_total", 0.0) + d
             elif name == "breaker_transitions":
                 # Per-component first-class series, not just status
                 # snapshots: trips and half-open probes are the breaker
@@ -306,13 +302,7 @@ def _slow_count(hist: HistogramValue, threshold_s: float) -> float:
 
 
 def _merge_hist(per: dict[str, HistogramValue], scope: str, delta: HistogramValue) -> None:
-    existing = per.get(scope)
-    if existing is None:
-        per[scope] = HistogramValue(
-            delta.buckets, list(delta.counts), delta.total, delta.count
-        )
-    else:
-        existing.merge(delta)
+    per.setdefault(scope, HistogramValue(delta.buckets)).merge(delta)
 
 
 def sparkline(values: Iterable[float], width: int = 30) -> str:

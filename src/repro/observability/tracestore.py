@@ -30,7 +30,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Optional
 
 from repro.observability.metrics import DEFAULT_BUCKETS, HistogramValue
-from repro.observability.tracing import Span, assemble_tree, site_attributes
+from repro.observability.tracing import Span, assemble_tree, is_site
 
 #: Error statuses / codes that force a trace to be kept.
 _ERROR_STATUSES = ("error",)
@@ -167,7 +167,7 @@ class TraceStore:
         return index
 
     def _intern_site(self, attributes: Any, trace: _Trace) -> int:
-        if site_attributes(**attributes) is not attributes:
+        if not is_site(attributes):
             return trace.keep(attributes)  # read-only, but not a site's
         index = self._site_index[id(attributes)] = len(self._sites)
         self._sites.append(attributes)

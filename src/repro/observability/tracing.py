@@ -126,19 +126,6 @@ class Tracer:
         self._tokens = self._trace_burst
         self._token_t = time.monotonic()
 
-    def _take_token(self) -> bool:
-        now = time.monotonic()
-        tokens = min(
-            self._trace_burst,
-            self._tokens + (now - self._token_t) * self._trace_rate,
-        )
-        self._token_t = now
-        if tokens >= 1.0:
-            self._tokens = tokens - 1.0
-            return True
-        self._tokens = tokens
-        return False
-
     def start_span(
         self,
         name: str,
@@ -151,15 +138,27 @@ class Tracer:
         (a ``(trace_id, span_id)`` pair received over the wire — how a callee
         proclet joins the caller's trace).  ``site`` is the call site's
         :func:`site_attributes`; ``**attributes`` are this span's own.
+
+        A span that is not sampled comes back as a shared object with a
+        zero ``trace_id``.
         """
         if remote_parent is not None and remote_parent[0]:
             trace_id, parent_id = remote_parent
         else:
             parent = _current_span.get()
             if parent is None:
-                if self._trace_rate is not None and not self._take_token():
-                    self.unsampled += 1
-                    return _NoopActiveSpan()
+                rate = self._trace_rate
+                if rate is not None:  # the head sampler's token bucket
+                    now = time.monotonic()
+                    tokens = self._tokens + (now - self._token_t) * rate
+                    if tokens > self._trace_burst:
+                        tokens = self._trace_burst
+                    self._token_t = now
+                    if tokens < 1.0:
+                        self._tokens = tokens
+                        self.unsampled += 1
+                        return _UNSAMPLED_ROOT
+                    self._tokens = tokens - 1.0
                 trace_id = _new_id()
                 parent_id = None
             elif parent.trace_id == 0:
@@ -252,20 +251,23 @@ class ActiveSpan(Span):
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        if exc_type is not None:
+        _current_span.reset(self._token)
+        self.finish(time.time(), exc)
+
+    def finish(self, end_s: float, exc: Optional[BaseException] = None) -> None:
+        """End the span at ``end_s``, failed by ``exc`` if given: how a caller
+        that never bound the span (the RPC client) ends it."""
+        if exc is not None:
             self.status = "error"
             # A copy: the site's attributes are shared by its other spans.
             self.attributes = {**self.attributes, "exception": repr(exc)}
-        if self._token is not None:
-            _current_span.reset(self._token)
-            self._token = None
-        self.end_s = time.time()
+        self.end_s = end_s
         self._tracer._finish(self)
 
 
 #: The wire context of a request inside an unsampled trace: no trace id,
-#: span id 1.  It is as long on the wire as (0, 0), which still means "no
-#: context" and leaves the sampling decision to the callee.
+#: span id 1.  (0, 0) means "no context" and leaves the sampling decision
+#: to the callee; each of the two is one flag byte on the wire.
 UNSAMPLED_CONTEXT = (0, 1)
 
 #: Ambient marker for "this request is inside an unsampled trace".  Its ids
@@ -273,20 +275,6 @@ UNSAMPLED_CONTEXT = (0, 1)
 #: stays unsampled too, and its zero trace id keeps histograms
 #: exemplar-free for unsampled calls.
 _UNSAMPLED = Span(0, UNSAMPLED_CONTEXT[1], None, "unsampled", 0.0)
-
-
-class _NoopActiveSpan:
-    """Stand-in for ActiveSpan on unsampled roots: binds the sentinel."""
-
-    __slots__ = ("_token",)
-    trace_id = 0
-
-    def __enter__(self) -> Span:
-        self._token = _current_span.set(_UNSAMPLED)
-        return _UNSAMPLED
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        _current_span.reset(self._token)
 
 
 #: Bind the unsampled marker as the ambient span, returning the token that
@@ -297,21 +285,30 @@ bind_unsampled = functools.partial(_current_span.set, _UNSAMPLED)
 reset_span = _current_span.reset
 
 
-class _NoopSpan:
-    """Shared no-op for spans nested inside an unsampled trace, and for
-    callers that have no tracer: binds nothing, records nothing."""
+class _Unsampled:
+    """What :meth:`Tracer.start_span` returns for a span it does not sample:
+    it records nothing.  A root the head sampler refused binds the sentinel
+    while it runs, so the calls it makes stay unsampled, and restores the
+    none a root always replaces; inside an unsampled trace nothing is bound."""
 
-    __slots__ = ()
+    __slots__ = ("_root",)
     trace_id = 0
 
+    def __init__(self, root: bool) -> None:
+        self._root = root
+
     def __enter__(self) -> Span:
+        if self._root:
+            _current_span.set(_UNSAMPLED)
         return _UNSAMPLED
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        return None
+        if self._root:
+            _current_span.set(None)
 
 
-NOOP_SPAN = _NoopSpan()
+_UNSAMPLED_ROOT = _Unsampled(True)
+NOOP_SPAN = _Unsampled(False)
 
 
 def assemble_tree(spans: list[Span]) -> list[tuple[int, Span]]:
@@ -354,10 +351,6 @@ def current_span() -> Optional[Span]:
     return _current_span.get()
 
 
-#: Process-wide default tracer.
-DEFAULT = Tracer()
-
-
 def current_context() -> tuple[int, int]:
     """The ambient (trace_id, span_id): (0, 0) outside any span, and
     :data:`UNSAMPLED_CONTEXT` inside an unsampled trace.
@@ -372,8 +365,18 @@ def current_context() -> tuple[int, int]:
     return (span.trace_id, span.span_id)
 
 
+def is_site(attributes: Mapping[str, Any]) -> bool:
+    """Are these the canonical mapping of a call site (:func:`site_attributes`)?"""
+    return type(attributes) is MappingProxyType and (
+        _SITES.get(tuple(attributes.items())) is attributes
+    )
+
+
 def spans_to_wire(spans: list[Span]) -> list[dict]:
-    """JSON-able form for the proclet -> manager telemetry pipe."""
+    """JSON-able form for the proclet -> manager telemetry pipe.  Site
+    attributes travel as ``site``, so the receiver re-interns only those:
+    interning a span's own (an error's text) would grow :data:`_SITES`
+    without bound."""
     return [
         {
             "trace_id": s.trace_id,
@@ -382,7 +385,7 @@ def spans_to_wire(spans: list[Span]) -> list[dict]:
             "name": s.name,
             "start_s": s.start_s,
             "end_s": s.end_s,
-            "attributes": dict(s.attributes),
+            "site" if is_site(s.attributes) else "attributes": dict(s.attributes),
             "status": s.status,
         }
         for s in spans
@@ -393,7 +396,9 @@ def spans_from_wire(raw: list[dict]) -> list[Span]:
     return [
         Span(
             e["trace_id"], e["span_id"], e.get("parent_id"), e["name"], e["start_s"],
-            e["end_s"], dict(e.get("attributes", {})), e.get("status", "ok"),
+            e["end_s"],
+            site_attributes(**e["site"]) if "site" in e else dict(e.get("attributes", {})),
+            e.get("status", "ok"),
         )
         for e in raw
     ]

@@ -190,12 +190,14 @@ class Proclet:
         )
         self.advisor = RoutingAdvisor()
         self._method_latency = self.metrics.histogram("component_method_latency_s")
-        self._method_calls = self.metrics.counter("component_method_calls")
+        # Every served call lands in the latency histogram: its count is
+        # the call count, read when metrics are.
+        self.metrics.count_of("component_method_latency_s", "component_method_calls")
         self._method_errors = self.metrics.counter("component_method_errors")
-        #: (component_id, method_index) -> (thunk, latency, calls, errors)
+        #: (component_id, method_index) -> (thunk, latency, errors)
         #: of every hosted method, bound when its component is hosted.  A
         #: request naming anything else touches no per-method state.
-        self._served: dict[tuple[int, int], tuple[Thunk, Any, Any, Any]] = {}
+        self._served: dict[tuple[int, int], tuple[Thunk, Any, Any]] = {}
 
         from repro.observability.logs import ComponentLogger
         from repro.state import StateRuntime
@@ -377,7 +379,6 @@ class Proclet:
             self._served[(reg.component_id, spec.index)] = (
                 self._dispatcher.thunk(reg, spec, instance),
                 self._method_latency.bind(**labels),
-                self._method_calls.bind(**labels),
                 self._method_errors.bind(**labels),
             )
 
@@ -425,11 +426,10 @@ class Proclet:
                 elapsed = time.perf_counter() - start
                 self._busy_s += elapsed
                 if served is not None:
-                    _, latency, calls, errors = served
+                    _, latency, errors = served
                     # trace[0] is the caller's trace id: a histogram exemplar
                     # pivots a latency bucket straight to that trace.
-                    latency.observe(elapsed, exemplar=trace[0])
-                    calls.inc()
+                    latency.observe(elapsed, trace[0])
                     if failed:
                         errors.inc()
         finally:

@@ -326,8 +326,7 @@ class Connection(asyncio.BufferedProtocol):
                 req_id,
                 component_id,
                 method_index,
-                trace[0],
-                trace[1],
+                trace,
                 deadline_ms,
             )
             if len(head) - HEADER + len(args) > framing.MAX_FRAME:

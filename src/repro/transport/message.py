@@ -19,15 +19,20 @@ Message layouts (after the frame length prefix)::
     HELLO     0x01 | u8 codec_len | codec | u8 version_len | version
     WELCOME   0x02 | u8 codec_len | codec | u8 version_len | version
     REQUEST   0x03 | uvarint req_id | uvarint component_id
-                   | uvarint method_index | uvarint trace_id
-                   | uvarint parent_span_id | uvarint deadline_ms
+                   | uvarint method_index | trace | uvarint deadline_ms
                    | args bytes
 
-Trace ids propagate the caller's span context (zero = untraced); they cost
-one byte each when tracing is off — the single-version luxury of changing
-the protocol without a migration plan.  ``deadline_ms`` is the caller's
-*remaining* budget for the call (zero = no deadline); each hop re-derives
-it from its own clock, so no clock synchronization is needed.
+``trace`` propagates the caller's span context as ``(trace_id,
+parent_span_id)``: one flag byte, then the ids if they matter.  Flag 0 is
+``(0, 0)``, no context; flag 1 is ``(0, 1)``, the context of an unsampled
+trace (:data:`repro.observability.tracing.UNSAMPLED_CONTEXT`); flag 2 is
+followed by both ids as little-endian u64s, and carries any other pair.
+An untraced or unsampled call spends one byte on it, and a sampled one
+17, packed and parsed by one ``struct`` call — the single-version luxury
+of changing the protocol without a migration plan.  ``deadline_ms`` is
+the caller's *remaining* budget for the call (zero = no deadline); each
+hop re-derives it from its own clock, so no clock synchronization is
+needed.
     RESPONSE  0x04 | uvarint req_id | result bytes
     APP_ERROR 0x05 | uvarint req_id | u16 type_len | type | message utf-8
     RPC_ERROR 0x06 | uvarint req_id | u8 code | u8 flags | message utf-8
@@ -44,8 +49,7 @@ sequence of bounded chunks instead of one giant frame, so it never
 monopolizes the write coalescer and can exceed ``MAX_FRAME``::
 
     STREAM_OPEN   0x09 | uvarint req_id | uvarint component_id
-                       | uvarint method_index | uvarint trace_id
-                       | uvarint parent_span_id | uvarint deadline_ms
+                       | uvarint method_index | trace | uvarint deadline_ms
                        | uvarint total_len
     STREAM_RESP   0x0A | uvarint req_id | uvarint total_len
     STREAM_CHUNK  0x0B | uvarint req_id | u8 flags | chunk bytes
@@ -65,6 +69,7 @@ bounds the producer's memory instead of the other way round.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -84,6 +89,9 @@ STREAM_RESP = 0x0A
 STREAM_CHUNK = 0x0B
 STREAM_CREDIT = 0x0C
 STREAM_CANCEL = 0x0D
+
+#: The two ids of a trace context with flag 2.
+_TRACE_IDS = struct.Struct("<QQ")
 
 #: Stream flag bits (shared by CHUNK / CREDIT / CANCEL).
 STREAM_END = 0x01
@@ -277,8 +285,7 @@ def encode_request_prefix(
     req_id: int,
     component_id: int,
     method_index: int,
-    trace_id: int = 0,
-    parent_span_id: int = 0,
+    trace: "tuple[int, int]" = (0, 0),
     deadline_ms: int = 0,
 ) -> None:
     """Append a REQUEST header; the argument bytes follow as the frame body.
@@ -286,16 +293,33 @@ def encode_request_prefix(
     The hot path calls this with the frame buffer itself (started by
     :func:`repro.transport.framing.new_frame`) so a request costs zero
     intermediate copies: args ride as a separate gather chunk.  The varint
-    loop is inlined — six ``write_uvarint`` calls per request are
+    loop is inlined — four ``write_uvarint`` calls per request are
     measurable at data-plane rates.
     """
     out.append(REQUEST)
-    for v in (req_id, component_id, method_index, trace_id, parent_span_id,
-              deadline_ms):
+    for v in (req_id, component_id, method_index):
         while v > 0x7F:
             out.append((v & 0x7F) | 0x80)
             v >>= 7
         out.append(v)
+    if trace[0] or trace[1] > 1:
+        _trace_into(out, trace)
+    else:  # (0, 0) or UNSAMPLED_CONTEXT: the flag byte is the span id
+        out.append(trace[1])
+    while deadline_ms > 0x7F:
+        out.append((deadline_ms & 0x7F) | 0x80)
+        deadline_ms >>= 7
+    out.append(deadline_ms)
+
+
+def _trace_into(out: bytearray, trace: "tuple[int, int]") -> None:
+    """Append a trace context: its flag byte, and the ids under flag 2."""
+    trace_id, span_id = trace
+    if trace_id == 0 and (span_id == 0 or span_id == 1):
+        out.append(span_id)
+    else:
+        out.append(2)
+        out += _TRACE_IDS.pack(trace_id, span_id)
 
 
 def encode_response_prefix(out: bytearray, req_id: int) -> None:
@@ -340,8 +364,7 @@ def encode_into(out: bytearray, msg: Message) -> None:
             msg.req_id,
             msg.component_id,
             msg.method_index,
-            msg.trace_id,
-            msg.parent_span_id,
+            (msg.trace_id, msg.parent_span_id),
             msg.deadline_ms,
         )
         out += msg.args
@@ -371,9 +394,11 @@ def encode_into(out: bytearray, msg: Message) -> None:
         write_uvarint(out, msg.nonce)
     elif isinstance(msg, StreamOpen):
         out.append(STREAM_OPEN)
-        for v in (msg.req_id, msg.component_id, msg.method_index, msg.trace_id,
-                  msg.parent_span_id, msg.deadline_ms, msg.total_len):
+        for v in (msg.req_id, msg.component_id, msg.method_index):
             write_uvarint(out, v)
+        _trace_into(out, (msg.trace_id, msg.parent_span_id))
+        write_uvarint(out, msg.deadline_ms)
+        write_uvarint(out, msg.total_len)
     elif isinstance(msg, StreamResp):
         out.append(STREAM_RESP)
         write_uvarint(out, msg.req_id)
@@ -426,14 +451,12 @@ def decode(frame: bytes) -> Message:
             pos += 1
             if method_index > 0x7F:
                 method_index, pos = _uvarint_tail(frame, pos, method_index)
-            trace_id = frame[pos]
-            pos += 1
-            if trace_id > 0x7F:
-                trace_id, pos = _uvarint_tail(frame, pos, trace_id)
-            parent_span_id = frame[pos]
-            pos += 1
-            if parent_span_id > 0x7F:
-                parent_span_id, pos = _uvarint_tail(frame, pos, parent_span_id)
+            flag = frame[pos]
+            if flag < 2:  # (0, 0) or UNSAMPLED_CONTEXT
+                trace_id, parent_span_id = 0, flag
+                pos += 1
+            else:
+                trace_id, parent_span_id, pos = _trace_at(frame, pos)
             deadline_ms = frame[pos]
             pos += 1
             if deadline_ms > 0x7F:
@@ -467,7 +490,9 @@ def decode(frame: bytes) -> Message:
         if kind == PONG:
             return Pong(read_uvarint(r))
         if kind == STREAM_OPEN:
-            return StreamOpen(*(read_uvarint(r) for _ in range(7)))
+            ids = [read_uvarint(r) for _ in range(3)]
+            trace_id, span_id, r.pos = _trace_at(frame, r.pos)
+            return StreamOpen(*ids, trace_id, span_id, read_uvarint(r), read_uvarint(r))
         if kind == STREAM_RESP:
             return StreamResp(read_uvarint(r), read_uvarint(r))
         if kind == STREAM_CREDIT:
@@ -492,6 +517,21 @@ def _uvarint_tail(frame: bytes, pos: int, n: int) -> "tuple[int, int]":
             return n, pos
         shift += 7
     raise TransportError("header varint longer than 10 bytes")
+
+
+def _trace_at(frame: bytes, pos: int) -> "tuple[int, int, int]":
+    """Read the trace context whose flag byte is at ``pos``: its two ids and
+    the position after it."""
+    try:
+        flag = frame[pos]
+        if flag < 2:
+            return 0, flag, pos + 1
+        if flag == 2:
+            trace_id, span_id = _TRACE_IDS.unpack_from(frame, pos + 1)
+            return trace_id, span_id, pos + 1 + _TRACE_IDS.size
+    except (IndexError, struct.error) as exc:
+        raise TransportError("malformed message: truncated trace context") from exc
+    raise TransportError(f"unknown trace context flag {flag}")
 
 
 def _short_str(out: bytearray, s: str) -> None:

@@ -54,7 +54,7 @@ from repro.core.options import (
 from repro.core.registry import FrozenRegistry, Registration
 from repro.core.stub import LocalInvoker
 from repro.observability.tracing import (
-    NOOP_SPAN,
+    UNSAMPLED_CONTEXT,
     bind_unsampled,
     current_context,
     reset_span,
@@ -326,63 +326,76 @@ class RemoteInvoker:
         opts = options or DEFAULT_OPTIONS
         payload = bytearray()
         self._codec.encode_into(method.arg_schema, args, payload)
-        start = time.perf_counter()
-        error = False
+        start = time.monotonic()  # the call's latency and its deadline, one read
+        failure: Optional[BaseException] = None
         reply = b""
-        span = NOOP_SPAN
+        # Sampling is decided once, here.  The client span is never bound as
+        # the ambient one: every attempt is handed the wire context, and an
+        # unsampled call holds no span at all.
+        span = None
         tracer = self._tracer
-        if tracer is not None:
+        if tracer is None:
+            trace = current_context()
+        else:
             span = tracer.start_span(span_name, span_site)
+            if span.trace_id:
+                trace = (span.trace_id, span.span_id)
+            else:
+                span = None
+                trace = UNSAMPLED_CONTEXT
         try:
-            with span:
-                budget = effective_budget_s(opts.deadline_s, self._timeout_s)
-                if budget <= 0:
-                    raise DeadlineExceeded(
-                        f"no budget left calling {reg.name}.{method.name}", executed=False
+            budget = effective_budget_s(opts.deadline_s, self._timeout_s)
+            if budget <= 0:
+                raise DeadlineExceeded(
+                    f"no budget left calling {reg.name}.{method.name}", executed=False
+                )
+            deadline = start + budget
+            if self.fault_plan is not None or (
+                opts.hedge_after_s is not None and method.idempotent
+            ):
+                reply = await self._retry_loop(reg, method, args, payload, opts, deadline, trace)
+            else:
+                # Attempt 0, inline: the same steps as _single_attempt.
+                resolver = self._resolver
+                address = conn = attempt_failure = None
+                try:
+                    address = resolver.pick(reg, method, args, opts.route_key)
+                    if address is None:
+                        address = await resolver.resolve(reg, method, args, opts.route_key)
+                    conn = self._pool.live(address)
+                    if conn is None:
+                        conn = await self._pool.get(address)
+                    reply = await conn.call(
+                        reg.component_id,
+                        method.index,
+                        payload,
+                        timeout=budget,
+                        trace=trace,
+                        deadline_ms=budget_to_wire_ms(budget),
                     )
-                deadline = time.monotonic() + budget
-                if self.fault_plan is not None or (
-                    opts.hedge_after_s is not None and method.idempotent
-                ):
-                    reply = await self._retry_loop(reg, method, args, payload, opts, deadline)
+                except RPCError as exc:
+                    if address is not None:  # routing failures are not reported
+                        wall_start = span.start_s if span is not None else 0.0
+                        self._attempt_failed(reg, method, address, conn, 0, wall_start, trace, exc)
+                    attempt_failure = exc
                 else:
-                    # Attempt 0, inline: the same steps as _single_attempt.
-                    resolver = self._resolver
-                    address = conn = failure = None
-                    try:
-                        address = resolver.pick(reg, method, args, opts.route_key)
-                        if address is None:
-                            address = await resolver.resolve(reg, method, args, opts.route_key)
-                        wall_start = time.time() if tracer is not None else 0.0
-                        conn = self._pool.live(address)
-                        if conn is None:
-                            conn = await self._pool.get(address)
-                        reply = await conn.call(
-                            reg.component_id,
-                            method.index,
-                            payload,
-                            timeout=budget,
-                            trace=current_context(),
-                            deadline_ms=budget_to_wire_ms(budget),
-                        )
-                    except RPCError as exc:
-                        if address is not None:  # routing failures are not reported
-                            self._attempt_failed(reg, method, address, conn, 0, wall_start, exc)
-                        failure = exc
-                    else:
-                        resolver.report_outcome(reg, address, ok=True)
-                    if failure is not None:
-                        reply = await self._retry_loop(
-                            reg, method, args, payload, opts, deadline, failure
-                        )
+                    resolver.report_outcome(reg, address, ok=True)
+                if attempt_failure is not None:
+                    reply = await self._retry_loop(
+                        reg, method, args, payload, opts, deadline, trace, attempt_failure
+                    )
             return self._codec.decode(method.result_schema, reply)
-        except Exception:
-            error = True
+        except BaseException as exc:
+            failure = exc
             raise
         finally:
-            elapsed = time.perf_counter() - start
+            elapsed = time.monotonic() - start
+            # A cancelled call fails its span, but is no error.
+            error = failure is not None and isinstance(failure, Exception)
+            if span is not None:
+                span.finish(time.time(), failure)
             if latency is not None:
-                latency.observe(elapsed, exemplar=span.trace_id)
+                latency.observe(elapsed, trace[0])  # the trace is the exemplar
                 if error:
                     errors.inc()
             if edge is not None:
@@ -415,10 +428,12 @@ class RemoteInvoker:
         payload: bytes,
         opts: CallOptions,
         deadline: float,
+        trace: tuple[int, int],
         failure: Optional[RPCError] = None,
     ) -> bytes:
         """Every attempt after the failed inline one (``failure``), or every
-        attempt of a fault-injected or hedged call."""
+        attempt of a fault-injected or hedged call.  ``trace`` is the call's
+        wire context, sent by every attempt."""
         max_retries = self._max_retries if opts.retries is None else opts.retries
         hedge_after_s = opts.hedge_after_s if method.idempotent else None
         attempt = 0
@@ -455,10 +470,10 @@ class RemoteInvoker:
             try:
                 if hedge_after_s is None:
                     return await self._single_attempt(
-                        reg, method, args, payload, opts, deadline, attempt
+                        reg, method, args, payload, opts, deadline, trace, attempt
                     )
                 return await self._hedged_attempt(
-                    reg, method, args, payload, opts, deadline, hedge_after_s
+                    reg, method, args, payload, opts, deadline, trace, hedge_after_s
                 )
             except RPCError as exc:
                 failure = exc
@@ -471,6 +486,7 @@ class RemoteInvoker:
         payload: bytes,
         opts: CallOptions,
         deadline: float,
+        trace: tuple[int, int],
         attempt: int = 0,
     ) -> bytes:
         remaining = deadline - time.monotonic()
@@ -483,7 +499,7 @@ class RemoteInvoker:
         address = resolver.pick(reg, method, args, opts.route_key)
         if address is None:
             address = await resolver.resolve(reg, method, args, opts.route_key)
-        wall_start = time.time() if self._tracer is not None else 0.0
+        wall_start = time.time() if trace[0] else 0.0  # a sampled call's attempt span
         conn = None
         try:
             # Faults inject per *attempt*, modeling a replica failing
@@ -499,18 +515,18 @@ class RemoteInvoker:
                 method.index,
                 payload,
                 timeout=remaining,
-                trace=current_context(),
+                trace=trace,
                 deadline_ms=budget_to_wire_ms(remaining),
             )
         except RPCError as exc:
-            self._attempt_failed(reg, method, address, conn, attempt, wall_start, exc)
+            self._attempt_failed(reg, method, address, conn, attempt, wall_start, trace, exc)
             raise
         resolver.report_outcome(reg, address, ok=True)
         if attempt > 0:
             # A failover retry that landed: record it as a sibling of the
             # failed attempt(s) so the trace shows the whole story.  The
             # happy first attempt stays span-free — zero hot-path cost.
-            self._attempt_span(reg, method, address, attempt, wall_start, status="ok")
+            self._attempt_span(reg, method, address, attempt, wall_start, trace, status="ok")
         return reply
 
     def _attempt_failed(
@@ -521,6 +537,7 @@ class RemoteInvoker:
         conn: Optional[Any],
         attempt: int,
         wall_start: float,
+        trace: tuple[int, int],
         exc: RPCError,
     ) -> None:
         """What every failed attempt does at its failure site."""
@@ -538,7 +555,9 @@ class RemoteInvoker:
             draining=getattr(exc, "draining", False),
             wrong_owner=getattr(exc, "wrong_owner", False),
         )
-        self._attempt_span(reg, method, address, attempt, wall_start, status="error", exc=exc)
+        self._attempt_span(
+            reg, method, address, attempt, wall_start, trace, status="error", exc=exc
+        )
 
     def _attempt_span(
         self,
@@ -547,19 +566,22 @@ class RemoteInvoker:
         address: str,
         attempt: int,
         wall_start: float,
+        trace: tuple[int, int],
         *,
         status: str,
         exc: Optional[RPCError] = None,
     ) -> None:
-        """Materialize one per-attempt span (failures and failover retries only)."""
-        if self._tracer is None:
+        """Materialize one per-attempt span (failures and failover retries
+        only) under the client span of a sampled call.  An unsampled call
+        records none, and reads no wall clock for one."""
+        if not trace[0] or self._tracer is None:
             return
         attrs: dict[str, Any] = {"address": address, "attempt": attempt}
         if exc is not None:
             attrs["code"] = exc.code.name.lower()
         self._tracer.record_span(
             f"attempt {reg.name.rsplit('.', 1)[-1]}.{method.name}#{attempt}",
-            trace=current_context(),
+            trace=trace,
             start_s=wall_start,
             end_s=time.time(),
             status=status,
@@ -574,6 +596,7 @@ class RemoteInvoker:
         payload: bytes,
         opts: CallOptions,
         deadline: float,
+        trace: tuple[int, int],
         hedge_after_s: float,
     ) -> bytes:
         """Race a second attempt if the first is slow; first result wins.
@@ -584,7 +607,7 @@ class RemoteInvoker:
 
         def spawn() -> asyncio.Task:
             return asyncio.ensure_future(
-                self._single_attempt(reg, method, args, payload, opts, deadline)
+                self._single_attempt(reg, method, args, payload, opts, deadline, trace)
             )
 
         tasks = [spawn()]

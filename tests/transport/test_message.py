@@ -103,14 +103,14 @@ def test_request_deadline_roundtrips():
 GOLDEN = [
     (
         msg.Request(300, 7, 2, b"\x01\x02", deadline_ms=2500),
-        "03ac0207020000c4130102",
+        "03ac02070200c4130102",
     ),
     (
         msg.Request(
             2**14, 129, 1, b"ab",
             trace_id=2**63 - 1, parent_span_id=2**62 + 5, deadline_ms=16384,
         ),
-        "03808001810101ffffffffffffffff7f8580808080808080408080016162",
+        "0380800181010102ffffffffffffff7f05000000000000408080016162",
     ),
     (msg.Response(2**21 + 3, b"ok"), "04838080016f6b"),
     (
@@ -153,7 +153,7 @@ _LONG_VARINT = b"\xff" * (1 << 20)
     "frame",
     [
         bytes([msg.REQUEST]) + _LONG_VARINT + b"\x00",
-        bytes([msg.REQUEST]) + b"\x01\x01\x01\x00\x00" + _LONG_VARINT + b"\x00",
+        bytes([msg.REQUEST]) + b"\x01\x01\x01\x00" + _LONG_VARINT + b"\x00",
         bytes([msg.RESPONSE]) + _LONG_VARINT + b"\x00",
         bytes([msg.STREAM_CHUNK]) + _LONG_VARINT + b"\x00\x00",
     ],
@@ -167,3 +167,45 @@ def test_overlong_header_varint_rejected_quickly(frame):
     with pytest.raises(TransportError, match="varint"):
         msg.decode(frame)
     assert time.perf_counter() - started < 0.5
+
+
+#: The pairs the trace context field spells in one byte, its widest ids, and
+#: a pair that only looks unsampled.
+trace_pairs = st.one_of(
+    st.sampled_from([(0, 0), (0, 1), (0, 2), (1, 0), (2**64 - 1, 2**64 - 1)]),
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=trace_pairs, deadline_ms=st.integers(0, 2**32), body=st.binary(max_size=16))
+def test_trace_context_roundtrips_losslessly(trace, deadline_ms, body):
+    request = msg.Request(3, 1, 2, body, trace[0], trace[1], deadline_ms)
+    assert msg.decode(msg.encode(request)) == request
+    opened = msg.StreamOpen(3, 1, 2, trace[0], trace[1], deadline_ms, len(body))
+    assert msg.decode(msg.encode(opened)) == opened
+
+
+def test_trace_context_is_one_byte_unless_sampled():
+    """(0, 0) and UNSAMPLED_CONTEXT cost a flag byte; real ids 17 bytes."""
+    plain = len(msg.encode(msg.Request(1, 1, 1, b"")))
+    assert len(msg.encode(msg.Request(1, 1, 1, b"", 0, 1))) == plain
+    assert len(msg.encode(msg.Request(1, 1, 1, b"", 5, 7))) == plain + 16
+    plain = len(msg.encode(msg.StreamOpen(1, 1, 1)))
+    assert len(msg.encode(msg.StreamOpen(1, 1, 1, 0, 1))) == plain
+    assert len(msg.encode(msg.StreamOpen(1, 1, 1, 5, 7))) == plain + 16
+
+
+@pytest.mark.parametrize("flag", [3, 0x80, 0xFF])
+@pytest.mark.parametrize("kind", [msg.REQUEST, msg.STREAM_OPEN])
+def test_unknown_trace_context_flag_rejected(kind, flag):
+    frame = bytes([kind, 1, 1, 1, flag]) + bytes(20)
+    with pytest.raises(TransportError, match="trace context flag"):
+        msg.decode(frame)
+
+
+@pytest.mark.parametrize("kind", [msg.REQUEST, msg.STREAM_OPEN])
+def test_truncated_trace_ids_rejected(kind):
+    frame = bytes([kind, 1, 1, 1, 2]) + bytes(15)  # one id byte short
+    with pytest.raises(TransportError, match="truncated"):
+        msg.decode(frame)

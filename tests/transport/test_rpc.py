@@ -11,6 +11,7 @@ from repro.core.component import Component
 from repro.core.errors import DeadlineExceeded, ErrorCode, RPCError, Unavailable
 from repro.core.registry import Registry
 from repro.core.stub import LocalInvoker, make_stub
+from repro.observability.tracing import UNSAMPLED_CONTEXT, Tracer
 from repro.serde import COMPACT
 from repro.transport.client import ConnectionPool
 from repro.transport.rpc import Dispatcher, RemoteInvoker
@@ -276,3 +277,86 @@ async def test_unavailable_reply_keeps_the_shared_connection(rejection):
         assert await slow == "rested"
         assert served.pool.live(served.resolver.address) is conn
         assert cancelled_naps == []
+
+
+class ContextRecordingApp(ServedApp):
+    """Records the trace context of every request; refuses the first
+    ``failures`` (retryably, unexecuted) and holds the first one back for
+    ``hold_first_s``, so a hedge fires."""
+
+    def __init__(self, build, *, failures=0, hold_first_s=0.0):
+        super().__init__(build)
+        self.contexts = []
+        self.failures = failures
+        self.hold_first_s = hold_first_s
+
+    async def _serve(self, component_id, method_index, args, trace, deadline_ms):
+        self.contexts.append(trace)
+        if len(self.contexts) == 1 and self.hold_first_s:
+            await asyncio.sleep(self.hold_first_s)
+        if len(self.contexts) <= self.failures:
+            raise Unavailable("replica hiccup", executed=False)
+        return await self.dispatcher.handle(component_id, method_index, args, trace, deadline_ms)
+
+
+#: How each call reaches its attempts: the inline attempt and two retries
+#: after it, or a first attempt held back until a hedge races it.
+ATTEMPTS = {
+    "retries": (dict(failures=2), {}),
+    "hedges": (dict(hold_first_s=0.3), dict(hedge=0.02)),
+}
+
+
+async def _call_through_attempts(build, tracer, how):
+    served_kw, options = ATTEMPTS[how]
+    async with ContextRecordingApp(build, **served_kw) as served:
+        invoker = RemoteInvoker(
+            codec=COMPACT,
+            pool=served.pool,
+            resolver=served.resolver,
+            timeout_s=5.0,
+            max_retries=3,
+            retry_backoff_s=0.001,
+            tracer=tracer,
+        )
+        stub = make_stub(build.by_iface(Adder), invoker, ROOT)
+        assert await stub.with_options(**options).add(2, 3) == 5
+        if how == "retries":
+            assert len(served.contexts) == 3
+        else:
+            assert invoker.hedges == 1
+        return served.contexts
+
+
+@pytest.mark.parametrize("how", sorted(ATTEMPTS))
+async def test_refused_root_sends_unsampled_context_on_every_attempt(demo_build, how):
+    """A root the head sampler refused stays unsampled on every attempt,
+    not only the first: a callee that saw (0, 0) would start a trace."""
+    tracer = Tracer(trace_rate=1.0, trace_burst=0.0)  # refuses every root
+    contexts = await _call_through_attempts(demo_build, tracer, how)
+    assert len(contexts) >= 2
+    assert contexts == [UNSAMPLED_CONTEXT] * len(contexts)
+    assert tracer.spans() == [] and tracer.unsampled == 1
+
+
+@pytest.mark.parametrize("how", sorted(ATTEMPTS))
+async def test_sampled_root_sends_its_span_on_every_attempt(demo_build, how):
+    tracer = Tracer()
+    contexts = await _call_through_attempts(demo_build, tracer, how)
+    (client,) = [s for s in tracer.spans() if s.name == "rpc Adder.add"]
+    assert client.trace_id and client.parent_id is None and client.status == "ok"
+    assert len(contexts) >= 2
+    assert contexts == [(client.trace_id, client.span_id)] * len(contexts)
+    attempts = [s for s in tracer.spans() if s is not client]
+    if how == "retries":
+        # Failed and retried attempts are siblings under the client span.
+        assert [(s.name, s.status) for s in attempts] == [
+            ("attempt Adder.add#0", "error"),
+            ("attempt Adder.add#1", "error"),
+            ("attempt Adder.add#2", "ok"),
+        ]
+        for s in attempts:
+            assert (s.trace_id, s.parent_id) == (client.trace_id, client.span_id)
+            assert client.start_s <= s.start_s <= s.end_s <= client.end_s
+    else:
+        assert attempts == []  # the winning hedge was a first attempt
