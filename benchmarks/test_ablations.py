@@ -87,11 +87,11 @@ def test_compression_ablation(benchmark, boutique_mix):
     from repro.boutique import ALL_COMPONENTS, Frontend
     from repro.boutique.types import HomePage
     from repro.codegen.schema import schema_of
+    from repro.core.app import init
     from repro.serde import codec_by_name
-    from repro.sim.profile import recording_app
 
     async def capture():
-        app = await recording_app(ALL_COMPONENTS)
+        app = await init(components=ALL_COMPONENTS)
         home = await app.get(Frontend).home("zip-user", "USD")
         await app.shutdown()
         return home

@@ -18,8 +18,8 @@ from benchmarks.conftest import print_table
 from repro.boutique import ALL_COMPONENTS, Frontend
 from repro.boutique.types import HomePage, OrderResult, Product
 from repro.codegen.schema import schema_of
+from repro.core.app import init
 from repro.serde import codec_by_name
-from repro.sim.profile import recording_app
 
 CODECS = ("compact", "tagged", "json")
 
@@ -29,7 +29,7 @@ def messages():
     """Real messages captured from the running application."""
 
     async def capture():
-        app = await recording_app(ALL_COMPONENTS)
+        app = await init(components=ALL_COMPONENTS)
         fe = app.get(Frontend)
         home = await fe.home("bench-user", "USD")
         product = await fe.browse_product("bench-user", "1YMWWN1N4O", "USD")

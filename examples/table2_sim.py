@@ -4,11 +4,12 @@ Run:  python examples/table2_sim.py [--qps 10000] [--sim-qps 1000] [--calibrate]
 
 Pipeline (see DESIGN.md, experiments E1/E2):
 
-1. run the real 11-component boutique once, recording each Locust request
-   type's call tree, per-call business CPU, and per-codec payload bytes;
+1. run the real 11-component boutique as traced microservices, once per
+   codec, and read each Locust request type's call tree, per-call business
+   CPU, and per-codec payload bytes from its spans and call-graph counters;
 2. (optionally) re-measure this machine's serialization and transport
    costs instead of using the committed calibration;
-3. simulate three deployments of those recordings on an autoscaled
+3. simulate three deployments of those profiles on an autoscaled
    cluster: the microservice baseline (HTTP + tagged payloads, one
    process per service), the prototype (compact + custom TCP, same
    placement), and the prototype with all 11 components co-located;
@@ -30,7 +31,7 @@ from repro.sim.experiment import (
 
 
 async def main(qps: float, sim_qps: float, calibrate: bool) -> None:
-    print("recording request mix from the real application ...")
+    print("profiling request mix from the real application's traces ...")
     mix = await record_boutique_mix(repeats=3)
     for t in mix.types:
         print(

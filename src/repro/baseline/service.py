@@ -141,7 +141,7 @@ def _http_invoker(
     config: AppConfig,
     codec_name: str,
     tracer: Optional[Tracer],
-    call_graph: Optional[CallGraph] = None,
+    call_graph: Optional[CallGraph],
 ) -> RemoteInvoker:
     """The runtime's RPC client, addressing by name over the HTTP wire."""
     return RemoteInvoker(
@@ -168,6 +168,7 @@ class MicroserviceHost:
         config: Optional[AppConfig] = None,
         address: str = "tcp://127.0.0.1:0",
         tracer: Optional[Tracer] = None,
+        call_graph: Optional[CallGraph] = None,
     ) -> None:
         config = config or AppConfig()
         self.reg = reg
@@ -176,7 +177,7 @@ class MicroserviceHost:
         self.tracer = tracer
         self._codec = codec_by_name(codec_name)
         self._pool = _HttpPool(build)
-        self._remote = _http_invoker(self._pool, mesh, config, codec_name, tracer)
+        self._remote = _http_invoker(self._pool, mesh, config, codec_name, tracer, call_graph)
         # The hosted impl's ctx.get(...) resolves through the mesh: every
         # dependency is a remote microservice, exactly like production.
         self._local = LocalInvoker(
@@ -237,7 +238,9 @@ class BaselineApp(Application):
 
     The Application-shaped handle for the status quo: ``get()`` returns
     interface stubs backed by HTTP + the mesh, so callers (tests, load
-    generators) are identical across worlds.
+    generators) are identical across worlds.  Every host records into the
+    app's one tracer and one call graph, so a request's whole span tree,
+    and every edge it crosses, can be read here.
     """
 
     def __init__(
@@ -266,6 +269,7 @@ class BaselineApp(Application):
                 codec_name=self.codec_name,
                 config=self.config,
                 tracer=self.tracer,
+                call_graph=self.call_graph,
             )
             self.hosts[reg.name] = host
             await host.start()

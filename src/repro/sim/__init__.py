@@ -2,7 +2,7 @@
 
 * :mod:`repro.sim.engine` — generator-process discrete-event core.
 * :mod:`repro.sim.costmodel` — measured per-RPC costs of the two stacks.
-* :mod:`repro.sim.profile` — record call trees from the real application.
+* :mod:`repro.sim.profile` — call trees from the real application's traces.
 * :mod:`repro.sim.cluster` — pods, groups, autoscaling, request execution.
 * :mod:`repro.sim.workload` — open-loop load generation + latency stats.
 * :mod:`repro.sim.experiment` — the Table-2 pipeline end to end.
@@ -17,7 +17,7 @@ from repro.sim.costmodel import (
     calibrate_stacks,
 )
 from repro.sim.engine import Event, Resource, SimError, Simulator, Timeout
-from repro.sim.profile import CallNode, RecordingApp, RecordingInvoker, recording_app
+from repro.sim.profile import CallNode, profile_requests
 from repro.sim.workload import (
     BOUTIQUE_MIX_WEIGHTS,
     LatencyStats,
@@ -43,9 +43,7 @@ __all__ = [
     "Simulator",
     "Timeout",
     "CallNode",
-    "RecordingApp",
-    "RecordingInvoker",
-    "recording_app",
+    "profile_requests",
     "BOUTIQUE_MIX_WEIGHTS",
     "LatencyStats",
     "RequestType",

@@ -2,9 +2,9 @@
 
 The pipeline behind every simulated experiment:
 
-1. run the *real* boutique single-process and record each request type's
-   call tree, self-CPU, and per-codec payload bytes
-   (:mod:`repro.sim.profile`);
+1. run the *real* boutique as traced microservices, once per codec, and
+   read each request type's call tree, self-CPU, and per-codec payload
+   bytes from its spans and call-graph counters (:mod:`repro.sim.profile`);
 2. pick a data-plane stack (measured costs, :mod:`repro.sim.costmodel`)
    and a placement;
 3. drive the simulated cluster with the Locust mix
@@ -19,16 +19,10 @@ comparison), and the prototype with all eleven components co-located
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from repro.boutique import (
-    ALL_COMPONENTS,
-    Address,
-    CreditCard,
-    Frontend,
-)
+from repro.boutique import ALL_COMPONENTS, Frontend
 from repro.core.component import component_name
 from repro.core.config import AutoscaleConfig
 from repro.core.registry import Registry
@@ -36,7 +30,8 @@ from repro.runtime.autoscaler import steady_state_replicas
 from repro.sim.cluster import Deployment, build_deployment
 from repro.sim.costmodel import BASELINE_STACK, WEAVER_STACK, StackCosts
 from repro.sim.engine import Simulator
-from repro.sim.profile import CallNode, recording_app
+from repro.sim.profile import CallNode, Request, profile_requests
+from repro.sim.realtime import ADDRESS, BOUTIQUE_ACTIONS, CARD, RequestFn
 from repro.sim.workload import (
     BOUTIQUE_MIX_WEIGHTS,
     RequestType,
@@ -45,71 +40,43 @@ from repro.sim.workload import (
     run_load,
 )
 
-TEST_ADDRESS = Address("1600 Amphitheatre Pkwy", "Mountain View", "CA", "US", 94043)
-TEST_CARD = CreditCard("4432-8015-6152-0454", 672, 2030, 1)
-
 
 async def record_boutique_mix(
     *, registry: Optional[Registry] = None, repeats: int = 5
 ) -> WorkloadMix:
-    """Record the Locust request mix from the real implementation.
+    """Profile the Locust request mix from the real implementation's traces
+    (:func:`~repro.sim.profile.profile_requests`), keeping each request
+    type's minimum-CPU tree of ``repeats``.
 
-    Each request type is recorded ``repeats`` times and the **minimum**-CPU
-    recording is kept: scheduler interference and cache misses only ever
-    add time, so the minimum is the least-biased estimate of intrinsic
-    business-logic CPU (the same reasoning behind ``timeit``'s min).
+    The live load generator's actions are reused, except its checkout: that
+    one fills the cart inside the request, and here the cart is filled
+    unprofiled so the tree is the checkout alone.
     """
-    app = await recording_app(ALL_COMPONENTS, registry=registry)
-    fe = app.get(Frontend)
 
-    async def seed_cart(user: str) -> None:
-        await fe.add_to_cart(user, "OLJCESPC7Z", 1)
-        await fe.add_to_cart(user, "6E92ZMYYFZ", 2)
+    def action(fn: RequestFn) -> Request:
+        return lambda app: fn(app.get(Frontend), "sim-user")
 
-    async def home(a) -> None:
-        await fe.home("sim-user", "USD")
-
-    async def browse(a) -> None:
-        await fe.browse_product("sim-user", "1YMWWN1N4O", "USD")
-
-    async def add_to_cart(a) -> None:
+    async def seed_cart(app: Any) -> None:
+        fe = app.get(Frontend)
         await fe.add_to_cart("sim-user", "OLJCESPC7Z", 1)
+        await fe.add_to_cart("sim-user", "6E92ZMYYFZ", 2)
 
-    async def view_cart(a) -> None:
-        await fe.view_cart("sim-user", "USD")
+    async def checkout(app: Any) -> None:
+        await app.get(Frontend).checkout("sim-user", "USD", ADDRESS, "sim@example.com", CARD)
 
-    async def checkout(a) -> None:
-        await fe.checkout("sim-user", "USD", TEST_ADDRESS, "sim@example.com", TEST_CARD)
-
-    recorders = {
-        "home": home,
-        "browse": browse,
-        "add_to_cart": add_to_cart,
-        "view_cart": view_cart,
-        "checkout": checkout,
-    }
-
-    async def prepare(name: str) -> None:
-        if name == "checkout":
-            await seed_cart("sim-user")
-
-    # One unrecorded pass of each request type first: instantiating
-    # components and first-use work are not per-request business CPU.
-    for name in BOUTIQUE_MIX_WEIGHTS:
-        await prepare(name)
-        await recorders[name](app)
-
-    types = []
-    for name, weight in BOUTIQUE_MIX_WEIGHTS.items():
-        recordings = []
-        for _ in range(repeats):
-            await prepare(name)
-            recordings.append(await app.record(recorders[name], name=name))
-        recordings.sort(key=lambda n: n.total_self_cpu_s())
-        tree = recordings[0]
-        types.append(RequestType(name=name, weight=weight, tree=tree))
-    await app.shutdown()
-    return WorkloadMix(types=types)
+    trees = await profile_requests(
+        {**{name: action(fn) for name, fn in BOUTIQUE_ACTIONS.items()}, "checkout": checkout},
+        components=ALL_COMPONENTS,
+        registry=registry,
+        repeats=repeats,
+        prepare={"checkout": seed_cart},
+    )
+    return WorkloadMix(
+        types=[
+            RequestType(name=name, weight=weight, tree=trees[name])
+            for name, weight in BOUTIQUE_MIX_WEIGHTS.items()
+        ]
+    )
 
 
 def boutique_component_names() -> list[str]:
@@ -274,8 +241,3 @@ def run_table2(
         report.qps = qps
         reports[spec.label] = report
     return reports
-
-
-def record_mix_sync(**kwargs) -> WorkloadMix:
-    """Synchronous convenience for benchmarks."""
-    return asyncio.run(record_boutique_mix(**kwargs))

@@ -7,32 +7,34 @@ add-to-cart, checkout, ...):
 * per-call *self CPU* — business-logic time excluding nested calls,
 * per-call *payload sizes* under each wire format.
 
-Rather than inventing these, we record them from the actual implementation:
-a :class:`RecordingApp` runs the request single-process with an invoker
-that times each call and subtracts child time; once the request is done,
-every argument and result is encoded with all three codecs to get true
-wire sizes (outside the timed windows, so no call is charged for the
-recorder's own encoding).  The simulated
-workload is therefore exactly as chatty, exactly as heavy, and exactly as
-byte-fat as the code in :mod:`repro.boutique` really is.
+Rather than inventing these, we read them from the runtime's own
+telemetry.  :func:`profile_requests` runs each request on a traced
+:func:`~repro.baseline.service.deploy_baseline` once per codec: every host
+shares the app's one tracer and one call graph, so a request's spans and
+the edges it crossed are all in this process.  The tree is the spans'
+parentage (client span → server span → the server span's client spans); a
+call's self CPU is its server span minus its direct client spans; its
+bytes are the :class:`~repro.core.call_graph.EdgeStats` the
+:class:`~repro.transport.rpc.RemoteInvoker` counted on its edge during
+that request.  The simulated workload is therefore exactly as chatty,
+exactly as heavy, and exactly as byte-fat as the code in
+:mod:`repro.boutique` really is.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Awaitable, Callable, Mapping, Optional
 
-from repro.codegen.compiler import MethodSpec
-from repro.core.app import SingleProcessApp
+from repro.baseline.service import BaselineApp, deploy_baseline
 from repro.core.call_graph import ROOT
-from repro.core.config import AppConfig
-from repro.core.errors import EncodeError
-from repro.core.registry import Registration, Registry, global_registry
-from repro.core.stub import LocalInvoker
-from repro.serde import codec_by_name
+from repro.core.registry import Registry
+from repro.observability.tracing import Span
 
 CODEC_NAMES = ("compact", "tagged", "json")
+
+#: One request type: an async function of the application it runs against.
+Request = Callable[[BaselineApp], Awaitable[Any]]
 
 
 @dataclass
@@ -74,112 +76,101 @@ class CallNode:
         )
 
 
-class RecordingInvoker(LocalInvoker):
-    """LocalInvoker that builds a :class:`CallNode` tree as it executes.
+async def profile_requests(
+    requests: Mapping[str, Request],
+    *,
+    components: Optional[list[type]] = None,
+    registry: Optional[Registry] = None,
+    repeats: int,
+    prepare: Optional[Mapping[str, Request]] = None,
+) -> dict[str, CallNode]:
+    """Profile each named request into a :class:`CallNode` tree.
 
-    Calls made outside a recording (``stack`` empty) pass straight through.
+    The returned root is synthetic (component ``<root>``) and holds the
+    top-level calls the request made, in order.  ``prepare[name]``, if
+    given, runs unprofiled before each run of ``name`` (a checkout needs a
+    filled cart).  Per codec, one discarded pass of every request comes
+    first: instantiating components and first-use work are not per-request
+    business CPU.  Then each request runs ``repeats`` times and the
+    **minimum**-CPU tree is kept: scheduler interference and cache misses
+    only ever add time, so the minimum is the least-biased estimate of
+    intrinsic business-logic CPU (the same reasoning behind ``timeit``'s
+    min).  The trees and self CPU are the first codec's; the other codecs'
+    runs add only their bytes, and a differently shaped tree is an error.
     """
+    trees: dict[str, CallNode] = {}
+    for codec in CODEC_NAMES:
+        app = await deploy_baseline(components=components, registry=registry, codec_name=codec)
 
-    def __init__(self, **kwargs: Any) -> None:
-        super().__init__(**kwargs)
-        self.stack: list[CallNode] = []
-        #: (node, method, args, result) of each recorded call, sized by
-        #: :meth:`measure_payloads` once the recording is over.
-        self.payloads: list[tuple[CallNode, MethodSpec, tuple, Any]] = []
+        async def run(name: str) -> CallNode:
+            if prepare and name in prepare:
+                await prepare[name](app)
+            app.tracer.reset()
+            app.call_graph.reset()  # zeroed in place: what it holds next is this request's
+            await requests[name](app)
+            return _tree(app, name, codec)
 
-    async def invoke(
-        self,
-        reg: Registration,
-        method: MethodSpec,
-        args: tuple,
-        caller: str,
-        *,
-        options: Any = None,
-    ) -> Any:
-        if not self.stack:
-            return await super().invoke(reg, method, args, caller, options=options)
-        node = CallNode(component=reg.name, method=method.name)
-        self.stack[-1].children.append(node)
-        self.stack.append(node)
-        start = time.perf_counter()
         try:
-            result = await super().invoke(reg, method, args, caller, options=options)
+            for name in requests:
+                await run(name)
+            for name in requests:
+                samples = [await run(name) for _ in range(repeats)]
+                tree = min(samples, key=CallNode.total_self_cpu_s)
+                if name not in trees:
+                    trees[name] = tree
+                elif _shape(tree) != _shape(trees[name]):
+                    raise ValueError(f"the {codec} run of {name} makes other calls than the first")
+                else:
+                    _add_bytes(trees[name], tree)
         finally:
-            total = time.perf_counter() - start
-            self.stack.pop()
-            node.self_cpu_s = max(0.0, total - _subtree_total(node))
-        self.payloads.append((node, method, args, result))
-        return result
-
-    def measure_payloads(self) -> None:
-        """Size every recorded call's args and result under each codec."""
-        for node, method, args, result in self.payloads:
-            for codec_name in CODEC_NAMES:
-                codec = codec_by_name(codec_name)
-                node.request_bytes[codec_name] = _encoded_size(
-                    codec, method.arg_schema, args
-                )
-                node.response_bytes[codec_name] = _encoded_size(
-                    codec, method.result_schema, result
-                )
-        self.payloads = []
+            await app.shutdown()
+    return trees
 
 
-def _encoded_size(codec: Any, schema: Any, value: Any) -> int:
-    try:
-        return len(codec.encode(schema, value))
-    except EncodeError:
-        return 0
+def _tree(app: BaselineApp, name: str, codec: str) -> CallNode:
+    """The tree of the request just run, from the spans it finished and the
+    call-graph edges it moved."""
+    edges = {(e.caller, e.callee, e.method): e for e in app.call_graph.edges()}
+    children: dict[Optional[int], list[Span]] = {}
+    for span in sorted(app.tracer.drain(), key=lambda s: s.start_s):
+        children.setdefault(span.parent_id, []).append(span)
 
+    def below(span_id: Optional[int], side: str) -> list[Span]:
+        return [s for s in children.get(span_id, ()) if s.attributes.get("side") == side]
 
-def _subtree_cpu(node: CallNode) -> float:
-    return sum(c.self_cpu_s + _subtree_cpu(c) for c in node.children)
-
-
-def _subtree_total(node: CallNode) -> float:
-    """Wall time consumed by direct children (self + their subtrees)."""
-    return sum(c.self_cpu_s + _subtree_cpu(c) for c in node.children)
-
-
-class RecordingApp(SingleProcessApp):
-    """Single-process app whose invocations are recorded into call trees."""
-
-    def __init__(self, build: Any, config: AppConfig) -> None:
-        super().__init__(build, config)
-        self._invoker = RecordingInvoker(
-            version=build.version,
-            call_graph=self.call_graph,
-            resolver=self,
-            settings=config.settings,
+    def node(client: Span) -> CallNode:
+        servers = below(client.span_id, "server")
+        if len(servers) != 1:
+            raise ValueError(f"{name}: {client.name} has {len(servers)} server spans, not 1")
+        (server,) = servers
+        # A span names its component by the short name (``CartStore.get``).
+        short, _, method = server.name.partition(".")
+        full = [r.name for r in app.build if r.name.rsplit(".", 1)[-1] == short]
+        if len(full) != 1:
+            raise ValueError(f"{name}: span {server.name!r} names components {full}")
+        (component,) = full
+        edge = edges.get((client.attributes["caller"], component, method))
+        if edge is None:
+            raise ValueError(f"{name}: the call graph holds no call of {server.name}")
+        calls = below(server.span_id, "client")
+        return CallNode(
+            component,
+            method,
+            max(0.0, server.duration_s - sum(c.duration_s for c in calls)),
+            {codec: round(edge.bytes_sent / edge.calls)},
+            {codec: round(edge.bytes_received / edge.calls)},
+            [node(c) for c in calls],
         )
 
-    async def record(
-        self, request: Callable[["RecordingApp"], Awaitable[Any]], name: str = "request"
-    ) -> CallNode:
-        """Run one request function and return its recorded tree.
-
-        The returned root is synthetic (component ``<root>``) and holds the
-        top-level calls the request made, in order.
-        """
-        root = CallNode(component=ROOT, method=name)
-        self._invoker.stack = [root]
-        start = time.perf_counter()
-        try:
-            await request(self)
-        finally:
-            total = time.perf_counter() - start
-            self._invoker.stack = []
-            self._invoker.measure_payloads()
-        root.self_cpu_s = max(0.0, total - _subtree_cpu(root))
-        return root
+    return CallNode(ROOT, name, children=[node(c) for c in below(None, "client")])
 
 
-async def recording_app(
-    components: Optional[list[type]] = None,
-    *,
-    registry: Optional[Registry] = None,
-    config: Optional[AppConfig] = None,
-) -> RecordingApp:
-    reg = registry or global_registry()
-    build = reg.freeze(components=components)
-    return RecordingApp(build, config or AppConfig())
+def _shape(node: CallNode) -> tuple:
+    return (node.component, node.method, [_shape(c) for c in node.children])
+
+
+def _add_bytes(into: CallNode, other: CallNode) -> None:
+    into.request_bytes.update(other.request_bytes)
+    into.response_bytes.update(other.response_bytes)
+    for a, b in zip(into.children, other.children):
+        _add_bytes(a, b)

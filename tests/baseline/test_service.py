@@ -75,6 +75,25 @@ class TestBaselineApp:
         assert edge.bytes_sent > 0
         await app.shutdown()
 
+    async def test_call_graph_records_host_to_host_calls(self):
+        from repro.boutique import ALL_COMPONENTS, Frontend
+
+        app = await deploy_baseline(components=ALL_COMPONENTS)
+        await app.get(Frontend).view_cart("graph-user", "USD")
+        edges = {(e.caller, e.callee, e.method): e for e in app.call_graph.edges()}
+        await app.shutdown()
+        for caller, callee, method in [
+            ("Frontend", "Cart", "get_cart"),
+            ("Cart", "CartStore", "get"),
+        ]:
+            (edge,) = [
+                e
+                for (c, s, m), e in edges.items()
+                if c.endswith("." + caller) and s.endswith("." + callee) and m == method
+            ]
+            assert edge.calls == 1
+            assert edge.bytes_sent > 0
+
 
 class TestParityWithWeaver:
     """The same business logic must produce identical results in both

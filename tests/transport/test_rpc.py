@@ -279,7 +279,7 @@ async def test_unavailable_reply_keeps_the_shared_connection(rejection):
         assert cancelled_naps == []
 
 
-class ContextRecordingApp(ServedApp):
+class ContextCapturingApp(ServedApp):
     """Records the trace context of every request; refuses the first
     ``failures`` (retryably, unexecuted) and holds the first one back for
     ``hold_first_s``, so a hedge fires."""
@@ -309,7 +309,7 @@ ATTEMPTS = {
 
 async def _call_through_attempts(build, tracer, how):
     served_kw, options = ATTEMPTS[how]
-    async with ContextRecordingApp(build, **served_kw) as served:
+    async with ContextCapturingApp(build, **served_kw) as served:
         invoker = RemoteInvoker(
             codec=COMPACT,
             pool=served.pool,
