@@ -128,13 +128,6 @@ class AppConfig:
     state_fsync: bool = False
     #: WAL appends per shard between snapshots (bounds replay cost).
     state_snapshot_every: int = 256
-    #: Payloads at or above this many bytes travel as a streaming RPC
-    #: (chunked, credit-gated) instead of one frame; 0 disables streaming.
-    stream_threshold_bytes: int = 1 << 20
-    #: Chunk size for streaming RPCs, bytes.  Each queued chunk is
-    #: head-of-line latency for small RPCs on the same connection, so
-    #: bigger is not better past the syscall-amortization point.
-    stream_chunk_bytes: int = 64 * 1024
     #: Telemetry level: "full" (traces, time series, exemplars) | "off"
     #: (counters and heartbeats only — the zero-span data plane).
     telemetry: str = "full"
@@ -201,10 +194,6 @@ class AppConfig:
             raise ConfigError("state_shards must be >= 1")
         if self.state_snapshot_every < 1:
             raise ConfigError("state_snapshot_every must be >= 1")
-        if self.stream_threshold_bytes < 0:
-            raise ConfigError("stream_threshold_bytes must be >= 0 (0 disables)")
-        if self.stream_chunk_bytes < 4096:
-            raise ConfigError("stream_chunk_bytes must be >= 4096")
         if self.telemetry not in ("full", "off"):
             raise ConfigError(f"telemetry must be full/off, got {self.telemetry!r}")
         if self.trace_rate is not None and self.trace_rate <= 0:

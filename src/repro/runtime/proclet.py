@@ -245,15 +245,11 @@ class Proclet:
             version=build.version,
             address=listen_address,
             compress=config.compress_wire,
-            stream_threshold=config.stream_threshold_bytes,
-            stream_chunk=config.stream_chunk_bytes,
         )
         self._pool = ConnectionPool(
             codec=config.codec,
             version=build.version,
             compress=config.compress_wire,
-            stream_threshold=config.stream_threshold_bytes,
-            stream_chunk=config.stream_chunk_bytes,
         )
         self.breakers = None
         if config.breakers_enabled:

@@ -91,11 +91,11 @@ async def profile_requests(
     given, runs unprofiled before each run of ``name`` (a checkout needs a
     filled cart).  Per codec, one discarded pass of every request comes
     first: instantiating components and first-use work are not per-request
-    business CPU.  Then each request runs ``repeats`` times and the
-    **minimum**-CPU tree is kept: scheduler interference and cache misses
-    only ever add time, so the minimum is the least-biased estimate of
-    intrinsic business-logic CPU (the same reasoning behind ``timeit``'s
-    min).  The trees and self CPU are the first codec's; the other codecs'
+    business CPU.  Then every request runs once per round, for
+    ``repeats`` rounds, and each type's **minimum**-CPU tree is kept:
+    scheduler interference and cache misses only ever add time, so the
+    minimum is the least-biased estimate of intrinsic business-logic CPU
+    (the same reasoning behind ``timeit``'s min).  The trees and self CPU are the first codec's; the other codecs'
     runs add only their bytes, and a differently shaped tree is an error.
     """
     trees: dict[str, CallNode] = {}
@@ -113,9 +113,15 @@ async def profile_requests(
         try:
             for name in requests:
                 await run(name)
-            for name in requests:
-                samples = [await run(name) for _ in range(repeats)]
-                tree = min(samples, key=CallNode.total_self_cpu_s)
+            # Round-robin, so one burst of interference lands on one sample
+            # of several types rather than on every sample of one.
+            best: dict[str, CallNode] = {}
+            for _ in range(repeats):
+                for name in requests:
+                    tree = await run(name)
+                    if name not in best or tree.total_self_cpu_s() < best[name].total_self_cpu_s():
+                        best[name] = tree
+            for name, tree in best.items():
                 if name not in trees:
                     trees[name] = tree
                 elif _shape(tree) != _shape(trees[name]):

@@ -2,7 +2,14 @@
 
 One :class:`ConnectionPool` per proclet caches a single multiplexed
 connection per peer address (the protocol pipelines, so one connection
-carries arbitrary concurrency).  Dead connections are dropped and
+carries arbitrary concurrency), plus, once a request of
+:data:`~repro.transport.connection.BULK_BYTES` or more has gone there, a
+*bulk* connection to the same peer that carries only those.  The bulk
+connection is pooled under its own key (``"bulk+" + address``) and dialed
+by :meth:`ConnectionPool.get` like any other, so concurrent large calls
+share one dial, a dead one is re-dialed on the next large call, and
+:meth:`~ConnectionPool.drop` and :meth:`~ConnectionPool.close` close it
+with its address's main connection.  Dead connections are dropped and
 re-established on next use; connecting concurrently to the same address is
 coalesced behind a per-address lock.  A dial is ``loop.create_connection``
 with a fresh :class:`Connection` as the protocol: it sends HELLO once
@@ -22,15 +29,18 @@ one dead connection entry per address it ever saw.
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 from typing import Optional
 
 from repro.core.errors import RPCError, TransportError, Unavailable
 from repro.transport.connection import Connection
 from repro.transport.server import parse_address
-from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
 log = logging.getLogger("repro.transport")
+
+#: Key prefix of a peer's bulk connection in the pool's maps.
+BULK_KEY = "bulk+"
 
 
 class ConnectionPool:
@@ -41,15 +51,11 @@ class ConnectionPool:
         version: str,
         connect_timeout: float = 5.0,
         compress: bool = False,
-        stream_threshold: int = STREAM_THRESHOLD,
-        stream_chunk: int = STREAM_CHUNK_BYTES,
     ) -> None:
         self._codec = codec
         self._version = version
         self._connect_timeout = connect_timeout
         self._compress = compress
-        self._stream_threshold = stream_threshold
-        self._stream_chunk = stream_chunk
         self._connections: dict[str, Connection] = {}
         self._locks: dict[str, asyncio.Lock] = {}
 
@@ -59,7 +65,8 @@ class ConnectionPool:
         return conn if conn is not None and not conn.closed else None
 
     async def get(self, address: str) -> Connection:
-        """Return a live connection to ``address``, dialing if needed."""
+        """Return a live connection to ``address``, dialing if needed.
+        ``BULK_KEY + address`` names the peer's bulk connection."""
         conn = self.live(address)
         if conn is not None:
             return conn
@@ -85,16 +92,17 @@ class ConnectionPool:
             # never reached (the long-lived-proclet leak).
             self._prune_lock(address)
 
-    async def _dial(self, address: str) -> Connection:
+    async def _dial(self, key: str) -> Connection:
+        bulk = key.startswith(BULK_KEY)
+        address = key[len(BULK_KEY) :] if bulk else key
         scheme, host, port = parse_address(address)
         loop = asyncio.get_running_loop()
         conn = Connection(
             codec=self._codec,
             version=self._version,
-            name=f"client->{address}",
+            name=f"client->{key}",
             compress=self._compress,
-            stream_threshold=self._stream_threshold,
-            stream_chunk=self._stream_chunk,
+            sibling=None if bulk else functools.partial(self.get, BULK_KEY + address),
         )
         try:
             if scheme == "tcp":
@@ -119,12 +127,13 @@ class ConnectionPool:
         return conn
 
     def drop(self, address: str) -> None:
-        """Forget the connection to ``address`` (e.g. after its replica was
-        reported dead)."""
-        conn = self._connections.pop(address, None)
-        if conn is not None and not conn.closed:
-            asyncio.ensure_future(conn.close())
-        self._prune_lock(address)
+        """Forget the connections to ``address``, main and bulk (e.g. after
+        its replica was reported dead)."""
+        for key in (address, BULK_KEY + address):
+            conn = self._connections.pop(key, None)
+            if conn is not None and not conn.closed:
+                asyncio.ensure_future(conn.close())
+            self._prune_lock(key)
 
     def _prune_lock(self, address: str) -> None:
         """Drop the per-address dial lock once it has no holder.

@@ -19,7 +19,7 @@ of its own.  The file reads top to bottom along the two directions a frame
 travels: ``call`` → enqueue → flush on the way out; on the way in,
 ``buffer_updated`` handles every frame one socket read delivered right in
 the transport's callback — a reply resolves its call's future, a request
-becomes a server task, stream and control frames go to their handlers.
+becomes a server task, a control frame is answered.
 
 The transport reads with ``recv_into`` straight into memory the runtime
 owns: one ``READ_BUFFER_BYTES`` buffer per event loop, lent to every
@@ -51,12 +51,16 @@ request/response — bypasses the outbox entirely: when recent flush rounds
 all carried a single frame and the transport buffer is empty, frames are
 written straight through.  The first send that finds company flips back to
 the flush — concurrency *is* the batching opportunity — so the direct path
-costs nothing under load and spares a lone stream the flush hop.
+costs nothing under load and spares a lone caller the flush hop.
 
-Payloads above ``stream_threshold`` travel as a *streaming RPC*; that
-protocol lives in :mod:`repro.transport.streaming`, as an object this
-connection owns and hands stream frames to.  A payload that neither
-streams nor fits in ``MAX_FRAME`` is refused before it is queued, with
+Every call is one REQUEST frame and one reply frame.  A request payload
+of ``BULK_BYTES`` or more goes out on the peer's *bulk* connection
+instead: a second socket the pool dials on the first large call (the
+``sibling`` callable), so the kernel keeps a megabyte frame from
+holding up the small frames on this one.  A
+connection built without ``sibling`` — an accepted one, a hand-built
+pair, the bulk connection itself — sends everything itself.  A payload
+that does not fit in ``MAX_FRAME`` is refused before it is queued, with
 ``INTERNAL``: a request with ``executed=False``, a reply (the handler
 ran) with ``executed=True``.  The connection stays up for its other calls.
 
@@ -100,12 +104,6 @@ from repro.core.errors import (
 from repro.transport import framing
 from repro.transport import message as msg
 from repro.transport.framing import HEADER, FrameParser, frame_chunks, new_frame, take_frame
-from repro.transport.streaming import (
-    STREAM_CHUNK_BYTES,
-    STREAM_THRESHOLD,
-    STREAM_WINDOW,
-    Streams,
-)
 
 log = logging.getLogger("repro.transport")
 
@@ -115,6 +113,10 @@ log = logging.getLogger("repro.transport")
 #: zero-copy view into the request frame; the returned buffer may be any
 #: bytes-like object and is owned by the connection once returned.
 Handler = Callable[[int, int, bytes, tuple[int, int], int], Awaitable[bytes]]
+
+#: Request payloads of at least this many bytes go out on the peer's bulk
+#: connection, never on the one small calls share.
+BULK_BYTES = 1 << 20
 
 #: Max bytes gathered into a single writelines round.
 MAX_BATCH_BYTES = 256 * 1024
@@ -130,8 +132,8 @@ DIRECT_REENGAGE = 8
 MAX_HANDSHAKE = 513
 
 #: Size of the buffer socket reads land in.  A whole batch of coalesced
-#: small frames, or a 12 KB page, fits in one read; a 64 KiB stream chunk
-#: frame straddles two, which the parser handles.
+#: small frames, or a 12 KB page, fits in one read; a larger frame spans
+#: several, which the parser stages.
 READ_BUFFER_BYTES = 64 * 1024
 
 #: Each event loop's one read buffer, lent to every connection on it.
@@ -152,7 +154,9 @@ class Connection(asyncio.BufferedProtocol):
     The dialing end passes no ``on_ready``: it sends HELLO once connected
     and resolves :attr:`ready` when the peer's WELCOME checks out.  The
     accepting end passes ``on_ready``, called with the connection once the
-    peer's HELLO checked out and WELCOME is on its way.
+    peer's HELLO checked out and WELCOME is on its way.  ``sibling``, if
+    given, returns the live bulk connection to the same peer (dialing it
+    if needed); :meth:`call` sends a ``BULK_BYTES`` payload through it.
 
     Socket reads land in :func:`loop_read_buffer`, shared with every other
     connection on the loop.  No object a read produces aliases it once
@@ -168,9 +172,7 @@ class Connection(asyncio.BufferedProtocol):
         on_ready: Optional[Callable[["Connection"], None]] = None,
         name: str = "conn",
         compress: bool = False,
-        stream_threshold: int = STREAM_THRESHOLD,
-        stream_chunk: int = STREAM_CHUNK_BYTES,
-        stream_window: int = STREAM_WINDOW,
+        sibling: Optional[Callable[[], Awaitable["Connection"]]] = None,
     ) -> None:
         self._codec = codec
         self._version = version
@@ -178,6 +180,7 @@ class Connection(asyncio.BufferedProtocol):
         self._on_ready = on_ready
         self._name = name
         self._compress = compress
+        self._sibling = sibling
         self._loop = asyncio.get_running_loop()
         self._transport: Optional[asyncio.Transport] = None
         #: The dialing end's handshake: resolved by WELCOME, failed by a
@@ -193,15 +196,8 @@ class Connection(asyncio.BufferedProtocol):
         self._pending: dict[int, asyncio.Future] = {}
         self._closed = False
         self._server_tasks: set[asyncio.Task] = set()
-        # Two-lane outbox: stream chunks ride the bulk lane, which the
-        # flush drains only after the normal lane — a small RPC frame
-        # never queues behind a megabyte of stream chunks.  Overtaking is
-        # protocol-legal (req_ids are multiplexed, and within one stream
-        # the chunks stay FIFO in their lane).
         self._outbox: collections.deque = collections.deque()
-        self._outbox_bulk: collections.deque = collections.deque()
         self._outbox_bytes = 0
-        self._bulk_bytes = 0
         self._flush_handle: Optional[asyncio.Handle] = None
         self._paused = False  # the transport's buffer is above its high water
         self._can_send = asyncio.Event()
@@ -213,9 +209,6 @@ class Connection(asyncio.BufferedProtocol):
         # ends.  Entries for finished work are dropped lazily at sweep/compact time.
         self._timeouts: list = []
         self._timeout_timer: Optional[asyncio.TimerHandle] = None
-        self._stream_threshold = stream_threshold
-        self._stream_chunk = stream_chunk
-        self._streams = Streams(self, stream_chunk, stream_window)
         # Direct write-through: on until concurrency is observed, re-armed
         # by the flush after a streak of lone-frame rounds.
         self._direct = True
@@ -245,7 +238,7 @@ class Connection(asyncio.BufferedProtocol):
 
     def resume_writing(self) -> None:
         self._paused = False
-        if self._flush_handle is None and (self._outbox or self._outbox_bulk):
+        if self._flush_handle is None and self._outbox:
             self._flush_handle = self._loop.call_soon(self._flush)
 
     @property
@@ -272,7 +265,7 @@ class Connection(asyncio.BufferedProtocol):
 
         Stops everything the connection owns (server tasks, the flush
         callback, the timeout timer) and fails what was waiting on it (the
-        handshake, pending calls, streams, back-pressured senders).
+        handshake, pending calls, back-pressured senders).
         """
         self._closed = True
         for task in self._server_tasks:
@@ -293,7 +286,6 @@ class Connection(asyncio.BufferedProtocol):
             if not future.done():
                 future.set_exception(exc)
         self._pending.clear()
-        self._streams.abort()
         self._can_send.set()  # wake any sender stuck in backpressure
 
     # -- outbound: call -> enqueue -> flush -------------------------------------
@@ -313,48 +305,50 @@ class Connection(asyncio.BufferedProtocol):
         ``args`` may be any bytes-like object; ownership transfers to the
         connection (do not mutate after the call).  ``deadline_ms`` is the
         remaining end-to-end budget shipped to the server (0 = unlimited);
-        ``timeout`` is the local wait bound.
+        ``timeout`` is the local wait bound.  A payload of ``BULK_BYTES``
+        or more goes through the bulk connection, if this one has a
+        ``sibling``.
         """
         if self._closed:
             raise Unavailable("connection closed", executed=False)
-        req_id = next(self._req_ids)
-        streamed = self._stream_threshold and len(args) >= self._stream_threshold
-        if not streamed:
-            head = new_frame()
-            msg.encode_request_prefix(
-                head,
-                req_id,
+        if len(args) >= BULK_BYTES and self._sibling is not None:
+            bulk = await self._sibling()
+            return await bulk.call(
                 component_id,
                 method_index,
-                trace,
-                deadline_ms,
+                args,
+                timeout=timeout,
+                trace=trace,
+                deadline_ms=deadline_ms,
             )
-            if len(head) - HEADER + len(args) > framing.MAX_FRAME:
-                # Refused before anything is queued: the connection, and
-                # every call sharing it, is unharmed.
-                raise RPCError(
-                    f"request of {len(args)} bytes exceeds MAX_FRAME with streaming off",
-                    code=ErrorCode.INTERNAL,
-                    executed=False,
-                )
+        req_id = next(self._req_ids)
+        head = new_frame()
+        msg.encode_request_prefix(
+            head,
+            req_id,
+            component_id,
+            method_index,
+            trace,
+            deadline_ms,
+        )
+        if len(head) - HEADER + len(args) > framing.MAX_FRAME:
+            # Refused before anything is queued: the connection, and
+            # every call sharing it, is unharmed.
+            raise RPCError(
+                f"request of {len(args)} bytes exceeds MAX_FRAME",
+                code=ErrorCode.INTERNAL,
+                executed=False,
+            )
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._pending[req_id] = future
         try:
-            if streamed:
-                # Armed *before* the upload, so a deadline that expires
-                # mid-stream (or between chunks) stops the pump.
-                if timeout is not None:
-                    self._arm_timeout(timeout, req_id, component_id, method_index)
-                await self._streams.upload(
-                    req_id, future, component_id, method_index, args, trace, deadline_ms
-                )
-            elif not self._try_send(head, args):
+            if not self._try_send(head, args):
                 await self._send(head, args)
         except (ConnectionError, OSError, TransportError) as exc:
             self._pending.pop(req_id, None)
             await self.close()
             raise Unavailable(f"send failed: {exc}", executed=False) from exc
-        if timeout is not None and not streamed:
+        if timeout is not None:
             self._arm_timeout(timeout, req_id, component_id, method_index)
         return await future
 
@@ -374,13 +368,7 @@ class Connection(asyncio.BufferedProtocol):
         finally:
             self._pending.pop(-nonce, None)
 
-    def _try_send(
-        self,
-        head: bytearray,
-        payload: bytes = b"",
-        bulk: bool = False,
-        own_tasks: int = 0,
-    ) -> bool:
+    def _try_send(self, head: bytearray, payload: bytes = b"", own_tasks: int = 0) -> bool:
         """Synchronous send fast path; False means take ``_send``.
 
         Avoids a coroutine per frame on the hot path — enqueueing is pure
@@ -397,7 +385,7 @@ class Connection(asyncio.BufferedProtocol):
         """
         if self._closed:
             return False
-        if self._direct and not self._outbox and not self._outbox_bulk:
+        if self._direct and not self._outbox:
             if (
                 len(self._pending) <= 1
                 and len(self._server_tasks) == own_tasks
@@ -410,50 +398,36 @@ class Connection(asyncio.BufferedProtocol):
                 self.direct_writes += 1
                 return True
             self._direct = False  # company observed: batching will pay now
-        if self._pressure(bulk) >= SEND_HIGH_WATER:
+        if self._outbox_bytes >= SEND_HIGH_WATER:
             return False
-        self._enqueue(head, payload, bulk)
+        self._enqueue(head, payload)
         return True
 
-    async def _send(
-        self, head: bytearray, payload: bytes = b"", bulk: bool = False
-    ) -> None:
+    async def _send(self, head: bytearray, payload: bytes = b"") -> None:
         """Ship one frame (``head`` from ``new_frame()`` plus a body
         chunk): wait until the outbox is below high water, then enqueue."""
-        while not self._closed and self._pressure(bulk) >= SEND_HIGH_WATER:
+        while not self._closed and self._outbox_bytes >= SEND_HIGH_WATER:
             self._can_send.clear()
             await self._can_send.wait()
         if self._closed:
             raise TransportError("connection closed")
-        self._enqueue(head, payload, bulk)
+        self._enqueue(head, payload)
 
-    def _pressure(self, bulk: bool) -> int:
-        """Queued bytes a new frame on this lane must wait behind.
-
-        Backpressure differs by lane: bulk yields when *total* queued
-        bytes cross the high-water mark, while normal frames only yield
-        when the normal lane alone is saturated — queued stream chunks
-        must not be able to park a small RPC behind the flush.
-        """
-        return self._outbox_bytes if bulk else self._outbox_bytes - self._bulk_bytes
-
-    def _enqueue(self, head: bytearray, payload: bytes, bulk: bool) -> None:
-        """Append one frame to its lane (order is enqueue order) and make
-        sure a flush is scheduled.  ``bulk`` is the low-priority lane."""
-        lane = self._outbox_bulk if bulk else self._outbox
+    def _enqueue(self, head: bytearray, payload: bytes) -> None:
+        """Append one frame to the outbox and make sure a flush is
+        scheduled."""
+        outbox = self._outbox
         for chunk in frame_chunks(head, payload, compress=self._compress):
-            lane.append(chunk)
+            outbox.append(chunk)
             self._outbox_bytes += len(chunk)
-            if bulk:
-                self._bulk_bytes += len(chunk)
         self.frames_sent += 1
         self._unflushed_frames += 1
         if self._flush_handle is None and not self._paused:
             self._flush_handle = self._loop.call_soon(self._flush)
 
     def _post(self, m: msg.Message) -> None:
-        """Best-effort synchronous control-frame send (credits, cancels,
-        PONG, door-step rejections).
+        """Best-effort synchronous control-frame send (PONG, door-step
+        rejections).
 
         Falls back to a fire-and-forget task when the outbox is
         saturated; failures are swallowed — control frames are advisory
@@ -487,36 +461,20 @@ class Connection(asyncio.BufferedProtocol):
         """
         self._flush_handle = None
         outbox = self._outbox
-        bulk_lane = self._outbox_bulk
-        while (outbox or bulk_lane) and not self._paused:
+        while outbox and not self._paused:
             batch = []
             size = 0
-            # Normal lane first; stream chunks only top up the batch.
             while outbox and size < MAX_BATCH_BYTES:
                 chunk = outbox.popleft()
                 batch.append(chunk)
                 size += len(chunk)
-            # At most one stream chunk per round: every round is a slot
-            # where queued small frames overtake the bulk flow, so the
-            # kernel never holds more than ~one chunk of bulk ahead of them.
-            bulk_size = 0
-            while (
-                bulk_lane
-                and size < MAX_BATCH_BYTES
-                and bulk_size <= self._stream_chunk
-            ):
-                chunk = bulk_lane.popleft()
-                batch.append(chunk)
-                size += len(chunk)
-                bulk_size += len(chunk)
-                self._bulk_bytes -= len(chunk)
             self._outbox_bytes -= size
             if not self._can_send.is_set():
-                # Waiters re-check their own lane's pressure; just wake.
+                # Waiters re-check the high-water mark; just wake.
                 self._can_send.set()
             self.flushes += 1
             self._transport.writelines(batch)
-            if outbox or bulk_lane:
+            if outbox:
                 self._lone_flushes = 0  # partial batch: real load
                 continue
             frames, self._unflushed_frames = self._unflushed_frames, 0
@@ -582,7 +540,6 @@ class Connection(asyncio.BufferedProtocol):
                     f"timed out after {timeout}s"
                 )
             )
-            self._streams.call_timed_out(key)
         if heap:
             self._timeout_timer = self._loop.call_at(heap[0][0], self._sweep_timeouts)
 
@@ -617,7 +574,7 @@ class Connection(asyncio.BufferedProtocol):
                 if frame and frame[0] == msg.REQUEST:
                     # Undecoded: the serving task decodes right before it
                     # runs the handler.
-                    self._spawn_server_task(frame)
+                    self._server_tasks.add(self._loop.create_task(self._serve_one(frame)))
                 else:
                     self._dispatch(msg.decode(frame))
         except TransportError as exc:
@@ -685,7 +642,7 @@ class Connection(asyncio.BufferedProtocol):
             self._post(msg.Pong(m.nonce))
         elif isinstance(m, msg.Pong):
             self._resolve(-m.nonce, b"", None)
-        elif not self._streams.on_frame(m):
+        else:
             log.warning("%s: unexpected message %r", self._name, m)
 
     def _resolve(self, req_id: int, result: Optional[bytes], exc: Optional[Exception]) -> None:
@@ -697,21 +654,17 @@ class Connection(asyncio.BufferedProtocol):
         else:
             future.set_result(result)
 
-    def _spawn_server_task(self, request: "bytes | msg.Request") -> None:
-        """One Task per request: an undecoded REQUEST frame off the wire,
-        or a :class:`~msg.Request` that streaming reassembled."""
-        self._server_tasks.add(self._loop.create_task(self._serve_one(request)))
-
-    async def _serve_one(self, request: "bytes | msg.Request") -> None:
+    async def _serve_one(self, frame: bytes) -> None:
+        """Serve one REQUEST frame off the wire: decode, run the handler,
+        reply."""
         task = asyncio.current_task()
         budget = None  # the request's timeout-heap entry
         try:
-            if type(request) is not msg.Request:
-                try:
-                    request = msg.decode(request)
-                except TransportError as exc:
-                    self._abort(exc)
-                    return
+            try:
+                request = msg.decode(frame)
+            except TransportError as exc:
+                self._abort(exc)
+                return
             req_id = request.req_id
             if self._handler is None:
                 self._post(
@@ -734,19 +687,13 @@ class Connection(asyncio.BufferedProtocol):
                     (request.trace_id, request.parent_span_id),
                     deadline_ms,
                 )
-                if self._stream_threshold and len(result) >= self._stream_threshold:
-                    try:
-                        await self._streams.respond(req_id, result)
-                    except (ConnectionError, OSError, TransportError):
-                        pass  # peer is gone; connection_lost tears down
-                    return
                 head = new_frame()
                 msg.encode_response_prefix(head, req_id)
                 if len(head) - HEADER + len(result) > framing.MAX_FRAME:
                     # Answered, not dropped: the caller must not wait out
                     # its budget for a reply that can never be sent.
                     raise RPCError(
-                        f"reply of {len(result)} bytes exceeds MAX_FRAME with streaming off",
+                        f"reply of {len(result)} bytes exceeds MAX_FRAME",
                         code=ErrorCode.INTERNAL,
                     )
                 payload = result

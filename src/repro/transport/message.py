@@ -9,10 +9,12 @@ the per-message cost the paper's design deletes.
 
 Decoding takes the owned ``bytes`` of one frame, as
 :class:`repro.transport.framing.FrameParser` cuts them, and parses the
-header in one pass.  A REQUEST's args, a RESPONSE's result and a
-STREAM_CHUNK's data come out as ``bytes`` slices of the frame — the one
-copy decoding makes — which the codec reads without copying again.
-Header varints are at most ten bytes.
+header in one pass.  A REQUEST's args and a RESPONSE's result come out as
+``bytes`` slices of the frame — the one copy decoding makes — which the
+codec reads without copying again.  Header varints are at most ten bytes.
+Every call is one REQUEST frame and one reply frame, whatever its size: a
+large payload differs only in the connection it rides (see
+:data:`repro.transport.connection.BULK_BYTES`).
 
 Message layouts (after the frame length prefix)::
 
@@ -42,29 +44,6 @@ needed.
 RPC_ERROR ``code`` is :class:`repro.core.errors.ErrorCode` (retryability is
 derived from it on the receiving side); flags bit 0 is ``executed`` — did
 the method body possibly run before the failure?
-
-Streaming (§5.1's "runtime owns the transport" applied to large payloads):
-a request or response bigger than the stream threshold travels as a
-sequence of bounded chunks instead of one giant frame, so it never
-monopolizes the write coalescer and can exceed ``MAX_FRAME``::
-
-    STREAM_OPEN   0x09 | uvarint req_id | uvarint component_id
-                       | uvarint method_index | trace | uvarint deadline_ms
-                       | uvarint total_len
-    STREAM_RESP   0x0A | uvarint req_id | uvarint total_len
-    STREAM_CHUNK  0x0B | uvarint req_id | u8 flags | chunk bytes
-    STREAM_CREDIT 0x0C | uvarint req_id | u8 flags | uvarint bytes
-    STREAM_CANCEL 0x0D | uvarint req_id | u8 flags
-
-Stream flags: bit 0 (``STREAM_END``) marks the final chunk; bit 1
-(``STREAM_RESP_DIR``) says the message concerns the *response* stream of
-``req_id`` rather than the request upload (both directions may be active
-for the same id at once — the id spaces of the two peers are independent);
-bit 2 (``STREAM_TO_SENDER``, CANCEL only) addresses the cancel at the
-stream's sender ("stop transmitting") instead of its receiver ("discard
-what I sent").  CREDIT grants the sender permission to transmit that many
-more payload bytes — receiver-paced flow control, so a slow consumer
-bounds the producer's memory instead of the other way round.
 """
 
 from __future__ import annotations
@@ -84,19 +63,9 @@ APP_ERROR = 0x05
 RPC_ERROR = 0x06
 PING = 0x07
 PONG = 0x08
-STREAM_OPEN = 0x09
-STREAM_RESP = 0x0A
-STREAM_CHUNK = 0x0B
-STREAM_CREDIT = 0x0C
-STREAM_CANCEL = 0x0D
 
 #: The two ids of a trace context with flag 2.
 _TRACE_IDS = struct.Struct("<QQ")
-
-#: Stream flag bits (shared by CHUNK / CREDIT / CANCEL).
-STREAM_END = 0x01
-STREAM_RESP_DIR = 0x02
-STREAM_TO_SENDER = 0x04
 
 
 @dataclass(frozen=True)
@@ -205,73 +174,7 @@ class Pong:
     nonce: int
 
 
-@dataclass(frozen=True)
-class StreamOpen:
-    """Opens a chunked *request* upload for ``req_id``."""
-
-    req_id: int
-    component_id: int
-    method_index: int
-    trace_id: int = 0
-    parent_span_id: int = 0
-    deadline_ms: int = 0
-    total_len: int = 0
-
-
-@dataclass(frozen=True)
-class StreamResp:
-    """Opens a chunked *response* download for ``req_id``."""
-
-    req_id: int
-    total_len: int = 0
-
-
-class StreamChunk:
-    """One bounded slice of a streamed payload (hot path: slots, no dataclass)."""
-
-    __slots__ = ("req_id", "flags", "data")
-
-    def __init__(self, req_id: int, flags: int, data: bytes) -> None:
-        self.req_id = req_id
-        self.flags = flags
-        self.data = data
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is StreamChunk
-            and self.req_id == other.req_id
-            and self.flags == other.flags
-            and self.data == other.data
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"StreamChunk(req_id={self.req_id}, flags={self.flags:#x}, "
-            f"data=<{len(self.data)} bytes>)"
-        )
-
-
-@dataclass(frozen=True)
-class StreamCredit:
-    """Receiver grants the sender ``bytes_`` more payload bytes in flight."""
-
-    req_id: int
-    flags: int
-    bytes_: int
-
-
-@dataclass(frozen=True)
-class StreamCancel:
-    """Abort a stream mid-flight (direction per ``flags``)."""
-
-    req_id: int
-    flags: int
-
-
-Message = Union[
-    Hello, Welcome, Request, Response, AppError, RpcError, Ping, Pong,
-    StreamOpen, StreamResp, StreamChunk, StreamCredit, StreamCancel,
-]
+Message = Union[Hello, Welcome, Request, Response, AppError, RpcError, Ping, Pong]
 
 
 def encode(msg: Message) -> bytes:
@@ -303,23 +206,14 @@ def encode_request_prefix(
             v >>= 7
         out.append(v)
     if trace[0] or trace[1] > 1:
-        _trace_into(out, trace)
+        out.append(2)
+        out += _TRACE_IDS.pack(*trace)
     else:  # (0, 0) or UNSAMPLED_CONTEXT: the flag byte is the span id
         out.append(trace[1])
     while deadline_ms > 0x7F:
         out.append((deadline_ms & 0x7F) | 0x80)
         deadline_ms >>= 7
     out.append(deadline_ms)
-
-
-def _trace_into(out: bytearray, trace: "tuple[int, int]") -> None:
-    """Append a trace context: its flag byte, and the ids under flag 2."""
-    trace_id, span_id = trace
-    if trace_id == 0 and (span_id == 0 or span_id == 1):
-        out.append(span_id)
-    else:
-        out.append(2)
-        out += _TRACE_IDS.pack(trace_id, span_id)
 
 
 def encode_response_prefix(out: bytearray, req_id: int) -> None:
@@ -330,22 +224,6 @@ def encode_response_prefix(out: bytearray, req_id: int) -> None:
         out.append((v & 0x7F) | 0x80)
         v >>= 7
     out.append(v)
-
-
-def encode_stream_chunk_prefix(out: bytearray, req_id: int, flags: int) -> None:
-    """Append a STREAM_CHUNK header; the chunk bytes follow as the frame body.
-
-    The hot streaming path calls this with the frame buffer itself so each
-    chunk rides zero-copy as a separate gather chunk, exactly like REQUEST
-    args do.
-    """
-    out.append(STREAM_CHUNK)
-    v = req_id
-    while v > 0x7F:
-        out.append((v & 0x7F) | 0x80)
-        v >>= 7
-    out.append(v)
-    out.append(flags & 0xFF)
 
 
 def encode_into(out: bytearray, msg: Message) -> None:
@@ -392,29 +270,6 @@ def encode_into(out: bytearray, msg: Message) -> None:
     elif isinstance(msg, Pong):
         out.append(PONG)
         write_uvarint(out, msg.nonce)
-    elif isinstance(msg, StreamOpen):
-        out.append(STREAM_OPEN)
-        for v in (msg.req_id, msg.component_id, msg.method_index):
-            write_uvarint(out, v)
-        _trace_into(out, (msg.trace_id, msg.parent_span_id))
-        write_uvarint(out, msg.deadline_ms)
-        write_uvarint(out, msg.total_len)
-    elif isinstance(msg, StreamResp):
-        out.append(STREAM_RESP)
-        write_uvarint(out, msg.req_id)
-        write_uvarint(out, msg.total_len)
-    elif isinstance(msg, StreamChunk):
-        encode_stream_chunk_prefix(out, msg.req_id, msg.flags)
-        out += msg.data
-    elif isinstance(msg, StreamCredit):
-        out.append(STREAM_CREDIT)
-        write_uvarint(out, msg.req_id)
-        out.append(msg.flags & 0xFF)
-        write_uvarint(out, msg.bytes_)
-    elif isinstance(msg, StreamCancel):
-        out.append(STREAM_CANCEL)
-        write_uvarint(out, msg.req_id)
-        out.append(msg.flags & 0xFF)
     else:
         raise TransportError(f"cannot encode message {msg!r}")
 
@@ -422,7 +277,7 @@ def encode_into(out: bytearray, msg: Message) -> None:
 def decode(frame: bytes) -> Message:
     """Decode one frame: owned ``bytes``, as the frame parser cuts them.
 
-    REQUEST, RESPONSE and STREAM_CHUNK are parsed inline, each varint's
+    REQUEST and RESPONSE are parsed inline, each varint's
     one-byte case on the spot, and their bodies handed out as ``bytes``
     slices of ``frame``.  A header varint longer than ten bytes is a
     :class:`TransportError`: ids and budgets are below ``2**64``, and
@@ -433,7 +288,7 @@ def decode(frame: bytes) -> Message:
     if not frame:
         raise TransportError("empty frame")
     kind = frame[0]
-    if kind == REQUEST or kind == RESPONSE or kind == STREAM_CHUNK:
+    if kind == REQUEST or kind == RESPONSE:
         try:
             req_id = frame[1]
             pos = 2
@@ -441,8 +296,6 @@ def decode(frame: bytes) -> Message:
                 req_id, pos = _uvarint_tail(frame, pos, req_id)
             if kind == RESPONSE:
                 return Response(req_id, frame[pos:])
-            if kind == STREAM_CHUNK:
-                return StreamChunk(req_id, frame[pos], frame[pos + 1 :])
             component_id = frame[pos]
             pos += 1
             if component_id > 0x7F:
@@ -489,16 +342,6 @@ def decode(frame: bytes) -> Message:
             return Ping(read_uvarint(r))
         if kind == PONG:
             return Pong(read_uvarint(r))
-        if kind == STREAM_OPEN:
-            ids = [read_uvarint(r) for _ in range(3)]
-            trace_id, span_id, r.pos = _trace_at(frame, r.pos)
-            return StreamOpen(*ids, trace_id, span_id, read_uvarint(r), read_uvarint(r))
-        if kind == STREAM_RESP:
-            return StreamResp(read_uvarint(r), read_uvarint(r))
-        if kind == STREAM_CREDIT:
-            return StreamCredit(read_uvarint(r), r.byte(), read_uvarint(r))
-        if kind == STREAM_CANCEL:
-            return StreamCancel(read_uvarint(r), r.byte())
     except (DecodeError, UnicodeDecodeError) as exc:
         raise TransportError(f"malformed message of kind {kind}: {exc}") from exc
     raise TransportError(f"unknown message kind {kind}")
@@ -520,12 +363,10 @@ def _uvarint_tail(frame: bytes, pos: int, n: int) -> "tuple[int, int]":
 
 
 def _trace_at(frame: bytes, pos: int) -> "tuple[int, int, int]":
-    """Read the trace context whose flag byte is at ``pos``: its two ids and
-    the position after it."""
+    """Read the trace context whose flag byte, at ``pos``, is not 0 or 1
+    (those the caller reads inline): its two ids and the position after it."""
     try:
         flag = frame[pos]
-        if flag < 2:
-            return 0, flag, pos + 1
         if flag == 2:
             trace_id, span_id = _TRACE_IDS.unpack_from(frame, pos + 1)
             return trace_id, span_id, pos + 1 + _TRACE_IDS.size

@@ -325,13 +325,13 @@ class RemoteInvoker:
         edge, latency, errors, span_name, span_site = site
         opts = options or DEFAULT_OPTIONS
         payload = bytearray()
-        self._codec.encode_into(method.arg_schema, args, payload)
         start = time.monotonic()  # the call's latency and its deadline, one read
         failure: Optional[BaseException] = None
         reply = b""
-        # Sampling is decided once, here.  The client span is never bound as
-        # the ambient one: every attempt is handed the wire context, and an
-        # unsampled call holds no span at all.
+        # Sampling is decided once, here, before the arguments are encoded:
+        # the encode is the call's cost, not its caller's.  The client span
+        # is never bound as the ambient one: every attempt is handed the
+        # wire context, and an unsampled call holds no span at all.
         span = None
         tracer = self._tracer
         if tracer is None:
@@ -344,6 +344,7 @@ class RemoteInvoker:
                 span = None
                 trace = UNSAMPLED_CONTEXT
         try:
+            self._codec.encode_into(method.arg_schema, args, payload)
             budget = effective_budget_s(opts.deadline_s, self._timeout_s)
             if budget <= 0:
                 raise DeadlineExceeded(

@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.core.errors import ConfigError, ResourceExhausted
 from repro.transport.connection import Connection, Handler
-from repro.transport.streaming import STREAM_CHUNK_BYTES, STREAM_THRESHOLD
 
 log = logging.getLogger("repro.transport")
 
@@ -141,15 +140,11 @@ class RPCServer:
         version: str,
         address: str = "tcp://127.0.0.1:0",
         compress: bool = False,
-        stream_threshold: int = STREAM_THRESHOLD,
-        stream_chunk: int = STREAM_CHUNK_BYTES,
     ) -> None:
         self._handler = handler
         self._codec = codec
         self._version = version
         self._compress = compress
-        self._stream_threshold = stream_threshold
-        self._stream_chunk = stream_chunk
         self._requested = address
         self._server: Optional[asyncio.base_events.Server] = None
         self._connections: set[Connection] = set()
@@ -183,8 +178,6 @@ class RPCServer:
             on_ready=self._register,
             name="server",
             compress=self._compress,
-            stream_threshold=self._stream_threshold,
-            stream_chunk=self._stream_chunk,
         )
 
     def _register(self, conn: Connection) -> None:

@@ -196,8 +196,6 @@ def test_subprocess_config_keeps_every_proclet_field():
         state_shards=4,
         state_fsync=True,
         state_snapshot_every=32,
-        stream_threshold_bytes=4096,
-        stream_chunk_bytes=8192,
         telemetry="off",
         trace_rate=None,
         trace_sample_rate=0.5,
@@ -228,15 +226,14 @@ def test_subprocess_config_keeps_every_proclet_field():
 
 @pytest.mark.parametrize("mode", ["inproc", "subprocess"])
 class TestDataPlaneThroughDeployment:
-    """Streaming, concurrent state writes and drain, at the default
-    single-loop config, through a whole deployment in both modes."""
+    """Large values, concurrent state writes and drain, at the default
+    config, through a whole deployment in both modes."""
 
-    async def test_config_driven_streaming(self, demo_registry, mode):
-        config = AppConfig(name="t", stream_threshold_bytes=64 * 1024)
-        app = await deployed(demo_registry, config=config, mode=mode)
+    async def test_large_value_round_trips(self, demo_registry, mode):
+        app = await deployed(demo_registry, mode=mode)
         try:
             kv = app.get(KVStore)
-            big = "x" * (512 * 1024)  # 8x the threshold: travels as a stream
+            big = "x" * (2 << 20)  # the put rides the bulk connection
             await kv.put("big", big)
             assert await kv.get("big") == big
         finally:

@@ -208,3 +208,20 @@ class TestRecording:
 
         with pytest.raises(ValueError, match="B.n"):
             await profile_requests({"n": call}, registry=reg, repeats=1)
+
+    async def test_repeats_run_round_robin_across_request_types(self):
+        """After the warm pass, every round runs each type once, so one
+        burst of interference cannot inflate all samples of one type."""
+        order = []
+
+        def request(name):
+            async def call(app):
+                if app.codec_name == CODEC_NAMES[0]:
+                    order.append(name)
+                await app.get(A).m(1)
+
+            return call
+
+        names = ["x", "y", "z"]
+        await profile_requests({n: request(n) for n in names}, registry=zoo(), repeats=3)
+        assert order == names + names * 3

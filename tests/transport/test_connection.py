@@ -691,33 +691,42 @@ async def test_largest_hello_is_within_the_handshake_cap():
 
 
 @pytest.mark.parametrize("direction", ["request", "reply"])
-async def test_oversize_frame_without_streaming_spares_the_connection(direction, monkeypatch):
-    """With streaming off, a frame over MAX_FRAME is refused with a
-    non-retryable INTERNAL before it is queued — executed=False for a
-    request, executed=True for a reply (the handler ran) — instead of
-    closing the connection a bystander call shares, or leaving the caller
-    to wait out its budget for a reply that was dropped."""
+async def test_oversize_frame_spares_the_connection(direction, monkeypatch):
+    """A frame body of exactly MAX_FRAME goes through; one byte more is
+    refused with a non-retryable INTERNAL before it is queued —
+    executed=False for a request, executed=True for a reply (the handler
+    ran) — instead of closing the connection a bystander call shares, or
+    leaving the caller to wait out its budget for a reply that was
+    dropped."""
     monkeypatch.setattr(framing, "MAX_FRAME", 1 << 20)
-    oversize = b"x" * ((1 << 20) + 1)
+    # The body left after each frame's header (this test's req_ids, ids
+    # and budgets are all one-byte varints).
+    room = framing.MAX_FRAME - len(
+        msg.encode(msg.Request(1, 0, 1, b"") if direction == "request" else msg.Response(1, b""))
+    )
 
     async def handler(component_id, method_index, args, trace=(0, 0), deadline_ms=0):
         if method_index == 97:
             await asyncio.sleep(0.2)
             return b"slow"
-        return oversize if method_index == 96 else b"ok"
+        return b"x" * (room + len(args)) if method_index == 96 else b"ok"
 
-    server = RPCServer(handler, codec="compact", version="v1", stream_threshold=0)
-    pool = ConnectionPool(codec="compact", version="v1", stream_threshold=0)
+    server = RPCServer(handler, codec="compact", version="v1")
+    pool = ConnectionPool(codec="compact", version="v1")
     try:
         address = await server.start()
         conn = await pool.get(address)
+        if direction == "request":
+            assert await conn.call(0, 1, b"x" * room, timeout=5) == b"ok"
+        else:
+            assert len(await conn.call(0, 96, b"", timeout=5)) == room
         bystander = asyncio.ensure_future(conn.call(0, 97, b"", timeout=5))
         await asyncio.sleep(0.05)
         with pytest.raises(RPCError) as info:
             if direction == "request":
-                await conn.call(0, 1, oversize, timeout=5)
+                await conn.call(0, 1, b"x" * (room + 1), timeout=5)
             else:
-                await asyncio.wait_for(conn.call(0, 96, b"", timeout=5), 2)
+                await asyncio.wait_for(conn.call(0, 96, b"+", timeout=5), 2)
         assert info.value.code is ErrorCode.INTERNAL and not info.value.retryable
         assert info.value.executed is (direction == "reply")
         assert await bystander == b"slow"

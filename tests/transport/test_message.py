@@ -113,19 +113,15 @@ GOLDEN = [
         "0380800181010102ffffffffffffff7f05000000000000408080016162",
     ),
     (msg.Response(2**21 + 3, b"ok"), "04838080016f6b"),
-    (
-        msg.StreamChunk(128, msg.STREAM_END | msg.STREAM_RESP_DIR, b"tail"),
-        "0b8001037461696c",
-    ),
 ]
 
 
-@pytest.mark.parametrize("message,wire", GOLDEN, ids=["request", "traced", "response", "chunk"])
+@pytest.mark.parametrize("message,wire", GOLDEN, ids=["request", "traced", "response"])
 def test_golden_wire_bytes(message, wire):
     assert msg.encode(message).hex() == wire
     decoded = msg.decode(bytes.fromhex(wire))
     assert decoded == message
-    body = {msg.Request: "args", msg.Response: "result", msg.StreamChunk: "data"}
+    body = {msg.Request: "args", msg.Response: "result"}
     assert type(getattr(decoded, body[type(decoded)])) is bytes  # the codec copies nothing more
 
 
@@ -155,9 +151,8 @@ _LONG_VARINT = b"\xff" * (1 << 20)
         bytes([msg.REQUEST]) + _LONG_VARINT + b"\x00",
         bytes([msg.REQUEST]) + b"\x01\x01\x01\x00" + _LONG_VARINT + b"\x00",
         bytes([msg.RESPONSE]) + _LONG_VARINT + b"\x00",
-        bytes([msg.STREAM_CHUNK]) + _LONG_VARINT + b"\x00\x00",
     ],
-    ids=["request_id", "request_deadline", "response", "chunk"],
+    ids=["request_id", "request_deadline", "response"],
 )
 def test_overlong_header_varint_rejected_quickly(frame):
     """Ids and budgets are below 2**64, so a header varint is at most ten
@@ -182,8 +177,6 @@ trace_pairs = st.one_of(
 def test_trace_context_roundtrips_losslessly(trace, deadline_ms, body):
     request = msg.Request(3, 1, 2, body, trace[0], trace[1], deadline_ms)
     assert msg.decode(msg.encode(request)) == request
-    opened = msg.StreamOpen(3, 1, 2, trace[0], trace[1], deadline_ms, len(body))
-    assert msg.decode(msg.encode(opened)) == opened
 
 
 def test_trace_context_is_one_byte_unless_sampled():
@@ -191,20 +184,17 @@ def test_trace_context_is_one_byte_unless_sampled():
     plain = len(msg.encode(msg.Request(1, 1, 1, b"")))
     assert len(msg.encode(msg.Request(1, 1, 1, b"", 0, 1))) == plain
     assert len(msg.encode(msg.Request(1, 1, 1, b"", 5, 7))) == plain + 16
-    plain = len(msg.encode(msg.StreamOpen(1, 1, 1)))
-    assert len(msg.encode(msg.StreamOpen(1, 1, 1, 0, 1))) == plain
-    assert len(msg.encode(msg.StreamOpen(1, 1, 1, 5, 7))) == plain + 16
 
 
 @pytest.mark.parametrize("flag", [3, 0x80, 0xFF])
-@pytest.mark.parametrize("kind", [msg.REQUEST, msg.STREAM_OPEN])
+@pytest.mark.parametrize("kind", [msg.REQUEST])
 def test_unknown_trace_context_flag_rejected(kind, flag):
     frame = bytes([kind, 1, 1, 1, flag]) + bytes(20)
     with pytest.raises(TransportError, match="trace context flag"):
         msg.decode(frame)
 
 
-@pytest.mark.parametrize("kind", [msg.REQUEST, msg.STREAM_OPEN])
+@pytest.mark.parametrize("kind", [msg.REQUEST])
 def test_truncated_trace_ids_rejected(kind):
     frame = bytes([kind, 1, 1, 1, 2]) + bytes(15)  # one id byte short
     with pytest.raises(TransportError, match="truncated"):

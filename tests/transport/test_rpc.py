@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -277,6 +278,40 @@ async def test_unavailable_reply_keeps_the_shared_connection(rejection):
         assert await slow == "rested"
         assert served.pool.live(served.resolver.address) is conn
         assert cancelled_naps == []
+
+
+class StampingCodec:
+    """The compact codec, noting the wall time each argument encode starts."""
+
+    def __init__(self):
+        self.encoded_at = []
+
+    def encode_into(self, schema, value, out):
+        self.encoded_at.append(time.time())
+        return COMPACT.encode_into(schema, value, out)
+
+    def __getattr__(self, name):
+        return getattr(COMPACT, name)
+
+
+async def test_client_span_opens_before_the_argument_encode(demo_build):
+    """The encode is the call's cost: it runs inside the client span, not
+    before it in the caller's.  An argument that fails to encode fails
+    its span like any other failure."""
+    codec, tracer = StampingCodec(), Tracer()
+    async with ServedApp(demo_build) as served:
+        invoker = RemoteInvoker(
+            codec=codec, pool=served.pool, resolver=served.resolver, timeout_s=5.0, tracer=tracer
+        )
+        stub = make_stub(demo_build.by_iface(Adder), invoker, ROOT)
+        assert await stub.add(2, 3) == 5
+        (ok,) = [s for s in tracer.spans() if s.name == "rpc Adder.add"]
+        assert ok.start_s <= codec.encoded_at[0] <= ok.end_s
+        with pytest.raises(Exception):
+            await stub.add("two", 3)
+    ok_again, failed = [s for s in tracer.spans() if s.name == "rpc Adder.add"]
+    assert ok_again is ok
+    assert failed.start_s <= codec.encoded_at[1] and failed.status == "error"
 
 
 class ContextCapturingApp(ServedApp):
